@@ -1,21 +1,21 @@
 // Introspection overhead + fidelity gate for the EXPLAIN ANALYZE stack.
 //
-// Three acceptance gates (binary exits non-zero when one fails; CI runs
+// Two acceptance gates (binary exits non-zero when one fails; CI runs
 // --smoke):
-//   1. serving replay with the slow-query log armed (latency threshold set,
-//      ring allocated) >= 0.97x the same server with the log disabled —
-//      the non-slow path must stay a couple of comparisons (0.90x under
-//      TSan);
-//   2. Executor::ExecuteProfiled with profiling on >= 0.90x the throughput
+//   1. Executor::ExecuteProfiled with profiling on >= 0.90x the throughput
 //      of plain Execute on the same plans (0.75x under TSan) — per-node
 //      clocks and counter sums must not distort what they measure;
-//   3. on a 4-relation Ext-JOB plan, every node's actual_rows in
+//   2. on a 4-relation Ext-JOB plan, every node's actual_rows in
 //      ExplainAnalyze equals Executor::Execute(query, plan, node_idx)
 //      ->NumRows() bitwise, and the root intermediate under profiling is
 //      bitwise identical to the unprofiled one — the profile observes the
 //      execution, it never changes it.
 //
-//   ./build/bench/bench_explain_overhead [--scale=S] [--threads=N] [--smoke]
+// The serving side of introspection — request retention in the flight
+// recorder — is gated by bench_flight_recorder (armed serving >= 0.97x an
+// unarmed server).
+//
+//   ./build/bench/bench_explain_overhead [--scale=S] [--smoke]
 //                                        [--metrics-json=PATH]
 #include <algorithm>
 #include <chrono>
@@ -27,10 +27,6 @@
 #include "bench/bench_common.h"
 #include "src/exec/executor.h"
 #include "src/introspect/explain.h"
-#include "src/obs/export.h"
-#include "src/obs/metrics.h"
-#include "src/serving/optimizer_server.h"
-#include "src/serving/replay_driver.h"
 
 namespace balsa {
 namespace {
@@ -50,24 +46,10 @@ constexpr bool kTsanBuild = false;
 struct ExplainConfig {
   bool smoke = false;
   double scale = 0.25;
-  int clients = 16;
-  int warm_requests_per_client = 30;
-  int measure_requests_per_client = 4000;
   int exec_iters = 40;
   int rounds = 3;
-  int beam_size = 10;
-  int top_k = 5;
   int max_relations = 8;
 };
-
-double ReplayRps(OptimizerServer* server,
-                 const std::vector<const Query*>& queries,
-                 ReplayOptions replay, int requests_per_client) {
-  replay.requests_per_client = requests_per_client;
-  auto report = ReplayWorkload(server, queries, replay);
-  BALSA_CHECK(report.ok(), report.status().ToString());
-  return report->requests_per_sec;
-}
 
 /// Plans executed per second over a fixed (query, plan) set.
 double ExecRps(const Executor& executor,
@@ -109,16 +91,6 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
   BALSA_CHECK(env_or.ok(), env_or.status().ToString());
   Env& env = **env_or;
 
-  Featurizer featurizer(&env.schema(), env.estimator.get());
-  ValueNetConfig net_config;
-  net_config.query_dim = featurizer.query_dim();
-  net_config.node_dim = featurizer.node_dim();
-  net_config.tree_hidden1 = 32;
-  net_config.tree_hidden2 = 16;
-  net_config.mlp_hidden = 16;
-  net_config.init_seed = 7;
-  ValueNetwork network(net_config);
-
   std::vector<const Query*> queries;
   for (const Query& q : env.workload.queries()) {
     if (q.num_relations() <= config.max_relations) queries.push_back(&q);
@@ -127,67 +99,7 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
 
   bool ok = true;
 
-  // --- Gate 1: slow-query log armed vs disabled on the serving path ------
-  OptimizerServerOptions base_options;
-  base_options.planner.beam_size = config.beam_size;
-  base_options.planner.top_k = config.top_k;
-  base_options.metrics = &obs::MetricsRegistry::Default();
-  base_options.trace.sample_every = 64;
-
-  OptimizerServerOptions logged_options = base_options;
-  logged_options.slow_query.capacity = 128;
-  // A threshold no warmed cache hit reaches: the trigger is evaluated on
-  // every request but almost never fires — the path whose cost the gate
-  // bounds.
-  logged_options.slow_query.latency_threshold_us = 1'000'000;
-  auto logged = std::make_unique<OptimizerServer>(
-      &env.schema(), &featurizer, &network, env.oracle.get(), logged_options);
-
-  OptimizerServerOptions plain_options = base_options;
-  plain_options.metrics = nullptr;  // keep the two servers' series apart
-  plain_options.slow_query.capacity = 0;
-  auto plain = std::make_unique<OptimizerServer>(
-      &env.schema(), &featurizer, &network, env.oracle.get(), plain_options);
-
-  ReplayOptions replay;
-  replay.num_clients = config.clients;
-  replay.zipf_s = 0.9;
-  replay.seed = 17;
-
-  ReplayRps(logged.get(), queries, replay, config.warm_requests_per_client);
-  ReplayRps(plain.get(), queries, replay, config.warm_requests_per_client);
-
-  // Paired rounds, alternating order, median ratio, up to 3 attempts — the
-  // same discipline as bench_obs_overhead: on a shared machine noise can
-  // only fail a perf gate, never pass it, so re-measuring does not weaken
-  // the gate's direction.
-  const double serving_threshold = kTsanBuild ? 0.90 : 0.97;
-  std::vector<double> logged_rps, plain_rps, ratios;
-  double serving_ratio = 0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    if (attempt > 0) {
-      std::printf("serving gate missed (%.3f); re-measuring\n", serving_ratio);
-    }
-    ratios.clear();
-    for (int round = 0; round < config.rounds; ++round) {
-      if (round % 2 == 0) {
-        plain_rps.push_back(ReplayRps(plain.get(), queries, replay,
-                                      config.measure_requests_per_client));
-        logged_rps.push_back(ReplayRps(logged.get(), queries, replay,
-                                       config.measure_requests_per_client));
-      } else {
-        logged_rps.push_back(ReplayRps(logged.get(), queries, replay,
-                                       config.measure_requests_per_client));
-        plain_rps.push_back(ReplayRps(plain.get(), queries, replay,
-                                      config.measure_requests_per_client));
-      }
-      ratios.push_back(logged_rps.back() / plain_rps.back());
-    }
-    serving_ratio = Median(ratios);
-    if (serving_ratio >= serving_threshold) break;
-  }
-
-  // --- Gate 2: ExecuteProfiled vs Execute --------------------------------
+  // --- Gate 1: ExecuteProfiled vs Execute --------------------------------
   // A handful of expert plans over small-to-mid queries; both executors pin
   // the same snapshot so the measured work is identical.
   std::vector<std::pair<const Query*, Plan>> work;
@@ -201,6 +113,10 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
   profiled_options.profile = true;
   Executor profiled(unprofiled.snapshot(), profiled_options);
 
+  // Paired rounds, alternating order, median ratio, up to 3 attempts — the
+  // same discipline as bench_obs_overhead: on a shared machine noise can
+  // only fail a perf gate, never pass it, so re-measuring does not weaken
+  // the gate's direction.
   const double exec_threshold = kTsanBuild ? 0.75 : 0.90;
   std::vector<double> exec_plain_rps, exec_prof_rps, exec_ratios;
   double exec_ratio = 0;
@@ -231,11 +147,6 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
 
   TablePrinter table({"gate", "baseline/s", "candidate/s", "median ratio",
                       "threshold"});
-  table.AddRow({"serving + slow-query log",
-                TablePrinter::Fmt(Median(plain_rps), 1),
-                TablePrinter::Fmt(Median(logged_rps), 1),
-                TablePrinter::Fmt(serving_ratio, 3),
-                TablePrinter::Fmt(serving_threshold, 2)});
   table.AddRow({"ExecuteProfiled",
                 TablePrinter::Fmt(Median(exec_plain_rps), 1),
                 TablePrinter::Fmt(Median(exec_prof_rps), 1),
@@ -243,18 +154,13 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
                 TablePrinter::Fmt(exec_threshold, 2)});
   table.Print();
 
-  if (serving_ratio < serving_threshold) {
-    std::printf("FAIL: slow-query log costs %.1f%% of serving throughput\n",
-                (1 - serving_ratio) * 100);
-    ok = false;
-  }
   if (exec_ratio < exec_threshold) {
     std::printf("FAIL: profiling costs %.1f%% of executor throughput\n",
                 (1 - exec_ratio) * 100);
     ok = false;
   }
 
-  // --- Gate 3: ExplainAnalyze fidelity on a 4-relation Ext-JOB plan ------
+  // --- Gate 2: ExplainAnalyze fidelity on a 4-relation Ext-JOB plan ------
   const Query* ext_query = nullptr;
   for (const Query& q : env.ext_workload.queries()) {
     if (q.num_relations() == 4) {
@@ -339,30 +245,23 @@ int main(int argc, char** argv) {
   }
   if (config.smoke) {
     config.scale = 0.03;
-    config.clients = 8;
-    config.warm_requests_per_client = 10;
-    config.measure_requests_per_client = kTsanBuild ? 1500 : 6000;
     config.exec_iters = kTsanBuild ? 5 : 15;
     config.rounds = kTsanBuild ? 3 : 5;
-    config.beam_size = 3;
-    config.top_k = 1;
-    // Full-size queries: the gates are ratios, and shrinking per-request
-    // work just measures overhead against an unrealistic denominator.
+    // Full-size queries: the overhead gate is a ratio, and shrinking
+    // per-plan work just measures overhead against an unrealistic
+    // denominator.
     config.max_relations = 8;
   } else {
     config.scale = flags.scale;
-    if (flags.threads > 0) config.clients = flags.threads;
   }
   flags.scale = config.scale;
-  flags.threads = config.clients;
   bench::PrintHeader(
       "Introspect: EXPLAIN ANALYZE overhead and fidelity",
-      "no paper counterpart; gates: slow-query log >= 0.97x serving, "
-      "profiling >= 0.90x execution, actuals bitwise-equal",
+      "no paper counterpart; gates: profiling >= 0.90x execution, "
+      "actuals bitwise-equal",
       flags);
-  std::printf("explain config:%s %d clients, %d rounds, %d measured "
-              "requests/client, %d exec iters\n",
-              config.smoke ? " (smoke)" : "", config.clients, config.rounds,
-              config.measure_requests_per_client, config.exec_iters);
+  std::printf("explain config:%s %d rounds, %d exec iters\n",
+              config.smoke ? " (smoke)" : "", config.rounds,
+              config.exec_iters);
   return Run(config, flags);
 }

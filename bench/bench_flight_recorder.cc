@@ -237,7 +237,7 @@ int Run(const FlightConfig& config, const BenchFlags& flags,
   if (have_top) {
     std::printf("        slowest: trace #%llu %.0fus [%s] %s\n",
                 static_cast<unsigned long long>(top.trace_id), top.latency_us,
-                top.outcome.c_str(), top.query_name.c_str());
+                top.outcome, top.query_name.c_str());
   }
 
   // Gate 4 (before the row-cap execution, while every retained trace holds

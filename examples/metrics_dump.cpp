@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
 
   std::printf("Serving %d requests over %zu distinct queries ...\n",
               requests, queries.size());
+  std::shared_ptr<obs::Trace> first_trace;
   for (int i = 0; i < requests; ++i) {
     const Query& q = *queries[static_cast<size_t>(i) % queries.size()];
     auto served = server.Optimize(q);
@@ -94,19 +95,17 @@ int main(int argc, char** argv) {
                    served.status().ToString().c_str());
       return 1;
     }
+    if (first_trace == nullptr) first_trace = served->trace;
     // Execute the first few served plans under the request's own trace so
     // exec_scan/exec_join spans land in the same story as the serve.
-    if (i < 3) {
-      auto traces = server.tracer()->RecentTraces();
-      if (!traces.empty()) {
-        Executor exec(env.db.get());
-        obs::ScopedTraceContext scope(server.tracer(), traces.back());
-        auto result = exec.Execute(q, served->plan);
-        if (!result.ok()) {
-          std::fprintf(stderr, "Execute: %s\n",
-                       result.status().ToString().c_str());
-          return 1;
-        }
+    if (i < 3 && served->trace != nullptr) {
+      Executor exec(env.db.get());
+      obs::ScopedTraceContext scope(server.tracer(), served->trace);
+      auto result = exec.Execute(q, served->plan);
+      if (!result.ok()) {
+        std::fprintf(stderr, "Execute: %s\n",
+                     result.status().ToString().c_str());
+        return 1;
       }
     }
   }
@@ -119,11 +118,10 @@ int main(int argc, char** argv) {
   obs::PrintStageBreakdown(*server.tracer());
 
   std::printf("\n--- one traced request -------------------------------\n");
-  auto traces = server.tracer()->RecentTraces();
-  if (traces.empty()) {
-    std::printf("no traces retained\n");
+  if (first_trace == nullptr) {
+    std::printf("no request was traced\n");
   } else {
-    std::fputs(traces.front()->ToString().c_str(), stdout);
+    std::fputs(first_trace->ToString().c_str(), stdout);
   }
 
   if (explain) {

@@ -3,20 +3,17 @@
 // health monitor running, and print the one-page health dashboard —
 // current QPS, per-outcome and per-stage latency percentiles (with p99
 // exemplar trace ids), alert states, plan-cache occupancy, storage state,
-// the slowest retained flight-recorder traces, and the most recent slow
-// queries (the demo arms the slow-query log so cold-cache misses land in
-// it).
+// and the slowest retained flight-recorder traces.
 //
 //   ./build/examples/statusz [requests_per_client] [--json]
-//                            [--slow-jsonl=PATH] [--flight-jsonl=PATH]
-//                            [--watch N]
+//                            [--flight-jsonl=PATH] [--watch N]
 //
 // --json prints the same dashboard as one JSON object instead of text;
-// --slow-jsonl exports the slow-query ring as JSONL; --flight-jsonl
-// exports every retained flight-recorder trace as JSONL (feed it to
-// scripts/trace_to_chrome.py for a Perfetto timeline). --watch N keeps a
-// live replay running in the background and redraws the text page every N
-// seconds until interrupted — the operator's `watch`-style view.
+// --flight-jsonl exports every retained flight-recorder trace as JSONL —
+// the one export format (feed it to scripts/trace_to_chrome.py for a
+// Perfetto timeline). --watch N keeps a live replay running in the
+// background and redraws the text page every N seconds until interrupted —
+// the operator's `watch`-style view.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -41,13 +38,10 @@ int main(int argc, char** argv) {
   int requests_per_client = 200;
   bool as_json = false;
   int watch_seconds = 0;
-  std::string slow_jsonl;
   std::string flight_jsonl;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       as_json = true;
-    } else if (std::strncmp(argv[i], "--slow-jsonl=", 13) == 0) {
-      slow_jsonl = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--flight-jsonl=", 15) == 0) {
       flight_jsonl = argv[i] + 15;
     } else if (std::strcmp(argv[i], "--watch") == 0 && i + 1 < argc) {
@@ -92,10 +86,6 @@ int main(int argc, char** argv) {
   options.flight_recorder.enabled = true;
   options.flight_recorder.top_k = 8;
   options.flight_recorder.reservoir_size = 16;
-  // Arm the slow-query log so the dashboard has something to show: every
-  // uncoalesced miss (a cold-cache beam search) is a "slow query" here.
-  options.slow_query.capacity = 64;
-  options.slow_query.log_uncoalesced_misses = true;
   OptimizerServer server(&env.schema(), &featurizer, &network,
                          env.oracle.get(), options);
 
@@ -193,15 +183,6 @@ int main(int argc, char** argv) {
   std::fputs(page.c_str(), stdout);
   if (as_json) std::fputc('\n', stdout);
 
-  if (!slow_jsonl.empty()) {
-    Status status = server.slow_query_log().WriteJsonlFile(slow_jsonl);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %zu slow-query events to %s\n",
-                 server.RecentSlowQueries().size(), slow_jsonl.c_str());
-  }
   if (!flight_jsonl.empty()) {
     Status status = server.flight_recorder()->WriteJsonlFile(flight_jsonl);
     if (!status.ok()) {

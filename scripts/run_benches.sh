@@ -28,14 +28,14 @@ fi
 # bench_obs_overhead asserts the observability gates (instrumented serving
 # >= 0.97x the recording-disabled baseline on the closed-loop replay, and
 # >= 0.90x on a single-thread cache-hit hammer); bench_explain_overhead
-# asserts the introspection gates (serving with the slow-query log armed
-# >= 0.97x a server without it, profiled execution >= 0.90x plain Execute,
-# and EXPLAIN ANALYZE actuals bitwise-equal to per-node Execute results);
-# bench_flight_recorder asserts the flight-recorder gates (armed serving
-# >= 0.97x unarmed, the max-latency request retained by construction, a
-# p99 histogram exemplar resolving to a span-consistent retained trace,
-# row-capped requests promoted into the store, and the SLO monitor firing
-# on an injected miss storm then resolving after re-warm).
+# asserts the introspection gates (profiled execution >= 0.90x plain
+# Execute, and EXPLAIN ANALYZE actuals bitwise-equal to per-node Execute
+# results); bench_flight_recorder asserts the gates of the one request
+# retention path (armed serving >= 0.97x unarmed, the max-latency request
+# retained by construction, a p99 histogram exemplar resolving to a
+# span-consistent retained trace, row-capped requests promoted into the
+# store, and the SLO monitor firing on an injected miss storm then
+# resolving after re-warm).
 # Each exits non-zero on violation.
 if [ -x "$build_dir/bench/bench_inference_batching" ]; then
   echo "==> bench_inference_batching"

@@ -16,6 +16,16 @@ std::string FmtF(const char* fmt, double v) {
   return buf;
 }
 
+/// `entries` as a JSON array in the flight recorder's one export format.
+std::string RetainedJsonArray(const std::vector<obs::RetainedTrace>& entries) {
+  std::string out = "[";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0) out += ',';
+    out += obs::TraceStore::RetainedJson(entries[i]);
+  }
+  return out + ']';
+}
+
 int64_t CounterValue(const obs::RegistrySnapshot& snapshot,
                      const std::string& name) {
   const obs::MetricValue* m = snapshot.Find(name);
@@ -26,7 +36,6 @@ int64_t CounterValue(const obs::RegistrySnapshot& snapshot,
 struct StatuszData {
   int64_t requests = 0;
   int64_t hits = 0;
-  int64_t slow_queries = 0;
   double hit_rate = 0;
   double qps = -1;  // -1 = no sampler window
   struct OutcomeLatency {
@@ -53,13 +62,14 @@ struct StatuszData {
   double ingest_rows_per_sec = -1;
   int64_t sampler_ticks = 0;
   size_t sampler_series = 0;
-  std::vector<SlowQueryEvent> slow;  // newest first, truncated
   std::vector<obs::RuleStatus> alerts;
   std::vector<obs::AlertEvent> alert_events;  // newest first, truncated
   int alerts_firing = 0;
   bool has_flight = false;
   obs::TraceStore::Stats flight;
   std::vector<obs::RetainedTrace> flight_top;  // slowest first, truncated
+  /// Retained row-capped or errored requests, slowest first, truncated.
+  std::vector<obs::RetainedTrace> flight_flagged;
 };
 
 StatuszData Gather(const StatuszSources& sources) {
@@ -68,7 +78,6 @@ StatuszData Gather(const StatuszSources& sources) {
   const std::string& p = sources.serving_prefix;
   data.requests = CounterValue(snapshot, p + ".requests");
   data.hits = CounterValue(snapshot, p + ".hits");
-  data.slow_queries = CounterValue(snapshot, p + ".slow_queries");
   data.hit_rate = data.requests > 0
                       ? static_cast<double>(data.hits) / data.requests
                       : 0;
@@ -121,16 +130,6 @@ StatuszData Gather(const StatuszSources& sources) {
     data.sampler_series = sources.sampler->Series().size();
   }
 
-  if (sources.server != nullptr && sources.max_slow_queries > 0) {
-    std::vector<SlowQueryEvent> events = sources.server->RecentSlowQueries();
-    for (auto it = events.rbegin();
-         it != events.rend() &&
-         data.slow.size() < static_cast<size_t>(sources.max_slow_queries);
-         ++it) {
-      data.slow.push_back(*it);
-    }
-  }
-
   if (sources.health != nullptr) {
     data.alerts = sources.health->Rules();
     for (const obs::RuleStatus& r : data.alerts) {
@@ -151,15 +150,18 @@ StatuszData Gather(const StatuszSources& sources) {
     const obs::TraceStore& store = sources.server->flight_recorder();
     data.has_flight = true;
     data.flight = store.stats();
-    data.flight_top = store.Retained();
-    std::sort(data.flight_top.begin(), data.flight_top.end(),
+    std::vector<obs::RetainedTrace> retained = store.Retained();
+    std::sort(retained.begin(), retained.end(),
               [](const obs::RetainedTrace& a, const obs::RetainedTrace& b) {
                 return a.latency_us > b.latency_us;
               });
-    if (data.flight_top.size() >
-        static_cast<size_t>(sources.max_flight_traces)) {
-      data.flight_top.resize(
-          static_cast<size_t>(sources.max_flight_traces));
+    const auto limit = static_cast<size_t>(sources.max_flight_traces);
+    for (const obs::RetainedTrace& entry : retained) {
+      if (data.flight_top.size() < limit) data.flight_top.push_back(entry);
+      if ((entry.capped || entry.error) &&
+          data.flight_flagged.size() < limit) {
+        data.flight_flagged.push_back(entry);
+      }
     }
   }
   return data;
@@ -172,8 +174,7 @@ std::string StatuszText(const StatuszSources& sources) {
   std::string out = "== statusz ==\n";
   out += "serving: " + std::to_string(d.requests) + " requests";
   if (d.qps >= 0) out += ", " + FmtF("%.1f", d.qps) + " req/s";
-  out += ", hit rate " + FmtF("%.3f", d.hit_rate);
-  out += ", " + std::to_string(d.slow_queries) + " slow queries\n";
+  out += ", hit rate " + FmtF("%.3f", d.hit_rate) + '\n';
   if (!d.outcomes.empty()) {
     out += "  p50/p99 us by outcome:";
     for (const auto& o : d.outcomes) {
@@ -240,14 +241,18 @@ std::string StatuszText(const StatuszSources& sources) {
              std::to_string(t.trace != nullptr ? t.trace->spans().size() : 0) +
              " spans)\n";
     }
-  }
-  if (!d.slow.empty()) {
-    out += "recent slow queries (newest first):\n";
-    for (const SlowQueryEvent& e : d.slow) {
-      out += "  #" + std::to_string(e.sequence) + " " +
-             SlowQueryCauseName(e.cause) + " " + e.query_name + " [" +
-             e.outcome + "] " + FmtF("%.1f", e.serve_micros) + "us " +
-             e.plan_summary + '\n';
+    if (!d.flight_flagged.empty()) {
+      out += "row-capped / errored requests (slowest first):\n";
+    }
+    for (const obs::RetainedTrace& t : d.flight_flagged) {
+      out += "  #" + std::to_string(t.trace_id) + " " +
+             FmtF("%.1f", t.latency_us) + "us [" + t.outcome + "] " +
+             t.query_name;
+      if (t.capped) {
+        out += " capped: " + std::to_string(t.rows_out) + " rows in " +
+               FmtF("%.1f", t.exec_micros) + "us " + t.plan_summary;
+      }
+      out += '\n';
     }
   }
   return out;
@@ -258,7 +263,6 @@ std::string StatuszJson(const StatuszSources& sources) {
   std::string out = "{\"serving\":{";
   out += "\"requests\":" + std::to_string(d.requests);
   out += ",\"hit_rate\":" + FmtF("%.4f", d.hit_rate);
-  out += ",\"slow_queries\":" + std::to_string(d.slow_queries);
   if (d.qps >= 0) out += ",\"qps\":" + FmtF("%.1f", d.qps);
   out += ",\"outcomes\":[";
   for (size_t i = 0; i < d.outcomes.size(); ++i) {
@@ -329,24 +333,11 @@ std::string StatuszJson(const StatuszSources& sources) {
            ",\"outcome\":" + std::to_string(d.flight.retained_outcome) +
            ",\"reservoir\":" + std::to_string(d.flight.retained_reservoir) +
            ",\"evicted\":" + std::to_string(d.flight.evicted) +
-           ",\"slowest\":[";
-    for (size_t i = 0; i < d.flight_top.size(); ++i) {
-      if (i > 0) out += ',';
-      const obs::RetainedTrace& t = d.flight_top[i];
-      out += "{\"trace_id\":" + std::to_string(t.trace_id) +
-             ",\"latency_us\":" + FmtF("%.1f", t.latency_us) +
-             ",\"outcome\":\"" + obs::JsonEscape(t.outcome) +
-             "\",\"query\":\"" + obs::JsonEscape(t.query_name) +
-             "\",\"reason\":\"" + obs::RetainReasonName(t.reason) + "\"}";
-    }
-    out += "]}";
+           ",\"slowest\":" + RetainedJsonArray(d.flight_top) +
+           ",\"capped_or_errored\":" + RetainedJsonArray(d.flight_flagged) +
+           '}';
   }
-  out += ",\"recent_slow_queries\":[";
-  for (size_t i = 0; i < d.slow.size(); ++i) {
-    if (i > 0) out += ',';
-    out += SlowQueryLog::EventJson(d.slow[i]);
-  }
-  out += "]}";
+  out += '}';
   return out;
 }
 

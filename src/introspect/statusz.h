@@ -1,10 +1,10 @@
 // Statusz: the one-page "is it healthy" dashboard, assembled from whatever
 // observability sources the caller has — a registry snapshot (required),
 // a TimeSeriesSampler (adds rates: QPS, ingest rows/s), and an
-// OptimizerServer (adds its recent slow queries). Renders as text for
-// terminals (examples/statusz, bench_serving_throughput) and as JSON for
-// tooling. Pure read path: one registry snapshot, one sampler read, one
-// slow-log copy — nothing here perturbs serving.
+// OptimizerServer (adds what its flight recorder retained). Renders as text
+// for terminals (examples/statusz, bench_serving_throughput) and as JSON
+// for tooling. Pure read path: one registry snapshot, one sampler read, one
+// copy of the retained set — nothing here perturbs serving.
 #pragma once
 
 #include <string>
@@ -22,28 +22,26 @@ struct StatuszSources {
   /// Optional: adds derived rates (QPS, ingest rows/s) over the sampler's
   /// retained window.
   const obs::TimeSeriesSampler* sampler = nullptr;
-  /// Optional: adds recent slow-query events and — when the server's
-  /// flight recorder is enabled — the flight_recorder section with its
-  /// slowest retained traces.
+  /// Optional: when the server's flight recorder is enabled, adds the
+  /// flight_recorder section — its slowest retained traces and every
+  /// retained row-capped or errored request.
   const OptimizerServer* server = nullptr;
   /// Optional: adds the alerts section (SLO rules with firing state plus
   /// recent fire/resolve transitions).
   const obs::HealthMonitor* health = nullptr;
   /// Metric name prefix the serving stack was attached under.
   std::string serving_prefix = "serving";
-  /// Slow-query events shown (newest first).
-  int max_slow_queries = 5;
   /// Alert transitions shown (newest first).
   int max_alert_events = 5;
-  /// Retained flight-recorder traces shown (slowest first).
+  /// Retained traces shown per flight-recorder list (slowest first).
   int max_flight_traces = 5;
 };
 
 /// The text dashboard: serving totals + QPS, per-outcome (with p99
 /// exemplar trace ids) and per-stage latency percentiles, SLO alert
 /// states, plan-cache occupancy and hit traffic, storage
-/// epoch/retained-bytes/ingest-rate, flight-recorder retention, and the
-/// most recent slow queries.
+/// epoch/retained-bytes/ingest-rate, and flight-recorder retention with
+/// the retained row-capped and errored requests.
 std::string StatuszText(const StatuszSources& sources);
 
 /// The same content as one JSON object.

@@ -147,23 +147,16 @@ std::string StageBreakdownText(const RequestTracer& tracer) {
                   data.Percentile(50), data.Percentile(99));
     rows += line;
   }
+  const int every = tracer.options().sample_every;
   if (rows.empty()) {
-    // Distinguish "nothing sampled yet" from "nothing can ever be sampled":
-    // with head sampling off and no always-on feed, the caption used to
-    // claim "sampled 1/0".
-    if (tracer.options().sample_every <= 0 && !tracer.always_on()) {
-      return "stage breakdown: tracing disabled\n";
-    }
-    return "stage breakdown: no sampled spans yet\n";
+    return every > 0 ? "stage breakdown: no sampled spans yet\n"
+                     : "stage breakdown: tracing disabled\n";
   }
-  std::string caption;
-  if (tracer.always_on()) {
-    caption =
-        "per-stage latency breakdown (flight recorder, miss-path stages):";
-  } else {
-    caption = "per-stage latency breakdown (sampled 1/" +
-              std::to_string(tracer.options().sample_every) + "):";
-  }
+  const std::string caption =
+      every > 0 ? "per-stage latency breakdown (sampled 1/" +
+                      std::to_string(every) + "):"
+                : "per-stage latency breakdown (sampling off; spans of "
+                  "traced requests only):";
   std::snprintf(line, sizeof(line), "  %-14s %10s %10s %10s %10s\n", "stage",
                 "samples", "mean us", "p50 us<=", "p99 us<=");
   return caption + '\n' + line + rows;

@@ -38,11 +38,12 @@ Status WriteJsonFile(const RegistrySnapshot& snapshot,
 /// The per-stage latency breakdown (count, mean, p50, p99 upper bounds in
 /// us) of `tracer`'s spans as a table — the component view of where served
 /// requests spent their time. Stages with no samples are omitted. The
-/// caption states where the rows came from: "sampled 1/N" under head
-/// sampling, "flight recorder, all requests" when the tracer is fed by the
-/// always-on path, and with no rows either "no sampled spans" or — when
-/// the tracer cannot produce any (sample_every <= 0, not always-on) —
-/// "tracing disabled".
+/// caption follows from the tracer's sample_every and whether any span was
+/// recorded: "sampled 1/N" under head sampling; "sampling off" when spans
+/// arrived anyway through traces installed by another path (the flight
+/// recorder's miss-path shells); and with no rows either "no sampled spans
+/// yet" or, when nothing can be sampled (sample_every <= 0), "tracing
+/// disabled".
 std::string StageBreakdownText(const RequestTracer& tracer);
 
 /// Prints StageBreakdownText(tracer) to stdout.

@@ -54,17 +54,12 @@ uint64_t TraceStore::Admit(const std::shared_ptr<Trace>& trace,
                            const TraceCompletion& completion,
                            RetainReason reason, uint64_t index) {
   RetainedTrace entry;
+  static_cast<TraceCompletion&>(entry) = completion;
   // Hit-path completions arrive without a shell (the fast path allocates
   // nothing); materialize a span-less one only now that it is retained.
   entry.trace = trace != nullptr ? trace : StartTrace();
   entry.trace_id = entry.trace->id();
   const uint64_t admitted_id = entry.trace_id;
-  entry.latency_us = completion.latency_us;
-  entry.outcome = completion.outcome;
-  entry.fingerprint = completion.fingerprint;
-  entry.query_name = completion.query_name;
-  entry.error = completion.error;
-  entry.capped = completion.capped;
   entry.reason = reason;
   entry.completion_index = index;
 
@@ -116,8 +111,9 @@ uint64_t TraceStore::Admit(const std::shared_ptr<Trace>& trace,
 uint64_t TraceStore::OnComplete(const std::shared_ptr<Trace>& trace,
                                 const TraceCompletion& completion) {
   if (!options_.enabled) return 0;
-  const uint64_t index = completions_.Value() + 1;
-  completions_.Inc();
+  // The index comes from the increment itself: concurrent completions each
+  // get their own, and it seeds the reservoir slot hash.
+  const auto index = static_cast<uint64_t>(completions_.Inc());
   if (completion.error || completion.capped) {
     return Admit(trace, completion, RetainReason::kOutcome, index);
   }
@@ -149,6 +145,9 @@ void TraceStore::PromoteCapped(const std::shared_ptr<Trace>& trace,
     auto mark = [&](RetainedTrace& entry) {
       if (entry.trace_id != id) return false;
       entry.capped = true;
+      entry.plan_summary = completion.plan_summary;
+      entry.rows_out = completion.rows_out;
+      entry.exec_micros = completion.exec_micros;
       return true;
     };
     for (RetainedTrace& entry : outcomes_) {
@@ -163,7 +162,7 @@ void TraceStore::PromoteCapped(const std::shared_ptr<Trace>& trace,
   }
   TraceCompletion capped = completion;
   capped.capped = true;
-  Admit(trace, capped, RetainReason::kOutcome, completions_.Value());
+  Admit(trace, capped, RetainReason::kOutcome, /*index=*/0);
 }
 
 std::vector<RetainedTrace> TraceStore::Retained() const {
@@ -230,6 +229,12 @@ std::string TraceStore::RetainedJson(const RetainedTrace& entry) {
   out += ",\"capped\":";
   out += entry.capped ? "true" : "false";
   out += ",\"completion_index\":" + std::to_string(entry.completion_index);
+  out += ",\"stats_version\":" + std::to_string(entry.stats_version);
+  out += ",\"data_epoch\":" + std::to_string(entry.data_epoch);
+  out += ",\"plan\":\"" + JsonEscape(entry.plan_summary) + '"';
+  out += ",\"rows_out\":" + std::to_string(entry.rows_out);
+  std::snprintf(buf, sizeof(buf), ",\"exec_us\":%.1f", entry.exec_micros);
+  out += buf;
   out += ",\"spans\":[";
   const std::vector<TraceSpan> spans =
       entry.trace != nullptr ? entry.trace->spans() : std::vector<TraceSpan>{};

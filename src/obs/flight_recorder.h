@@ -64,32 +64,38 @@ struct TraceStoreOptions {
 enum class RetainReason : int { kTopK = 0, kOutcome, kReservoir };
 const char* RetainReasonName(RetainReason reason);
 
-/// One retained completion: the trace plus the completion metadata the
-/// retention decision was made on.
-struct RetainedTrace {
-  std::shared_ptr<Trace> trace;
-  uint64_t trace_id = 0;
-  double latency_us = 0;
-  /// "hit" / "miss" / "coalesced" / "error".
-  std::string outcome;
-  uint64_t fingerprint = 0;
-  std::string query_name;
-  bool error = false;
-  bool capped = false;
-  RetainReason reason = RetainReason::kReservoir;
-  /// Position in the completion order (1-based; ties the retained set back
-  /// to the request stream).
-  uint64_t completion_index = 0;
-};
-
 /// What the server tells the store when a request finishes.
 struct TraceCompletion {
   double latency_us = 0;
+  /// "hit" / "miss" / "coalesced" / "error" — a string literal, so a
+  /// completion costs no allocation for it.
   const char* outcome = "";
   uint64_t fingerprint = 0;
   std::string query_name;
   bool error = false;
   bool capped = false;
+  /// The statistics generation and storage epoch the request was served
+  /// under.
+  int64_t stats_version = 0;
+  uint64_t data_epoch = 0;
+  /// Row-cap fields, known only once the plan has executed (PromoteCapped):
+  /// the plan as a one-line rendering, its root output cardinality, and its
+  /// wall time.
+  std::string plan_summary;
+  int64_t rows_out = 0;
+  double exec_micros = 0;
+};
+
+/// One retained completion: the completion metadata the retention decision
+/// was made on, plus the trace and why it was kept.
+struct RetainedTrace : TraceCompletion {
+  std::shared_ptr<Trace> trace;
+  uint64_t trace_id = 0;
+  RetainReason reason = RetainReason::kReservoir;
+  /// Position in the completion order (1-based; ties the retained set back
+  /// to the request stream). 0 for an entry PromoteCapped admitted after
+  /// the fact: it never took a position of its own.
+  uint64_t completion_index = 0;
 };
 
 class TraceStore {
@@ -120,8 +126,9 @@ class TraceStore {
 
   /// Late promotion: an executed plan turned out row-capped (the signal
   /// arrives after OnComplete, from RecordExecution). Force-retains the
-  /// trace in the outcome ring — or just marks it capped if it is already
-  /// retained. `trace` may be null (a hit that was not retained at
+  /// trace in the outcome ring — or, if it is already retained, marks it
+  /// capped in place; either way the entry takes the completion's row-cap
+  /// fields. `trace` may be null (a hit that was not retained at
   /// completion): a shell is materialized so the capped request is still
   /// in the store. No-op when the store is disabled.
   void PromoteCapped(const std::shared_ptr<Trace>& trace,

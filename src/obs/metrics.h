@@ -72,7 +72,11 @@ size_t ThreadStripe();
 /// Monotone counter. Inc is a relaxed fetch_add; Value a relaxed load.
 class Counter {
  public:
-  void Inc(int64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  /// Returns the value this increment produced — unique per call, so it can
+  /// number concurrent events without a separate read.
+  int64_t Inc(int64_t n = 1) {
+    return value_.fetch_add(n, std::memory_order_relaxed) + n;
+  }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

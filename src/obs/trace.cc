@@ -91,7 +91,6 @@ std::string Trace::ToString() const {
 
 RequestTracer::RequestTracer(RequestTracerOptions options)
     : options_(options) {
-  if (options_.max_traces < 1) options_.max_traces = 1;
   const int every = options_.sample_every;
   sample_pow2_ = every > 0 && (every & (every - 1)) == 0;
   sample_mask_ = sample_pow2_ ? static_cast<uint64_t>(every) - 1 : 0;
@@ -109,16 +108,8 @@ std::shared_ptr<Trace> RequestTracer::MaybeStartTrace() {
                    : phase % static_cast<uint64_t>(options_.sample_every) == 0;
   if (!sampled) return nullptr;
   traces_started_.Inc();
-  auto trace = std::make_shared<Trace>(
+  return std::make_shared<Trace>(
       local * static_cast<uint64_t>(kThreadStripes) + stripe);
-  {
-    MutexLock lock(traces_mu_);
-    traces_.push_back(trace);
-    while (traces_.size() > static_cast<size_t>(options_.max_traces)) {
-      traces_.pop_front();
-    }
-  }
-  return trace;
 }
 
 int64_t RequestTracer::requests_seen() const {
@@ -133,11 +124,6 @@ int64_t RequestTracer::requests_seen() const {
 void RequestTracer::RecordStageMicros(TraceStage stage, double micros,
                                       uint64_t exemplar_id) {
   stage_us_[static_cast<size_t>(stage)].Record(micros, exemplar_id);
-}
-
-std::vector<std::shared_ptr<Trace>> RequestTracer::RecentTraces() const {
-  MutexLock lock(traces_mu_);
-  return {traces_.begin(), traces_.end()};
 }
 
 std::vector<Registration> RequestTracer::AttachTo(MetricsRegistry* registry,

@@ -28,11 +28,14 @@
 // ids are globally unique and id / kThreadStripes recovers the arrival
 // index. sample_every = 1 traces everything (tests), 0 disables tracing
 // entirely; the global obs kill switch also disables it.
+//
+// The tracer retains nothing: a sampled trace lives as long as its request
+// holds it (OptimizeResult::trace). Keeping requests for later inspection
+// is the flight recorder's job (src/obs/flight_recorder.h).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -104,21 +107,18 @@ struct RequestTracerOptions {
   /// Offsets which request indices are sampled; sampling is a pure
   /// function of (arrival index, seed).
   uint64_t seed = 0;
-  /// Completed/retained sampled traces kept for inspection (ring buffer).
-  int max_traces = 64;
 };
 
-/// Owns the sampling decision, the retained-trace ring, and the per-stage
-/// span-duration histograms. One per OptimizerServer (or per traced
-/// component); attach to a registry to export the stage histograms.
+/// Owns the sampling decision and the per-stage span-duration histograms.
+/// One per OptimizerServer (or per traced component); attach to a registry
+/// to export the stage histograms.
 class RequestTracer {
  public:
   explicit RequestTracer(RequestTracerOptions options = {});
 
   /// Returns a fresh Trace for sampled requests, nullptr otherwise (always
-  /// nullptr when tracing or the global kill switch is off). The trace is
-  /// retained in the ring immediately; callers install it with
-  /// ScopedTraceContext and simply drop their reference when done.
+  /// nullptr when tracing or the global kill switch is off). Callers install
+  /// it with ScopedTraceContext; the trace dies with its last reference.
   std::shared_ptr<Trace> MaybeStartTrace();
 
   /// Feeds the per-stage histogram (called by SpanTimer; also usable
@@ -128,24 +128,11 @@ class RequestTracer {
   void RecordStageMicros(TraceStage stage, double micros,
                          uint64_t exemplar_id = 0);
 
-  /// Marks the tracer as fed by an always-on span path (the flight
-  /// recorder traces every request through this tracer's stage
-  /// histograms instead of head-sampling). Purely descriptive: it only
-  /// changes how exports caption the stage breakdown.
-  void SetAlwaysOn(bool always_on) { always_on_ = always_on; }
-  bool always_on() const { return always_on_; }
-
   const Log2Histogram& stage_histogram(TraceStage stage) const {
     return stage_us_[static_cast<size_t>(stage)];
   }
   int64_t traces_started() const { return traces_started_.Value(); }
   int64_t requests_seen() const;
-
-  /// Retained sampled traces, oldest first. Traces are handed out mutable
-  /// (Trace is internally synchronized, append-only): a driver may
-  /// re-install one with ScopedTraceContext so follow-on work — executing
-  /// the served plan, say — lands its spans in the same request's trace.
-  std::vector<std::shared_ptr<Trace>> RecentTraces() const;
 
   /// Attaches the per-stage histograms as "<prefix>.stage_us{stage=...}"
   /// and the sampled-trace counter as "<prefix>.traces".
@@ -156,7 +143,6 @@ class RequestTracer {
 
  private:
   RequestTracerOptions options_;
-  bool always_on_ = false;
   /// Power-of-two sample_every takes a mask instead of a modulo on the
   /// per-request path (the default 64 qualifies).
   bool sample_pow2_ = false;
@@ -169,9 +155,6 @@ class RequestTracer {
   std::array<ArrivalCounter, kThreadStripes> arrivals_;
   Counter traces_started_;
   std::array<Log2Histogram, kNumTraceStages> stage_us_;
-
-  mutable Mutex traces_mu_;
-  std::deque<std::shared_ptr<Trace>> traces_ GUARDED_BY(traces_mu_);
 };
 
 /// The value threaded through a request: which tracer feeds the stage

@@ -87,10 +87,8 @@ OptimizerServer::OptimizerServer(const Schema* schema,
                ServingPlannerOptions(options.planner)),
       cache_(ServingCacheOptions(options)),
       tracer_(options.trace),
-      slow_log_(options.slow_query),
       flight_store_(options.flight_recorder) {
   planner_.set_inference_service(inference_.get());
-  if (flight_store_.enabled()) tracer_.SetAlwaysOn(true);
   // Arm the pool's queue-wait clock only when someone will read the
   // histogram; an un-instrumented server's pool never touches the clock.
   if (options_.metrics != nullptr || flight_store_.enabled()) {
@@ -116,7 +114,6 @@ OptimizerServer::OptimizerServer(const Schema* schema,
     for (obs::Registration& r : tracer_.AttachTo(reg, p)) {
       registrations_.push_back(std::move(r));
     }
-    registrations_.push_back(slow_log_.AttachTo(reg, p));
     for (obs::Registration& r : flight_store_.AttachTo(reg, p)) {
       registrations_.push_back(std::move(r));
     }
@@ -137,135 +134,91 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Optimize(
   // One epoch pin per request: everything this request derives describes
   // data at (or after) this publication epoch.
   const uint64_t epoch = data_epoch();
-  // With the flight recorder on, the retention decision happens at
-  // completion (tail-based) and trace shells are lazy: the cache-hit path
-  // allocates nothing (Serve arms a shell only when a request leaves it —
-  // miss or coalesce — which is where tail latency comes from). Otherwise
-  // head sampling decides up front: MaybeStartTrace returns nullptr for
-  // unsampled requests and installing the context is a no-op, leaving
-  // every SpanTimer below inert.
-  std::shared_ptr<obs::Trace> trace;
-  if (!flight_store_.enabled()) trace = tracer_.MaybeStartTrace();
+  // One trace per request. Head sampling decides up front: MaybeStartTrace
+  // returns nullptr for unsampled requests and installing the context is a
+  // no-op, leaving every SpanTimer below inert. With the flight recorder on,
+  // an unsampled request gets a lazy store shell instead — Serve arms it
+  // only when the request leaves the cache-hit path (miss or coalesce),
+  // which is where tail latency comes from — and the retention decision
+  // happens at completion (tail-based).
+  std::shared_ptr<obs::Trace> trace = tracer_.MaybeStartTrace();
   obs::ScopedTraceContext trace_scope(&tracer_, trace);
-  std::shared_ptr<obs::Trace> flight_trace;
-  StatusOr<OptimizeResult> result = Serve(query, &flight_trace);
-  if (result.ok()) {
-    double micros = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-    result.value().data_epoch = epoch;
-    result.value().serve_micros = micros;
-    const Outcome outcome = result.value().cache_hit ? Outcome::kHit
-                            : result.value().coalesced ? Outcome::kCoalesced
-                                                       : Outcome::kMiss;
-    // Retention is decided *before* the latency histogram records, so an
-    // exemplar id is only ever written for a trace the store actually kept
-    // — a p99 bucket's exemplar always resolves (until eviction).
-    uint64_t exemplar_id = 0;
-    if (flight_store_.enabled()) {
-      obs::TraceCompletion completion;
-      completion.latency_us = micros;
-      completion.outcome = OutcomeName(outcome);
-      completion.fingerprint = result.value().fingerprint;
-      completion.query_name = query.name();
-      exemplar_id = flight_store_.OnComplete(flight_trace, completion);
-      if (flight_trace == nullptr && exemplar_id != 0) {
-        // A retained hit: surface the shell the store just materialized so
-        // callers (RecordExecution, exec re-install) can correlate to it.
-        obs::RetainedTrace kept;
-        if (flight_store_.FindTrace(exemplar_id, &kept)) {
-          flight_trace = kept.trace;
-        }
-      }
-      result.value().trace = flight_trace;
-    }
-    request_us_[static_cast<size_t>(outcome)].Record(micros, exemplar_id);
-    // Slow-query triggers. The fast path pays exactly these comparisons:
-    // the log's mutex is only ever taken by requests that already
-    // qualified as slow.
-    if (slow_log_.enabled()) {
-      const bool over_threshold =
-          options_.slow_query.latency_threshold_us > 0 &&
-          micros > options_.slow_query.latency_threshold_us;
-      const bool uncoalesced_miss =
-          options_.slow_query.log_uncoalesced_misses &&
-          outcome == Outcome::kMiss;
-      if (over_threshold || uncoalesced_miss) {
-        SlowQueryEvent event;
-        event.fingerprint = result.value().fingerprint;
-        event.query_name = query.name();
-        event.cause = over_threshold ? SlowQueryCause::kLatency
-                                     : SlowQueryCause::kUncoalescedMiss;
-        event.outcome = OutcomeName(outcome);
-        event.serve_micros = micros;
-        event.stats_version = result.value().stats_version;
-        event.data_epoch = epoch;
-        event.plan_summary = result.value().plan.ToString(query);
-        const obs::Trace* spans_from =
-            flight_trace != nullptr ? flight_trace.get() : trace.get();
-        if (spans_from != nullptr) event.spans = spans_from->spans();
-        slow_log_.Record(std::move(event));
-      }
-    }
-  } else if (flight_store_.enabled()) {
+  StatusOr<OptimizeResult> result = Serve(query, &trace);
+  const double micros = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  // Built only when the recorder is on: an unarmed server's request path
+  // never copies the query name.
+  auto completion = [&](const char* outcome) {
+    obs::TraceCompletion done;
+    done.latency_us = micros;
+    done.outcome = outcome;
+    done.query_name = query.name();
+    done.data_epoch = epoch;
+    return done;
+  };
+  if (!result.ok()) {
     // Failed requests are always retained (outcome ring): the flight
     // recorder's whole point is that the interesting request is kept.
-    obs::TraceCompletion completion;
-    completion.latency_us = std::chrono::duration<double, std::micro>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-    completion.outcome = "error";
-    completion.query_name = query.name();
-    completion.error = true;
-    flight_store_.OnComplete(flight_trace, completion);
+    if (flight_store_.enabled()) {
+      obs::TraceCompletion failed = completion("error");
+      failed.error = true;
+      flight_store_.OnComplete(trace, failed);
+    }
+    return result;
   }
+  OptimizeResult& served = result.value();
+  served.data_epoch = epoch;
+  served.serve_micros = micros;
+  const Outcome outcome = served.cache_hit   ? Outcome::kHit
+                          : served.coalesced ? Outcome::kCoalesced
+                                             : Outcome::kMiss;
+  // Retention is decided *before* the latency histogram records, so an
+  // exemplar id is only ever written for a trace the store actually kept —
+  // a p99 bucket's exemplar always resolves (until eviction).
+  uint64_t exemplar_id = 0;
+  if (flight_store_.enabled()) {
+    obs::TraceCompletion done = completion(OutcomeName(outcome));
+    done.fingerprint = served.fingerprint;
+    done.stats_version = served.stats_version;
+    exemplar_id = flight_store_.OnComplete(trace, done);
+    if (trace == nullptr && exemplar_id != 0) {
+      // A retained hit: surface the shell the store just materialized so
+      // callers (RecordExecution, exec re-install) can correlate to it.
+      obs::RetainedTrace kept;
+      if (flight_store_.FindTrace(exemplar_id, &kept)) trace = kept.trace;
+    }
+  }
+  served.trace = std::move(trace);
+  request_us_[static_cast<size_t>(outcome)].Record(micros, exemplar_id);
   return result;
 }
 
 void OptimizerServer::RecordExecution(const Query& query,
                                       const OptimizeResult& result,
                                       const ExecutionProfile& profile) {
-  if (!profile.AnyCapped()) return;
+  if (!profile.AnyCapped() || !flight_store_.enabled()) return;
   // The row-cap signal arrives after the serve-time retention decision;
   // promote the trace into the outcome ring (or mark it capped in place)
   // so every "disastrous plan" request is retained by construction. A null
   // trace (a hit the store let go at completion) still gets a shell
   // materialized — the capped request itself is the signal.
-  if (flight_store_.enabled()) {
-    obs::TraceCompletion completion;
-    completion.latency_us = result.serve_micros;
-    completion.outcome = OutcomeName(result.cache_hit   ? Outcome::kHit
-                                     : result.coalesced ? Outcome::kCoalesced
-                                                        : Outcome::kMiss);
-    completion.fingerprint = result.fingerprint;
-    completion.query_name = query.name();
-    completion.capped = true;
-    flight_store_.PromoteCapped(result.trace, completion);
-  }
-  if (!slow_log_.enabled()) return;
-  SlowQueryEvent event;
-  event.fingerprint = result.fingerprint;
-  event.query_name = query.name();
-  event.cause = SlowQueryCause::kRowCap;
-  event.outcome = OutcomeName(result.cache_hit     ? Outcome::kHit
-                              : result.coalesced   ? Outcome::kCoalesced
-                                                   : Outcome::kMiss);
-  event.serve_micros = result.serve_micros;
-  event.stats_version = result.stats_version;
-  event.data_epoch = result.data_epoch;
-  event.plan_summary = result.plan.ToString(query);
-  event.capped = true;
-  event.exec_micros = profile.total_micros;
+  obs::TraceCompletion completion;
+  completion.latency_us = result.serve_micros;
+  completion.outcome = OutcomeName(result.cache_hit   ? Outcome::kHit
+                                   : result.coalesced ? Outcome::kCoalesced
+                                                      : Outcome::kMiss);
+  completion.fingerprint = result.fingerprint;
+  completion.query_name = query.name();
+  completion.capped = true;
+  completion.stats_version = result.stats_version;
+  completion.data_epoch = result.data_epoch;
+  completion.plan_summary = result.plan.ToString(query);
+  completion.exec_micros = profile.total_micros;
   if (const NodeProfile* root = profile.node(result.plan.root())) {
-    event.rows_out = root->rows_out;
+    completion.rows_out = root->rows_out;
   }
-  // The caller may have re-installed the request's trace context around the
-  // execution; if so its spans (serve + exec stages) tell the whole story.
-  const obs::TraceContext* context = obs::CurrentTraceContext();
-  if (context != nullptr && context->trace != nullptr) {
-    event.spans = context->trace->spans();
-  }
-  slow_log_.Record(std::move(event));
+  flight_store_.PromoteCapped(result.trace, completion);
 }
 
 StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::OptimizeSql(
@@ -359,18 +312,18 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::PlanUncached(
 }
 
 StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
-    const Query& query, std::shared_ptr<obs::Trace>* flight_trace) {
+    const Query& query, std::shared_ptr<obs::Trace>* trace) {
   requests_.Inc();
-  // Lazy flight-recorder shell: armed the moment a request leaves the pure
-  // hit path. From then on every span site on this thread (admit,
-  // coalesce-wait) and on the planning pool (queue-wait, beam-search,
-  // inference) records into the shell; the hit path never reaches this and
-  // stays allocation- and clock-free.
+  // Lazy flight-recorder shell for a request the tracer did not sample:
+  // armed the moment it leaves the pure hit path. From then on every span
+  // site on this thread (admit, coalesce-wait) and on the planning pool
+  // (queue-wait, beam-search, inference) records into the shell; the hit
+  // path never reaches this and stays allocation- and clock-free.
   std::optional<obs::ScopedTraceContext> flight_scope;
   auto arm_flight = [&] {
-    if (!flight_store_.enabled() || *flight_trace != nullptr) return;
-    *flight_trace = flight_store_.StartTrace();
-    flight_scope.emplace(&tracer_, *flight_trace);
+    if (!flight_store_.enabled() || *trace != nullptr) return;
+    *trace = flight_store_.StartTrace();
+    flight_scope.emplace(&tracer_, *trace);
   };
   const CanonicalQuery canonical = [&] {
     obs::SpanTimer span(obs::TraceStage::kFingerprint);

@@ -31,23 +31,27 @@
 // obs::RequestTracer threads a TraceContext through the request — the
 // fingerprint, cache-lookup, coalesce-wait, queue-wait, beam-search,
 // inference, and admit stages each record a span (per-stage histograms feed
-// the benches' breakdown tables; sampled traces retain the span list). Pass
+// the benches' breakdown tables; the request's trace holds the span list
+// and is handed back in OptimizeResult::trace). Pass
 // OptimizerServerOptions::metrics to export everything — server counters,
 // outcome histograms, stage histograms, plan-cache counters, inference
 // stats, planning-pool queue depth and queue wait — through one
 // MetricsRegistry.
 //
-// Flight recorder: enabling OptimizerServerOptions::flight_recorder
-// replaces head sampling with tail-based retention — *every* request
-// reports its completion to the server's obs::TraceStore, which keeps the
-// top-K slowest, all error/row-capped outcomes, and a uniform reservoir of
-// normals (src/obs/flight_recorder.h). Trace shells are lazy: a request
-// gets one the moment it leaves the pure hit path (miss or coalesce), so
-// retained tail traces carry the queue-wait/beam-search/inference/admit
-// span story while the microsecond hit path stays allocation- and
-// clock-free. Retained completions tag their latency-histogram bucket with
-// the trace id (exemplars), so a p99 bucket in statusz links to a full
-// retained trace.
+// Flight recorder: the server's obs::TraceStore is the only place a
+// request is retained. With OptimizerServerOptions::flight_recorder
+// enabled, *every* request reports its completion to it, and the store
+// keeps the top-K slowest, all error/row-capped outcomes, and a uniform
+// reservoir of normals (src/obs/flight_recorder.h). Each request carries
+// at most one trace: the head-sampled one when the tracer picked it,
+// otherwise a lazy store shell armed the moment the request leaves the pure
+// hit path (miss or coalesce) — so retained tail traces carry the
+// queue-wait/beam-search/inference/admit span story while the microsecond
+// hit path stays allocation- and clock-free. Retained completions tag
+// their latency-histogram bucket with the trace id (exemplars), so a p99
+// bucket in statusz links to a full retained trace. RecordExecution
+// promotes a row-capped execution into the store: the paper's "disastrous
+// plan" signal is retained by construction.
 //
 // The network pointer is borrowed and must not be trained while requests
 // are in flight (serve and train are distinct phases, as in the agent).
@@ -68,7 +72,6 @@
 #include "src/runtime/inference_service.h"
 #include "src/runtime/parallel_executor.h"
 #include "src/serving/plan_cache.h"
-#include "src/serving/slow_query_log.h"
 #include "src/stats/card_oracle.h"
 #include "src/util/thread_annotations.h"
 
@@ -91,13 +94,9 @@ struct OptimizerServerOptions {
   /// Request-trace sampling (sample_every = 0 disables tracing).
   obs::RequestTracerOptions trace;
   /// Tail-based trace retention (enabled = false keeps the recorder off).
-  /// When enabled it supersedes head sampling: every request gets a trace
-  /// shell and the TraceStore decides at completion what to retain.
+  /// When enabled every request reports its completion (with its trace, if
+  /// it has one) and the TraceStore decides at completion what to retain.
   obs::TraceStoreOptions flight_recorder;
-  /// Slow-query log triggers and capacity (src/serving/slow_query_log.h).
-  /// The defaults retain row-cap feedback (RecordExecution) but trigger on
-  /// nothing else, so the request path pays only a comparison.
-  SlowQueryLogOptions slow_query;
   /// When set, every serving instrument — counters, latency histograms,
   /// trace stage histograms, plan-cache and inference-service stats, the
   /// planning pool's queue depth — is attached under metrics_prefix.
@@ -135,15 +134,17 @@ class OptimizerServer {
     bool coalesced = false;
     double serve_micros = 0;
     /// The request's canonical structural fingerprint (the cache key and
-    /// the slow-query log's correlation id).
+    /// the retained trace's correlation id).
     uint64_t fingerprint = 0;
-    /// The request's trace shell (flight recorder only, nullptr otherwise).
-    /// Shells are lazy: non-null when the request planned (miss/coalesced)
-    /// or was retained at completion — a plain unretained hit carries none,
-    /// because allocating one would cost more than the hit itself. Callers
-    /// that execute the plan re-install it with ScopedTraceContext so exec
-    /// spans land in the same trace, and RecordExecution uses it to promote
-    /// row-capped requests into the retained set.
+    /// The request's trace: the head-sampled one when the tracer picked the
+    /// request, otherwise the flight recorder's shell. Shells are lazy:
+    /// non-null when the request planned (miss/coalesced) or was retained
+    /// at completion — a plain unretained hit carries none, because
+    /// allocating one would cost more than the hit itself. nullptr when
+    /// neither sampling nor the recorder produced one. Callers that execute
+    /// the plan re-install it with ScopedTraceContext so exec spans land in
+    /// the same trace, and RecordExecution uses it to promote row-capped
+    /// requests into the retained set.
     std::shared_ptr<obs::Trace> trace;
   };
 
@@ -195,19 +196,15 @@ class OptimizerServer {
   enum class Outcome { kHit = 0, kMiss, kCoalesced };
 
   /// Feeds back an executed plan's measured profile: when the execution
-  /// hit the executor's row cap, the query lands in the slow-query log as
-  /// a row_cap event (the "disastrous plan" the learning loop retrains
-  /// on). If the calling thread still carries the request's trace context
-  /// (ScopedTraceContext re-install, see examples/metrics_dump), the
-  /// trace's spans — serve stages plus exec_scan/exec_join — ride along.
+  /// hit the executor's row cap, the request's trace is promoted into the
+  /// flight recorder as a capped entry carrying the plan summary, root
+  /// output rows, and execution time (the "disastrous plan" the learning
+  /// loop retrains on). If the caller re-installed result.trace around the
+  /// execution (see examples/metrics_dump), its spans — serve stages plus
+  /// exec_scan/exec_join — are already in the retained trace. No-op when
+  /// the recorder is off.
   void RecordExecution(const Query& query, const OptimizeResult& result,
                        const ExecutionProfile& profile);
-
-  /// Retained slow-query events, oldest first.
-  std::vector<SlowQueryEvent> RecentSlowQueries() const {
-    return slow_log_.Recent();
-  }
-  const SlowQueryLog& slow_query_log() const { return slow_log_; }
 
   const PlanCache& cache() const { return cache_; }
   /// Request latency (µs) of every request served with `outcome`.
@@ -258,11 +255,12 @@ class OptimizerServer {
   StatusOr<OptimizeResult> PlanUncached(const Query& query,
                                         uint64_t fingerprint, int64_t version,
                                         bool coalesced);
-  /// `flight_trace` (never null) receives the request's lazily armed
-  /// flight-recorder shell — set the moment the request leaves the pure
-  /// hit path, left null for hits and when the recorder is off.
+  /// `trace` (never null) holds the request's trace. When it is null (the
+  /// request was not head-sampled) and the recorder is on, Serve arms a
+  /// flight-recorder shell the moment the request leaves the pure hit path;
+  /// hits leave it null.
   StatusOr<OptimizeResult> Serve(const Query& query,
-                                 std::shared_ptr<obs::Trace>* flight_trace);
+                                 std::shared_ptr<obs::Trace>* trace);
 
   const Schema* schema_;
   const CardOracle* oracle_;
@@ -295,7 +293,6 @@ class OptimizerServer {
   /// three is the overall latency distribution (HistogramData::Merge).
   std::array<obs::Log2Histogram, 3> request_us_;
   obs::RequestTracer tracer_;
-  SlowQueryLog slow_log_;
   obs::TraceStore flight_store_;
   /// Registry attachments (empty when options.metrics == nullptr). Last
   /// member: detaches before any instrument dies.

@@ -39,8 +39,8 @@ struct ReplayReport {
   /// Fraction of requests served straight from the plan cache.
   double hit_rate = 0;
   /// Exact per-request end-to-end latency summary, merged across clients
-  /// (each request's OptimizeResult::serve_micros — the same definition
-  /// the slow-query log's latency threshold compares against).
+  /// (each request's OptimizeResult::serve_micros — the same latency the
+  /// flight recorder's retention decision is made on).
   double mean_us = 0;
   double p50_us = 0;
   double p95_us = 0;

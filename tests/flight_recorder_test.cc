@@ -1,7 +1,8 @@
 // Tests for the flight recorder's TraceStore: tail retention by
 // construction (top-K min-heap + floor), the bounded error/capped outcome
 // ring, deterministic reservoir sampling, lazy shell materialization on the
-// hit path, late row-cap promotion, and the JSONL export. Also the
+// hit path, late row-cap promotion, completion indices that stay distinct
+// under concurrent completions, and the JSONL export. Also the
 // trace-context edge cases the serving stack depends on: nested
 // ScopedTraceContext restore order, a pool thread re-installing a context
 // while the request completes and the store serializes (the TSan race),
@@ -185,10 +186,19 @@ TEST(TraceStoreTest, PromoteCappedMarksRetainedEntryInPlace) {
   const TraceCompletion completion = Comp(500, "miss");
   ASSERT_EQ(store.OnComplete(trace, completion), trace->id());
 
-  store.PromoteCapped(trace, completion);
+  TraceCompletion executed = completion;
+  executed.plan_summary = "HashJoin(SeqScan(a), SeqScan(b))";
+  executed.rows_out = 8;
+  executed.exec_micros = 42;
+  store.PromoteCapped(trace, executed);
   RetainedTrace entry;
   ASSERT_TRUE(store.FindTrace(trace->id(), &entry));
   EXPECT_TRUE(entry.capped);
+  // The in-place entry takes the row-cap fields and keeps its own index.
+  EXPECT_EQ(entry.plan_summary, executed.plan_summary);
+  EXPECT_EQ(entry.rows_out, 8);
+  EXPECT_EQ(entry.exec_micros, 42);
+  EXPECT_EQ(entry.completion_index, 1u);
   // Marked where it already lives — no duplicate in the outcome ring.
   EXPECT_EQ(store.stats().retained_outcome, 0);
   EXPECT_EQ(store.Retained().size(), 1u);
@@ -208,9 +218,45 @@ TEST(TraceStoreTest, PromoteCappedMaterializesShellForUnretainedHit) {
   for (const RetainedTrace& entry : store.Retained()) {
     if (entry.reason != RetainReason::kOutcome) continue;
     EXPECT_TRUE(entry.capped);
+    // A late promotion took no position in the completion order; it must
+    // not borrow the index of whichever request finished last.
+    EXPECT_EQ(entry.completion_index, 0u);
     ASSERT_NE(entry.trace, nullptr);
     EXPECT_TRUE(entry.trace->spans().empty());
   }
+}
+
+TEST(TraceStoreTest, ConcurrentCompletionsGetDistinctIndices) {
+  // Every completion is retained (top-K holds them all), so the retained
+  // set exposes each completion's index: concurrent completions must never
+  // share one, and together they must cover exactly 1..N.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  constexpr int kTotal = kThreads * kPerThread;
+  TraceStore store(Opts(/*top_k=*/kTotal, /*reservoir=*/0,
+                        /*max_outcomes=*/0));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        // Strictly increasing latency per thread keeps every completion
+        // above the floor while the heap fills.
+        store.OnComplete(nullptr, Comp(1.0 + t + i * kThreads, "miss"));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const std::vector<RetainedTrace> retained = store.Retained();
+  ASSERT_EQ(retained.size(), static_cast<size_t>(kTotal));
+  std::set<uint64_t> indices;
+  for (const RetainedTrace& entry : retained) {
+    EXPECT_GE(entry.completion_index, 1u);
+    EXPECT_LE(entry.completion_index, static_cast<uint64_t>(kTotal));
+    indices.insert(entry.completion_index);
+  }
+  EXPECT_EQ(indices.size(), static_cast<size_t>(kTotal));
+  EXPECT_EQ(store.completions(), kTotal);
 }
 
 TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
@@ -219,6 +265,8 @@ TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
   with_spans->AddSpan(TraceStage::kBeamSearch, 1.0, 250.0);
   TraceCompletion miss = Comp(300, "miss");
   miss.query_name = "q\"needs-escaping\\";
+  miss.plan_summary = "HashJoin(\"a\", b)";
+  miss.stats_version = 3;
   store.OnComplete(with_spans, miss);
   TraceCompletion error = Comp(40, "error");
   error.error = true;
@@ -240,6 +288,10 @@ TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
     previous = latency;
     if (line.find("\"stage\":\"beam_search\"") != std::string::npos) {
       saw_spans = true;
+      EXPECT_NE(line.find("\"stats_version\":3"), std::string::npos);
+      EXPECT_NE(line.find("\"plan\":\"HashJoin(\\\"a\\\", b)\""),
+                std::string::npos)
+          << line;
     }
     ++parsed;
   }

@@ -1,8 +1,7 @@
 // Introspection end-to-end: EXPLAIN ANALYZE actuals are bitwise-equal to
-// per-node Execute results, profiling never perturbs execution, the
-// slow-query log captures latency / uncoalesced-miss / row-cap events with
-// the request's own stage spans, and the statusz page renders from live
-// serving state.
+// per-node Execute results, profiling never perturbs execution, the flight
+// recorder retains misses and row-capped requests with the request's own
+// stage spans, and the statusz page renders from live serving state.
 #include "src/introspect/explain.h"
 
 #include <memory>
@@ -213,9 +212,9 @@ TEST(QErrorTest, ClampsAndSymmetric) {
 
 // --- Serving-side introspection -----------------------------------------
 
-class SlowQueryTest : public ::testing::Test {
+class RetentionTest : public ::testing::Test {
  protected:
-  SlowQueryTest()
+  RetentionTest()
       : fixture_(testing::MakeStarFixture()),
         query_(testing::MakeStarQuery(fixture_.schema())),
         featurizer_(&fixture_.schema(), fixture_.estimator.get()) {
@@ -229,8 +228,12 @@ class SlowQueryTest : public ::testing::Test {
     network_ = std::make_unique<ValueNetwork>(config);
   }
 
+  /// A server with the flight recorder on; its store holds every request
+  /// these tests send (top-K alone is larger than any test's traffic).
   std::unique_ptr<OptimizerServer> MakeServer(
       OptimizerServerOptions options) {
+    options.flight_recorder.enabled = true;
+    options.flight_recorder.top_k = 512;
     options.planner.beam_size = 5;
     options.planner.top_k = 2;
     return std::make_unique<OptimizerServer>(&fixture_.schema(), &featurizer_,
@@ -258,59 +261,76 @@ class SlowQueryTest : public ::testing::Test {
     return queries;
   }
 
+  /// Serves the 4-relation star query, executes its plan under the
+  /// request's own trace with a row cap the join pipeline must hit, and
+  /// reports the profile back.
+  void ServeAndExecuteCapped(OptimizerServer* server) {
+    auto served = server->Optimize(query_);
+    ASSERT_TRUE(served.ok());
+    ASSERT_NE(served->trace, nullptr);
+    ExecutorOptions exec_options;
+    exec_options.profile = true;
+    exec_options.row_cap = 8;
+    Executor executor(fixture_.db.get(), exec_options);
+    ExecutionProfile profile;
+    obs::ScopedTraceContext scope(server->tracer(), served->trace);
+    auto executed = executor.ExecuteProfiled(query_, served->plan, &profile);
+    ASSERT_TRUE(executed.ok());
+    ASSERT_TRUE(profile.AnyCapped());
+    server->RecordExecution(query_, *served, profile);
+  }
+
+  static std::vector<obs::RetainedTrace> Capped(
+      const OptimizerServer& server) {
+    std::vector<obs::RetainedTrace> capped;
+    for (const obs::RetainedTrace& entry :
+         server.flight_recorder().Retained()) {
+      if (entry.capped) capped.push_back(entry);
+    }
+    return capped;
+  }
+
   testing::StarFixture fixture_;
   Query query_;
   Featurizer featurizer_;
   std::unique_ptr<ValueNetwork> network_;
 };
 
-TEST_F(SlowQueryTest, UncoalescedMissesAreLoggedWithStructure) {
+TEST_F(RetentionTest, RetainedMissCarriesRequestStructure) {
   OptimizerServerOptions options;
-  options.slow_query.capacity = 16;
-  options.slow_query.log_uncoalesced_misses = true;
+  options.trace.sample_every = 0;  // the miss gets the store's lazy shell
   auto server = MakeServer(options);
 
-  ASSERT_TRUE(server->Optimize(query_).ok());  // miss -> logged
-  ASSERT_TRUE(server->Optimize(query_).ok());  // hit -> not logged
+  auto miss = server->Optimize(query_);
+  ASSERT_TRUE(miss.ok());
+  ASSERT_TRUE(server->Optimize(query_).ok());  // hit
 
-  auto events = server->RecentSlowQueries();
-  ASSERT_EQ(events.size(), 1u);
-  const SlowQueryEvent& e = events[0];
-  EXPECT_EQ(e.cause, SlowQueryCause::kUncoalescedMiss);
-  EXPECT_EQ(e.outcome, "miss");
+  std::vector<obs::RetainedTrace> misses;
+  for (const obs::RetainedTrace& entry :
+       server->flight_recorder()->Retained()) {
+    if (std::string(entry.outcome) == "miss") misses.push_back(entry);
+  }
+  ASSERT_EQ(misses.size(), 1u);
+  const obs::RetainedTrace& e = misses[0];
   EXPECT_EQ(e.query_name, "star4");
   EXPECT_NE(e.fingerprint, 0u);
-  EXPECT_GT(e.serve_micros, 0);
-  EXPECT_NE(e.plan_summary.find("("), std::string::npos);
-  EXPECT_EQ(server->slow_query_log().recorded(), 1);
+  EXPECT_EQ(e.fingerprint, miss->fingerprint);
+  EXPECT_GT(e.latency_us, 0);
+  EXPECT_EQ(e.stats_version, miss->stats_version);
+  EXPECT_EQ(e.data_epoch, miss->data_epoch);
+  EXPECT_FALSE(e.capped);
+  // The miss's lazily armed shell is the trace handed back with the result.
+  ASSERT_NE(miss->trace, nullptr);
+  EXPECT_EQ(e.trace_id, miss->trace->id());
+  EXPECT_TRUE(e.trace->HasStage(obs::TraceStage::kBeamSearch));
 }
 
-TEST_F(SlowQueryTest, LatencyThresholdZeroDisablesLatencyTrigger) {
+TEST_F(RetentionTest, ZipfReplayWithInjectedRowCapPlanIsCaptured) {
   OptimizerServerOptions options;
-  options.slow_query.capacity = 16;  // row-cap feedback stays on
-  auto server = MakeServer(options);
-  ASSERT_TRUE(server->Optimize(query_).ok());
-  ASSERT_TRUE(server->Optimize(query_).ok());
-  EXPECT_TRUE(server->RecentSlowQueries().empty());
-
-  // capacity 0 disables the log outright.
-  OptimizerServerOptions off;
-  off.slow_query.capacity = 0;
-  off.slow_query.log_uncoalesced_misses = true;
-  auto disabled = MakeServer(off);
-  ASSERT_TRUE(disabled->Optimize(query_).ok());
-  EXPECT_TRUE(disabled->RecentSlowQueries().empty());
-  EXPECT_FALSE(disabled->slow_query_log().enabled());
-}
-
-TEST_F(SlowQueryTest, ZipfReplayWithInjectedRowCapPlanIsCaptured) {
-  OptimizerServerOptions options;
-  options.slow_query.capacity = 32;
-  options.trace.sample_every = 1;
+  options.trace.sample_every = 1;  // serve-side spans from fingerprint on
   auto server = MakeServer(options);
 
-  // A short Zipf replay: background traffic none of which triggers the log
-  // (the latency threshold is off, misses are not logged).
+  // A short Zipf replay: background traffic, none of it row-capped.
   std::vector<Query> variants = Variants(6);
   std::vector<const Query*> workload;
   for (const Query& q : variants) workload.push_back(&q);
@@ -321,69 +341,45 @@ TEST_F(SlowQueryTest, ZipfReplayWithInjectedRowCapPlanIsCaptured) {
   replay.seed = 5;
   auto report = ReplayWorkload(server.get(), workload, replay);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(server->RecentSlowQueries().empty());
+  EXPECT_TRUE(Capped(*server).empty());
 
-  // The injected disaster: serve the 4-relation star query, then execute
-  // its plan under the request's own trace with a row cap the join
-  // pipeline must hit, and report the profile back.
-  auto served = server->Optimize(query_);
-  ASSERT_TRUE(served.ok());
-  auto traces = server->tracer()->RecentTraces();
-  ASSERT_FALSE(traces.empty());
-  std::shared_ptr<obs::Trace> trace = traces.back();
+  ASSERT_NO_FATAL_FAILURE(ServeAndExecuteCapped(server.get()));
 
-  ExecutorOptions exec_options;
-  exec_options.profile = true;
-  exec_options.row_cap = 8;
-  Executor executor(fixture_.db.get(), exec_options);
-  ExecutionProfile profile;
-  {
-    obs::ScopedTraceContext scope(server->tracer(), trace);
-    auto executed = executor.ExecuteProfiled(query_, served->plan, &profile);
-    ASSERT_TRUE(executed.ok());
-    ASSERT_TRUE(profile.AnyCapped());
-    server->RecordExecution(query_, *served, profile);
-  }
-
-  auto events = server->RecentSlowQueries();
-  ASSERT_EQ(events.size(), 1u);
-  const SlowQueryEvent& e = events[0];
-  EXPECT_EQ(e.cause, SlowQueryCause::kRowCap);
+  const std::vector<obs::RetainedTrace> capped = Capped(*server);
+  ASSERT_EQ(capped.size(), 1u);
+  const obs::RetainedTrace& e = capped[0];
   EXPECT_EQ(e.query_name, "star4");
-  EXPECT_TRUE(e.capped);
   EXPECT_GT(e.exec_micros, 0);
+  EXPECT_NE(e.plan_summary.find("("), std::string::npos);
 
-  // The event carries the request's spans: serving stages plus the
+  // The entry carries the request's spans: serving stages plus the
   // executor's, at least 4 distinct.
+  ASSERT_NE(e.trace, nullptr);
   std::set<obs::TraceStage> stages;
-  for (const obs::TraceSpan& span : e.spans) stages.insert(span.stage);
-  EXPECT_GE(stages.size(), 4u) << "spans " << e.spans.size();
+  for (const obs::TraceSpan& span : e.trace->spans()) stages.insert(span.stage);
+  EXPECT_GE(stages.size(), 4u);
   EXPECT_TRUE(stages.count(obs::TraceStage::kFingerprint) > 0);
   EXPECT_TRUE(stages.count(obs::TraceStage::kExecScan) > 0);
 
-  // The JSONL export is one parseable object per line.
-  const std::string jsonl = server->slow_query_log().ToJsonl();
-  ASSERT_FALSE(jsonl.empty());
-  const std::string line = jsonl.substr(0, jsonl.find('\n'));
+  // Its line in the store's JSONL export is one parseable object.
+  const std::string line = obs::TraceStore::RetainedJson(e);
   EXPECT_TRUE(JsonParses(line)) << line;
-  EXPECT_NE(line.find("\"cause\":\"row_cap\""), std::string::npos);
+  EXPECT_NE(line.find("\"capped\":true"), std::string::npos);
   EXPECT_NE(line.find("\"spans\":["), std::string::npos);
+  EXPECT_NE(server->flight_recorder()->ToJsonl().find(line), std::string::npos);
 }
 
-TEST_F(SlowQueryTest, StatuszRendersFromLiveServingState) {
+TEST_F(RetentionTest, StatuszRendersFromLiveServingState) {
   obs::MetricsRegistry registry;
   OptimizerServerOptions options;
   options.metrics = &registry;
-  options.trace.sample_every = 1;
-  options.slow_query.capacity = 8;
-  options.slow_query.log_uncoalesced_misses = true;
   auto server = MakeServer(options);
   ASSERT_TRUE(server->Optimize(query_).ok());
   ASSERT_TRUE(server->Optimize(query_).ok());
 
   obs::TimeSeriesSampler sampler(&registry);
   sampler.SampleOnce();
-  ASSERT_TRUE(server->Optimize(query_).ok());
+  ASSERT_NO_FATAL_FAILURE(ServeAndExecuteCapped(server.get()));
   sampler.SampleOnce();
 
   introspect::StatuszSources sources;
@@ -393,13 +389,16 @@ TEST_F(SlowQueryTest, StatuszRendersFromLiveServingState) {
   const std::string text = introspect::StatuszText(sources);
   EXPECT_NE(text.find("== statusz =="), std::string::npos);
   EXPECT_NE(text.find("serving: 3 requests"), std::string::npos);
-  EXPECT_NE(text.find("recent slow queries"), std::string::npos);
+  EXPECT_NE(text.find("row-capped / errored requests"), std::string::npos);
   EXPECT_NE(text.find("star4"), std::string::npos);
+  EXPECT_NE(text.find(" capped: "), std::string::npos);
 
   const std::string json = introspect::StatuszJson(sources);
   EXPECT_TRUE(JsonParses(json)) << json;
   EXPECT_NE(json.find("\"requests\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"recent_slow_queries\":["), std::string::npos);
+  EXPECT_NE(json.find("\"capped_or_errored\":[{"), std::string::npos);
+  EXPECT_NE(json.find("\"capped\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"query\":\"star4\""), std::string::npos);
 
   // Statusz degrades gracefully to a bare registry: no sampler, no server.
   introspect::StatuszSources bare;

@@ -291,7 +291,6 @@ TEST(RequestTracerTest, SamplingIsDeterministicUnderFixedSeed) {
   RequestTracerOptions options;
   options.sample_every = 4;
   options.seed = 2;
-  options.max_traces = 1024;
 
   // Two tracers with identical options sample exactly the same request
   // indices: on one thread, sampling is a pure function of (arrival index,
@@ -318,20 +317,6 @@ TEST(RequestTracerTest, SampleEveryZeroDisablesTracing) {
   RequestTracer tracer(options);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(tracer.MaybeStartTrace(), nullptr);
   EXPECT_EQ(tracer.traces_started(), 0);
-  EXPECT_TRUE(tracer.RecentTraces().empty());
-}
-
-TEST(RequestTracerTest, RetainedTraceRingIsBounded) {
-  RequestTracerOptions options;
-  options.sample_every = 1;
-  options.max_traces = 4;
-  RequestTracer tracer(options);
-  for (int i = 0; i < 10; ++i) tracer.MaybeStartTrace();
-  const auto traces = tracer.RecentTraces();
-  ASSERT_EQ(traces.size(), 4u);
-  // Arrival indices (id / kThreadStripes) 6..9 survive: oldest evicted.
-  EXPECT_EQ(traces.front()->id() / kThreadStripes, 6u);
-  EXPECT_EQ(traces.back()->id() / kThreadStripes, 9u);
 }
 
 TEST(SpanTimerTest, InertWithoutContextRecordsWithOne) {
@@ -407,6 +392,46 @@ TEST(ExportTest, TextAndJsonDumpsContainAttachedMetrics) {
   EXPECT_NE(json.find("\"counter\""), std::string::npos);
   EXPECT_NE(json.find("\"hist\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\":["), std::string::npos);
+}
+
+// The stage-breakdown caption says where its rows came from, derived from
+// the tracer's sample_every and whether any span was recorded.
+TEST(ExportTest, StageBreakdownCaptionNamesTheSpanSource) {
+  RequestTracerOptions off;
+  off.sample_every = 0;
+  RequestTracer disabled(off);
+  EXPECT_EQ(StageBreakdownText(disabled),
+            "stage breakdown: tracing disabled\n");
+
+  RequestTracerOptions sampled_options;
+  sampled_options.sample_every = 8;
+  RequestTracer sampled(sampled_options);
+  EXPECT_EQ(StageBreakdownText(sampled),
+            "stage breakdown: no sampled spans yet\n");
+  sampled.RecordStageMicros(TraceStage::kBeamSearch, 100);
+  const std::string sampled_text = StageBreakdownText(sampled);
+  EXPECT_EQ(sampled_text.rfind("per-stage latency breakdown (sampled 1/8):",
+                               0),
+            0u)
+      << sampled_text;
+  EXPECT_NE(sampled_text.find("beam_search"), std::string::npos);
+
+  // Sampling off, but a trace installed by another path (a flight-recorder
+  // shell) still recorded spans: the table is not "sampled 1/0".
+  auto shell = std::make_shared<Trace>(1);
+  {
+    ScopedTraceContext scope(&disabled, shell);
+    SpanTimer span(TraceStage::kAdmit);
+  }
+  const std::string unsampled_text = StageBreakdownText(disabled);
+  EXPECT_EQ(unsampled_text.rfind(
+                "per-stage latency breakdown (sampling off; spans of traced "
+                "requests only):",
+                0),
+            0u)
+      << unsampled_text;
+  EXPECT_NE(unsampled_text.find("admit"), std::string::npos);
+  EXPECT_EQ(unsampled_text.find("sampled 1/"), std::string::npos);
 }
 
 /// Inverse of JsonEscape over its output alphabet (no \uXXXX above 0x1f is

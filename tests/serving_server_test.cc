@@ -309,9 +309,10 @@ TEST_F(OptimizerServerTest, TracedRequestProducesSpansAcrossTheStack) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->cache_hit);
 
-  auto traces = server->tracer()->RecentTraces();
-  ASSERT_EQ(traces.size(), 1u);
-  std::shared_ptr<obs::Trace> trace = traces[0];
+  // The head-sampled trace is handed back with the result.
+  std::shared_ptr<obs::Trace> trace = result->trace;
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(server->tracer()->traces_started(), 1);
   // A served miss records its serving- and planning-side spans, including
   // the inference calls made from the planning-pool thread (the trace
   // context crossed the pool boundary with the task).
@@ -346,8 +347,9 @@ TEST_F(OptimizerServerTest, TracedRequestProducesSpansAcrossTheStack) {
   OptimizerServerOptions untraced = SmallOptions();
   untraced.trace.sample_every = 0;
   auto quiet = MakeServer(untraced);
-  ASSERT_TRUE(quiet->Optimize(query_).ok());
-  EXPECT_TRUE(quiet->tracer()->RecentTraces().empty());
+  auto quiet_result = quiet->Optimize(query_);
+  ASSERT_TRUE(quiet_result.ok());
+  EXPECT_EQ(quiet_result->trace, nullptr);
   EXPECT_EQ(quiet->tracer()->traces_started(), 0);
 }
 
