@@ -99,6 +99,32 @@ void BM_ValueNetworkForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueNetworkForwardBatch)->Arg(8)->Arg(32)->Arg(128);
 
+// The same plan scored the way beam search scores it: only the root join,
+// from its children's cached embeddings.
+void BM_ValueNetworkScoreRoots(benchmark::State& state) {
+  MicroEnv& env = GlobalEnv();
+  Plan plan;
+  int s = plan.AddScan(0, ScanOp::kSeqScan);
+  int c = plan.AddScan(1, ScanOp::kSeqScan);
+  int sc = plan.AddJoin(s, c, JoinOp::kHashJoin);
+  int p = plan.AddScan(2, ScanOp::kSeqScan);
+  plan.set_root(plan.AddJoin(sc, p, JoinOp::kHashJoin));
+  nn::Vec qf = env.featurizer.QueryFeatures(env.query);
+  nn::Vec root =
+      env.featurizer.NodeFeatures(env.query, plan.node(plan.root()));
+  SubtreeEmbedding left = testing::EmbedSubtree(*env.net, env.featurizer,
+                                                env.query, qf, plan, sc);
+  SubtreeEmbedding right = testing::EmbedSubtree(*env.net, env.featurizer,
+                                                 env.query, qf, plan, p);
+  std::vector<RootJob> batch(static_cast<size_t>(state.range(0)),
+                             RootJob{&qf, &root, &left, &right});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env.net->ScoreRoots(batch));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ValueNetworkScoreRoots)->Arg(8)->Arg(32)->Arg(128);
+
 void BM_BeamSearchPlanQuery(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();
   PlannerOptions options;

@@ -48,46 +48,56 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
   }
 
   nn::Vec query_feat = featurizer_->QueryFeatures(query);
-  // Per-call score memoization: composed subplans recur across states.
-  std::unordered_map<uint64_t, double> score_cache;
+  // Per-search embedding table, keyed by subtree fingerprint. Composed
+  // subplans recur across states, and a join is scored from its root's
+  // columns plus its children's entries here (ValueNetwork::ScoreRoots).
+  // Without batch_scoring an entry carries only its score.
+  std::unordered_map<uint64_t, SubtreeEmbedding> embeddings;
 
-  // Scores every plan in `pending` that the cache has not seen — in one
-  // batched forward pass (batch_scoring) or one Predict per plan. Both
-  // paths produce identical scores (nn's batched kernels accumulate in
+  // Scores every plan in `pending` that the table has not seen — in one
+  // batched root-only pass (batch_scoring) or one full Predict per plan.
+  // Both paths produce identical scores (the batched kernels accumulate in
   // MatVec's exact order), so the search below is oblivious to the mode.
+  // Every child of a pending join must already be in the table.
   auto score_pending = [&](const std::vector<const Plan*>& pending) {
+    result.scored_states += static_cast<int64_t>(pending.size());
     std::vector<const Plan*> need;
     std::vector<uint64_t> need_fps;
     std::unordered_set<uint64_t> queued;
     for (const Plan* plan : pending) {
       uint64_t fp = plan->Fingerprint();
-      if (score_cache.count(fp) || !queued.insert(fp).second) continue;
+      if (embeddings.count(fp) || !queued.insert(fp).second) continue;
       need.push_back(plan);
       need_fps.push_back(fp);
     }
     if (need.empty()) return;
     if (options_.batch_scoring) {
-      std::vector<nn::TreeSample> feats;
-      feats.reserve(need.size());
-      for (const Plan* plan : need) {
-        feats.push_back(featurizer_->PlanFeatures(query, *plan));
-      }
-      std::vector<const nn::TreeSample*> ptrs;
-      ptrs.reserve(feats.size());
-      for (const nn::TreeSample& f : feats) ptrs.push_back(&f);
-      std::vector<double> scores =
-          service_ ? service_->ScoreBatch(query_feat, ptrs)
-                   : network_->ForwardBatch(query_feat, ptrs);
+      std::vector<nn::Vec> node_feats;
+      node_feats.reserve(need.size());
+      std::vector<RootJob> jobs(need.size());
       for (size_t i = 0; i < need.size(); ++i) {
-        score_cache.emplace(need_fps[i], scores[i]);
+        const Plan& plan = *need[i];
+        const PlanNode& root = plan.node(plan.root());
+        node_feats.push_back(featurizer_->NodeFeatures(query, root));
+        jobs[i].query = &query_feat;
+        jobs[i].node = &node_feats.back();
+        if (root.is_join) {
+          jobs[i].left = &embeddings.at(plan.Fingerprint(root.left));
+          jobs[i].right = &embeddings.at(plan.Fingerprint(root.right));
+        }
+      }
+      std::vector<SubtreeEmbedding> scored =
+          service_ ? service_->ScoreRoots(jobs) : network_->ScoreRoots(jobs);
+      for (size_t i = 0; i < need.size(); ++i) {
+        embeddings.emplace(need_fps[i], std::move(scored[i]));
       }
       result.batch_calls++;
     } else {
       for (size_t i = 0; i < need.size(); ++i) {
-        score_cache.emplace(
-            need_fps[i],
-            network_->Predict(query_feat,
-                              featurizer_->PlanFeatures(query, *need[i])));
+        SubtreeEmbedding scored;
+        scored.score = network_->Predict(
+            query_feat, featurizer_->PlanFeatures(query, *need[i]));
+        embeddings.emplace(need_fps[i], std::move(scored));
         result.batch_calls++;
       }
     }
@@ -95,8 +105,7 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
   };
 
   auto lookup_score = [&](const Plan& plan) {
-    result.scored_states++;
-    return score_cache.at(plan.Fingerprint());
+    return embeddings.at(plan.Fingerprint()).score;
   };
 
   // Scan-operator variants of a base relation used as a join side.
@@ -122,8 +131,25 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
     root.entries.push_back(std::move(e));
   }
   {
+    // Embed every leaf a join can have, in one call: the scan variants,
+    // plus the index scan that an index nested-loop join rewrites its inner
+    // leaf to (ComposeJoin) when some join column of the relation is
+    // indexed.
+    std::vector<Plan> leaves;
+    for (int rel = 0; rel < query.num_relations(); ++rel) {
+      std::vector<Plan> variants = leaf_variants(rel);
+      const bool index_nl_inner =
+          options_.enable_index_nl_join &&
+          IndexNLValid(*schema_, query, query.AllTables().Without(rel), rel);
+      if (variants.size() == 1 && index_nl_inner) {
+        Plan idx;
+        idx.set_root(idx.AddScan(rel, ScanOp::kIndexScan));
+        variants.push_back(std::move(idx));
+      }
+      for (Plan& leaf : variants) leaves.push_back(std::move(leaf));
+    }
     std::vector<const Plan*> pending;
-    for (const Entry& e : root.entries) pending.push_back(&e.plan);
+    for (const Plan& leaf : leaves) pending.push_back(&leaf);
     score_pending(pending);
   }
   root.score = 0;
@@ -222,7 +248,7 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
       }
     }
 
-    // Score the frontier's new plans (one ForwardBatch in batch mode).
+    // Score the frontier's new join roots (one ScoreRoots in batch mode).
     {
       std::vector<const Plan*> pending;
       pending.reserve(children.size());

@@ -35,9 +35,10 @@ struct PlannerOptions {
   double epsilon_collapse = 0.0;
   /// Safety bound on state expansions per query.
   int max_expansions = 20000;
-  /// Score each expansion's whole frontier with one batched network call
-  /// (ValueNetwork::ForwardBatch, optionally via an InferenceService)
-  /// instead of one Predict per plan. Scores — and therefore the plans
+  /// Score each expansion's frontier with one batched, incremental network
+  /// call over the new join roots only (ValueNetwork::ScoreRoots on the
+  /// children's cached embeddings, optionally via an InferenceService)
+  /// instead of one full Predict per plan. Scores — and therefore the plans
   /// found — are identical either way; batching only changes throughput.
   bool batch_scoring = true;
 };
@@ -60,9 +61,10 @@ class BeamSearchPlanner {
     /// Up to k distinct complete plans, ascending by predicted latency.
     std::vector<ScoredPlan> plans;
     double planning_time_ms = 0;  // real wall clock
-    /// Value-network forward passes actually run (score-cache misses).
+    /// Subtrees the value network actually scored (embedding-table
+    /// misses): every leaf a join can use, then each new join root.
     int64_t network_evals = 0;
-    /// Plan-scoring requests the search issued, including score-cache hits
+    /// Subtree-scoring requests the search issued, including table hits
     /// (network_evals counts only the misses).
     int64_t scored_states = 0;
     /// Inference invocations that served the misses: one per batched call

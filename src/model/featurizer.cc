@@ -20,6 +20,21 @@ nn::Vec Featurizer::QueryFeatures(const Query& query, TableSet scope) const {
   return out;
 }
 
+nn::Vec Featurizer::NodeFeatures(const Query& query,
+                                 const PlanNode& node) const {
+  nn::Vec feat(static_cast<size_t>(node_dim()), 0.f);
+  if (node.is_join) {
+    feat[static_cast<size_t>(node.join_op)] = 1.f;
+  } else {
+    feat[kNumJoinOps + static_cast<size_t>(node.scan_op)] = 1.f;
+  }
+  for (int rel : node.tables) {
+    feat[kNumJoinOps + kNumScanOps +
+         static_cast<size_t>(query.relations()[rel].table_idx)] = 1.f;
+  }
+  return feat;
+}
+
 nn::TreeSample Featurizer::PlanFeatures(const Query& query, const Plan& plan,
                                         int node_idx) const {
   if (node_idx < 0) node_idx = plan.root();
@@ -37,17 +52,7 @@ nn::TreeSample Featurizer::PlanFeatures(const Query& query, const Plan& plan,
     const PlanNode& n = plan.node(f.arena);
     int slot = static_cast<int>(sample.features.size());
 
-    nn::Vec feat(static_cast<size_t>(node_dim()), 0.f);
-    if (n.is_join) {
-      feat[static_cast<size_t>(n.join_op)] = 1.f;
-    } else {
-      feat[kNumJoinOps + static_cast<size_t>(n.scan_op)] = 1.f;
-    }
-    for (int rel : n.tables) {
-      feat[kNumJoinOps + kNumScanOps +
-           static_cast<size_t>(query.relations()[rel].table_idx)] = 1.f;
-    }
-    sample.features.push_back(std::move(feat));
+    sample.features.push_back(NodeFeatures(query, n));
     sample.left.push_back(-1);
     sample.right.push_back(-1);
 

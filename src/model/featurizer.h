@@ -35,6 +35,10 @@ class Featurizer {
   }
   nn::Vec QueryFeatures(const Query& query, TableSet scope) const;
 
+  /// Feature vector of one plan node: its operator one-hot plus the schema
+  /// tables it covers.
+  nn::Vec NodeFeatures(const Query& query, const PlanNode& node) const;
+
   /// Tree encoding of the subtree of `plan` rooted at `node_idx` (-1=root).
   nn::TreeSample PlanFeatures(const Query& query, const Plan& plan,
                               int node_idx = -1) const;

@@ -164,6 +164,72 @@ std::vector<double> ValueNetwork::ForwardBatch(
   return ForwardBatch(queries, plans);
 }
 
+std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
+    const std::vector<RootJob>& jobs) const {
+  const int n = static_cast<int>(jobs.size());
+  std::vector<SubtreeEmbedding> out(static_cast<size_t>(n));
+  if (n == 0) return out;
+
+  nn::Mat x(config_.query_dim + config_.node_dim, n);
+  for (int j = 0; j < n; ++j) {
+    nn::Vec& in = out[j].input;
+    in.reserve(static_cast<size_t>(x.rows));
+    in.assign(jobs[j].query->begin(), jobs[j].query->end());
+    in.insert(in.end(), jobs[j].node->begin(), jobs[j].node->end());
+    for (int r = 0; r < x.rows; ++r) x.at(r, j) = in[r];
+  }
+  // One side's children, with `field` of each child's embedding as its
+  // input column.
+  auto gather = [&](const SubtreeEmbedding* RootJob::*side,
+                    nn::Vec SubtreeEmbedding::*field, int rows) {
+    nn::ChildColumns c;
+    for (int j = 0; j < n; ++j) {
+      if (jobs[j].*side != nullptr) c.cols.push_back(j);
+    }
+    c.x = nn::Mat(rows, static_cast<int>(c.cols.size()));
+    for (size_t k = 0; k < c.cols.size(); ++k) {
+      const nn::Vec& col = (jobs[c.cols[k]].*side)->*field;
+      for (int r = 0; r < rows; ++r) c.x.at(r, static_cast<int>(k)) = col[r];
+    }
+    return c;
+  };
+  auto column = [](const nn::Mat& m, int j) {
+    nn::Vec v(static_cast<size_t>(m.rows));
+    for (int r = 0; r < m.rows; ++r) v[r] = m.at(r, j);
+    return v;
+  };
+
+  nn::Mat h1, pooled, m1, o;
+  tc1_.ForwardGathered(
+      x, gather(&RootJob::left, &SubtreeEmbedding::input, x.rows),
+      gather(&RootJob::right, &SubtreeEmbedding::input, x.rows), &h1);
+  nn::ReluMatForward(&h1);
+  tc2_.ForwardGathered(
+      h1, gather(&RootJob::left, &SubtreeEmbedding::h1, h1.rows),
+      gather(&RootJob::right, &SubtreeEmbedding::h1, h1.rows), &pooled);
+  nn::ReluMatForward(&pooled);
+  // pooled starts as each root's h2; fold in the children's pooled maxima.
+  for (int j = 0; j < n; ++j) {
+    for (const SubtreeEmbedding* child : {jobs[j].left, jobs[j].right}) {
+      if (child == nullptr) continue;
+      for (int d = 0; d < pooled.rows; ++d) {
+        if (child->pooled[d] > pooled.at(d, j)) {
+          pooled.at(d, j) = child->pooled[d];
+        }
+      }
+    }
+  }
+  fc1_.ForwardBatch(pooled, &m1);
+  nn::ReluMatForward(&m1);
+  fc2_.ForwardBatch(m1, &o);
+  for (int j = 0; j < n; ++j) {
+    out[j].h1 = column(h1, j);
+    out[j].pooled = column(pooled, j);
+    out[j].score = FromLabelSpace(o.at(0, j));
+  }
+  return out;
+}
+
 ValueNetwork::TrainResult ValueNetwork::Train(
     const std::vector<TrainingPoint>& data, const TrainOptions& options) {
   TrainResult result;

@@ -34,6 +34,24 @@ struct TrainingPoint {
   double label = 0;
 };
 
+/// What incremental scoring keeps of a scored subtree: enough to score any
+/// join over it from the new root's columns alone.
+struct SubtreeEmbedding {
+  nn::Vec input;     // the root's input column: query ++ node features
+  nn::Vec h1;        // the root's post-ReLU first tree-conv layer
+  nn::Vec pooled;    // max of the second layer's output over the subtree
+  double score = 0;  // predicted label (original units)
+};
+
+/// One subtree root to score. A leaf has no children; a join's children
+/// are subtrees scored earlier. The pointers are borrowed for the call.
+struct RootJob {
+  const nn::Vec* query = nullptr;
+  const nn::Vec* node = nullptr;  // Featurizer::NodeFeatures of the root
+  const SubtreeEmbedding* left = nullptr;
+  const SubtreeEmbedding* right = nullptr;
+};
+
 class ValueNetwork {
  public:
   explicit ValueNetwork(ValueNetConfig config);
@@ -55,11 +73,20 @@ class ValueNetwork {
       const std::vector<const nn::Vec*>& queries,
       const std::vector<const nn::TreeSample*>& plans) const;
 
-  /// Shared-query convenience overload (beam search scores one query's
-  /// whole expansion frontier at once).
+  /// Shared-query convenience overload (many plans of one query).
   std::vector<double> ForwardBatch(
       const nn::Vec& query,
       const std::vector<const nn::TreeSample*>& plans) const;
+
+  /// Incremental scoring: embeds each job's root from its own input column
+  /// and its children's cached columns, in one batched pass over the new
+  /// roots only. Bitwise equal to ForwardBatch over the whole subtree: the
+  /// root columns go through the same tree-conv kernel
+  /// (TreeConvLayer::ForwardGathered), and pooled = max(root h2, children's
+  /// pooled) is DynamicMaxPool's value: post-ReLU values are never
+  /// negative, -0 or NaN, so their max does not depend on visiting order.
+  std::vector<SubtreeEmbedding> ScoreRoots(
+      const std::vector<RootJob>& jobs) const;
 
   struct TrainOptions {
     int max_epochs = 100;

@@ -128,33 +128,42 @@ void TreeConvLayer::Forward(const std::vector<Vec>& in,
 void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
                                  const std::vector<int>& right,
                                  Mat* out) const {
+  auto gather = [&](const std::vector<int>& child) {
+    ChildColumns c;
+    for (int i = 0; i < x.cols; ++i) {
+      if (child[i] >= 0) c.cols.push_back(i);
+    }
+    c.x = Mat(x.rows, static_cast<int>(c.cols.size()));
+    for (int r = 0; r < x.rows; ++r) {
+      for (size_t k = 0; k < c.cols.size(); ++k) {
+        c.x.at(r, static_cast<int>(k)) = x.at(r, child[c.cols[k]]);
+      }
+    }
+    return c;
+  };
+  ForwardGathered(x, gather(left), gather(right), out);
+}
+
+void TreeConvLayer::ForwardGathered(const Mat& x, const ChildColumns& left,
+                                    const ChildColumns& right,
+                                    Mat* out) const {
   const int n = x.cols;
   out->rows = wp_.value.rows;
   out->cols = n;
   out->data.assign(static_cast<size_t>(out->rows) * n, 0.f);
   AddMatMul(wp_.value, x, out);
 
-  // One child pass: gather the present children's columns, multiply them
-  // compactly, then scatter-add each result column with a single add per
-  // element — the same "+= acc" grouping Forward uses, so batched outputs
-  // match the per-item path bitwise.
-  auto child_pass = [&](const std::vector<int>& child, const Param& w) {
-    std::vector<int> cols;
-    for (int i = 0; i < n; ++i) {
-      if (child[i] >= 0) cols.push_back(i);
-    }
-    if (cols.empty()) return;
-    Mat xc(x.rows, static_cast<int>(cols.size()));
-    for (size_t k = 0; k < cols.size(); ++k) {
-      const int src = child[cols[k]];
-      for (int r = 0; r < x.rows; ++r) xc.at(r, static_cast<int>(k)) = x.at(r, src);
-    }
-    Mat pc(out->rows, static_cast<int>(cols.size()));
-    AddMatMul(w.value, xc, &pc);
+  // One child pass: multiply the gathered children compactly, then
+  // scatter-add each result column with a single add per element — the
+  // same "+= acc" grouping Forward uses, so batched outputs match the
+  // per-item path bitwise.
+  auto child_pass = [&](const ChildColumns& child, const Param& w) {
+    const int m = static_cast<int>(child.cols.size());
+    if (m == 0) return;
+    Mat pc(out->rows, m);
+    AddMatMul(w.value, child.x, &pc);
     for (int r = 0; r < out->rows; ++r) {
-      for (size_t k = 0; k < cols.size(); ++k) {
-        out->at(r, cols[k]) += pc.at(r, static_cast<int>(k));
-      }
+      for (int k = 0; k < m; ++k) out->at(r, child.cols[k]) += pc.at(r, k);
     }
   };
   child_pass(left, wl_);

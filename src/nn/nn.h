@@ -104,6 +104,14 @@ struct TreeSample {
   std::vector<int> right;
 };
 
+/// Child inputs of a column batch for one side of a tree convolution,
+/// gathered compactly: column k of `x` is the child input of output column
+/// `cols[k]` (columns without a child on this side are absent).
+struct ChildColumns {
+  Mat x;
+  std::vector<int> cols;
+};
+
 /// Neo-style tree convolution: out[i] = Wp f[i] + Wl f[left] + Wr f[right] + b,
 /// missing children contribute zero.
 class TreeConvLayer {
@@ -121,6 +129,13 @@ class TreeConvLayer {
   /// single add per element, preserving Forward's summation grouping.
   void ForwardBatch(const Mat& x, const std::vector<int>& left,
                     const std::vector<int>& right, Mat* out) const;
+  /// The kernel under ForwardBatch, with the child inputs pre-gathered
+  /// (they need not be columns of `x`): column i of `out` is Wp x[i] + b
+  /// plus the left and right child terms listed for i. Incremental scoring
+  /// feeds cached child columns through it, so both paths share every
+  /// AddMatMul and match bitwise.
+  void ForwardGathered(const Mat& x, const ChildColumns& left,
+                       const ChildColumns& right, Mat* out) const;
   /// Backprops into dIn (accumulated) and the three weight grads.
   void Backward(const std::vector<Vec>& in, const std::vector<int>& left,
                 const std::vector<int>& right, const std::vector<Vec>& dout,

@@ -53,7 +53,7 @@ enum class TraceStage : int {
   kCoalesceWait,     // blocked on another request's in-flight planning
   kQueueWait,        // enqueue->dequeue wait on the planning pool
   kBeamSearch,       // the full beam search of a miss (serving/balsa)
-  kInference,        // one ScoreBatch call: queue wait + fused forward pass
+  kInference,        // one ScoreRoots call: queue wait + fused forward pass
   kAdmit,            // canonicalize + insert the planned entry (serving)
   kExecScan,         // one Executor::Scan over a relation's chunks
   kExecJoin,         // one Executor::Join of two intermediates

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "src/obs/trace.h"
 
@@ -39,26 +40,21 @@ InferenceService::~InferenceService() {
   for (std::thread& t : workers_) t.join();
 }
 
-std::vector<double> InferenceService::ScoreBatch(
-    const nn::Vec& query, const std::vector<const nn::TreeSample*>& plans) {
-  if (plans.empty()) return {};
+std::vector<SubtreeEmbedding> InferenceService::ScoreRoots(
+    const std::vector<RootJob>& jobs) {
+  if (jobs.empty()) return {};
   // On a traced planning thread this records one kInference span per
-  // ScoreBatch: queue wait plus the fused forward pass. Inert otherwise.
+  // ScoreRoots: queue wait plus the fused forward pass. Inert otherwise.
   obs::SpanTimer span(obs::TraceStage::kInference);
   requests_.Inc();
 
+  Request request;
+  request.jobs = &jobs;
   if (workers_.empty()) {
     // Synchronous mode: evaluate on the calling thread, still chunked.
-    Request request;
-    request.query = &query;
-    request.plans = &plans;
     ServeBatch({&request});
-    return std::move(request.scores);
+    return std::move(request.results);
   }
-
-  Request request;
-  request.query = &query;
-  request.plans = &plans;
   {
     MutexLock lock(mu_);
     queue_.push_back(&request);
@@ -66,7 +62,7 @@ std::vector<double> InferenceService::ScoreBatch(
   queue_cv_.NotifyOne();
   MutexLock lock(mu_);
   while (!request.done) done_cv_.Wait(mu_);
-  return std::move(request.scores);
+  return std::move(request.results);
 }
 
 void InferenceService::WorkerLoop() {
@@ -80,8 +76,7 @@ void InferenceService::WorkerLoop() {
       // least one request so oversized requests still make progress.
       int taken = 0;
       while (!queue_.empty()) {
-        const int next =
-            static_cast<int>(queue_.front()->plans->size());
+        const int next = static_cast<int>(queue_.front()->jobs->size());
         if (!batch.empty() && taken + next > options_.max_batch_size) break;
         batch.push_back(queue_.front());
         queue_.pop_front();
@@ -99,38 +94,31 @@ void InferenceService::WorkerLoop() {
 
 void InferenceService::ServeBatch(const std::vector<Request*>& batch) {
   const auto start = std::chrono::steady_clock::now();
-  // Flatten the fused requests into per-item (query, plan) arrays.
-  std::vector<const nn::Vec*> queries;
-  std::vector<const nn::TreeSample*> plans;
+  // Flatten the fused requests' root jobs into one array.
+  std::vector<RootJob> jobs;
   for (const Request* r : batch) {
-    for (const nn::TreeSample* plan : *r->plans) {
-      queries.push_back(r->query);
-      plans.push_back(plan);
-    }
+    jobs.insert(jobs.end(), r->jobs->begin(), r->jobs->end());
   }
-  const int total = static_cast<int>(plans.size());
+  const int total = static_cast<int>(jobs.size());
 
-  std::vector<double> scores;
-  scores.reserve(static_cast<size_t>(total));
+  std::vector<SubtreeEmbedding> results;
+  results.reserve(static_cast<size_t>(total));
   for (int lo = 0; lo < total; lo += options_.max_batch_size) {
     const int hi = std::min(total, lo + options_.max_batch_size);
-    std::vector<const nn::Vec*> chunk_queries(queries.begin() + lo,
-                                              queries.begin() + hi);
-    std::vector<const nn::TreeSample*> chunk_plans(plans.begin() + lo,
-                                                   plans.begin() + hi);
-    std::vector<double> chunk = network_->ForwardBatch(chunk_queries,
-                                                       chunk_plans);
-    scores.insert(scores.end(), chunk.begin(), chunk.end());
+    std::vector<SubtreeEmbedding> chunk = network_->ScoreRoots(
+        std::vector<RootJob>(jobs.begin() + lo, jobs.begin() + hi));
+    std::move(chunk.begin(), chunk.end(), std::back_inserter(results));
     forward_batches_.Inc();
     max_fused_.UpdateMax(hi - lo);
     batch_items_.Record(hi - lo);
   }
 
-  size_t pos = 0;
+  auto next = results.begin();
   for (Request* r : batch) {
-    r->scores.assign(scores.begin() + pos,
-                     scores.begin() + pos + r->plans->size());
-    pos += r->plans->size();
+    const size_t n = r->jobs->size();
+    r->results.assign(std::make_move_iterator(next),
+                      std::make_move_iterator(next + n));
+    next += n;
   }
   items_.Inc(total);
   batch_serve_us_.Record(std::chrono::duration<double, std::micro>(

@@ -1,14 +1,17 @@
 // A micro-batching inference service over the value network, mirroring
-// Balsa's batched V(query, plan) scoring of beam-search frontiers (§6):
-// clients (planning threads) block on ScoreBatch(); worker threads drain
-// the request queue, fuse concurrent requests — across clients and across
-// queries — into single ValueNetwork::ForwardBatch calls, and hand each
-// client its scores back.
+// Balsa's batched V(query, plan) scoring of beam-search frontiers (§6).
+// Beam search scores incrementally: each planning thread keeps a per-search
+// table of subtree embeddings, so a request carries only the frontier's new
+// join roots (RootJobs, each with its own query and pointers to its
+// children's cached embeddings). Clients block on ScoreRoots(); worker
+// threads drain the request queue, fuse the root jobs of concurrent
+// requests — across clients and across queries — into single
+// ValueNetwork::ScoreRoots calls, and hand each client its embeddings back.
 //
-// Determinism: the batched nn kernels make every item's score bitwise
-// independent of the rest of the forward batch (see nn::AddMatMul), so
-// coalescing — however the race between clients plays out — never changes
-// any result. The service adds throughput, not nondeterminism.
+// Determinism: the batched nn kernels make every root's embedding bitwise
+// independent of the rest of the batch (see nn::AddMatMul), so coalescing —
+// however the race between clients plays out — never changes any result.
+// The service adds throughput, not nondeterminism.
 //
 // The network pointer is borrowed; callers must not train the network while
 // requests are in flight (the agent plans and trains in distinct phases).
@@ -27,10 +30,10 @@
 namespace balsa {
 
 struct InferenceServiceOptions {
-  /// Max (query, plan) items fused into one ForwardBatch call; larger
+  /// Max root jobs fused into one ValueNetwork::ScoreRoots call; larger
   /// requests are evaluated in chunks of this size.
   int max_batch_size = 128;
-  /// Worker threads draining the queue. 0 = synchronous mode: ScoreBatch
+  /// Worker threads draining the queue. 0 = synchronous mode: ScoreRoots
   /// runs the forward pass on the calling thread (no queue, no fusion) —
   /// useful for profiling and single-threaded callers.
   int num_workers = 1;
@@ -50,22 +53,22 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  /// Blocking: predicted labels (original units), one per plan. Thread-safe;
-  /// concurrent calls may be fused into shared forward batches without
-  /// affecting any score (see file comment).
-  std::vector<double> ScoreBatch(
-      const nn::Vec& query,
-      const std::vector<const nn::TreeSample*>& plans) EXCLUDES(mu_);
+  /// Blocking: one embedding (with its score) per job, as
+  /// ValueNetwork::ScoreRoots returns. Thread-safe; concurrent calls may be
+  /// fused into shared forward passes without affecting any result (see
+  /// file comment). The jobs' pointers must stay valid until it returns.
+  std::vector<SubtreeEmbedding> ScoreRoots(const std::vector<RootJob>& jobs)
+      EXCLUDES(mu_);
 
   struct Stats {
-    int64_t requests = 0;         // ScoreBatch calls
-    int64_t items = 0;            // (query, plan) pairs scored
-    int64_t forward_batches = 0;  // ForwardBatch calls issued
+    int64_t requests = 0;         // ScoreRoots calls
+    int64_t items = 0;            // root jobs scored
+    int64_t forward_batches = 0;  // ValueNetwork::ScoreRoots calls issued
     int64_t max_fused_items = 0;  // largest single forward batch
   };
   Stats stats() const;
 
-  /// Items per ForwardBatch call — the fusion-quality distribution (a
+  /// Items per forward pass — the fusion-quality distribution (a
   /// service doing its job shows this clustering near max_batch_size under
   /// concurrent load). Same bucketing the registry exports.
   const obs::Log2Histogram& batch_items_histogram() const {
@@ -80,12 +83,11 @@ class InferenceService {
 
  private:
   struct Request {
-    const nn::Vec* query = nullptr;
-    const std::vector<const nn::TreeSample*>* plans = nullptr;
+    const std::vector<RootJob>* jobs = nullptr;
     /// Written by the serving worker while the request sits in no queue
     /// (exclusive access between dequeue and the done flip), read by the
     /// client only after observing done == true under the service's mu_.
-    std::vector<double> scores;
+    std::vector<SubtreeEmbedding> results;
     /// Guarded by the owning service's mu_ (not annotatable from a nested
     /// struct: the capability expression cannot name the outer instance).
     bool done = false;
@@ -93,7 +95,7 @@ class InferenceService {
 
   void WorkerLoop() EXCLUDES(mu_);
   /// Runs the fused forward passes for `batch` (chunked at max_batch_size)
-  /// and fills each request's scores. Called without holding mu_.
+  /// and fills each request's results. Called without holding mu_.
   void ServeBatch(const std::vector<Request*>& batch) EXCLUDES(mu_);
 
   const ValueNetwork* network_;
@@ -101,12 +103,12 @@ class InferenceService {
 
   mutable Mutex mu_;
   CondVar queue_cv_;  // workers wait for requests
-  CondVar done_cv_;   // clients wait for their scores
+  CondVar done_cv_;   // clients wait for their results
   std::deque<Request*> queue_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
 
-  // Lock-free stats: ScoreBatch/ServeBatch record without touching mu_
+  // Lock-free stats: ScoreRoots/ServeBatch record without touching mu_
   // (the old Stats struct lived under it; moving to obs instruments took
   // the bookkeeping out of the queue's critical sections entirely).
   obs::Counter requests_;

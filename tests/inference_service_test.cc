@@ -1,10 +1,12 @@
 // Batched inference correctness: ValueNetwork::ForwardBatch must agree with
 // per-item Predict, an item's score must be bitwise independent of its
-// batch, the micro-batching InferenceService must preserve both properties
-// under concurrent clients, and ScoreBatch-driven beam search must produce
-// exactly the plans the per-plan path produces.
+// batch, the micro-batching InferenceService must serve root jobs with the
+// scores ForwardBatch gives the whole plans, under concurrent clients too,
+// and service-driven beam search must produce exactly the plans the
+// per-plan path produces.
 #include "src/runtime/inference_service.h"
 
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -47,8 +49,23 @@ class InferenceServiceTest : public ::testing::Test {
         }
         plan.set_root(root);
         trees_.push_back(featurizer_.PlanFeatures(query_, plan));
+        AddRootJob(plan);
       }
     }
+  }
+
+  // The job that scores `plan`'s root join from its children's embeddings,
+  // as beam search issues it for a frontier plan.
+  void AddRootJob(const Plan& plan) {
+    const PlanNode& root = plan.node(plan.root());
+    root_feats_.push_back(featurizer_.NodeFeatures(query_, root));
+    for (int child : {root.left, root.right}) {
+      child_embeddings_.push_back(testing::EmbedSubtree(
+          *network_, featurizer_, query_, query_feat_, plan, child));
+    }
+    root_jobs_.push_back(RootJob{&query_feat_, &root_feats_.back(),
+                                 &child_embeddings_.end()[-2],
+                                 &child_embeddings_.back()});
   }
 
   std::vector<const nn::TreeSample*> TreePtrs() const {
@@ -63,6 +80,10 @@ class InferenceServiceTest : public ::testing::Test {
   std::unique_ptr<ValueNetwork> network_;
   nn::Vec query_feat_;
   std::vector<nn::TreeSample> trees_;
+  // Deques: the jobs point into them.
+  std::deque<nn::Vec> root_feats_;
+  std::deque<SubtreeEmbedding> child_embeddings_;
+  std::vector<RootJob> root_jobs_;  // root_jobs_[i] scores trees_[i]
 };
 
 TEST_F(InferenceServiceTest, ForwardBatchMatchesPredict) {
@@ -70,7 +91,7 @@ TEST_F(InferenceServiceTest, ForwardBatchMatchesPredict) {
                                                        TreePtrs());
   ASSERT_EQ(batched.size(), trees_.size());
   for (size_t i = 0; i < trees_.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batched[i], network_->Predict(query_feat_, trees_[i]))
+    EXPECT_EQ(batched[i], network_->Predict(query_feat_, trees_[i]))
         << "plan " << i;
   }
 }
@@ -105,7 +126,7 @@ TEST_F(InferenceServiceTest, MixedQueryBatchMatchesPerItem) {
   }
   std::vector<double> batched = network_->ForwardBatch(queries, plans);
   for (size_t i = 0; i < trees_.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batched[i], network_->Predict(*queries[i], trees_[i]));
+    EXPECT_EQ(batched[i], network_->Predict(*queries[i], trees_[i]));
   }
 }
 
@@ -116,10 +137,10 @@ TEST_F(InferenceServiceTest, ServiceMatchesDirectForwardBatch) {
     InferenceServiceOptions options;
     options.num_workers = workers;
     InferenceService service(network_.get(), options);
-    std::vector<double> served = service.ScoreBatch(query_feat_, TreePtrs());
+    std::vector<SubtreeEmbedding> served = service.ScoreRoots(root_jobs_);
     ASSERT_EQ(served.size(), direct.size());
     for (size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_EQ(served[i], direct[i]) << "workers=" << workers;
+      EXPECT_EQ(served[i].score, direct[i]) << "workers=" << workers;
     }
   }
 }
@@ -129,11 +150,11 @@ TEST_F(InferenceServiceTest, ServiceChunksOversizedRequests) {
   options.max_batch_size = 4;
   options.num_workers = 1;
   InferenceService service(network_.get(), options);
-  std::vector<double> served = service.ScoreBatch(query_feat_, TreePtrs());
+  std::vector<SubtreeEmbedding> served = service.ScoreRoots(root_jobs_);
   std::vector<double> direct = network_->ForwardBatch(query_feat_,
                                                       TreePtrs());
   for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(served[i], direct[i]);
+    EXPECT_EQ(served[i].score, direct[i]);
   }
   InferenceService::Stats stats = service.stats();
   EXPECT_EQ(stats.items, static_cast<int64_t>(trees_.size()));
@@ -150,12 +171,12 @@ TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
                                                       TreePtrs());
 
   constexpr int kClients = 8;
-  std::vector<std::vector<double>> results(kClients);
+  std::vector<std::vector<SubtreeEmbedding>> results(kClients);
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int round = 0; round < 5; ++round) {
-        results[c] = service.ScoreBatch(query_feat_, TreePtrs());
+        results[c] = service.ScoreRoots(root_jobs_);
       }
     });
   }
@@ -165,7 +186,7 @@ TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
     ASSERT_EQ(results[c].size(), direct.size());
     for (size_t i = 0; i < direct.size(); ++i) {
       // Fusion across clients must never perturb a score.
-      EXPECT_EQ(results[c][i], direct[i]) << "client " << c;
+      EXPECT_EQ(results[c][i].score, direct[i]) << "client " << c;
     }
   }
   InferenceService::Stats stats = service.stats();
@@ -195,7 +216,7 @@ TEST_F(InferenceServiceTest, BatchScoredBeamSearchFindsIdenticalPlans) {
   for (size_t i = 0; i < a->plans.size(); ++i) {
     EXPECT_EQ(a->plans[i].plan.Fingerprint(), b->plans[i].plan.Fingerprint())
         << "diverged at plan " << i;
-    EXPECT_DOUBLE_EQ(a->plans[i].predicted_ms, b->plans[i].predicted_ms);
+    EXPECT_EQ(a->plans[i].predicted_ms, b->plans[i].predicted_ms);
   }
   // The two modes run the same forward passes; batching only fuses them.
   EXPECT_EQ(a->network_evals, b->network_evals);

@@ -7,6 +7,8 @@
 #include <memory>
 
 #include "src/catalog/schema.h"
+#include "src/model/featurizer.h"
+#include "src/model/value_network.h"
 #include "src/plan/query_builder.h"
 #include "src/stats/card_oracle.h"
 #include "src/stats/cardinality_estimator.h"
@@ -112,6 +114,27 @@ inline Query MakeStarQuery(const Schema& schema, int id = 0) {
   Query q = std::move(query).value();
   q.set_id(id);
   return q;
+}
+
+/// Embeds the subtree of `plan` rooted at `idx` (-1 = root) the way beam
+/// search does: bottom-up, each node scored by ValueNetwork::ScoreRoots from
+/// its own features plus its children's embeddings.
+inline SubtreeEmbedding EmbedSubtree(const ValueNetwork& net,
+                                     const Featurizer& featurizer,
+                                     const Query& query,
+                                     const nn::Vec& query_feat,
+                                     const Plan& plan, int idx = -1) {
+  const PlanNode& node = plan.node(idx < 0 ? plan.root() : idx);
+  nn::Vec feat = featurizer.NodeFeatures(query, node);
+  SubtreeEmbedding left, right;
+  RootJob job{&query_feat, &feat, nullptr, nullptr};
+  if (node.is_join) {
+    left = EmbedSubtree(net, featurizer, query, query_feat, plan, node.left);
+    right = EmbedSubtree(net, featurizer, query, query_feat, plan, node.right);
+    job.left = &left;
+    job.right = &right;
+  }
+  return std::move(net.ScoreRoots({job})[0]);
 }
 
 }  // namespace balsa::testing
