@@ -100,7 +100,7 @@ void BM_ValueNetworkForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_ValueNetworkForwardBatch)->Arg(8)->Arg(32)->Arg(128);
 
 // The same plan scored the way beam search scores it: only the root join,
-// from its children's cached embeddings.
+// from its children's cached embeddings and child terms.
 void BM_ValueNetworkScoreRoots(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();
   Plan plan;
@@ -112,6 +112,7 @@ void BM_ValueNetworkScoreRoots(benchmark::State& state) {
   nn::Vec qf = env.featurizer.QueryFeatures(env.query);
   nn::Vec root =
       env.featurizer.NodeFeatures(env.query, plan.node(plan.root()));
+  // EmbedSubtree fills both child terms of what it returns.
   SubtreeEmbedding left = testing::EmbedSubtree(*env.net, env.featurizer,
                                                 env.query, qf, plan, sc);
   SubtreeEmbedding right = testing::EmbedSubtree(*env.net, env.featurizer,
@@ -124,6 +125,30 @@ void BM_ValueNetworkScoreRoots(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ValueNetworkScoreRoots)->Arg(8)->Arg(32)->Arg(128);
+
+// The child terms a search computes before scoring a frontier: half the
+// batch as left children, half as right.
+void BM_ValueNetworkChildTerms(benchmark::State& state) {
+  MicroEnv& env = GlobalEnv();
+  Plan plan;
+  int s = plan.AddScan(0, ScanOp::kSeqScan);
+  int c = plan.AddScan(1, ScanOp::kSeqScan);
+  plan.set_root(plan.AddJoin(s, c, JoinOp::kHashJoin));
+  nn::Vec qf = env.featurizer.QueryFeatures(env.query);
+  std::vector<SubtreeEmbedding> children(
+      static_cast<size_t>(state.range(0)),
+      testing::EmbedSubtree(*env.net, env.featurizer, env.query, qf, plan));
+  std::vector<TermJob> jobs;
+  for (size_t i = 0; i < children.size(); ++i) {
+    jobs.push_back({&children[i], static_cast<int>(i % 2)});
+  }
+  for (auto _ : state) {
+    env.net->ChildTerms(jobs);
+    benchmark::DoNotOptimize(children.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ValueNetworkChildTerms)->Arg(8)->Arg(32);
 
 void BM_BeamSearchPlanQuery(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();

@@ -37,8 +37,8 @@ struct PlannerOptions {
   int max_expansions = 20000;
   /// Score each expansion's frontier with one batched, incremental network
   /// call over the new join roots only (ValueNetwork::ScoreRoots on the
-  /// children's cached embeddings, optionally via an InferenceService)
-  /// instead of one full Predict per plan. Scores — and therefore the plans
+  /// children's cached terms, optionally via an InferenceService) instead
+  /// of one full Predict per plan. Scores — and therefore the plans
   /// found — are identical either way; batching only changes throughput.
   bool batch_scoring = true;
 };
@@ -70,6 +70,10 @@ class BeamSearchPlanner {
     /// Inference invocations that served the misses: one per batched call
     /// with batch_scoring, one per Predict without (== network_evals then).
     int64_t batch_calls = 0;
+    /// Child terms computed (ValueNetwork::ChildTerms): one per distinct
+    /// (subtree, side) a scored join uses as a child. 0 without
+    /// batch_scoring.
+    int64_t child_terms = 0;
   };
 
   /// Plans `query`. `rng` is only used when epsilon_collapse > 0.

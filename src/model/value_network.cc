@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "src/util/logging.h"
+
 namespace balsa {
 
 struct ValueNetwork::Activations {
@@ -178,20 +180,21 @@ std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
     in.insert(in.end(), jobs[j].node->begin(), jobs[j].node->end());
     for (int r = 0; r < x.rows; ++r) x.at(r, j) = in[r];
   }
-  // One side's children, with `field` of each child's embedding as its
-  // input column.
-  auto gather = [&](const SubtreeEmbedding* RootJob::*side,
-                    nn::Vec SubtreeEmbedding::*field, int rows) {
-    nn::ChildColumns c;
+  // One side's cached terms for one layer: a child's terms hold the tc1
+  // term, then the tc2 term from `offset` on.
+  const size_t term_dim =
+      static_cast<size_t>(config_.tree_hidden1 + config_.tree_hidden2);
+  auto terms = [&](int side, size_t offset) {
+    nn::TermColumns t;
+    t.cols.resize(static_cast<size_t>(n));
     for (int j = 0; j < n; ++j) {
-      if (jobs[j].*side != nullptr) c.cols.push_back(j);
+      const SubtreeEmbedding* child = side == 0 ? jobs[j].left : jobs[j].right;
+      if (child == nullptr) continue;
+      BALSA_CHECK(child->terms[side].size() == term_dim,
+                  "ScoreRoots: a child's term for its side is not filled");
+      t.cols[j] = child->terms[side].data() + offset;
     }
-    c.x = nn::Mat(rows, static_cast<int>(c.cols.size()));
-    for (size_t k = 0; k < c.cols.size(); ++k) {
-      const nn::Vec& col = (jobs[c.cols[k]].*side)->*field;
-      for (int r = 0; r < rows; ++r) c.x.at(r, static_cast<int>(k)) = col[r];
-    }
-    return c;
+    return t;
   };
   auto column = [](const nn::Mat& m, int j) {
     nn::Vec v(static_cast<size_t>(m.rows));
@@ -199,14 +202,11 @@ std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
     return v;
   };
 
+  const size_t h1_dim = static_cast<size_t>(config_.tree_hidden1);
   nn::Mat h1, pooled, m1, o;
-  tc1_.ForwardGathered(
-      x, gather(&RootJob::left, &SubtreeEmbedding::input, x.rows),
-      gather(&RootJob::right, &SubtreeEmbedding::input, x.rows), &h1);
+  tc1_.ForwardWithTerms(x, terms(0, 0), terms(1, 0), &h1);
   nn::ReluMatForward(&h1);
-  tc2_.ForwardGathered(
-      h1, gather(&RootJob::left, &SubtreeEmbedding::h1, h1.rows),
-      gather(&RootJob::right, &SubtreeEmbedding::h1, h1.rows), &pooled);
+  tc2_.ForwardWithTerms(h1, terms(0, h1_dim), terms(1, h1_dim), &pooled);
   nn::ReluMatForward(&pooled);
   // pooled starts as each root's h2; fold in the children's pooled maxima.
   for (int j = 0; j < n; ++j) {
@@ -228,6 +228,36 @@ std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
     out[j].score = FromLabelSpace(o.at(0, j));
   }
   return out;
+}
+
+void ValueNetwork::ChildTerms(const std::vector<TermJob>& jobs) const {
+  for (int side : {0, 1}) {
+    std::vector<SubtreeEmbedding*> children;
+    for (const TermJob& job : jobs) {
+      if (job.side == side) children.push_back(job.child);
+    }
+    if (children.empty()) continue;
+    const int m = static_cast<int>(children.size());
+    // Column k of `field` stacked over the children.
+    auto gather = [&](nn::Vec SubtreeEmbedding::*field, int rows) {
+      nn::Mat g(rows, m);
+      for (int k = 0; k < m; ++k) {
+        const nn::Vec& col = children[k]->*field;
+        for (int r = 0; r < rows; ++r) g.at(r, k) = col[r];
+      }
+      return g;
+    };
+    nn::Mat t1 = tc1_.ChildTerm(side, gather(&SubtreeEmbedding::input,
+                                             tc1_.in_dim()));
+    nn::Mat t2 =
+        tc2_.ChildTerm(side, gather(&SubtreeEmbedding::h1, tc2_.in_dim()));
+    for (int k = 0; k < m; ++k) {
+      nn::Vec& term = children[k]->terms[side];
+      term.resize(static_cast<size_t>(t1.rows + t2.rows));
+      for (int r = 0; r < t1.rows; ++r) term[r] = t1.at(r, k);
+      for (int r = 0; r < t2.rows; ++r) term[t1.rows + r] = t2.at(r, k);
+    }
+  }
 }
 
 ValueNetwork::TrainResult ValueNetwork::Train(

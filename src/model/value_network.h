@@ -40,16 +40,28 @@ struct SubtreeEmbedding {
   nn::Vec input;     // the root's input column: query ++ node features
   nn::Vec h1;        // the root's post-ReLU first tree-conv layer
   nn::Vec pooled;    // max of the second layer's output over the subtree
+  /// What the subtree adds to a parent as its left (0) or right (1) child:
+  /// Wl·input ++ Wl2·h1 of the two tree-conv layers (Wr, Wr2 on the
+  /// right). Filled by ValueNetwork::ChildTerms; empty until then.
+  nn::Vec terms[2];
   double score = 0;  // predicted label (original units)
 };
 
 /// One subtree root to score. A leaf has no children; a join's children
-/// are subtrees scored earlier. The pointers are borrowed for the call.
+/// are subtrees scored earlier, each with its term for its side filled.
+/// The pointers are borrowed for the call.
 struct RootJob {
   const nn::Vec* query = nullptr;
   const nn::Vec* node = nullptr;  // Featurizer::NodeFeatures of the root
   const SubtreeEmbedding* left = nullptr;
   const SubtreeEmbedding* right = nullptr;
+};
+
+/// A scored subtree whose child term for `side` (0 = left, 1 = right) is to
+/// be filled.
+struct TermJob {
+  SubtreeEmbedding* child = nullptr;
+  int side = 0;
 };
 
 class ValueNetwork {
@@ -79,14 +91,21 @@ class ValueNetwork {
       const std::vector<const nn::TreeSample*>& plans) const;
 
   /// Incremental scoring: embeds each job's root from its own input column
-  /// and its children's cached columns, in one batched pass over the new
+  /// and its children's cached terms, in one batched pass over the new
   /// roots only. Bitwise equal to ForwardBatch over the whole subtree: the
   /// root columns go through the same tree-conv kernel
-  /// (TreeConvLayer::ForwardGathered), and pooled = max(root h2, children's
+  /// (TreeConvLayer::ForwardWithTerms) with terms that ChildTerms computed
+  /// as ForwardBatch computes them, and pooled = max(root h2, children's
   /// pooled) is DynamicMaxPool's value: post-ReLU values are never
   /// negative, -0 or NaN, so their max does not depend on visiting order.
+  /// Only reads the children, so concurrent calls may share them.
   std::vector<SubtreeEmbedding> ScoreRoots(
       const std::vector<RootJob>& jobs) const;
+
+  /// Fills each job's child->terms[side] (TreeConvLayer::ChildTerm of its
+  /// input and h1 columns), batched per side. A term is bitwise independent
+  /// of the rest of the batch.
+  void ChildTerms(const std::vector<TermJob>& jobs) const;
 
   struct TrainOptions {
     int max_epochs = 100;

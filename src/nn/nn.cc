@@ -128,47 +128,57 @@ void TreeConvLayer::Forward(const std::vector<Vec>& in,
 void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
                                  const std::vector<int>& right,
                                  Mat* out) const {
-  auto gather = [&](const std::vector<int>& child) {
-    ChildColumns c;
+  // One side's terms: multiply the gathered children compactly; column k
+  // of `*terms` belongs to the k-th output column with a child.
+  auto side_terms = [&](int side, const std::vector<int>& child,
+                        Mat* terms) {
+    std::vector<int> cols;
     for (int i = 0; i < x.cols; ++i) {
-      if (child[i] >= 0) c.cols.push_back(i);
+      if (child[i] >= 0) cols.push_back(i);
     }
-    c.x = Mat(x.rows, static_cast<int>(c.cols.size()));
+    const int m = static_cast<int>(cols.size());
+    TermColumns t;
+    t.cols.assign(static_cast<size_t>(x.cols), nullptr);
+    if (m == 0) return t;
+    Mat gathered(x.rows, m);
     for (int r = 0; r < x.rows; ++r) {
-      for (size_t k = 0; k < c.cols.size(); ++k) {
-        c.x.at(r, static_cast<int>(k)) = x.at(r, child[c.cols[k]]);
-      }
+      for (int k = 0; k < m; ++k) gathered.at(r, k) = x.at(r, child[cols[k]]);
     }
-    return c;
+    *terms = ChildTerm(side, gathered);
+    t.stride = m;
+    for (int k = 0; k < m; ++k) t.cols[cols[k]] = &terms->data[k];
+    return t;
   };
-  ForwardGathered(x, gather(left), gather(right), out);
+  Mat left_terms, right_terms;
+  ForwardWithTerms(x, side_terms(0, left, &left_terms),
+                   side_terms(1, right, &right_terms), out);
 }
 
-void TreeConvLayer::ForwardGathered(const Mat& x, const ChildColumns& left,
-                                    const ChildColumns& right,
-                                    Mat* out) const {
+Mat TreeConvLayer::ChildTerm(int side, const Mat& x) const {
+  Mat terms(wp_.value.rows, x.cols);
+  AddMatMul(side == 0 ? wl_.value : wr_.value, x, &terms);
+  return terms;
+}
+
+void TreeConvLayer::ForwardWithTerms(const Mat& x, const TermColumns& left,
+                                     const TermColumns& right,
+                                     Mat* out) const {
   const int n = x.cols;
   out->rows = wp_.value.rows;
   out->cols = n;
   out->data.assign(static_cast<size_t>(out->rows) * n, 0.f);
   AddMatMul(wp_.value, x, out);
-
-  // One child pass: multiply the gathered children compactly, then
-  // scatter-add each result column with a single add per element — the
-  // same "+= acc" grouping Forward uses, so batched outputs match the
-  // per-item path bitwise.
-  auto child_pass = [&](const ChildColumns& child, const Param& w) {
-    const int m = static_cast<int>(child.cols.size());
-    if (m == 0) return;
-    Mat pc(out->rows, m);
-    AddMatMul(w.value, child.x, &pc);
-    for (int r = 0; r < out->rows; ++r) {
-      for (int k = 0; k < m; ++k) out->at(r, child.cols[k]) += pc.at(r, k);
+  // Each term is added whole, with a single add per element — the same
+  // "+= acc" grouping Forward uses, so outputs match the per-item path.
+  for (const TermColumns* side : {&left, &right}) {
+    for (int j = 0; j < n; ++j) {
+      const float* term = side->cols[j];
+      if (term == nullptr) continue;
+      for (int r = 0; r < out->rows; ++r) {
+        out->data[static_cast<size_t>(r) * n + j] += term[r * side->stride];
+      }
     }
-  };
-  child_pass(left, wl_);
-  child_pass(right, wr_);
-
+  }
   for (int r = 0; r < out->rows; ++r) {
     const float b = b_.value.at(r, 0);
     for (int j = 0; j < n; ++j) out->at(r, j) += b;

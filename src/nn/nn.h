@@ -104,12 +104,13 @@ struct TreeSample {
   std::vector<int> right;
 };
 
-/// Child inputs of a column batch for one side of a tree convolution,
-/// gathered compactly: column k of `x` is the child input of output column
-/// `cols[k]` (columns without a child on this side are absent).
-struct ChildColumns {
-  Mat x;
-  std::vector<int> cols;
+/// One side's child terms for a column batch: column j's term has element r
+/// at cols[j][r * stride], and a null cols[j] means column j has no child on
+/// that side. Terms may live in a ChildTerm matrix (stride = its column
+/// count) or in per-subtree cached vectors (stride 1).
+struct TermColumns {
+  std::vector<const float*> cols;
+  int stride = 1;
 };
 
 /// Neo-style tree convolution: out[i] = Wp f[i] + Wl f[left] + Wr f[right] + b,
@@ -125,17 +126,20 @@ class TreeConvLayer {
   /// Wp x[i] + Wl x[left[i]] + Wr x[right[i]] + b (missing children
   /// contribute nothing). `left`/`right` index columns of `x`; trees from
   /// many batch items may be concatenated as long as indices are global.
-  /// Bitwise matches per-item Forward: each child pass is accumulated as a
-  /// single add per element, preserving Forward's summation grouping.
+  /// Bitwise matches per-item Forward: each child's term is accumulated
+  /// apart and added as a single add per element, preserving Forward's
+  /// summation grouping.
   void ForwardBatch(const Mat& x, const std::vector<int>& left,
                     const std::vector<int>& right, Mat* out) const;
-  /// The kernel under ForwardBatch, with the child inputs pre-gathered
-  /// (they need not be columns of `x`): column i of `out` is Wp x[i] + b
-  /// plus the left and right child terms listed for i. Incremental scoring
-  /// feeds cached child columns through it, so both paths share every
-  /// AddMatMul and match bitwise.
-  void ForwardGathered(const Mat& x, const ChildColumns& left,
-                       const ChildColumns& right, Mat* out) const;
+  /// What each column of `x` adds to a parent as its left (side 0) or
+  /// right (side 1) child: Wl x or Wr x, accumulated from zero.
+  Mat ChildTerm(int side, const Mat& x) const;
+  /// The kernel under ForwardBatch: column j of `out` is Wp x[j], plus the
+  /// left term of j, plus the right term, plus b, one add per element each.
+  /// Incremental scoring passes cached child terms, so both paths run the
+  /// same operations in the same order and match bitwise.
+  void ForwardWithTerms(const Mat& x, const TermColumns& left,
+                        const TermColumns& right, Mat* out) const;
   /// Backprops into dIn (accumulated) and the three weight grads.
   void Backward(const std::vector<Vec>& in, const std::vector<int>& left,
                 const std::vector<int>& right, const std::vector<Vec>& dout,

@@ -51,27 +51,36 @@ int Plan::NumJoins() const {
   return count;
 }
 
+namespace {
+uint64_t Mix(uint64_t h, uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  return h * 0x100000001B3ULL;
+}
+}  // namespace
+
+uint64_t Plan::LeafFingerprint(int relation, ScanOp op) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  h = Mix(h, 1);
+  h = Mix(h, static_cast<uint64_t>(op));
+  h = Mix(h, static_cast<uint64_t>(relation));
+  return h;
+}
+
+uint64_t Plan::JoinFingerprint(JoinOp op, uint64_t left, uint64_t right) {
+  uint64_t h = 0x84222325CBF29CE4ULL;
+  h = Mix(h, 2);
+  h = Mix(h, static_cast<uint64_t>(op));
+  h = Mix(h, left);
+  h = Mix(h, right);
+  return h;
+}
+
 uint64_t Plan::Fingerprint(int idx) const {
   if (idx < 0) idx = root_;
   if (idx < 0) return 0;
   const PlanNode& n = nodes_[idx];
-  auto mix = [](uint64_t h, uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    return h * 0x100000001B3ULL;
-  };
-  if (!n.is_join) {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    h = mix(h, 1);
-    h = mix(h, static_cast<uint64_t>(n.scan_op));
-    h = mix(h, static_cast<uint64_t>(n.relation));
-    return h;
-  }
-  uint64_t h = 0x84222325CBF29CE4ULL;
-  h = mix(h, 2);
-  h = mix(h, static_cast<uint64_t>(n.join_op));
-  h = mix(h, Fingerprint(n.left));
-  h = mix(h, Fingerprint(n.right));
-  return h;
+  if (!n.is_join) return LeafFingerprint(n.relation, n.scan_op);
+  return JoinFingerprint(n.join_op, Fingerprint(n.left), Fingerprint(n.right));
 }
 
 bool Plan::IsLeftDeep(int idx) const {

@@ -68,6 +68,13 @@ class Plan {
   /// fingerprints execute identically.
   uint64_t Fingerprint(int idx = -1) const;
 
+  /// The fingerprint definition, one node at a time: a leaf's from its
+  /// relation and scan operator, a join's from its operator and its
+  /// children's fingerprints. Fingerprint() composes these, so a planner
+  /// can fingerprint a new join without walking the subtrees.
+  static uint64_t LeafFingerprint(int relation, ScanOp op);
+  static uint64_t JoinFingerprint(JoinOp op, uint64_t left, uint64_t right);
+
   /// True if every join's right child is a leaf (left-deep tree).
   bool IsLeftDeep(int idx = -1) const;
 

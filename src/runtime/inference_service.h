@@ -1,9 +1,11 @@
 // A micro-batching inference service over the value network, mirroring
 // Balsa's batched V(query, plan) scoring of beam-search frontiers (§6).
 // Beam search scores incrementally: each planning thread keeps a per-search
-// table of subtree embeddings, so a request carries only the frontier's new
+// arena of subtree embeddings, so a request carries only the frontier's new
 // join roots (RootJobs, each with its own query and pointers to its
-// children's cached embeddings). Clients block on ScoreRoots(); worker
+// children's cached embeddings). The planning thread fills the children's
+// child terms before it sends a request, so serving only reads the children
+// and concurrent requests may share them. Clients block on ScoreRoots(); worker
 // threads drain the request queue, fuse the root jobs of concurrent
 // requests — across clients and across queries — into single
 // ValueNetwork::ScoreRoots calls, and hand each client its embeddings back.

@@ -54,8 +54,9 @@ class InferenceServiceTest : public ::testing::Test {
     }
   }
 
-  // The job that scores `plan`'s root join from its children's embeddings,
-  // as beam search issues it for a frontier plan.
+  // The job that scores `plan`'s root join from its children's embeddings
+  // and child terms (EmbedSubtree fills both sides), as beam search issues
+  // it for a frontier plan.
   void AddRootJob(const Plan& plan) {
     const PlanNode& root = plan.node(plan.root());
     root_feats_.push_back(featurizer_.NodeFeatures(query_, root));
@@ -170,6 +171,9 @@ TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
   std::vector<double> direct = network_->ForwardBatch(query_feat_,
                                                       TreePtrs());
 
+  // Every client's jobs point at the same child embeddings: scoring only
+  // reads them, so they stay as they were.
+  const std::deque<SubtreeEmbedding> children_before = child_embeddings_;
   constexpr int kClients = 8;
   std::vector<std::vector<SubtreeEmbedding>> results(kClients);
   std::vector<std::thread> clients;
@@ -188,6 +192,15 @@ TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
       // Fusion across clients must never perturb a score.
       EXPECT_EQ(results[c][i].score, direct[i]) << "client " << c;
     }
+  }
+  for (size_t i = 0; i < child_embeddings_.size(); ++i) {
+    const SubtreeEmbedding& now = child_embeddings_[i];
+    const SubtreeEmbedding& before = children_before[i];
+    EXPECT_TRUE(now.input == before.input && now.h1 == before.h1 &&
+                now.pooled == before.pooled &&
+                now.terms[0] == before.terms[0] &&
+                now.terms[1] == before.terms[1] && now.score == before.score)
+        << "child " << i;
   }
   InferenceService::Stats stats = service.stats();
   EXPECT_EQ(stats.requests, kClients * 5);

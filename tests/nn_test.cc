@@ -116,6 +116,43 @@ TEST(TreeConvTest, MissingChildrenContributeZero) {
   }
 }
 
+TEST(TreeConvTest, ChildTermsReproduceForwardBitwise) {
+  // ForwardWithTerms over ChildTerm products, whether the terms sit in a
+  // ChildTerm matrix or in per-column vectors (stride 1), equals Forward
+  // bit for bit.
+  Rng rng(4);
+  TreeConvLayer layer(3, 5, &rng);
+  TreeSample t = ThreeNodeTree(3);
+  std::vector<Vec> want;
+  layer.Forward(t.features, t.left, t.right, &want);
+
+  Mat x(3, 3);
+  for (int c = 0; c < 3; ++c) {
+    for (int r = 0; r < 3; ++r) x.at(r, c) = t.features[c][r];
+  }
+  Mat batched;
+  layer.ForwardBatch(x, t.left, t.right, &batched);
+
+  // Column 0's children, one per side, as standalone stride-1 vectors.
+  std::vector<Vec> terms;
+  for (int side : {0, 1}) {
+    Mat child(3, 1);
+    const Vec& f = t.features[side == 0 ? t.left[0] : t.right[0]];
+    for (int r = 0; r < 3; ++r) child.at(r, 0) = f[r];
+    terms.push_back(layer.ChildTerm(side, child).data);
+  }
+  TermColumns left{{terms[0].data(), nullptr, nullptr}, 1};
+  TermColumns right{{terms[1].data(), nullptr, nullptr}, 1};
+  Mat cached;
+  layer.ForwardWithTerms(x, left, right, &cached);
+  for (int c = 0; c < 3; ++c) {
+    for (int r = 0; r < 5; ++r) {
+      EXPECT_EQ(batched.at(r, c), want[c][r]) << r << "," << c;
+      EXPECT_EQ(cached.at(r, c), want[c][r]) << r << "," << c;
+    }
+  }
+}
+
 TEST(TreeConvTest, GradCheck) {
   Rng rng(3);
   TreeConvLayer layer(3, 2, &rng);

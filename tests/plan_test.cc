@@ -109,6 +109,33 @@ TEST(PlanTest, ComposeIndexNLRewritesInnerScan) {
   EXPECT_EQ(joined.node(root.right).scan_op, ScanOp::kIndexScan);
 }
 
+TEST(PlanTest, NodeFingerprintsComposeToPlanFingerprint) {
+  // Leaf/JoinFingerprint are the one hash definition: composing them over
+  // the children's fingerprints gives Fingerprint() at every node.
+  Plan p = LeftDeep3(JoinOp::kMergeJoin, JoinOp::kNLJoin);
+  for (int idx = 0; idx < p.num_nodes(); ++idx) {
+    const PlanNode& n = p.node(idx);
+    const uint64_t want =
+        n.is_join ? Plan::JoinFingerprint(n.join_op, p.Fingerprint(n.left),
+                                          p.Fingerprint(n.right))
+                  : Plan::LeafFingerprint(n.relation, n.scan_op);
+    EXPECT_EQ(p.Fingerprint(idx), want) << "node " << idx;
+  }
+  // An index-NL join over a sequential-scan inner is the join over the
+  // rewritten index-scan inner.
+  Plan l = ExtractSubtree(p, 2);
+  Plan r;
+  r.set_root(r.AddScan(2, ScanOp::kSeqScan));
+  Plan joined = ComposeJoin(l, r, JoinOp::kIndexNLJoin);
+  EXPECT_EQ(joined.Fingerprint(),
+            Plan::JoinFingerprint(JoinOp::kIndexNLJoin, l.Fingerprint(),
+                                  Plan::LeafFingerprint(2,
+                                                        ScanOp::kIndexScan)));
+  EXPECT_NE(joined.Fingerprint(),
+            Plan::JoinFingerprint(JoinOp::kIndexNLJoin, l.Fingerprint(),
+                                  r.Fingerprint()));
+}
+
 TEST(PlanTest, CountOps) {
   Plan p = LeftDeep3(JoinOp::kHashJoin, JoinOp::kIndexNLJoin);
   std::vector<int> joins, scans;

@@ -118,7 +118,8 @@ inline Query MakeStarQuery(const Schema& schema, int id = 0) {
 
 /// Embeds the subtree of `plan` rooted at `idx` (-1 = root) the way beam
 /// search does: bottom-up, each node scored by ValueNetwork::ScoreRoots from
-/// its own features plus its children's embeddings.
+/// its own features plus its children's cached terms. The result carries its
+/// terms for both sides, so it can be any root job's child.
 inline SubtreeEmbedding EmbedSubtree(const ValueNetwork& net,
                                      const Featurizer& featurizer,
                                      const Query& query,
@@ -134,7 +135,9 @@ inline SubtreeEmbedding EmbedSubtree(const ValueNetwork& net,
     job.left = &left;
     job.right = &right;
   }
-  return std::move(net.ScoreRoots({job})[0]);
+  SubtreeEmbedding embedding = std::move(net.ScoreRoots({job})[0]);
+  net.ChildTerms({{&embedding, 0}, {&embedding, 1}});
+  return embedding;
 }
 
 }  // namespace balsa::testing
