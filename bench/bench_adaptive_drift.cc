@@ -77,14 +77,8 @@ Stack MakeStack(const DriftBenchConfig& config, bool rewarm) {
       stack.env->base_estimator);
   stack.featurizer = std::make_unique<Featurizer>(&stack.env->schema(),
                                                   stack.estimator.get());
-  ValueNetConfig net_config;
-  net_config.query_dim = stack.featurizer->query_dim();
-  net_config.node_dim = stack.featurizer->node_dim();
-  net_config.tree_hidden1 = 32;
-  net_config.tree_hidden2 = 16;
-  net_config.mlp_hidden = 16;
-  net_config.init_seed = 7;
-  stack.network = std::make_unique<ValueNetwork>(net_config);
+  stack.network =
+      std::make_unique<ValueNetwork>(bench::ServingNetConfig(*stack.featurizer));
 
   stack.log = std::make_unique<ChangeLog>(stack.env->db.get());
   const std::vector<TableStats>& stats = stack.env->base_estimator->stats();
@@ -106,11 +100,7 @@ Stack MakeStack(const DriftBenchConfig& config, bool rewarm) {
       stack.env->db.get(), stack.log.get(), stack.env->oracle.get(),
       stack.estimator.get(), stack.server.get(), nullptr, scheduler_options);
 
-  for (const Query& q : stack.env->workload.queries()) {
-    if (q.num_relations() <= config.max_relations) {
-      stack.queries.push_back(&q);
-    }
-  }
+  stack.queries = bench::QueriesUpTo(*stack.env, config.max_relations);
   return stack;
 }
 

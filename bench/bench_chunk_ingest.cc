@@ -38,27 +38,14 @@
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
-// TSan instruments every access, which hits the tight scan loops and the
-// timed append stream alike but not equally; the structural gates (retained
-// bytes, bitwise equality) stay hard and the two timing ratios get slack.
-#if defined(__SANITIZE_THREAD__)
-#define BALSA_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BALSA_TSAN_BUILD 1
-#endif
-#endif
-
 namespace balsa {
 namespace {
 
-#ifdef BALSA_TSAN_BUILD
-constexpr double kMaxAppendCostRatio = 3.0;
-constexpr double kMinScanRatio = 0.6;
-#else
-constexpr double kMaxAppendCostRatio = 2.0;
-constexpr double kMinScanRatio = 1.0;
-#endif
+// TSan instruments every access, which hits the tight scan loops and the
+// timed append stream alike but not equally; the structural gates (retained
+// bytes, bitwise equality) stay hard and the two timing ratios get slack.
+constexpr double kMaxAppendCostRatio = bench::kTsanBuild ? 3.0 : 2.0;
+constexpr double kMinScanRatio = bench::kTsanBuild ? 0.6 : 1.0;
 
 struct ChunkBenchConfig {
   bool smoke = false;

@@ -31,17 +31,7 @@
 namespace balsa {
 namespace {
 
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-#else
-constexpr bool kTsanBuild = false;
-#endif
+using bench::kTsanBuild;
 
 struct ExplainConfig {
   bool smoke = false;
@@ -84,18 +74,13 @@ void CollectNodes(const Plan& plan, int idx, std::vector<int>* out) {
 }
 
 int Run(const ExplainConfig& config, const BenchFlags& flags) {
-  EnvOptions env_options;
-  env_options.data_scale = config.scale;
   std::printf("building JOB-like env (scale %.2f) ...\n", config.scale);
-  auto env_or = MakeEnv(WorkloadKind::kJobTrainAll, env_options);
-  BALSA_CHECK(env_or.ok(), env_or.status().ToString());
-  Env& env = **env_or;
+  const std::unique_ptr<Env> env_owner =
+      bench::MustMakeEnv(WorkloadKind::kJobTrainAll, flags);
+  Env& env = *env_owner;
 
-  std::vector<const Query*> queries;
-  for (const Query& q : env.workload.queries()) {
-    if (q.num_relations() <= config.max_relations) queries.push_back(&q);
-  }
-  BALSA_CHECK(!queries.empty(), "no queries under the relation cap");
+  const std::vector<const Query*> queries =
+      bench::QueriesUpTo(env, config.max_relations);
 
   bool ok = true;
 
@@ -113,50 +98,26 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
   profiled_options.profile = true;
   Executor profiled(unprofiled.snapshot(), profiled_options);
 
-  // Paired rounds, alternating order, median ratio, up to 3 attempts — the
-  // same discipline as bench_obs_overhead: on a shared machine noise can
-  // only fail a perf gate, never pass it, so re-measuring does not weaken
-  // the gate's direction.
   const double exec_threshold = kTsanBuild ? 0.75 : 0.90;
-  std::vector<double> exec_plain_rps, exec_prof_rps, exec_ratios;
-  double exec_ratio = 0;
   ExecRps(unprofiled, work, 2, false);  // warm both paths
   ExecRps(profiled, work, 2, true);
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    if (attempt > 0) {
-      std::printf("exec gate missed (%.3f); re-measuring\n", exec_ratio);
-    }
-    exec_ratios.clear();
-    for (int round = 0; round < config.rounds; ++round) {
-      if (round % 2 == 0) {
-        exec_plain_rps.push_back(
-            ExecRps(unprofiled, work, config.exec_iters, false));
-        exec_prof_rps.push_back(
-            ExecRps(profiled, work, config.exec_iters, true));
-      } else {
-        exec_prof_rps.push_back(
-            ExecRps(profiled, work, config.exec_iters, true));
-        exec_plain_rps.push_back(
-            ExecRps(unprofiled, work, config.exec_iters, false));
-      }
-      exec_ratios.push_back(exec_prof_rps.back() / exec_plain_rps.back());
-    }
-    exec_ratio = Median(exec_ratios);
-    if (exec_ratio >= exec_threshold) break;
-  }
+  const bench::PairedRatio exec = bench::MeasurePairedRatio(
+      "exec", config.rounds, exec_threshold,
+      [&] { return ExecRps(unprofiled, work, config.exec_iters, false); },
+      [&] { return ExecRps(profiled, work, config.exec_iters, true); });
 
   TablePrinter table({"gate", "baseline/s", "candidate/s", "median ratio",
                       "threshold"});
   table.AddRow({"ExecuteProfiled",
-                TablePrinter::Fmt(Median(exec_plain_rps), 1),
-                TablePrinter::Fmt(Median(exec_prof_rps), 1),
-                TablePrinter::Fmt(exec_ratio, 3),
+                TablePrinter::Fmt(Median(exec.baseline), 1),
+                TablePrinter::Fmt(Median(exec.candidate), 1),
+                TablePrinter::Fmt(exec.ratio, 3),
                 TablePrinter::Fmt(exec_threshold, 2)});
   table.Print();
 
-  if (exec_ratio < exec_threshold) {
+  if (exec.ratio < exec_threshold) {
     std::printf("FAIL: profiling costs %.1f%% of executor throughput\n",
-                (1 - exec_ratio) * 100);
+                (1 - exec.ratio) * 100);
     ok = false;
   }
 

@@ -6,8 +6,8 @@
 //   1. overhead: a server with the flight recorder armed (every request
 //      carries a trace shell, retention decided at completion) sustains
 //      >= 0.97x the replay throughput of an unarmed server (0.90x under
-//      TSan). Paired alternating-order rounds, median ratio, same
-//      discipline as bench_obs_overhead.
+//      TSan). Paired alternating-order rounds, median ratio, bounded
+//      re-measurement (bench::MeasurePairedRatio).
 //   2. tail retention: after a Zipf replay, the store's max retained
 //      latency equals ReplayReport::max_us *exactly* — the slowest request
 //      is retained by construction, never sampled away.
@@ -24,7 +24,6 @@
 //                                       [--metrics-json=PATH]
 //                                       [--flight-jsonl=PATH]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -42,17 +41,7 @@
 namespace balsa {
 namespace {
 
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-#else
-constexpr bool kTsanBuild = false;
-#endif
+using bench::kTsanBuild;
 
 struct FlightConfig {
   bool smoke = false;
@@ -67,15 +56,6 @@ struct FlightConfig {
   int max_relations = 8;
 };
 
-double ReplayRps(OptimizerServer* server,
-                 const std::vector<const Query*>& queries,
-                 ReplayOptions replay, int requests_per_client) {
-  replay.requests_per_client = requests_per_client;
-  auto report = ReplayWorkload(server, queries, replay);
-  BALSA_CHECK(report.ok(), report.status().ToString());
-  return report->requests_per_sec;
-}
-
 bool GateCheck(const char* name, bool ok, bool* all_ok) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", name);
   if (!ok) *all_ok = false;
@@ -84,28 +64,16 @@ bool GateCheck(const char* name, bool ok, bool* all_ok) {
 
 int Run(const FlightConfig& config, const BenchFlags& flags,
         const std::string& flight_jsonl) {
-  EnvOptions env_options;
-  env_options.data_scale = config.scale;
   std::printf("building JOB-like env (scale %.2f) ...\n", config.scale);
-  auto env_or = MakeEnv(WorkloadKind::kJobTrainAll, env_options);
-  BALSA_CHECK(env_or.ok(), env_or.status().ToString());
-  Env& env = **env_or;
+  const std::unique_ptr<Env> env_owner =
+      bench::MustMakeEnv(WorkloadKind::kJobTrainAll, flags);
+  Env& env = *env_owner;
 
   Featurizer featurizer(&env.schema(), env.estimator.get());
-  ValueNetConfig net_config;
-  net_config.query_dim = featurizer.query_dim();
-  net_config.node_dim = featurizer.node_dim();
-  net_config.tree_hidden1 = 32;
-  net_config.tree_hidden2 = 16;
-  net_config.mlp_hidden = 16;
-  net_config.init_seed = 7;
-  ValueNetwork network(net_config);
+  ValueNetwork network(bench::ServingNetConfig(featurizer));
 
-  std::vector<const Query*> queries;
-  for (const Query& q : env.workload.queries()) {
-    if (q.num_relations() <= config.max_relations) queries.push_back(&q);
-  }
-  BALSA_CHECK(!queries.empty(), "no queries under the relation cap");
+  const std::vector<const Query*> queries =
+      bench::QueriesUpTo(env, config.max_relations);
 
   OptimizerServerOptions base_options;
   base_options.planner.beam_size = config.beam_size;
@@ -130,47 +98,24 @@ int Run(const FlightConfig& config, const BenchFlags& flags,
   auto unarmed = std::make_unique<OptimizerServer>(
       &env.schema(), &featurizer, &network, env.oracle.get(), base_options);
 
-  ReplayRps(armed.get(), queries, replay, config.warm_requests_per_client);
-  ReplayRps(unarmed.get(), queries, replay, config.warm_requests_per_client);
+  bench::ReplayRps(armed.get(), queries, replay,
+                   config.warm_requests_per_client);
+  bench::ReplayRps(unarmed.get(), queries, replay,
+                   config.warm_requests_per_client);
 
-  // Paired alternating-order rounds, median ratio, bounded re-measurement:
-  // noise can only fail a perf gate, never pass it, so retrying a missed
-  // attempt does not weaken the gate's direction.
   const double overhead_threshold = kTsanBuild ? 0.90 : 0.97;
-  std::vector<double> armed_rps, unarmed_rps, ratios;
-  double overhead_ratio = 0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    if (attempt > 0) {
-      std::printf("overhead gate missed (ratio %.3f); re-measuring\n",
-                  overhead_ratio);
-    }
-    ratios.clear();
-    for (int round = 0; round < config.rounds; ++round) {
-      auto measure_armed = [&] {
-        armed_rps.push_back(ReplayRps(armed.get(), queries, replay,
-                                      config.measure_requests_per_client));
-      };
-      auto measure_unarmed = [&] {
-        unarmed_rps.push_back(ReplayRps(unarmed.get(), queries, replay,
-                                        config.measure_requests_per_client));
-      };
-      if (round % 2 == 0) {
-        measure_unarmed();
-        measure_armed();
-      } else {
-        measure_armed();
-        measure_unarmed();
-      }
-      ratios.push_back(armed_rps.back() / unarmed_rps.back());
-    }
-    overhead_ratio = Median(ratios);
-    if (overhead_ratio >= overhead_threshold) break;
-  }
+  const int n = config.measure_requests_per_client;
+  const bench::PairedRatio overhead = bench::MeasurePairedRatio(
+      "overhead", config.rounds, overhead_threshold,
+      [&] { return bench::ReplayRps(unarmed.get(), queries, replay, n); },
+      [&] { return bench::ReplayRps(armed.get(), queries, replay, n); });
 
   TablePrinter table({"configuration", "req/s (median)", "ratio"});
-  table.AddRow({"unarmed", TablePrinter::Fmt(Median(unarmed_rps), 1), "1.000"});
-  table.AddRow({"flight recorder armed", TablePrinter::Fmt(Median(armed_rps), 1),
-                TablePrinter::Fmt(overhead_ratio, 3)});
+  table.AddRow(
+      {"unarmed", TablePrinter::Fmt(Median(overhead.baseline), 1), "1.000"});
+  table.AddRow({"flight recorder armed",
+                TablePrinter::Fmt(Median(overhead.candidate), 1),
+                TablePrinter::Fmt(overhead.ratio, 3)});
   table.Print();
   std::printf("armed store after measurement: %lld completions\n",
               static_cast<long long>(armed->flight_recorder()->completions()));
@@ -223,7 +168,7 @@ int Run(const FlightConfig& config, const BenchFlags& flags,
 
   std::printf("gates:\n");
   GateCheck("overhead: armed replay within budget of unarmed",
-            overhead_ratio >= overhead_threshold, &all_ok);
+            overhead.ratio >= overhead_threshold, &all_ok);
 
   // Gate 2: the slowest request of the replay is retained, exactly. Both
   // sides of the comparison are the same OptimizeResult::serve_micros

@@ -21,7 +21,7 @@
 
 #include "bench/bench_common.h"
 #include "src/introspect/statusz.h"
-#include "src/obs/sampler.h"
+#include "src/obs/health.h"
 #include "src/serving/optimizer_server.h"
 #include "src/serving/query_fingerprint.h"
 #include "src/serving/replay_driver.h"
@@ -44,27 +44,16 @@ struct ServingConfig {
 };
 
 int Run(const ServingConfig& config, const BenchFlags& flags) {
-  EnvOptions env_options;
-  env_options.data_scale = config.scale;
   std::printf("building JOB-like env (scale %.2f) ...\n", config.scale);
-  auto env_or = MakeEnv(WorkloadKind::kJobTrainAll, env_options);
-  BALSA_CHECK(env_or.ok(), env_or.status().ToString());
-  Env& env = **env_or;
+  const std::unique_ptr<Env> env_owner =
+      bench::MustMakeEnv(WorkloadKind::kJobTrainAll, flags);
+  Env& env = *env_owner;
 
   Featurizer featurizer(&env.schema(), env.estimator.get());
-  ValueNetConfig net_config;
-  net_config.query_dim = featurizer.query_dim();
-  net_config.node_dim = featurizer.node_dim();
-  net_config.tree_hidden1 = 32;
-  net_config.tree_hidden2 = 16;
-  net_config.mlp_hidden = 16;
-  net_config.init_seed = 7;
-  ValueNetwork network(net_config);  // untrained: throughput, not quality
+  ValueNetwork network(bench::ServingNetConfig(featurizer));
 
-  std::vector<const Query*> queries;
-  for (const Query& q : env.workload.queries()) {
-    if (q.num_relations() <= config.max_relations) queries.push_back(&q);
-  }
+  const std::vector<const Query*> queries =
+      bench::QueriesUpTo(env, config.max_relations);
   std::printf("serving %zu of %d JOB-like queries at %d clients\n",
               queries.size(), env.workload.num_queries(), config.clients);
 
@@ -102,18 +91,20 @@ int Run(const ServingConfig& config, const BenchFlags& flags) {
   BALSA_CHECK(scratch.ok(), scratch.status().ToString());
 
   // --- Cached serving ----------------------------------------------------
-  // The sampler snapshots the registry while the replay runs, so the
-  // statusz view below can report a real QPS over the measured window.
+  // The monitor ticks over the registry while the replay runs, so the
+  // statusz view below can report a real QPS over the measured window
+  // (25ms ticks x 240 retained = six seconds).
   auto server = make_server(/*enable_cache=*/true);
-  obs::TimeSeriesSamplerOptions sampler_options;
-  sampler_options.interval_ms = 25;
-  obs::TimeSeriesSampler sampler(&obs::MetricsRegistry::Default(),
-                                 sampler_options);
-  sampler.Start();
+  obs::HealthMonitorOptions monitor_options;
+  monitor_options.interval_ms = 25;
+  monitor_options.ring_capacity = 240;
+  obs::HealthMonitor monitor(&obs::MetricsRegistry::Default(),
+                             monitor_options);
+  monitor.Start();
   replay.requests_per_client = config.cached_requests_per_client;
   auto cached = ReplayWorkload(server.get(), queries, replay);
-  sampler.Stop();
-  sampler.SampleOnce();  // close the window on the final totals
+  monitor.Stop();
+  monitor.EvaluateOnce();  // close the window on the final totals
   BALSA_CHECK(cached.ok(), cached.status().ToString());
 
   TablePrinter table({"mode", "requests", "req/s", "hit rate", "p50 us",
@@ -160,7 +151,7 @@ int Run(const ServingConfig& config, const BenchFlags& flags) {
   // renders the same thing for any running configuration).
   introspect::StatuszSources statusz;
   statusz.registry = &obs::MetricsRegistry::Default();
-  statusz.sampler = &sampler;
+  statusz.monitor = &monitor;
   statusz.server = server.get();
   std::fputs(introspect::StatuszText(statusz).c_str(), stdout);
 

@@ -31,30 +31,17 @@
 #include "src/stats/swappable_estimator.h"
 #include "src/storage/change_log.h"
 
+namespace balsa {
+namespace {
+
 // TSan instruments every memory access and funnels synchronization through
 // its runtime, so concurrent writers slow readers far beyond what the real
 // build sees. The torn-read and publication gates are TSan's job and stay
 // hard; the throughput ratio gate is relaxed (and writers throttled harder)
 // so the smoke still fails on a genuine reader-stall regression without
 // flaking on instrumentation overhead.
-#if defined(__SANITIZE_THREAD__)
-#define BALSA_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BALSA_TSAN_BUILD 1
-#endif
-#endif
-
-namespace balsa {
-namespace {
-
-#ifdef BALSA_TSAN_BUILD
-constexpr double kMinThroughputRatio = 0.5;
-constexpr int kWriterThrottleFactor = 4;
-#else
-constexpr double kMinThroughputRatio = 0.8;
-constexpr int kWriterThrottleFactor = 1;
-#endif
+constexpr double kMinThroughputRatio = bench::kTsanBuild ? 0.5 : 0.8;
+constexpr int kWriterThrottleFactor = bench::kTsanBuild ? 4 : 1;
 
 struct IngestBenchConfig {
   bool smoke = false;
@@ -94,14 +81,8 @@ Stack MakeStack(const IngestBenchConfig& config) {
       stack.env->base_estimator);
   stack.featurizer = std::make_unique<Featurizer>(&stack.env->schema(),
                                                   stack.estimator.get());
-  ValueNetConfig net_config;
-  net_config.query_dim = stack.featurizer->query_dim();
-  net_config.node_dim = stack.featurizer->node_dim();
-  net_config.tree_hidden1 = 32;
-  net_config.tree_hidden2 = 16;
-  net_config.mlp_hidden = 16;
-  net_config.init_seed = 7;
-  stack.network = std::make_unique<ValueNetwork>(net_config);
+  stack.network =
+      std::make_unique<ValueNetwork>(bench::ServingNetConfig(*stack.featurizer));
 
   stack.log = std::make_unique<ChangeLog>(stack.env->db.get());
 
@@ -120,11 +101,7 @@ Stack MakeStack(const IngestBenchConfig& config) {
       &stack.env->schema(), stack.featurizer.get(), stack.network.get(),
       stack.env->oracle.get(), server_options);
 
-  for (const Query& q : stack.env->workload.queries()) {
-    if (q.num_relations() <= config.max_relations) {
-      stack.queries.push_back(&q);
-    }
-  }
+  stack.queries = bench::QueriesUpTo(*stack.env, config.max_relations);
   return stack;
 }
 

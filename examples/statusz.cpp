@@ -1,9 +1,9 @@
 // Statusz: stand up the instrumented serving stack, drive a short Zipf
-// replay with the time-series sampler, the flight recorder, and the SLO
-// health monitor running, and print the one-page health dashboard —
-// current QPS, per-outcome and per-stage latency percentiles (with p99
-// exemplar trace ids), alert states, plan-cache occupancy, storage state,
-// and the slowest retained flight-recorder traces.
+// replay with the health monitor (the one obs ticker: rate rings plus SLO
+// rules) and the flight recorder running, and print the one-page health
+// dashboard — current QPS, per-outcome and per-stage latency percentiles
+// (with p99 exemplar trace ids), alert states, plan-cache occupancy,
+// storage state, and the slowest retained flight-recorder traces.
 //
 //   ./build/examples/statusz [requests_per_client] [--json]
 //                            [--flight-jsonl=PATH] [--watch N]
@@ -29,7 +29,6 @@
 #include "src/model/value_network.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
-#include "src/obs/sampler.h"
 #include "src/serving/optimizer_server.h"
 #include "src/serving/replay_driver.h"
 
@@ -98,18 +97,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  obs::TimeSeriesSamplerOptions sampler_options;
-  sampler_options.interval_ms = 20;
-  obs::TimeSeriesSampler sampler(&registry, sampler_options);
-  sampler.Start();
-
-  // Two demo SLO rules: a tail-latency rule on the overall hit path (tight
-  // enough to trip during the cold-cache phase of the replay) and a
-  // queue-saturation rule on the planning pool.
+  // One ticker feeds statusz's rates and judges two demo SLO rules: a
+  // tail-latency rule on the miss path (tight enough to trip during the
+  // cold-cache phase of the replay) and a queue-saturation rule on the
+  // planning pool. 50ms ticks x 100 retained = a five-second rate window.
   obs::HealthMonitorOptions health_options;
-  health_options.interval_ms = 200;
+  health_options.interval_ms = 50;
+  health_options.ring_capacity = 100;
   obs::HealthMonitor health(&registry, health_options);
-  health.SetSampler(&sampler);
   {
     obs::HealthRule p99;
     p99.name = "miss-p99";
@@ -129,9 +124,8 @@ int main(int argc, char** argv) {
 
   introspect::StatuszSources sources;
   sources.registry = &registry;
-  sources.sampler = &sampler;
   sources.server = &server;
-  sources.health = &health;
+  sources.monitor = &health;
 
   ReplayOptions replay;
   replay.num_clients = 8;
@@ -174,9 +168,7 @@ int main(int argc, char** argv) {
                  report->p95_us, report->p99_us);
   }
   health.Stop();
-  health.EvaluateOnce();  // judge the final deltas
-  sampler.Stop();
-  sampler.SampleOnce();  // close the window on the final totals
+  health.EvaluateOnce();  // close the window on the final totals
 
   std::string page = as_json ? introspect::StatuszJson(sources)
                              : introspect::StatuszText(sources);

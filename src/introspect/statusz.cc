@@ -37,7 +37,7 @@ struct StatuszData {
   int64_t requests = 0;
   int64_t hits = 0;
   double hit_rate = 0;
-  double qps = -1;  // -1 = no sampler window
+  double qps = -1;  // -1 = no rate window
   struct OutcomeLatency {
     std::string outcome;
     int64_t count = 0;
@@ -118,24 +118,24 @@ StatuszData Gather(const StatuszSources& sources) {
   data.publication_epoch = CounterValue(snapshot, "storage.publication_epoch");
   data.retained_bytes = CounterValue(snapshot, "storage.retained_bytes");
 
-  if (sources.sampler != nullptr) {
-    const obs::SeriesWindow qps = sources.sampler->GetSeries(p + ".requests");
+  if (sources.monitor != nullptr) {
+    const obs::HealthMonitor& monitor = *sources.monitor;
+    // A rate needs two ticks in the ring; with fewer the field is omitted.
+    const obs::SeriesWindow qps = monitor.GetSeries(p + ".requests");
     if (qps.points.size() >= 2) data.qps = qps.RatePerSec();
     const obs::SeriesWindow ingest =
-        sources.sampler->GetSeries("storage.changelog.rows_inserted");
+        monitor.GetSeries("storage.changelog.rows_inserted");
     if (ingest.points.size() >= 2) {
       data.ingest_rows_per_sec = ingest.RatePerSec();
     }
-    data.sampler_ticks = sources.sampler->samples_taken();
-    data.sampler_series = sources.sampler->Series().size();
-  }
+    data.sampler_ticks = monitor.evaluations();
+    data.sampler_series = monitor.series_count();
 
-  if (sources.health != nullptr) {
-    data.alerts = sources.health->Rules();
+    data.alerts = monitor.Rules();
     for (const obs::RuleStatus& r : data.alerts) {
       if (r.state == obs::AlertState::kFiring) data.alerts_firing++;
     }
-    std::vector<obs::AlertEvent> events = sources.health->Events();
+    std::vector<obs::AlertEvent> events = monitor.Events();
     for (auto it = events.rbegin();
          it != events.rend() &&
          data.alert_events.size() <
@@ -223,7 +223,7 @@ std::string StatuszText(const StatuszSources& sources) {
     out += ", ingest " + FmtF("%.1f", d.ingest_rows_per_sec) + " rows/s";
   }
   out += '\n';
-  if (sources.sampler != nullptr) {
+  if (sources.monitor != nullptr) {
     out += "sampler: " + std::to_string(d.sampler_ticks) + " ticks over " +
            std::to_string(d.sampler_series) + " series\n";
   }
@@ -296,11 +296,9 @@ std::string StatuszJson(const StatuszSources& sources) {
     out += ",\"ingest_rows_per_sec\":" + FmtF("%.1f", d.ingest_rows_per_sec);
   }
   out += '}';
-  if (sources.sampler != nullptr) {
+  if (sources.monitor != nullptr) {
     out += ",\"sampler\":{\"ticks\":" + std::to_string(d.sampler_ticks) +
            ",\"series\":" + std::to_string(d.sampler_series) + '}';
-  }
-  if (sources.health != nullptr) {
     out += ",\"alerts\":{\"firing\":" + std::to_string(d.alerts_firing) +
            ",\"rules\":[";
     for (size_t i = 0; i < d.alerts.size(); ++i) {

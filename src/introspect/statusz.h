@@ -1,9 +1,10 @@
 // Statusz: the one-page "is it healthy" dashboard, assembled from whatever
 // observability sources the caller has — a registry snapshot (required),
-// a TimeSeriesSampler (adds rates: QPS, ingest rows/s), and an
+// an obs::HealthMonitor (the one obs ticker: adds rates such as QPS and
+// ingest rows/s over its retained ring, plus SLO alert states), and an
 // OptimizerServer (adds what its flight recorder retained). Renders as text
 // for terminals (examples/statusz, bench_serving_throughput) and as JSON
-// for tooling. Pure read path: one registry snapshot, one sampler read, one
+// for tooling. Pure read path: one registry snapshot, one monitor read, one
 // copy of the retained set — nothing here perturbs serving.
 #pragma once
 
@@ -11,7 +12,6 @@
 
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
-#include "src/obs/sampler.h"
 #include "src/serving/optimizer_server.h"
 
 namespace balsa::introspect {
@@ -19,16 +19,14 @@ namespace balsa::introspect {
 struct StatuszSources {
   /// Required: the registry everything is attached to.
   const obs::MetricsRegistry* registry = nullptr;
-  /// Optional: adds derived rates (QPS, ingest rows/s) over the sampler's
-  /// retained window.
-  const obs::TimeSeriesSampler* sampler = nullptr;
+  /// Optional: adds derived rates (QPS, ingest rows/s) over the monitor's
+  /// retained ring, its tick/series counts, and the alerts section (SLO
+  /// rules with firing state plus recent fire/resolve transitions).
+  const obs::HealthMonitor* monitor = nullptr;
   /// Optional: when the server's flight recorder is enabled, adds the
   /// flight_recorder section — its slowest retained traces and every
   /// retained row-capped or errored request.
   const OptimizerServer* server = nullptr;
-  /// Optional: adds the alerts section (SLO rules with firing state plus
-  /// recent fire/resolve transitions).
-  const obs::HealthMonitor* health = nullptr;
   /// Metric name prefix the serving stack was attached under.
   std::string serving_prefix = "serving";
   /// Alert transitions shown (newest first).

@@ -8,7 +8,8 @@ namespace balsa::obs {
 namespace {
 
 /// Bucket-wise difference cur - prev; the histogram of values recorded
-/// between the two snapshots. Buckets only grow, so deltas are >= 0.
+/// between the two snapshots. Ticks are serialized, so `prev` is always
+/// the older snapshot: buckets only grow and deltas are >= 0.
 HistogramData DeltaHistogram(const HistogramData& cur,
                              const HistogramData& prev) {
   HistogramData delta;
@@ -21,7 +22,21 @@ HistogramData DeltaHistogram(const HistogramData& cur,
   return delta;
 }
 
+HealthMonitorOptions Clamped(HealthMonitorOptions options) {
+  options.interval_ms = std::max(1, options.interval_ms);
+  options.ring_capacity = std::max(2, options.ring_capacity);
+  options.max_events = std::max(0, options.max_events);
+  return options;
+}
+
 }  // namespace
+
+double SeriesWindow::RatePerSec() const {
+  if (points.size() < 2) return 0;
+  const double dt = points.back().t_seconds - points.front().t_seconds;
+  if (dt <= 0) return 0;
+  return static_cast<double>(points.back().value - points.front().value) / dt;
+}
 
 const char* RuleKindName(RuleKind kind) {
   switch (kind) {
@@ -36,21 +51,19 @@ const char* RuleKindName(RuleKind kind) {
 
 HealthMonitor::HealthMonitor(const MetricsRegistry* registry,
                              HealthMonitorOptions options)
-    : registry_(registry), options_(options) {}
+    : registry_(registry),
+      options_(Clamped(options)),
+      start_(std::chrono::steady_clock::now()) {}
 
 HealthMonitor::~HealthMonitor() { Stop(); }
-
-void HealthMonitor::SetSampler(const TimeSeriesSampler* sampler) {
-  sampler_ = sampler;
-}
 
 void HealthMonitor::AddRule(HealthRule rule) {
   if (rule.for_ticks < 1) rule.for_ticks = 1;
   if (rule.clear_ticks < 1) rule.clear_ticks = 1;
   MutexLock lock(mu_);
-  RuleSlot slot;
-  slot.rule = std::move(rule);
-  rules_.push_back(std::move(slot));
+  RuleStatus status;
+  status.rule = std::move(rule);
+  rules_.push_back(std::move(status));
 }
 
 double HealthMonitor::Evaluate(const HealthRule& rule,
@@ -82,10 +95,8 @@ double HealthMonitor::Evaluate(const HealthRule& rule,
       return den <= 0 ? 0 : num / den;
     }
     case RuleKind::kBurnRateAbove: {
-      if (sampler_ == nullptr) return 0;
-      const double num = sampler_->RatePerSec(rule.metric);
-      const double den = sampler_->RatePerSec(rule.denominator);
-      return den <= 0 ? 0 : num / den;
+      const double den = RateLocked(rule.denominator);
+      return den <= 0 ? 0 : RateLocked(rule.metric) / den;
     }
     case RuleKind::kGaugeAbove:
       return static_cast<double>(now->value);
@@ -93,18 +104,42 @@ double HealthMonitor::Evaluate(const HealthRule& rule,
   return 0;
 }
 
+double HealthMonitor::RateLocked(const std::string& name) const {
+  auto it = series_.find(name);
+  return it == series_.end() ? 0 : it->second.RatePerSec();
+}
+
 void HealthMonitor::EvaluateOnce() {
+  MutexLock tick_lock(tick_mu_);
   RegistrySnapshot cur = registry_->Snapshot();
-  evaluations_.Inc();
-  const int64_t tick = evaluations_.Value();
+  const double t = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start_)
+                       .count();
+  const int64_t tick = evaluations_.Inc();
 
   MutexLock lock(mu_);
-  const RegistrySnapshot& prev = have_prev_ ? prev_ : cur;
-  // With no previous tick, delta rules see prev == cur (delta 0): the first
-  // tick establishes the baseline instead of judging all-time cumulatives.
+  const auto capacity = static_cast<size_t>(options_.ring_capacity);
+  for (const MetricValue& m : cur.metrics) {
+    SeriesWindow& window = series_[m.name];
+    SamplePoint point;
+    point.tick = tick;
+    point.t_seconds = t;
+    if (m.kind == MetricKind::kHistogram) {
+      point.value = m.histogram.count;
+      point.sum = m.histogram.sum;
+    } else {
+      point.value = m.value;
+    }
+    window.points.push_back(point);
+    while (window.points.size() > capacity) window.points.pop_front();
+  }
+
+  // A metric absent from the previous snapshot (every metric, on the first
+  // tick) reads 0 in delta rules: the first tick establishes the baseline
+  // instead of judging all-time cumulatives.
   int firing = 0;
-  for (RuleSlot& slot : rules_) {
-    slot.last_value = Evaluate(slot.rule, prev, cur);
+  for (RuleStatus& slot : rules_) {
+    slot.last_value = Evaluate(slot.rule, prev_, cur);
     const bool breached = slot.last_value > slot.rule.threshold;
     if (breached) {
       slot.breached_ticks += 1;
@@ -117,7 +152,6 @@ void HealthMonitor::EvaluateOnce() {
         slot.breached_ticks >= slot.rule.for_ticks) {
       slot.state = AlertState::kFiring;
       slot.times_fired += 1;
-      alerts_fired_.Inc();
       events_.push_back({slot.rule.name, true, slot.last_value,
                          slot.rule.threshold, tick});
     } else if (slot.state == AlertState::kFiring && !breached &&
@@ -133,7 +167,6 @@ void HealthMonitor::EvaluateOnce() {
   }
   alerts_firing_.Set(firing);
   prev_ = std::move(cur);
-  have_prev_ = true;
 }
 
 void HealthMonitor::Start() {
@@ -144,6 +177,8 @@ void HealthMonitor::Start() {
   thread_ = std::thread([this] {
     MutexLock lock(thread_mu_);
     while (!stop_) {
+      // Tick outside the thread mutex: Stop() must never wait on a registry
+      // snapshot in flight longer than one tick.
       lock.Unlock();
       EvaluateOnce();
       lock.Lock();
@@ -178,19 +213,7 @@ bool HealthMonitor::running() const {
 
 std::vector<RuleStatus> HealthMonitor::Rules() const {
   MutexLock lock(mu_);
-  std::vector<RuleStatus> out;
-  out.reserve(rules_.size());
-  for (const RuleSlot& slot : rules_) {
-    RuleStatus status;
-    status.rule = slot.rule;
-    status.state = slot.state;
-    status.last_value = slot.last_value;
-    status.breached_ticks = slot.breached_ticks;
-    status.healthy_ticks = slot.healthy_ticks;
-    status.times_fired = slot.times_fired;
-    out.push_back(std::move(status));
-  }
-  return out;
+  return rules_;
 }
 
 std::vector<AlertEvent> HealthMonitor::Events() const {
@@ -198,18 +221,9 @@ std::vector<AlertEvent> HealthMonitor::Events() const {
   return {events_.begin(), events_.end()};
 }
 
-int HealthMonitor::FiringCount() const {
-  MutexLock lock(mu_);
-  int firing = 0;
-  for (const RuleSlot& slot : rules_) {
-    if (slot.state == AlertState::kFiring) firing += 1;
-  }
-  return firing;
-}
-
 bool HealthMonitor::IsFiring(const std::string& rule_name) const {
   MutexLock lock(mu_);
-  for (const RuleSlot& slot : rules_) {
+  for (const RuleStatus& slot : rules_) {
     if (slot.rule.name == rule_name) {
       return slot.state == AlertState::kFiring;
     }
@@ -217,16 +231,20 @@ bool HealthMonitor::IsFiring(const std::string& rule_name) const {
   return false;
 }
 
-std::vector<Registration> HealthMonitor::AttachTo(MetricsRegistry* registry,
-                                                  const std::string& prefix) {
-  std::vector<Registration> registrations;
-  registrations.push_back(registry->AttachCounter(
-      prefix + ".health.evaluations", &evaluations_));
-  registrations.push_back(registry->AttachCounter(
-      prefix + ".health.alerts_fired", &alerts_fired_));
-  registrations.push_back(registry->AttachGauge(
-      prefix + ".health.alerts_firing", &alerts_firing_));
-  return registrations;
+SeriesWindow HealthMonitor::GetSeries(const std::string& name) const {
+  MutexLock lock(mu_);
+  auto it = series_.find(name);
+  return it == series_.end() ? SeriesWindow{} : it->second;
+}
+
+double HealthMonitor::RatePerSec(const std::string& name) const {
+  MutexLock lock(mu_);
+  return RateLocked(name);
+}
+
+size_t HealthMonitor::series_count() const {
+  MutexLock lock(mu_);
+  return series_.size();
 }
 
 }  // namespace balsa::obs

@@ -1,33 +1,36 @@
-// SLO health monitor: declarative rules evaluated over metric *deltas*.
-//
-// Cumulative instruments answer "how much ever"; an alert needs "is it bad
-// right now". The monitor keeps the previous registry snapshot and, each
-// evaluation tick, computes per-metric deltas — bucket-wise for histograms,
-// value-wise for counters — so a rule like "window p99 of
-// serving.request_us{outcome=miss} above 5ms" is judged on what happened
-// *since the last tick*, and resolves on its own once the storm passes
-// (a cumulative p99 never forgets a bad minute; a delta p99 does).
+// The obs ticker and SLO health monitor. Cumulative instruments answer
+// "how much ever"; a live system needs "how fast right now" and "is it bad
+// right now". Each tick (every interval_ms on the background thread) takes
+// one registry Snapshot() and
+//   - appends a (time, value, sum) point to every metric's ring of the last
+//     ring_capacity ticks; a rate is the delta between the oldest and
+//     newest retained points, an average over the window, never an
+//     instantaneous guess;
+//   - judges declarative rules over per-metric deltas against the previous
+//     tick (bucket-wise for histograms), so "window p99 of
+//     serving.request_us{outcome=miss} above 5ms" fires on what happened
+//     *since the last tick* and resolves on its own once the storm passes
+//     (a cumulative p99 never forgets a bad minute; a delta p99 does).
 //
 // Rule kinds:
 //   - kWindowP99Above:  p99 of the histogram's delta buckets this tick
 //   - kWindowRateAbove: counter increase this tick
 //   - kRatioAbove:      delta(metric) / delta(denominator) this tick
-//   - kBurnRateAbove:   RatePerSec(metric) / RatePerSec(denominator) over a
-//                       TimeSeriesSampler's retained window (needs a
-//                       sampler attached; evaluates to 0 without one)
+//   - kBurnRateAbove:   RatePerSec(metric) / RatePerSec(denominator) over
+//                       the retained ring (0 until it holds two ticks)
 //   - kGaugeAbove:      the gauge's instantaneous value
 //
 // Transitions have hysteresis: a rule fires only after `for_ticks`
 // consecutive breached evaluations and resolves only after `clear_ticks`
-// consecutive healthy ones, so a single noisy tick neither pages nor
-// un-pages. Every transition lands in a bounded event log (oldest evicted)
-// that statusz renders as the `alerts` section.
+// consecutive healthy ones. Every transition lands in a bounded event log
+// (oldest evicted) that statusz renders as the `alerts` section.
 //
-// EvaluateOnce() is public and the background thread calls exactly it, the
-// same testability idiom as TimeSeriesSampler::SampleOnce — tests and
-// benches drive deterministic ticks without a thread or a clock.
+// EvaluateOnce() is public and the background thread calls exactly it, so
+// tests and benches drive deterministic ticks without a thread or a clock.
+// Ticks are serialized: one racing the thread runs wholly before or after.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -36,7 +39,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/obs/sampler.h"
 #include "src/util/thread_annotations.h"
 
 namespace balsa::obs {
@@ -91,9 +93,36 @@ struct RuleStatus {
   int64_t times_fired = 0;
 };
 
+/// One retained observation of one metric.
+struct SamplePoint {
+  /// The tick (1-based, as in AlertEvent::tick) that took the point.
+  int64_t tick = 0;
+  /// Seconds since the monitor was constructed (monotonic clock).
+  double t_seconds = 0;
+  /// Counter/gauge value; for histograms, the recorded-value count.
+  int64_t value = 0;
+  /// Histograms only: sum of recorded values at this point.
+  int64_t sum = 0;
+};
+
+/// The retained window of one metric, oldest point first.
+struct SeriesWindow {
+  std::deque<SamplePoint> points;
+
+  /// Average increase of `value` per second between the oldest and newest
+  /// retained points (0 when fewer than two points or no time passed).
+  /// For counters this is the rate (requests/sec, rows/sec); for gauges it
+  /// is the drift, rarely meaningful.
+  double RatePerSec() const;
+};
+
+/// Out-of-range values are clamped once, at construction: interval_ms and
+/// ring_capacity to their minimums (1 and 2), max_events to >= 0.
 struct HealthMonitorOptions {
-  /// Background evaluation period (thread started explicitly).
+  /// Background tick period (thread started explicitly by Start()).
   int interval_ms = 1000;
+  /// Ticks retained per series; at the default interval, one minute.
+  int ring_capacity = 60;
   /// Transition events retained (ring, oldest evicted).
   int max_events = 128;
 };
@@ -108,17 +137,14 @@ class HealthMonitor {
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Burn-rate rules read their window from this sampler (borrowed; must
-  /// outlive the monitor). Optional — without it burn-rate rules read 0.
-  void SetSampler(const TimeSeriesSampler* sampler);
-
   void AddRule(HealthRule rule);
 
-  /// One evaluation tick, on the calling thread: snapshot, delta against
-  /// the previous tick, judge every rule, log transitions.
+  /// One tick, on the calling thread: snapshot, append to the rings, delta
+  /// against the previous tick, judge every rule, log transitions. Safe
+  /// concurrently with the background thread (ticks are serialized).
   void EvaluateOnce();
 
-  /// Starts/stops the background evaluation thread (both idempotent; the
+  /// Starts/stops the background tick thread (both idempotent; the
   /// destructor stops).
   void Start();
   void Stop();
@@ -127,42 +153,45 @@ class HealthMonitor {
   std::vector<RuleStatus> Rules() const;
   /// Transition log, oldest first.
   std::vector<AlertEvent> Events() const;
-  /// Rules currently in kFiring.
-  int FiringCount() const;
+  /// Rules currently in kFiring (as of the last tick).
+  int FiringCount() const {
+    return static_cast<int>(alerts_firing_.Value());
+  }
   bool IsFiring(const std::string& rule_name) const;
+  /// Total ticks taken (background + manual).
   int64_t evaluations() const { return evaluations_.Value(); }
 
-  /// Attaches "<prefix>.health.{evaluations,alerts_firing,alerts_fired}".
-  [[nodiscard]] std::vector<Registration> AttachTo(MetricsRegistry* registry,
-                                                   const std::string& prefix);
+  /// The retained ring of `name` (empty window when never sampled).
+  SeriesWindow GetSeries(const std::string& name) const;
+  /// GetSeries(name).RatePerSec(), without copying the window.
+  double RatePerSec(const std::string& name) const;
+  /// Number of metrics with a retained ring.
+  size_t series_count() const;
 
  private:
-  struct RuleSlot {
-    HealthRule rule;
-    AlertState state = AlertState::kOk;
-    double last_value = 0;
-    int breached_ticks = 0;
-    int healthy_ticks = 0;
-    int64_t times_fired = 0;
-  };
-
-  /// The rule's value this tick, given the previous and current snapshots.
+  /// The rule's value this tick, given the previous and current snapshots
+  /// (and, for burn-rate rules, the rings).
   double Evaluate(const HealthRule& rule, const RegistrySnapshot& prev,
-                  const RegistrySnapshot& cur) const;
+                  const RegistrySnapshot& cur) const REQUIRES(mu_);
+  double RateLocked(const std::string& name) const REQUIRES(mu_);
 
   const MetricsRegistry* registry_;
   const HealthMonitorOptions options_;
-  const TimeSeriesSampler* sampler_ = nullptr;  // set before Start()
+  const std::chrono::steady_clock::time_point start_;
 
   Counter evaluations_;
-  Counter alerts_fired_;
   Gauge alerts_firing_;
 
+  // Held for a whole tick, so snapshot, timestamp, ring append and judging
+  // are one step in time order. Lock order: tick_mu_ before mu_.
+  Mutex tick_mu_;
+  RegistrySnapshot prev_ GUARDED_BY(tick_mu_);
+
+  // What readers see; never held across a registry snapshot.
   mutable Mutex mu_;
-  std::vector<RuleSlot> rules_ GUARDED_BY(mu_);
+  std::vector<RuleStatus> rules_ GUARDED_BY(mu_);
   std::deque<AlertEvent> events_ GUARDED_BY(mu_);
-  RegistrySnapshot prev_ GUARDED_BY(mu_);
-  bool have_prev_ GUARDED_BY(mu_) = false;
+  std::map<std::string, SeriesWindow> series_ GUARDED_BY(mu_);
 
   mutable Mutex thread_mu_;
   CondVar cv_;

@@ -109,7 +109,7 @@ class CAPABILITY("mutex") Mutex {
 /// RAII lock scope over Mutex (the annotated analogue of
 /// std::unique_lock): acquires on construction, releases on destruction,
 /// with explicit Unlock()/Lock() for the drop-the-lock-do-work-relock
-/// pattern (ChangeLog::Rebase, the sampler/health background loops).
+/// pattern (ChangeLog::Rebase, the health monitor's background loop).
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ACQUIRE(mu) : mu_(mu), held_(true) {

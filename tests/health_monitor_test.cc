@@ -1,20 +1,23 @@
 // Tests for the SLO health monitor: delta-window semantics (the first tick
 // establishes a baseline instead of judging all-time cumulatives; a p99
 // rule fires on what happened since the last tick and resolves on its
-// own), for_ticks/clear_ticks hysteresis, every rule kind, the bounded
-// transition log, and graceful handling of missing metrics. All ticks are
-// driven through the public EvaluateOnce() — no threads, no clocks.
-// Runs under `ctest -L obs`.
+// own), for_ticks/clear_ticks hysteresis, every rule kind (burn rate over
+// the monitor's own rate ring), the bounded transition log, option
+// clamping, graceful handling of missing metrics, and tick serialization
+// when manual ticks race the background thread. Apart from those last
+// two, ticks are driven through the public EvaluateOnce() — no threads, no
+// clocks. Runs under `ctest -L obs` (the TSan job).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
-#include "src/obs/sampler.h"
 
 namespace balsa::obs {
 namespace {
@@ -182,12 +185,15 @@ TEST(HealthMonitorTest, GaugeRuleIsInstantaneous) {
   EXPECT_FALSE(monitor.IsFiring("saturated"));
 }
 
-TEST(HealthMonitorTest, BurnRateReadsZeroWithoutASampler) {
+TEST(HealthMonitorTest, BurnRateReadsZeroOnAOneTickWindow) {
   MetricsRegistry registry;
   Counter errors;
   Counter requests;
   auto reg_e = registry.AttachCounter("errors", &errors);
   auto reg_r = registry.AttachCounter("requests", &requests);
+  // An all-errors history recorded before the monitor's first look.
+  errors.Inc(1000);
+  requests.Inc(1000);
 
   HealthMonitor monitor(&registry);
   HealthRule rule;
@@ -198,23 +204,20 @@ TEST(HealthMonitorTest, BurnRateReadsZeroWithoutASampler) {
   rule.threshold = 0.1;
   monitor.AddRule(rule);
 
-  monitor.EvaluateOnce();
-  errors.Inc(1000);
-  requests.Inc(1000);
+  // One point per series is no window: no rate, so no burn.
   monitor.EvaluateOnce();
   EXPECT_FALSE(monitor.IsFiring("burn"));
+  EXPECT_EQ(monitor.Rules()[0].last_value, 0);
 }
 
-TEST(HealthMonitorTest, BurnRateUsesTheSamplersWindow) {
+TEST(HealthMonitorTest, BurnRateUsesTheMonitorsRateWindow) {
   MetricsRegistry registry;
   Counter errors;
   Counter requests;
   auto reg_e = registry.AttachCounter("errors", &errors);
   auto reg_r = registry.AttachCounter("requests", &requests);
 
-  TimeSeriesSampler sampler(&registry);
   HealthMonitor monitor(&registry);
-  monitor.SetSampler(&sampler);
   HealthRule rule;
   rule.name = "burn";
   rule.kind = RuleKind::kBurnRateAbove;
@@ -224,23 +227,22 @@ TEST(HealthMonitorTest, BurnRateUsesTheSamplersWindow) {
   monitor.AddRule(rule);
 
   // Both rates divide by the same elapsed time, so the burn rate reduces
-  // to delta(errors)/delta(requests) over the sampled window — no timing
-  // sensitivity beyond "some time passed between samples".
-  sampler.SampleOnce();
+  // to delta(errors)/delta(requests) over the retained ring — no timing
+  // sensitivity beyond "some time passed between ticks".
+  monitor.EvaluateOnce();
   errors.Inc(9);
   requests.Inc(10);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  sampler.SampleOnce();
   monitor.EvaluateOnce();
   EXPECT_TRUE(monitor.IsFiring("burn"));
 
-  errors.Inc(0);
+  // The window spans every retained tick, not just the last one: 9 errors
+  // over 110 requests since the first tick.
   requests.Inc(100);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  sampler.SampleOnce();
-  monitor.EvaluateOnce();
   monitor.EvaluateOnce();
   EXPECT_FALSE(monitor.IsFiring("burn"));
+  EXPECT_NEAR(monitor.Rules()[0].last_value, 9.0 / 110.0, 1e-9);
 }
 
 TEST(HealthMonitorTest, EventLogIsBoundedOldestEvicted) {
@@ -290,6 +292,103 @@ TEST(HealthMonitorTest, MissingMetricEvaluatesToZero) {
   const std::vector<RuleStatus> rules = monitor.Rules();
   ASSERT_EQ(rules.size(), 1u);
   EXPECT_EQ(rules[0].last_value, 0);
+}
+
+TEST(HealthMonitorTest, OutOfRangeOptionsAreClampedOnce) {
+  MetricsRegistry registry;
+  Gauge depth;
+  auto reg = registry.AttachGauge("queue_depth", &depth);
+
+  HealthMonitorOptions options;
+  options.interval_ms = 0;    // unclamped: a deadline in the past, a spin
+  options.ring_capacity = 0;  // clamps to the two points a rate needs
+  options.max_events = -1;    // unclamped: a huge size_t, never evicting
+  HealthMonitor monitor(&registry, options);
+  HealthRule rule;
+  rule.name = "saturated";
+  rule.kind = RuleKind::kGaugeAbove;
+  rule.metric = "queue_depth";
+  rule.threshold = 10;
+  monitor.AddRule(rule);
+
+  depth.Set(100);
+  monitor.EvaluateOnce();
+  depth.Set(0);
+  monitor.EvaluateOnce();
+  monitor.EvaluateOnce();
+  // max_events clamps to 0: transitions still count, none are retained.
+  EXPECT_TRUE(monitor.Events().empty());
+  EXPECT_EQ(monitor.Rules()[0].times_fired, 1);
+  EXPECT_EQ(monitor.GetSeries("queue_depth").points.size(), 2u);
+
+  // interval_ms clamps to 1: after its immediate first tick the thread
+  // waits at least 1ms per tick instead of spinning.
+  const int64_t before = monitor.evaluations();
+  const auto start = std::chrono::steady_clock::now();
+  monitor.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  monitor.Stop();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  const int64_t ticks = monitor.evaluations() - before;
+  EXPECT_GE(ticks, 1);
+  EXPECT_LE(static_cast<double>(ticks), elapsed_ms + 1);
+}
+
+// Manual ticks from two threads racing the background thread: each tick's
+// snapshot, timestamp, ring append and judgement happen as one step, so a
+// tick never judges an older snapshot against a newer one.
+TEST(HealthMonitorTest, ManualTicksRacingTheThreadStayInTimeOrder) {
+  MetricsRegistry registry;
+  Counter writes;
+  auto reg = registry.AttachCounter("writes", &writes);
+
+  HealthMonitorOptions options;
+  options.interval_ms = 1;
+  options.ring_capacity = 1 << 16;  // retain every tick
+  HealthMonitor monitor(&registry, options);
+  // Counter deltas are integers, so a negative window value is <= -1: it
+  // would resolve this rule, which fires on the first tick (delta 0).
+  HealthRule rule;
+  rule.name = "never-negative";
+  rule.kind = RuleKind::kWindowRateAbove;
+  rule.metric = "writes";
+  rule.threshold = -0.5;
+  monitor.AddRule(rule);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    while (!done.load(std::memory_order_relaxed)) writes.Inc();
+  });
+  monitor.Start();
+  std::vector<std::thread> tickers;
+  for (int t = 0; t < 2; ++t) {
+    tickers.emplace_back([&] {
+      for (int i = 0; i < 2000; ++i) monitor.EvaluateOnce();
+    });
+  }
+  for (std::thread& t : tickers) t.join();
+  monitor.Stop();
+  done.store(true);
+  writer.join();
+
+  const std::vector<RuleStatus> rules = monitor.Rules();
+  ASSERT_EQ(rules.size(), 1u);
+  EXPECT_EQ(rules[0].state, AlertState::kFiring);
+  EXPECT_EQ(rules[0].times_fired, 1);
+  EXPECT_EQ(monitor.Events().size(), 1u);
+
+  const SeriesWindow series = monitor.GetSeries("writes");
+  ASSERT_EQ(static_cast<int64_t>(series.points.size()),
+            monitor.evaluations());
+  for (size_t i = 1; i < series.points.size(); ++i) {
+    const SamplePoint& before = series.points[i - 1];
+    const SamplePoint& after = series.points[i];
+    ASSERT_EQ(after.tick, before.tick + 1) << "tick numbers are unique";
+    ASSERT_GE(after.t_seconds, before.t_seconds);
+    ASSERT_GE(after.value, before.value);
+  }
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 
 #include "src/exec/executor.h"
 #include "src/introspect/statusz.h"
-#include "src/obs/sampler.h"
+#include "src/obs/health.h"
 #include "src/serving/optimizer_server.h"
 #include "src/serving/replay_driver.h"
 #include "test_util.h"
@@ -377,14 +377,21 @@ TEST_F(RetentionTest, StatuszRendersFromLiveServingState) {
   ASSERT_TRUE(server->Optimize(query_).ok());
   ASSERT_TRUE(server->Optimize(query_).ok());
 
-  obs::TimeSeriesSampler sampler(&registry);
-  sampler.SampleOnce();
+  // One monitor feeds both the rates and the alerts section.
+  obs::HealthMonitor monitor(&registry);
+  obs::HealthRule rule;
+  rule.name = "miss-rate";
+  rule.kind = obs::RuleKind::kWindowRateAbove;
+  rule.metric = "serving.misses";
+  rule.threshold = 1000;
+  monitor.AddRule(rule);
+  monitor.EvaluateOnce();
   ASSERT_NO_FATAL_FAILURE(ServeAndExecuteCapped(server.get()));
-  sampler.SampleOnce();
+  monitor.EvaluateOnce();
 
   introspect::StatuszSources sources;
   sources.registry = &registry;
-  sources.sampler = &sampler;
+  sources.monitor = &monitor;
   sources.server = server.get();
   const std::string text = introspect::StatuszText(sources);
   EXPECT_NE(text.find("== statusz =="), std::string::npos);
@@ -392,6 +399,9 @@ TEST_F(RetentionTest, StatuszRendersFromLiveServingState) {
   EXPECT_NE(text.find("row-capped / errored requests"), std::string::npos);
   EXPECT_NE(text.find("star4"), std::string::npos);
   EXPECT_NE(text.find(" capped: "), std::string::npos);
+  EXPECT_NE(text.find(" req/s"), std::string::npos);
+  EXPECT_NE(text.find("alerts: 0 firing / 1 rules"), std::string::npos);
+  EXPECT_NE(text.find("sampler: 2 ticks over "), std::string::npos);
 
   const std::string json = introspect::StatuszJson(sources);
   EXPECT_TRUE(JsonParses(json)) << json;
@@ -399,11 +409,19 @@ TEST_F(RetentionTest, StatuszRendersFromLiveServingState) {
   EXPECT_NE(json.find("\"capped_or_errored\":[{"), std::string::npos);
   EXPECT_NE(json.find("\"capped\":true"), std::string::npos);
   EXPECT_NE(json.find("\"query\":\"star4\""), std::string::npos);
+  EXPECT_NE(json.find("\"qps\":"), std::string::npos);
+  EXPECT_NE(json.find("\"sampler\":{\"ticks\":2,\"series\":"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"alerts\":{\"firing\":0,\"rules\":[{"
+                      "\"name\":\"miss-rate\""),
+            std::string::npos);
 
-  // Statusz degrades gracefully to a bare registry: no sampler, no server.
+  // Statusz degrades gracefully to a bare registry: no monitor, no server.
   introspect::StatuszSources bare;
   bare.registry = &registry;
-  EXPECT_TRUE(JsonParses(introspect::StatuszJson(bare)));
+  const std::string bare_json = introspect::StatuszJson(bare);
+  EXPECT_TRUE(JsonParses(bare_json));
+  EXPECT_EQ(bare_json.find("\"alerts\""), std::string::npos);
 }
 
 }  // namespace

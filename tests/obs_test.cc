@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "src/obs/export.h"
+#include "src/obs/health.h"
 #include "src/obs/metrics.h"
-#include "src/obs/sampler.h"
 #include "src/obs/trace.h"
 #include "src/serving/optimizer_server.h"
 #include "src/serving/replay_driver.h"
@@ -514,72 +514,80 @@ TEST(ExportTest, JsonDumpEscapesHostileMetricNames) {
   EXPECT_FALSE(in_string);
 }
 
-// --- TimeSeriesSampler ---------------------------------------------------
+// --- HealthMonitor rate rings ------------------------------------------
 
-TEST(SamplerTest, ManualSamplesDeriveRatesAndWindowMeans) {
+TEST(MonitorSeriesTest, ManualTicksDeriveRatesAndHistogramSums) {
   MetricsRegistry registry;
   Counter requests;
   Log2Histogram latency;
   Registration r1 = registry.AttachCounter("serving.requests", &requests);
   Registration r2 = registry.AttachHistogram("serving.request_us", &latency);
 
-  TimeSeriesSampler sampler(&registry);
-  sampler.SampleOnce();
+  HealthMonitor monitor(&registry);
+  monitor.EvaluateOnce();
   requests.Inc(500);
   latency.Record(100);
   latency.Record(300);
-  sampler.SampleOnce();
+  monitor.EvaluateOnce();
 
-  EXPECT_EQ(sampler.samples_taken(), 2);
-  SeriesWindow counter_series = sampler.GetSeries("serving.requests");
+  EXPECT_EQ(monitor.evaluations(), 2);
+  EXPECT_EQ(monitor.series_count(), 2u);
+  SeriesWindow counter_series = monitor.GetSeries("serving.requests");
   ASSERT_EQ(counter_series.points.size(), 2u);
   EXPECT_EQ(counter_series.points.back().value -
                 counter_series.points.front().value,
             500);
   EXPECT_GT(counter_series.RatePerSec(), 0);
+  EXPECT_DOUBLE_EQ(monitor.RatePerSec("serving.requests"),
+                   counter_series.RatePerSec());
 
-  // Histogram series carry (count, sum): the window mean is the mean of
-  // what landed between the two samples.
-  SeriesWindow hist_series = sampler.GetSeries("serving.request_us");
+  // Histogram series carry (count, sum): what landed between the ticks.
+  SeriesWindow hist_series = monitor.GetSeries("serving.request_us");
   ASSERT_EQ(hist_series.points.size(), 2u);
-  EXPECT_DOUBLE_EQ(hist_series.WindowMean(), 200.0);
+  EXPECT_EQ(hist_series.points.back().value -
+                hist_series.points.front().value,
+            2);
+  EXPECT_EQ(hist_series.points.back().sum - hist_series.points.front().sum,
+            400);
 
-  EXPECT_TRUE(sampler.GetSeries("absent").points.empty());
+  EXPECT_TRUE(monitor.GetSeries("absent").points.empty());
+  EXPECT_EQ(monitor.RatePerSec("absent"), 0);
 }
 
-TEST(SamplerTest, RingRetainsOnlyTheConfiguredWindow) {
+TEST(MonitorSeriesTest, RingRetainsOnlyTheConfiguredWindow) {
   MetricsRegistry registry;
   Counter c;
   Registration r = registry.AttachCounter("c", &c);
-  TimeSeriesSamplerOptions options;
+  HealthMonitorOptions options;
   options.ring_capacity = 4;
-  TimeSeriesSampler sampler(&registry, options);
+  HealthMonitor monitor(&registry, options);
   for (int i = 0; i < 10; ++i) {
     c.Inc();
-    sampler.SampleOnce();
+    monitor.EvaluateOnce();
   }
-  SeriesWindow series = sampler.GetSeries("c");
+  SeriesWindow series = monitor.GetSeries("c");
   ASSERT_EQ(series.points.size(), 4u);
-  // Oldest retained point is sample 7 of 10 (values 7..10 survive).
+  // Oldest retained point is tick 7 of 10 (values 7..10 survive).
   EXPECT_EQ(series.points.front().value, 7);
+  EXPECT_EQ(series.points.front().tick, 7);
   EXPECT_EQ(series.points.back().value, 10);
 }
 
-TEST(SamplerTest, BackgroundThreadSamplesConcurrentlyWithWriters) {
+TEST(MonitorSeriesTest, BackgroundThreadTicksConcurrentlyWithWriters) {
   MetricsRegistry registry;
   Counter c;
   Log2Histogram h;
   Registration r1 = registry.AttachCounter("writes", &c);
   Registration r2 = registry.AttachHistogram("write_us", &h);
 
-  TimeSeriesSamplerOptions options;
+  HealthMonitorOptions options;
   options.interval_ms = 1;
-  TimeSeriesSampler sampler(&registry, options);
-  EXPECT_FALSE(sampler.running());
-  sampler.Start();
-  EXPECT_TRUE(sampler.running());
+  HealthMonitor monitor(&registry, options);
+  EXPECT_FALSE(monitor.running());
+  monitor.Start();
+  EXPECT_TRUE(monitor.running());
 
-  // Writers hammer the instruments while the sampler thread snapshots them
+  // Writers hammer the instruments while the monitor thread snapshots them
   // (the TSan job proves this pairing race-free).
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
@@ -591,29 +599,29 @@ TEST(SamplerTest, BackgroundThreadSamplesConcurrentlyWithWriters) {
     });
   }
   for (std::thread& w : writers) w.join();
-  sampler.Stop();
-  EXPECT_FALSE(sampler.running());
-  const int64_t taken = sampler.samples_taken();
+  monitor.Stop();
+  EXPECT_FALSE(monitor.running());
+  const int64_t taken = monitor.evaluations();
   EXPECT_GE(taken, 1);
-  sampler.SampleOnce();  // close the window after the writers finish
-  EXPECT_EQ(sampler.samples_taken(), taken + 1);
+  monitor.EvaluateOnce();  // close the window after the writers finish
+  EXPECT_EQ(monitor.evaluations(), taken + 1);
 
-  SeriesWindow series = sampler.GetSeries("writes");
+  SeriesWindow series = monitor.GetSeries("writes");
   ASSERT_GE(series.points.size(), 2u);
   EXPECT_EQ(series.points.back().value, 4 * 20000);
 
   // Stop is idempotent and Start/Stop can cycle.
-  sampler.Stop();
-  sampler.Start();
-  sampler.Stop();
+  monitor.Stop();
+  monitor.Start();
+  monitor.Stop();
 }
 
-// The acceptance bar for the sampler's derived rates: two samples
-// bracketing a closed-loop replay must reproduce the driver's own measured
-// QPS within 10%. The server plans every request from scratch (cache off)
-// so per-request work dwarfs the fixed bracketing overhead the sampler's
-// window adds over the driver's wall clock.
-TEST(SamplerTest, BracketedRateMatchesReplayDriverQps) {
+// The acceptance bar for the monitor's derived rates: two ticks bracketing
+// a closed-loop replay must reproduce the driver's own measured QPS within
+// 10%. The server plans every request from scratch (cache off) so
+// per-request work dwarfs the fixed bracketing overhead the rate window
+// adds over the driver's wall clock.
+TEST(MonitorSeriesTest, BracketedRateMatchesReplayDriverQps) {
   balsa::testing::StarFixture fixture = balsa::testing::MakeStarFixture();
   Featurizer featurizer(&fixture.schema(), fixture.estimator.get());
   ValueNetConfig config;
@@ -658,15 +666,14 @@ TEST(SamplerTest, BracketedRateMatchesReplayDriverQps) {
   replay.zipf_s = 0.9;
   replay.seed = 3;
 
-  TimeSeriesSampler sampler(&registry);
-  sampler.SampleOnce();
+  HealthMonitor monitor(&registry);
+  monitor.EvaluateOnce();
   auto report = ReplayWorkload(&server, workload, replay);
-  sampler.SampleOnce();
+  monitor.EvaluateOnce();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_GT(report->requests_per_sec, 0);
 
-  const double sampled_qps =
-      sampler.GetSeries("serving.requests").RatePerSec();
+  const double sampled_qps = monitor.RatePerSec("serving.requests");
   ASSERT_GT(sampled_qps, 0);
   EXPECT_NEAR(sampled_qps / report->requests_per_sec, 1.0, 0.10)
       << "sampled " << sampled_qps << " vs driver "
