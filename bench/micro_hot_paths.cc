@@ -1,9 +1,11 @@
 // Google-benchmark microbenchmarks for the hot paths: executor joins,
-// oracle lookups, value-network inference, beam-search planning, and DP
-// enumeration. These bound the per-iteration cost of the learning loop.
+// oracle lookups, value-network inference and training, beam-search
+// planning, and DP enumeration. These bound the per-iteration cost of the
+// learning loop.
 #include <benchmark/benchmark.h>
 
 #include "src/balsa/planner.h"
+#include "src/balsa/simulation.h"
 #include "src/model/value_network.h"
 #include "src/optimizer/dp_optimizer.h"
 #include "tests/test_util.h"
@@ -149,6 +151,30 @@ void BM_ValueNetworkChildTerms(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ValueNetworkChildTerms)->Arg(8)->Arg(32);
+
+// One SGD epoch of ValueNetwork::Train over 256 simulator points (every
+// subtree of the star query's enumerated plans), in minibatches of 64;
+// items/s is training samples per second.
+void BM_ValueNetworkTrain(benchmark::State& state) {
+  MicroEnv& env = GlobalEnv();
+  SimulationOptions sim;
+  sim.max_points_per_query = 256;
+  sim.canonical_operators_only = false;
+  sim.num_threads = 1;
+  auto data = CollectSimulationData({&env.query}, env.fixture.schema(),
+                                    env.cout, env.featurizer, sim);
+  BALSA_CHECK(data.ok() && data->size() == 256, "256 training points");
+  ValueNetwork net(env.net->config());
+  ValueNetwork::TrainOptions options;
+  options.max_epochs = 1;
+  options.val_fraction = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.Train(*data, options));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data->size()));
+}
+BENCHMARK(BM_ValueNetworkTrain);
 
 void BM_BeamSearchPlanQuery(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();

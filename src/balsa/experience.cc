@@ -9,8 +9,8 @@ void ExperienceBuffer::Add(Execution e) {
   uint64_t plan_key = Key(e.query_id, root_fp);
   visit_counts_[plan_key]++;
   unique_plans_.insert(plan_key);
-  for (int i = 0; i < e.plan.num_nodes(); ++i) {
-    uint64_t key = Key(e.query_id, e.plan.Fingerprint(i));
+  for (uint64_t fp : e.plan.SubtreeFingerprints()) {
+    uint64_t key = Key(e.query_id, fp);
     auto it = best_subplan_label_.find(key);
     if (it == best_subplan_label_.end() || e.label_ms < it->second) {
       best_subplan_label_[key] = e.label_ms;
@@ -59,12 +59,14 @@ std::vector<TrainingPoint> ExperienceBuffer::BuildDataset(
     const Query& query = workload.query(e.query_id);
     auto [it, inserted] = query_feats.try_emplace(e.query_id);
     if (inserted) it->second = featurizer.QueryFeatures(query);
+    std::vector<nn::TreeSample> subtrees =
+        featurizer.SubtreeFeatures(query, e.plan);
+    std::vector<uint64_t> fps = e.plan.SubtreeFingerprints();
     for (int node = 0; node < e.plan.num_nodes(); ++node) {
       TrainingPoint pt;
       pt.query = it->second;
-      pt.plan = featurizer.PlanFeatures(query, e.plan, node);
-      pt.label = CorrectedLabel(e.query_id, e.plan.Fingerprint(node),
-                                e.label_ms);
+      pt.plan = std::move(subtrees[node]);
+      pt.label = CorrectedLabel(e.query_id, fps[node], e.label_ms);
       data.push_back(std::move(pt));
     }
   }

@@ -71,10 +71,12 @@ StatusOr<std::vector<TrainingPoint>> CollectSimulationData(
           // Subplan augmentation (§3.2): every subtree of the enumerated
           // plan yields a point with the same scope and total cost.
           nn::Vec scope_feat = featurizer.QueryFeatures(q, scope);
+          std::vector<nn::TreeSample> subtrees =
+              featurizer.SubtreeFeatures(q, plan);
           for (int node = 0; node < plan.num_nodes(); ++node) {
             TrainingPoint pt;
             pt.query = scope_feat;
-            pt.plan = featurizer.PlanFeatures(q, plan, node);
+            pt.plan = std::move(subtrees[node]);
             pt.label = cost;
             add_point(std::move(pt));
           }

@@ -68,4 +68,31 @@ nn::TreeSample Featurizer::PlanFeatures(const Query& query, const Plan& plan,
   return sample;
 }
 
+std::vector<nn::TreeSample> Featurizer::SubtreeFeatures(
+    const Query& query, const Plan& plan) const {
+  // A plan's children precede their join in the arena (Plan::AddJoin), so
+  // both child samples exist when a join is reached.
+  std::vector<nn::TreeSample> out(static_cast<size_t>(plan.num_nodes()));
+  for (int i = 0; i < plan.num_nodes(); ++i) {
+    const PlanNode& n = plan.node(i);
+    nn::TreeSample& sample = out[i];
+    sample.features.push_back(NodeFeatures(query, n));
+    sample.left.push_back(-1);
+    sample.right.push_back(-1);
+    if (!n.is_join) continue;
+    for (int side : {0, 1}) {
+      const nn::TreeSample& child = out[side == 0 ? n.left : n.right];
+      const int offset = static_cast<int>(sample.features.size());
+      (side == 0 ? sample.left : sample.right)[0] = offset;
+      sample.features.insert(sample.features.end(), child.features.begin(),
+                             child.features.end());
+      for (int k : child.left) sample.left.push_back(k < 0 ? -1 : k + offset);
+      for (int k : child.right) {
+        sample.right.push_back(k < 0 ? -1 : k + offset);
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace balsa

@@ -43,6 +43,12 @@ class Featurizer {
   nn::TreeSample PlanFeatures(const Query& query, const Plan& plan,
                               int node_idx = -1) const;
 
+  /// PlanFeatures(query, plan, i) for every arena node i, featurizing each
+  /// node once: a join's sample is its own node, then its left child's
+  /// sample, then its right child's, which is the preorder walk.
+  std::vector<nn::TreeSample> SubtreeFeatures(const Query& query,
+                                              const Plan& plan) const;
+
   const Schema& schema() const { return *schema_; }
 
  private:

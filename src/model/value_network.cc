@@ -8,14 +8,11 @@
 
 namespace balsa {
 
-struct ValueNetwork::Activations {
-  std::vector<nn::Vec> inputs;   // per node: concat(query, node features)
-  std::vector<nn::Vec> h1;       // post-ReLU tree conv 1
-  std::vector<nn::Vec> h2;       // post-ReLU tree conv 2
-  nn::Vec pooled;
-  std::vector<int> argmax;
-  nn::Vec m1;                    // post-ReLU fc1
-  nn::Vec out;                   // fc2 output (size 1)
+struct ValueNetwork::Stacked {
+  std::vector<int> begin;        // item i owns columns [begin[i], begin[i+1])
+  std::vector<int> left, right;  // global child columns, -1 for none
+  nn::Mat x, h1, h2, pooled, m1, out;
+  std::vector<int> argmax;       // per (dim, item): h2's first maximal column
 };
 
 ValueNetwork::ValueNetwork(ValueNetConfig config) : config_(config) {
@@ -62,100 +59,98 @@ double ValueNetwork::FromLabelSpace(double z) const {
   return std::expm1(std::min(z, 40.0));
 }
 
-double ValueNetwork::ForwardTransformed(const nn::Vec& query,
-                                        const nn::TreeSample& plan,
-                                        Activations* acts) const {
-  Activations local;
-  Activations& a = acts ? *acts : local;
-  size_t n = plan.features.size();
-  a.inputs.resize(n);
+double ValueNetwork::Predict(const nn::Vec& query,
+                             const nn::TreeSample& plan) const {
+  // The per-item MatVec path: the baseline bench_inference_batching holds
+  // ForwardBatch against.
+  const size_t n = plan.features.size();
+  std::vector<nn::Vec> inputs(n), h1, h2;
   for (size_t i = 0; i < n; ++i) {
-    nn::Vec& in = a.inputs[i];
+    nn::Vec& in = inputs[i];
     in.reserve(query.size() + plan.features[i].size());
     in.assign(query.begin(), query.end());
     in.insert(in.end(), plan.features[i].begin(), plan.features[i].end());
   }
-  tc1_.Forward(a.inputs, plan.left, plan.right, &a.h1);
-  for (auto& v : a.h1) nn::ReluForward(&v);
-  tc2_.Forward(a.h1, plan.left, plan.right, &a.h2);
-  for (auto& v : a.h2) nn::ReluForward(&v);
-  nn::DynamicMaxPool(a.h2, &a.pooled, &a.argmax);
-  fc1_.Forward(a.pooled, &a.m1);
-  nn::ReluForward(&a.m1);
-  fc2_.Forward(a.m1, &a.out);
-  return a.out[0];
+  tc1_.Forward(inputs, plan.left, plan.right, &h1);
+  for (auto& v : h1) nn::ReluForward(&v);
+  tc2_.Forward(h1, plan.left, plan.right, &h2);
+  for (auto& v : h2) nn::ReluForward(&v);
+  nn::Vec pooled, m1, out;
+  nn::DynamicMaxPool(h2, &pooled);
+  fc1_.Forward(pooled, &m1);
+  nn::ReluForward(&m1);
+  fc2_.Forward(m1, &out);
+  return FromLabelSpace(out[0]);
 }
 
-void ValueNetwork::Backward(const nn::Vec& /*query*/,
-                            const nn::TreeSample& plan,
-                            const Activations& acts, double dout) {
-  nn::Vec dy_out{static_cast<float>(dout)};
-  nn::Vec dm1(acts.m1.size(), 0.f);
-  fc2_.Backward(acts.m1, dy_out, &dm1);
-  nn::ReluBackward(acts.m1, &dm1);
-  nn::Vec dpooled(acts.pooled.size(), 0.f);
-  fc1_.Backward(acts.pooled, dm1, &dpooled);
+void ValueNetwork::StackedForward(
+    const std::vector<const nn::Vec*>& queries,
+    const std::vector<const nn::TreeSample*>& plans, Stacked* s) const {
+  const int items = static_cast<int>(plans.size());
+  // Child indices become global column indices.
+  s->begin.assign(static_cast<size_t>(items) + 1, 0);
+  for (int i = 0; i < items; ++i) {
+    s->begin[i + 1] =
+        s->begin[i] + static_cast<int>(plans[i]->features.size());
+  }
+  const int total = s->begin[items];
+  const int qd = config_.query_dim;
+  const int nd = config_.node_dim;
+  s->x = nn::Mat(qd + nd, total);
+  s->left.resize(static_cast<size_t>(total));
+  s->right.resize(static_cast<size_t>(total));
+  for (int i = 0; i < items; ++i) {
+    const nn::TreeSample& tree = *plans[i];
+    const nn::Vec& query = *queries[i];
+    const int base = s->begin[i];
+    for (size_t node = 0; node < tree.features.size(); ++node) {
+      const int col = base + static_cast<int>(node);
+      for (int r = 0; r < qd; ++r) s->x.at(r, col) = query[r];
+      const nn::Vec& feat = tree.features[node];
+      for (int r = 0; r < nd; ++r) s->x.at(qd + r, col) = feat[r];
+      s->left[col] = tree.left[node] >= 0 ? base + tree.left[node] : -1;
+      s->right[col] = tree.right[node] >= 0 ? base + tree.right[node] : -1;
+    }
+  }
 
-  std::vector<nn::Vec> dh2(acts.h2.size(),
-                           nn::Vec(acts.pooled.size(), 0.f));
-  nn::DynamicMaxPoolBackward(dpooled, acts.argmax, &dh2);
-  for (size_t i = 0; i < dh2.size(); ++i) nn::ReluBackward(acts.h2[i], &dh2[i]);
-
-  std::vector<nn::Vec> dh1(acts.h1.size(),
-                           nn::Vec(acts.h1.empty() ? 0 : acts.h1[0].size(),
-                                   0.f));
-  tc2_.Backward(acts.h1, plan.left, plan.right, dh2, &dh1);
-  for (size_t i = 0; i < dh1.size(); ++i) nn::ReluBackward(acts.h1[i], &dh1[i]);
-  tc1_.Backward(acts.inputs, plan.left, plan.right, dh1, nullptr);
+  tc1_.ForwardBatch(s->x, s->left, s->right, &s->h1);
+  nn::ReluMatForward(&s->h1);
+  tc2_.ForwardBatch(s->h1, s->left, s->right, &s->h2);
+  nn::ReluMatForward(&s->h2);
+  nn::DynamicMaxPoolBatch(s->h2, s->begin, &s->pooled, &s->argmax);
+  fc1_.ForwardBatch(s->pooled, &s->m1);
+  nn::ReluMatForward(&s->m1);
+  fc2_.ForwardBatch(s->m1, &s->out);
 }
 
-double ValueNetwork::Predict(const nn::Vec& query,
-                             const nn::TreeSample& plan) const {
-  return FromLabelSpace(ForwardTransformed(query, plan, nullptr));
+void ValueNetwork::StackedBackward(const Stacked& s, const nn::Mat& dout) {
+  // Node-major throughout: row j of every matrix here is column j of the
+  // forward pass, and dout (one output per item) has the same layout.
+  const nn::Mat m1 = nn::Transpose(s.m1);
+  const nn::Mat h2 = nn::Transpose(s.h2);
+  const nn::Mat h1 = nn::Transpose(s.h1);
+  nn::Mat dm1, dpooled, dh1;
+  fc2_.BackwardBatch(m1, dout, &dm1);
+  nn::ReluMatBackward(m1, &dm1);
+  fc1_.BackwardBatch(nn::Transpose(s.pooled), dm1, &dpooled);
+  nn::Mat dh2(h2.rows, h2.cols);
+  nn::DynamicMaxPoolBatchBackward(dpooled, s.argmax, &dh2);
+  nn::ReluMatBackward(h2, &dh2);
+  tc2_.BackwardBatch(h1, s.left, s.right, dh2, &dh1);
+  nn::ReluMatBackward(h1, &dh1);
+  tc1_.BackwardBatch(nn::Transpose(s.x), s.left, s.right, dh1, nullptr);
 }
 
 std::vector<double> ValueNetwork::ForwardBatch(
     const std::vector<const nn::Vec*>& queries,
     const std::vector<const nn::TreeSample*>& plans) const {
-  const int items = static_cast<int>(plans.size());
-  std::vector<double> out(static_cast<size_t>(items));
-  if (items == 0) return out;
-
-  // Stack every plan's nodes into one column-per-node batch; child indices
-  // become global column indices.
-  std::vector<int> begin(static_cast<size_t>(items) + 1, 0);
-  for (int i = 0; i < items; ++i) {
-    begin[i + 1] = begin[i] + static_cast<int>(plans[i]->features.size());
+  std::vector<double> out(plans.size());
+  if (plans.empty()) return out;
+  Stacked s;
+  StackedForward(queries, plans, &s);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = FromLabelSpace(s.out.at(0, static_cast<int>(i)));
   }
-  const int total = begin[items];
-  const int qd = config_.query_dim;
-  const int nd = config_.node_dim;
-  nn::Mat x(qd + nd, total);
-  std::vector<int> left(static_cast<size_t>(total));
-  std::vector<int> right(static_cast<size_t>(total));
-  for (int i = 0; i < items; ++i) {
-    const nn::TreeSample& tree = *plans[i];
-    const nn::Vec& query = *queries[i];
-    for (size_t node = 0; node < tree.features.size(); ++node) {
-      const int col = begin[i] + static_cast<int>(node);
-      for (int r = 0; r < qd; ++r) x.at(r, col) = query[r];
-      const nn::Vec& feat = tree.features[node];
-      for (int r = 0; r < nd; ++r) x.at(qd + r, col) = feat[r];
-      left[col] = tree.left[node] >= 0 ? begin[i] + tree.left[node] : -1;
-      right[col] = tree.right[node] >= 0 ? begin[i] + tree.right[node] : -1;
-    }
-  }
-
-  nn::Mat h1, h2, pooled, m1, o;
-  tc1_.ForwardBatch(x, left, right, &h1);
-  nn::ReluMatForward(&h1);
-  tc2_.ForwardBatch(h1, left, right, &h2);
-  nn::ReluMatForward(&h2);
-  nn::DynamicMaxPoolBatch(h2, begin, &pooled);
-  fc1_.ForwardBatch(pooled, &m1);
-  nn::ReluMatForward(&m1);
-  fc2_.ForwardBatch(m1, &o);
-  for (int i = 0; i < items; ++i) out[i] = FromLabelSpace(o.at(0, i));
   return out;
 }
 
@@ -281,13 +276,32 @@ ValueNetwork::TrainResult ValueNetwork::Train(
   adam_opts.lr = options.lr;
   nn::Adam adam(Params(), adam_opts);
 
+  // One StackedForward over data[idx[pos..end)], reusing `stacked`.
+  Stacked stacked;
+  std::vector<const nn::Vec*> queries;
+  std::vector<const nn::TreeSample*> plans;
+  auto forward = [&](const std::vector<int>& idx, size_t pos, size_t end) {
+    queries.clear();
+    plans.clear();
+    for (size_t k = pos; k < end; ++k) {
+      queries.push_back(&data[idx[k]].query);
+      plans.push_back(&data[idx[k]].plan);
+    }
+    StackedForward(queries, plans, &stacked);
+  };
+  const size_t batch_size = static_cast<size_t>(options.batch_size);
+
   auto eval_loss = [&](const std::vector<int>& idx) {
     if (idx.empty()) return 0.0;
     double total = 0;
-    for (int i : idx) {
-      double z = ToLabelSpace(data[i].label);
-      double pred = ForwardTransformed(data[i].query, data[i].plan, nullptr);
-      total += (pred - z) * (pred - z);
+    for (size_t pos = 0; pos < idx.size(); pos += batch_size) {
+      const size_t end = std::min(pos + batch_size, idx.size());
+      forward(idx, pos, end);
+      for (size_t k = pos; k < end; ++k) {
+        double z = ToLabelSpace(data[idx[k]].label);
+        double pred = stacked.out.at(0, static_cast<int>(k - pos));
+        total += (pred - z) * (pred - z);
+      }
     }
     return total / static_cast<double>(idx.size());
   };
@@ -313,18 +327,17 @@ ValueNetwork::TrainResult ValueNetwork::Train(
     double epoch_loss = 0;
     size_t pos = 0;
     while (pos < train.size()) {
-      size_t batch_end =
-          std::min(pos + static_cast<size_t>(options.batch_size),
-                   train.size());
-      int batch = static_cast<int>(batch_end - pos);
-      for (size_t b = pos; b < batch_end; ++b) {
-        const TrainingPoint& pt = data[train[b]];
-        Activations acts;
-        double pred = ForwardTransformed(pt.query, pt.plan, &acts);
-        double residual = pred - ToLabelSpace(pt.label);
+      const size_t batch_end = std::min(pos + batch_size, train.size());
+      const int batch = static_cast<int>(batch_end - pos);
+      forward(train, pos, batch_end);
+      nn::Mat dout(batch, 1);
+      for (int k = 0; k < batch; ++k) {
+        double residual =
+            stacked.out.at(0, k) - ToLabelSpace(data[train[pos + k]].label);
         epoch_loss += residual * residual;
-        Backward(pt.query, pt.plan, acts, 2.0 * residual);
+        dout.at(k, 0) = static_cast<float>(2.0 * residual);
       }
+      StackedBackward(stacked, dout);
       adam.Step(batch);
       result.sgd_samples += batch;
       pos = batch_end;

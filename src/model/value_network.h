@@ -146,14 +146,19 @@ class ValueNetwork {
   const ValueNetConfig& config() const { return config_; }
 
  private:
-  struct Activations;
+  struct Stacked;
 
-  /// Forward pass in transformed label space; fills `acts` when non-null.
-  double ForwardTransformed(const nn::Vec& query, const nn::TreeSample& plan,
-                            Activations* acts) const;
-  /// Backward pass for d(loss)/d(output) = dout; accumulates gradients.
-  void Backward(const nn::Vec& query, const nn::TreeSample& plan,
-                const Activations& acts, double dout);
+  /// The batched forward pass in transformed label space: every plan's
+  /// nodes stacked into one column-per-node batch (each plan's nodes in
+  /// preorder), keeping what StackedBackward reads. out(0, i) is item i's
+  /// output, bitwise equal to Predict's before FromLabelSpace.
+  void StackedForward(const std::vector<const nn::Vec*>& queries,
+                      const std::vector<const nn::TreeSample*>& plans,
+                      Stacked* s) const;
+  /// Accumulates the gradients of sum_i dout(i, 0) * out(0, i) over a
+  /// StackedForward batch: each gradient element adds its per-sample,
+  /// per-node terms in sample order, then node order.
+  void StackedBackward(const Stacked& s, const nn::Mat& dout);
 
   std::vector<nn::Param*> Params();
   std::vector<const nn::Param*> Params() const;

@@ -14,22 +14,66 @@ void MatVec(const Mat& w, const Vec& x, Vec* y) {
   }
 }
 
-void MatTVec(const Mat& w, const Vec& dy, Vec* dx) {
-  for (int r = 0; r < w.rows; ++r) {
-    const float* row = &w.data[static_cast<size_t>(r) * w.cols];
-    float d = dy[r];
-    if (d == 0) continue;
-    for (int c = 0; c < w.cols; ++c) (*dx)[c] += row[c] * d;
+namespace {
+
+// The per-column kernels of the batched backward, on one column's
+// contiguous (node-major) row. They skip zero dy entries, visiting only
+// the rows that NonZeroRows lists: ReLU makes about half of a gradient
+// zero, too irregularly for a branch per entry to predict.
+
+// Lists the r with dy[r] != 0 in ascending order; returns how many.
+int NonZeroRows(const float* dy, int n, int* rows) {
+  int count = 0;
+  for (int r = 0; r < n; ++r) {
+    rows[count] = r;
+    count += dy[r] != 0;
+  }
+  return count;
+}
+
+// dw += dy x^T.
+void OuterAcc(const float* dy, const int* rows, int count,
+              const float* __restrict__ x, Mat* dw) {
+  for (int k = 0; k < count; ++k) {
+    const float d = dy[rows[k]];
+    float* __restrict__ row =
+        &dw->data[static_cast<size_t>(rows[k]) * dw->cols];
+    for (int c = 0; c < dw->cols; ++c) row[c] += d * x[c];
   }
 }
 
-void OuterAcc(const Vec& dy, const Vec& x, Mat* dw) {
-  for (int r = 0; r < dw->rows; ++r) {
-    float d = dy[r];
-    if (d == 0) continue;
-    float* row = &dw->data[static_cast<size_t>(r) * dw->cols];
-    for (int c = 0; c < dw->cols; ++c) row[c] += d * x[c];
+// dx += w^T dy, summing over w's rows in ascending order.
+void MatTVec(const Mat& w, const float* dy, const int* rows, int count,
+             float* __restrict__ dx) {
+  for (int k = 0; k < count; ++k) {
+    const float d = dy[rows[k]];
+    const float* __restrict__ row =
+        &w.data[static_cast<size_t>(rows[k]) * w.cols];
+    for (int c = 0; c < w.cols; ++c) dx[c] += row[c] * d;
   }
+}
+
+// bias += dy.
+void BiasAcc(const float* __restrict__ dy, Mat* bias) {
+  float* __restrict__ b = bias->data.data();
+  for (int r = 0; r < bias->rows; ++r) b[r] += dy[r];
+}
+
+const float* Row(const Mat& m, int j) {
+  return &m.data[static_cast<size_t>(j) * m.cols];
+}
+float* Row(Mat* m, int j) {
+  return &m->data[static_cast<size_t>(j) * m->cols];
+}
+
+}  // namespace
+
+Mat Transpose(const Mat& m) {
+  Mat t(m.cols, m.rows);
+  for (int r = 0; r < m.rows; ++r) {
+    for (int c = 0; c < m.cols; ++c) t.at(c, r) = m.at(r, c);
+  }
+  return t;
 }
 
 void AddMatMul(const Mat& w, const Mat& x, Mat* y) {
@@ -68,6 +112,13 @@ void ReluMatForward(Mat* x) {
   for (float& v : x->data) v = v > 0 ? v : 0;
 }
 
+void ReluMatBackward(const Mat& y, Mat* dy) {
+  const float* __restrict__ in = y.data.data();
+  float* __restrict__ g = dy->data.data();
+  // A select rather than a branch: ReLU zeros are too common to predict.
+  for (size_t i = 0; i < y.data.size(); ++i) g[i] = in[i] <= 0 ? 0.f : g[i];
+}
+
 void Param::XavierInit(Rng* rng, int fan_in, int fan_out) {
   double bound = std::sqrt(6.0 / (fan_in + fan_out));
   for (float& w : value.data) {
@@ -96,10 +147,16 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
   }
 }
 
-void Linear::Backward(const Vec& x, const Vec& dy, Vec* dx) {
-  OuterAcc(dy, x, &w_.grad);
-  for (int r = 0; r < b_.grad.rows; ++r) b_.grad.at(r, 0) += dy[r];
-  if (dx) MatTVec(w_.value, dy, dx);
+void Linear::BackwardBatch(const Mat& xt, const Mat& dyt, Mat* dxt) {
+  if (dxt) *dxt = Mat(dyt.rows, in_dim());
+  std::vector<int> rows(static_cast<size_t>(dyt.cols));
+  for (int j = 0; j < dyt.rows; ++j) {
+    const float* dy = Row(dyt, j);
+    const int nz = NonZeroRows(dy, dyt.cols, rows.data());
+    OuterAcc(dy, rows.data(), nz, Row(xt, j), &w_.grad);
+    BiasAcc(dy, &b_.grad);
+    if (dxt) MatTVec(w_.value, dy, rows.data(), nz, Row(dxt, j));
+  }
 }
 
 TreeConvLayer::TreeConvLayer(int in, int out, Rng* rng)
@@ -185,66 +242,71 @@ void TreeConvLayer::ForwardWithTerms(const Mat& x, const TermColumns& left,
   }
 }
 
-void TreeConvLayer::Backward(const std::vector<Vec>& in,
-                             const std::vector<int>& left,
-                             const std::vector<int>& right,
-                             const std::vector<Vec>& dout,
-                             std::vector<Vec>* din) {
-  const int n = static_cast<int>(in.size());
-  if (din) {
-    din->assign(n, Vec(wp_.value.cols, 0.f));
-  }
-  for (int i = 0; i < n; ++i) {
-    const Vec& dy = dout[i];
-    OuterAcc(dy, in[i], &wp_.grad);
-    if (din) MatTVec(wp_.value, dy, &(*din)[i]);
-    if (left[i] >= 0) {
-      OuterAcc(dy, in[left[i]], &wl_.grad);
-      if (din) MatTVec(wl_.value, dy, &(*din)[left[i]]);
+void TreeConvLayer::BackwardBatch(const Mat& xt, const std::vector<int>& left,
+                                  const std::vector<int>& right,
+                                  const Mat& dyt, Mat* dxt) {
+  if (dxt) *dxt = Mat(dyt.rows, in_dim());
+  std::vector<int> rows(static_cast<size_t>(dyt.cols));
+  for (int j = 0; j < dyt.rows; ++j) {
+    const float* dy = Row(dyt, j);
+    const int nz = NonZeroRows(dy, dyt.cols, rows.data());
+    const int* r = rows.data();
+    OuterAcc(dy, r, nz, Row(xt, j), &wp_.grad);
+    if (dxt) MatTVec(wp_.value, dy, r, nz, Row(dxt, j));
+    if (left[j] >= 0) {
+      OuterAcc(dy, r, nz, Row(xt, left[j]), &wl_.grad);
+      if (dxt) MatTVec(wl_.value, dy, r, nz, Row(dxt, left[j]));
     }
-    if (right[i] >= 0) {
-      OuterAcc(dy, in[right[i]], &wr_.grad);
-      if (din) MatTVec(wr_.value, dy, &(*din)[right[i]]);
+    if (right[j] >= 0) {
+      OuterAcc(dy, r, nz, Row(xt, right[j]), &wr_.grad);
+      if (dxt) MatTVec(wr_.value, dy, r, nz, Row(dxt, right[j]));
     }
-    for (int r = 0; r < b_.grad.rows; ++r) b_.grad.at(r, 0) += dy[r];
+    BiasAcc(dy, &b_.grad);
   }
 }
 
-void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out,
-                    std::vector<int>* argmax) {
+void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out) {
   const int dim = static_cast<int>(nodes[0].size());
   out->assign(dim, -1e30f);
-  argmax->assign(dim, 0);
-  for (size_t i = 0; i < nodes.size(); ++i) {
+  for (const Vec& node : nodes) {
     for (int d = 0; d < dim; ++d) {
-      if (nodes[i][d] > (*out)[d]) {
-        (*out)[d] = nodes[i][d];
-        (*argmax)[d] = static_cast<int>(i);
-      }
+      if (node[d] > (*out)[d]) (*out)[d] = node[d];
     }
-  }
-}
-
-void DynamicMaxPoolBackward(const Vec& dout, const std::vector<int>& argmax,
-                            std::vector<Vec>* dnodes) {
-  for (size_t d = 0; d < dout.size(); ++d) {
-    (*dnodes)[argmax[d]][d] += dout[d];
   }
 }
 
 void DynamicMaxPoolBatch(const Mat& nodes, const std::vector<int>& item_begin,
-                         Mat* pooled) {
+                         Mat* pooled, std::vector<int>* argmax) {
   const int dim = nodes.rows;
   const int items = static_cast<int>(item_begin.size()) - 1;
   pooled->rows = dim;
   pooled->cols = items;
-  pooled->data.assign(static_cast<size_t>(dim) * items, -1e30f);
-  for (int it = 0; it < items; ++it) {
-    for (int col = item_begin[it]; col < item_begin[it + 1]; ++col) {
-      for (int d = 0; d < dim; ++d) {
-        const float v = nodes.at(d, col);
-        if (v > pooled->at(d, it)) pooled->at(d, it) = v;
+  pooled->data.resize(static_cast<size_t>(dim) * items);
+  argmax->resize(static_cast<size_t>(dim) * items);
+  for (int d = 0; d < dim; ++d) {
+    const float* row = &nodes.data[static_cast<size_t>(d) * nodes.cols];
+    for (int it = 0; it < items; ++it) {
+      float best = -1e30f;
+      int arg = item_begin[it];
+      for (int col = item_begin[it]; col < item_begin[it + 1]; ++col) {
+        const bool greater = row[col] > best;  // a select, not a branch
+        best = greater ? row[col] : best;
+        arg = greater ? col : arg;
       }
+      pooled->at(d, it) = best;
+      (*argmax)[static_cast<size_t>(d) * items + it] = arg;
+    }
+  }
+}
+
+void DynamicMaxPoolBatchBackward(const Mat& dpooled_t,
+                                 const std::vector<int>& argmax,
+                                 Mat* dnodes_t) {
+  const int items = dpooled_t.rows;
+  for (int it = 0; it < items; ++it) {
+    for (int d = 0; d < dpooled_t.cols; ++d) {
+      dnodes_t->at(argmax[static_cast<size_t>(d) * items + it], d) +=
+          dpooled_t.at(it, d);
     }
   }
 }

@@ -32,10 +32,6 @@ struct Mat {
 
 /// y += W x
 void MatVec(const Mat& w, const Vec& x, Vec* y);
-/// dx += W^T dy
-void MatTVec(const Mat& w, const Vec& dy, Vec* dx);
-/// dW += dy x^T
-void OuterAcc(const Vec& dy, const Vec& x, Mat* dw);
 
 /// y += W x for a column batch x (y: W.rows x x.cols). Every output element
 /// accumulates over W's columns in ascending order — exactly MatVec's
@@ -47,6 +43,12 @@ void AddMatMul(const Mat& w, const Mat& x, Mat* y);
 
 /// In-place ReLU over a whole matrix (elementwise, same as ReluForward).
 void ReluMatForward(Mat* x);
+/// dy *= 1[y > 0] elementwise, where y is the post-ReLU activation.
+void ReluMatBackward(const Mat& y, Mat* dy);
+
+/// The transpose of `m`. The batched backward passes are node-major: they
+/// take a column batch transposed, so each column is one contiguous row.
+Mat Transpose(const Mat& m);
 
 /// A trainable parameter: value + gradient (+ Adam moments).
 struct Param {
@@ -70,8 +72,13 @@ class Linear {
   /// Batched Forward over a column batch: y = W x + b per column. Bitwise
   /// matches Forward on each column (see AddMatMul).
   void ForwardBatch(const Mat& x, Mat* y) const;
-  /// Accumulates dW, db; adds W^T dy into dx (dx may be null).
-  void Backward(const Vec& x, const Vec& dy, Vec* dx);
+  /// Backward of ForwardBatch, node-major: row j of `xt` is input column
+  /// j and row j of `dyt` is dL/dy for it. Visits the rows in order, adding
+  /// dy x^T to dW and dy to db, and sets row j of *dxt (when non-null) to
+  /// W^T dy, summed over W's rows in ascending order. Zero dy entries are
+  /// skipped. Each gradient element thus adds its per-column terms in
+  /// column order, as a loop of per-vector updates would.
+  void BackwardBatch(const Mat& xt, const Mat& dyt, Mat* dxt);
 
   void CollectParams(std::vector<Param*>* out) {
     out->push_back(&w_);
@@ -88,12 +95,6 @@ class Linear {
 
 inline void ReluForward(Vec* x) {
   for (float& v : *x) v = v > 0 ? v : 0;
-}
-/// dx *= 1[y > 0], where y is the post-ReLU activation.
-inline void ReluBackward(const Vec& y, Vec* dy) {
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (y[i] <= 0) (*dy)[i] = 0;
-  }
 }
 
 /// A binary-tree-structured batch item for tree convolution: node features
@@ -140,10 +141,15 @@ class TreeConvLayer {
   /// same operations in the same order and match bitwise.
   void ForwardWithTerms(const Mat& x, const TermColumns& left,
                         const TermColumns& right, Mat* out) const;
-  /// Backprops into dIn (accumulated) and the three weight grads.
-  void Backward(const std::vector<Vec>& in, const std::vector<int>& left,
-                const std::vector<int>& right, const std::vector<Vec>& dout,
-                std::vector<Vec>* din);
+  /// Backward of ForwardBatch over the same columns, node-major as in
+  /// Linear::BackwardBatch. Visits the columns j in order; each adds the
+  /// outer products of dy[j] with x[j], x[left[j]] and x[right[j]] to the
+  /// Wp, Wl and Wr gradients and dy[j] to b's, and, when `dxt` is non-null,
+  /// Wp^T dy[j] to dx[j] and Wl^T dy[j], Wr^T dy[j] to its children's rows.
+  /// A node's dx is thus one running sum in the order its terms arrive:
+  /// its parent's (an earlier column in preorder), then its own.
+  void BackwardBatch(const Mat& xt, const std::vector<int>& left,
+                     const std::vector<int>& right, const Mat& dyt, Mat* dxt);
 
   void CollectParams(std::vector<Param*>* out) {
     out->push_back(&wp_);
@@ -158,17 +164,21 @@ class TreeConvLayer {
   Param wp_, wl_, wr_, b_;
 };
 
-/// Max pooling over nodes; records argmax for backward.
-void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out,
-                    std::vector<int>* argmax);
-void DynamicMaxPoolBackward(const Vec& dout, const std::vector<int>& argmax,
-                            std::vector<Vec>* dnodes);
+/// Max pooling over nodes.
+void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out);
 
 /// Batched dynamic max pooling over node-stacked columns: item i pools the
 /// columns [item_begin[i], item_begin[i+1]) of `nodes` into column i of
 /// `pooled` (dim x num_items). Matches DynamicMaxPool per item.
+/// argmax[d * num_items + i] is the first column holding item i's maximum
+/// in row d (ReLU zeros tie often; the first one gets the gradient).
 void DynamicMaxPoolBatch(const Mat& nodes, const std::vector<int>& item_begin,
-                         Mat* pooled);
+                         Mat* pooled, std::vector<int>* argmax);
+/// Node-major backward: dnodes_t(argmax[d * num_items + i], d) +=
+/// dpooled_t(i, d).
+void DynamicMaxPoolBatchBackward(const Mat& dpooled_t,
+                                 const std::vector<int>& argmax,
+                                 Mat* dnodes_t);
 
 /// Adam optimizer over a set of parameters.
 class Adam {

@@ -83,6 +83,17 @@ uint64_t Plan::Fingerprint(int idx) const {
   return JoinFingerprint(n.join_op, Fingerprint(n.left), Fingerprint(n.right));
 }
 
+std::vector<uint64_t> Plan::SubtreeFingerprints() const {
+  // Children precede their join in the arena (AddJoin).
+  std::vector<uint64_t> fps(nodes_.size());
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const PlanNode& n = nodes_[i];
+    fps[i] = n.is_join ? JoinFingerprint(n.join_op, fps[n.left], fps[n.right])
+                       : LeafFingerprint(n.relation, n.scan_op);
+  }
+  return fps;
+}
+
 bool Plan::IsLeftDeep(int idx) const {
   if (idx < 0) idx = root_;
   if (idx < 0) return true;

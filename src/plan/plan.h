@@ -68,6 +68,9 @@ class Plan {
   /// fingerprints execute identically.
   uint64_t Fingerprint(int idx = -1) const;
 
+  /// Fingerprint(i) for every arena node i, in one pass over the arena.
+  std::vector<uint64_t> SubtreeFingerprints() const;
+
   /// The fingerprint definition, one node at a time: a leaf's from its
   /// relation and scan operator, a join's from its operator and its
   /// children's fingerprints. Fingerprint() composes these, so a planner

@@ -7,6 +7,7 @@
 #include "src/baselines/neo_impl.h"
 #include "src/util/logging.h"
 #include "src/harness/env.h"
+#include "test_util.h"
 
 namespace balsa {
 namespace {
@@ -148,6 +149,38 @@ TEST_F(AgentTest, DiversifiedExperienceRetraining) {
   auto runtime = a.EvaluateWorkload(env.workload.TrainQueries());
   ASSERT_TRUE(runtime.ok());
   EXPECT_GT(*runtime, 0);
+}
+
+TEST_F(AgentTest, DatasetEqualsPerNodeFeaturization) {
+  // On agent-recorded plans, BuildDataset's points equal featurizing and
+  // fingerprinting each subtree on its own.
+  Env& env = SharedEnv();
+  BalsaAgentOptions options = FastOptions();
+  options.iterations = 1;
+  BalsaAgent agent(&env.schema(), env.pg_engine.get(), env.cout_model.get(),
+                   env.estimator.get(), &env.workload, options);
+  ASSERT_TRUE(agent.Train().ok());
+  const ExperienceBuffer& experience = agent.experience();
+  const Featurizer& featurizer = agent.featurizer();
+  std::vector<TrainingPoint> want;
+  for (const Execution& e : experience.executions()) {
+    const Query& query = env.workload.query(e.query_id);
+    for (int node = 0; node < e.plan.num_nodes(); ++node) {
+      TrainingPoint pt;
+      pt.query = featurizer.QueryFeatures(query);
+      pt.plan = featurizer.PlanFeatures(query, e.plan, node);
+      pt.label = experience.CorrectedLabel(
+          e.query_id, e.plan.Fingerprint(node), e.label_ms);
+      want.push_back(std::move(pt));
+    }
+  }
+  std::vector<TrainingPoint> got =
+      experience.BuildDataset(featurizer, env.workload);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_GT(got.size(), 0u);
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(testing::SamePoint(got[i], want[i])) << "point " << i;
+  }
 }
 
 TEST_F(AgentTest, CannotIterateBeforeBootstrap) {

@@ -96,6 +96,28 @@ TEST_F(FeaturizerTest, SubtreeFeaturesMatchExtractedPlan) {
   }
 }
 
+TEST_F(FeaturizerTest, SubtreeFeaturesEqualPerNodePlanFeatures) {
+  // A bushy plan, (s c) (p st), plus a scan the root does not reach.
+  Plan p;
+  int s = p.AddScan(0, ScanOp::kSeqScan);
+  int c = p.AddScan(1, ScanOp::kIndexScan);
+  int sc = p.AddJoin(s, c, JoinOp::kMergeJoin);
+  p.AddScan(2, ScanOp::kSeqScan);
+  int pr = p.AddScan(2, ScanOp::kIndexScan);
+  int st = p.AddScan(3, ScanOp::kSeqScan);
+  int pst = p.AddJoin(pr, st, JoinOp::kNLJoin);
+  p.AddJoin(sc, pst, JoinOp::kHashJoin);
+
+  std::vector<nn::TreeSample> all = featurizer_.SubtreeFeatures(query_, p);
+  ASSERT_EQ(all.size(), static_cast<size_t>(p.num_nodes()));
+  for (int i = 0; i < p.num_nodes(); ++i) {
+    nn::TreeSample want = featurizer_.PlanFeatures(query_, p, i);
+    EXPECT_EQ(all[i].features, want.features) << "node " << i;
+    EXPECT_EQ(all[i].left, want.left) << "node " << i;
+    EXPECT_EQ(all[i].right, want.right) << "node " << i;
+  }
+}
+
 TEST_F(FeaturizerTest, SelfJoinAliasesShareTableSlot) {
   QueryBuilder b(&fixture_.schema(), "self");
   auto q = b.From("sales", "s1").From("sales", "s2").From("customer", "c")

@@ -39,54 +39,56 @@ TEST(MatVecTest, MatchesManual) {
   EXPECT_FLOAT_EQ(y[1], 4 - 6);
 }
 
+// Fills a matrix with values in [-1, 1).
+Mat RandomMat(int rows, int cols, Rng* rng) {
+  Mat m(rows, cols);
+  for (float& v : m.data) v = static_cast<float>(rng->UniformDouble() * 2 - 1);
+  return m;
+}
+
+double SumSquares(const Mat& m) {
+  double l = 0;
+  for (float v : m.data) l += static_cast<double>(v) * v;
+  return l;
+}
+
+// Checks d(loss)/d(value) against `analytic` for a few entries of `values`.
+template <typename Fn>
+void ExpectGradsMatch(std::vector<float>* values,
+                      const std::vector<float>& analytic, Fn&& loss,
+                      const std::string& what) {
+  for (size_t idx = 0; idx < values->size(); idx += 3) {
+    double num = NumericalGrad(&(*values)[idx], loss);
+    EXPECT_NEAR(analytic[idx], num, 1e-2 + std::abs(num) * 0.05)
+        << what << "[" << idx << "]";
+  }
+}
+
 TEST(LinearTest, GradCheck) {
   Rng rng(1);
   Linear layer(4, 3, &rng);
-  Vec x{0.5f, -1.f, 2.f, 0.1f};
+  Mat x = RandomMat(4, 3, &rng);  // three columns
 
   auto loss = [&] {
-    Vec y(3, 0.f);
-    layer.Forward(x, &y);
-    double l = 0;
-    for (float v : y) l += v * v;
-    return l;
+    Mat y;
+    layer.ForwardBatch(x, &y);
+    return SumSquares(y);
   };
 
-  // Analytic gradient.
-  Vec y(3, 0.f);
-  layer.Forward(x, &y);
-  Vec dy(3);
-  for (int i = 0; i < 3; ++i) dy[i] = 2 * y[i];
-  Vec dx(4, 0.f);
+  Mat y;
+  layer.ForwardBatch(x, &y);
+  Mat dy = y;
+  for (float& v : dy.data) v *= 2;
+  Mat dxt;
   layer.w().ZeroGrad();
   layer.b().ZeroGrad();
-  layer.Backward(x, dy, &dx);
+  layer.BackwardBatch(Transpose(x), Transpose(dy), &dxt);
+  ASSERT_EQ(dxt.rows, 3);
+  ASSERT_EQ(dxt.cols, 4);
 
-  // Check a few weights, the bias, and the input gradient.
-  for (int idx : {0, 5, 11}) {
-    double num = NumericalGrad(&layer.w().value.data[idx], loss);
-    EXPECT_NEAR(layer.w().grad.data[idx], num, 1e-2 + std::abs(num) * 0.05)
-        << "w[" << idx << "]";
-  }
-  double num_b = NumericalGrad(&layer.b().value.data[1], loss);
-  EXPECT_NEAR(layer.b().grad.data[1], num_b, 1e-2 + std::abs(num_b) * 0.05);
-
-  for (int i = 0; i < 4; ++i) {
-    float saved = x[i];
-    auto loss_x = [&] {
-      Vec yy(3, 0.f);
-      layer.Forward(x, &yy);
-      double l = 0;
-      for (float v : yy) l += v * v;
-      return l;
-    };
-    x[i] = saved + 1e-3f;
-    double up = loss_x();
-    x[i] = saved - 1e-3f;
-    double down = loss_x();
-    x[i] = saved;
-    EXPECT_NEAR(dx[i], (up - down) / 2e-3, 1e-2 + std::abs(dx[i]) * 0.05);
-  }
+  ExpectGradsMatch(&layer.w().value.data, layer.w().grad.data, loss, "w");
+  ExpectGradsMatch(&layer.b().value.data, layer.b().grad.data, loss, "b");
+  ExpectGradsMatch(&x.data, Transpose(dxt).data, loss, "x");
 }
 
 TreeSample ThreeNodeTree(int dim) {
@@ -156,57 +158,212 @@ TEST(TreeConvTest, ChildTermsReproduceForwardBitwise) {
 TEST(TreeConvTest, GradCheck) {
   Rng rng(3);
   TreeConvLayer layer(3, 2, &rng);
-  TreeSample t = ThreeNodeTree(3);
+  // Two trees stacked as one column batch, each in preorder: (a b) (c d),
+  // whose root has join children on both sides, and a leaf.
+  struct {
+    std::vector<int> left{1, 2, -1, -1, 5, -1, -1, -1};
+    std::vector<int> right{4, 3, -1, -1, 6, -1, -1, -1};
+  } t;
+  Mat x = RandomMat(3, 8, &rng);
 
   auto loss = [&] {
-    std::vector<Vec> out;
-    layer.Forward(t.features, t.left, t.right, &out);
-    double l = 0;
-    for (const Vec& node : out) {
-      for (float v : node) l += v * v;
-    }
-    return l;
+    Mat out;
+    layer.ForwardBatch(x, t.left, t.right, &out);
+    return SumSquares(out);
   };
 
   std::vector<Param*> params;
   layer.CollectParams(&params);
   for (Param* p : params) p->ZeroGrad();
 
-  std::vector<Vec> out;
-  layer.Forward(t.features, t.left, t.right, &out);
-  std::vector<Vec> dout(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    dout[i].resize(out[i].size());
-    for (size_t j = 0; j < out[i].size(); ++j) dout[i][j] = 2 * out[i][j];
-  }
-  std::vector<Vec> din(t.features.size(), Vec(3, 0.f));
-  layer.Backward(t.features, t.left, t.right, dout, &din);
+  Mat out;
+  layer.ForwardBatch(x, t.left, t.right, &out);
+  Mat dout = out;
+  for (float& v : dout.data) v *= 2;
+  Mat dxt;
+  layer.BackwardBatch(Transpose(x), t.left, t.right, Transpose(dout), &dxt);
 
-  for (Param* p : params) {
-    for (size_t idx = 0; idx < std::min<size_t>(4, p->value.data.size());
-         ++idx) {
-      double num = NumericalGrad(&p->value.data[idx], loss);
-      EXPECT_NEAR(p->grad.data[idx], num, 1e-2 + std::abs(num) * 0.05);
-    }
+  const char* names[] = {"wp", "wl", "wr", "b"};
+  for (size_t i = 0; i < params.size(); ++i) {
+    ExpectGradsMatch(&params[i]->value.data, params[i]->grad.data, loss,
+                     names[i]);
+  }
+  // A child's input gradient has its parent's term and its own.
+  ExpectGradsMatch(&x.data, Transpose(dxt).data, loss, "x");
+}
+
+// Frozen per-vector kernels: the per-sample backward that the batched
+// kernels must reproduce bit for bit.
+void SeqMatTVec(const Mat& w, const Vec& dy, Vec* dx) {
+  for (int r = 0; r < w.rows; ++r) {
+    const float* row = &w.data[static_cast<size_t>(r) * w.cols];
+    float d = dy[r];
+    if (d == 0) continue;
+    for (int c = 0; c < w.cols; ++c) (*dx)[c] += row[c] * d;
   }
 }
 
-TEST(PoolTest, MaxPoolAndBackward) {
-  std::vector<Vec> nodes{{1.f, -5.f}, {0.f, 2.f}, {3.f, 0.f}};
-  Vec out;
-  std::vector<int> argmax;
-  DynamicMaxPool(nodes, &out, &argmax);
-  EXPECT_FLOAT_EQ(out[0], 3.f);
-  EXPECT_FLOAT_EQ(out[1], 2.f);
-  EXPECT_EQ(argmax[0], 2);
-  EXPECT_EQ(argmax[1], 1);
+void SeqOuterAcc(const Vec& dy, const Vec& x, Mat* dw) {
+  for (int r = 0; r < dw->rows; ++r) {
+    float d = dy[r];
+    if (d == 0) continue;
+    float* row = &dw->data[static_cast<size_t>(r) * dw->cols];
+    for (int c = 0; c < dw->cols; ++c) row[c] += d * x[c];
+  }
+}
 
-  Vec dout{1.f, 10.f};
-  std::vector<Vec> dnodes(3, Vec(2, 0.f));
-  DynamicMaxPoolBackward(dout, argmax, &dnodes);
-  EXPECT_FLOAT_EQ(dnodes[2][0], 1.f);
-  EXPECT_FLOAT_EQ(dnodes[1][1], 10.f);
-  EXPECT_FLOAT_EQ(dnodes[0][0], 0.f);
+Vec Column(const Mat& m, int j) {
+  Vec v(static_cast<size_t>(m.rows));
+  for (int r = 0; r < m.rows; ++r) v[r] = m.at(r, j);
+  return v;
+}
+
+// The node-by-node loop the batched backward replaces: each node adds its
+// own terms and its children's, in column order, so a child's input
+// gradient gets its parent's term before its own.
+void SeqTreeConvBackward(const std::vector<Param*>& params, const Mat& x,
+                         const std::vector<int>& left,
+                         const std::vector<int>& right, const Mat& dy,
+                         std::vector<Vec>* dx) {
+  Param& wp = *params[0];
+  Param& wl = *params[1];
+  Param& wr = *params[2];
+  Param& b = *params[3];
+  dx->assign(static_cast<size_t>(x.cols), Vec(static_cast<size_t>(x.rows)));
+  for (int i = 0; i < x.cols; ++i) {
+    const Vec d = Column(dy, i);
+    SeqOuterAcc(d, Column(x, i), &wp.grad);
+    SeqMatTVec(wp.value, d, &(*dx)[i]);
+    if (left[i] >= 0) {
+      SeqOuterAcc(d, Column(x, left[i]), &wl.grad);
+      SeqMatTVec(wl.value, d, &(*dx)[left[i]]);
+    }
+    if (right[i] >= 0) {
+      SeqOuterAcc(d, Column(x, right[i]), &wr.grad);
+      SeqMatTVec(wr.value, d, &(*dx)[right[i]]);
+    }
+    for (int r = 0; r < b.grad.rows; ++r) b.grad.at(r, 0) += d[r];
+  }
+}
+
+TEST(TreeConvTest, BatchedBackwardMatchesSequentialLoopBitwise) {
+  // Many trees of mixed shapes, one batch: leaves, left-deep joins, bushy
+  // trees with children on both sides, and one tree stored children first,
+  // whose nodes get their own term before their parent's.
+  Rng rng(11);
+  std::vector<int> left, right;
+  for (int tree = 0; tree < 12; ++tree) {
+    const int base = static_cast<int>(left.size());
+    if (tree % 4 == 0) {  // leaf
+      left.push_back(-1);
+      right.push_back(-1);
+    } else if (tree % 4 == 1) {  // (a b) c, preorder: root, ab, a, b, c
+      left.insert(left.end(), {base + 1, base + 2, -1, -1, -1});
+      right.insert(right.end(), {base + 4, base + 3, -1, -1, -1});
+    } else if (tree % 4 == 2) {  // (a b) (c d): root, ab, a, b, cd, c, d
+      left.insert(left.end(), {base + 1, base + 2, -1, -1, base + 5, -1, -1});
+      right.insert(right.end(), {base + 4, base + 3, -1, -1, base + 6, -1, -1});
+    } else {  // (a b) c in postorder: a, b, ab, c, root
+      left.insert(left.end(), {-1, -1, base, -1, base + 2});
+      right.insert(right.end(), {-1, -1, base + 1, -1, base + 3});
+    }
+  }
+  const int n = static_cast<int>(left.size());
+  Rng init(5);
+  TreeConvLayer batched(7, 9, &init);
+  Rng init_copy(5);
+  TreeConvLayer sequential(7, 9, &init_copy);
+  Mat x = RandomMat(7, n, &rng);
+  // dy as a ReLU'd gradient: every third column all zero, scattered zero
+  // entries elsewhere.
+  Mat dy = RandomMat(9, n, &rng);
+  for (int j = 0; j < n; ++j) {
+    for (int r = 0; r < dy.rows; ++r) {
+      if (j % 3 == 2 || rng.Uniform(4) == 0) dy.at(r, j) = 0;
+    }
+  }
+
+  std::vector<Param*> got, want;
+  batched.CollectParams(&got);
+  sequential.CollectParams(&want);
+  // Nonzero starting gradients: the batch adds onto what is there.
+  for (size_t i = 0; i < got.size(); ++i) {
+    got[i]->grad = RandomMat(got[i]->grad.rows, got[i]->grad.cols, &rng);
+    want[i]->grad = got[i]->grad;
+  }
+  Mat dxt;
+  batched.BackwardBatch(Transpose(x), left, right, Transpose(dy), &dxt);
+  std::vector<Vec> want_dx;
+  SeqTreeConvBackward(want, x, left, right, dy, &want_dx);
+
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i]->grad.data, want[i]->grad.data) << "param " << i;
+  }
+  const Mat dx = Transpose(dxt);
+  for (int j = 0; j < n; ++j) {
+    EXPECT_EQ(Column(dx, j), want_dx[j]) << "column " << j;
+  }
+}
+
+TEST(LinearTest, BatchedBackwardMatchesSequentialLoopBitwise) {
+  Rng rng(13);
+  Linear batched(10, 6, &rng);
+  Linear sequential = batched;
+  Mat x = RandomMat(10, 9, &rng);
+  Mat dy = RandomMat(6, 9, &rng);
+  for (int r = 0; r < dy.rows; ++r) dy.at(r, 4) = 0;  // a ReLU'd column
+  dy.at(2, 1) = 0;
+  Mat dxt;
+  batched.BackwardBatch(Transpose(x), Transpose(dy), &dxt);
+  const Mat dx = Transpose(dxt);
+  for (int j = 0; j < x.cols; ++j) {
+    const Vec d = Column(dy, j);
+    SeqOuterAcc(d, Column(x, j), &sequential.w().grad);
+    for (int r = 0; r < dy.rows; ++r) sequential.b().grad.at(r, 0) += d[r];
+    Vec want(10, 0.f);
+    SeqMatTVec(sequential.w().value, d, &want);
+    EXPECT_EQ(Column(dx, j), want) << "column " << j;
+  }
+  EXPECT_EQ(batched.w().grad.data, sequential.w().grad.data);
+  EXPECT_EQ(batched.b().grad.data, sequential.b().grad.data);
+}
+
+TEST(PoolTest, MaxPoolAndBackward) {
+  // Two items stacked: columns 0-2 and 3-4. Item 1 ties in both rows; the
+  // first maximal column takes the gradient.
+  Mat nodes(2, 5);
+  const float values[2][5] = {{1.f, 0.f, 3.f, 2.f, 2.f},
+                              {-5.f, 2.f, 0.f, 0.f, 0.f}};
+  for (int d = 0; d < 2; ++d) {
+    for (int c = 0; c < 5; ++c) nodes.at(d, c) = values[d][c];
+  }
+  Mat pooled;
+  std::vector<int> argmax;
+  DynamicMaxPoolBatch(nodes, {0, 3, 5}, &pooled, &argmax);
+  EXPECT_EQ(pooled.at(0, 0), 3.f);
+  EXPECT_EQ(pooled.at(1, 0), 2.f);
+  EXPECT_EQ(pooled.at(0, 1), 2.f);
+  EXPECT_EQ(pooled.at(1, 1), 0.f);
+  EXPECT_EQ(argmax, (std::vector<int>{2, 3, 1, 3}));
+
+  Vec per_item;
+  DynamicMaxPool({{1.f, -5.f}, {0.f, 2.f}, {3.f, 0.f}}, &per_item);
+  EXPECT_EQ(per_item, (Vec{3.f, 2.f}));
+
+  Mat dpooled(2, 2);
+  dpooled.at(0, 0) = 1.f;
+  dpooled.at(1, 0) = 10.f;
+  dpooled.at(0, 1) = 4.f;
+  dpooled.at(1, 1) = 7.f;
+  Mat dnodes_t(5, 2);
+  DynamicMaxPoolBatchBackward(Transpose(dpooled), argmax, &dnodes_t);
+  const Mat dnodes = Transpose(dnodes_t);
+  EXPECT_EQ(dnodes.at(0, 2), 1.f);
+  EXPECT_EQ(dnodes.at(1, 1), 10.f);
+  EXPECT_EQ(dnodes.at(0, 3), 4.f);
+  EXPECT_EQ(dnodes.at(1, 3), 7.f);
+  EXPECT_EQ(dnodes.at(0, 4), 0.f);
+  EXPECT_EQ(dnodes.at(0, 0), 0.f);
 }
 
 TEST(ReluTest, ForwardBackward) {
@@ -214,10 +371,13 @@ TEST(ReluTest, ForwardBackward) {
   ReluForward(&x);
   EXPECT_FLOAT_EQ(x[0], 0.f);
   EXPECT_FLOAT_EQ(x[2], 2.f);
-  Vec dy{5.f, 5.f, 5.f};
-  ReluBackward(x, &dy);
-  EXPECT_FLOAT_EQ(dy[0], 0.f);  // gradient gated by post-activation
-  EXPECT_FLOAT_EQ(dy[2], 5.f);
+  Mat y(1, 3), dy(1, 3);
+  y.data = x;
+  dy.data = {5.f, 5.f, 5.f};
+  ReluMatBackward(y, &dy);
+  EXPECT_FLOAT_EQ(dy.data[0], 0.f);  // gradient gated by post-activation
+  EXPECT_FLOAT_EQ(dy.data[1], 0.f);
+  EXPECT_FLOAT_EQ(dy.data[2], 5.f);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {

@@ -86,6 +86,20 @@ TEST(PlanTest, SubtreeFingerprintMatchesExtracted) {
   EXPECT_TRUE(sub.Validate());
 }
 
+TEST(PlanTest, SubtreeFingerprintsMatchPerNode) {
+  Plan p;
+  int a = p.AddScan(0, ScanOp::kSeqScan);
+  int b = p.AddScan(1, ScanOp::kIndexScan);
+  int ab = p.AddJoin(a, b, JoinOp::kHashJoin);
+  int c = p.AddScan(2, ScanOp::kSeqScan);
+  int d = p.AddScan(3, ScanOp::kSeqScan);
+  int cd = p.AddJoin(c, d, JoinOp::kMergeJoin);
+  p.AddJoin(ab, cd, JoinOp::kNLJoin);
+  std::vector<uint64_t> fps = p.SubtreeFingerprints();
+  ASSERT_EQ(fps.size(), static_cast<size_t>(p.num_nodes()));
+  for (int i = 0; i < p.num_nodes(); ++i) EXPECT_EQ(fps[i], p.Fingerprint(i));
+}
+
 TEST(PlanTest, ComposeJoinMergesArenas) {
   Plan l;
   l.set_root(l.AddScan(0, ScanOp::kSeqScan));

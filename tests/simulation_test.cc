@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/optimizer/dp_optimizer.h"
 #include "test_util.h"
 
 namespace balsa {
@@ -36,6 +37,49 @@ TEST_F(SimulationTest, CollectsAugmentedPoints) {
   for (const TrainingPoint& pt : *data) {
     EXPECT_GT(pt.label, 0);
     EXPECT_EQ(pt.query.size(), static_cast<size_t>(featurizer_.query_dim()));
+  }
+}
+
+TEST_F(SimulationTest, PointsEqualPerNodeFeaturization) {
+  // Every point equals what featurizing its subtree alone gives: the
+  // enumerated plans, each subtree through PlanFeatures, in order.
+  for (bool canonical : {true, false}) {
+    SimulationOptions options;
+    options.max_points_per_query = 0;
+    options.canonical_operators_only = canonical;
+    options.num_threads = 1;
+    auto data = CollectSimulationData({&query_}, fixture_.schema(), cout_,
+                                      featurizer_, options);
+    ASSERT_TRUE(data.ok());
+
+    DpOptimizerOptions dp_options;
+    if (canonical) {
+      dp_options.enable_merge_join = false;
+      dp_options.enable_nl_join = false;
+      dp_options.enable_index_nl = false;
+    }
+    DpOptimizer enumerator(&fixture_.schema(), &cout_, dp_options);
+    std::vector<TrainingPoint> want;
+    ASSERT_TRUE(enumerator
+                    .EnumerateAll(query_,
+                                  [&](const Query& q, TableSet scope,
+                                      const Plan& plan, double cost) {
+                                    for (int node = 0;
+                                         node < plan.num_nodes(); ++node) {
+                                      TrainingPoint pt;
+                                      pt.query =
+                                          featurizer_.QueryFeatures(q, scope);
+                                      pt.plan = featurizer_.PlanFeatures(
+                                          q, plan, node);
+                                      pt.label = cost;
+                                      want.push_back(std::move(pt));
+                                    }
+                                  })
+                    .ok());
+    ASSERT_EQ(data->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(testing::SamePoint((*data)[i], want[i])) << "point " << i;
+    }
   }
 }
 

@@ -140,4 +140,12 @@ inline SubtreeEmbedding EmbedSubtree(const ValueNetwork& net,
   return embedding;
 }
 
+/// True if two training points have equal query features, plan features,
+/// child indices and label.
+inline bool SamePoint(const TrainingPoint& a, const TrainingPoint& b) {
+  return a.query == b.query && a.plan.features == b.plan.features &&
+         a.plan.left == b.plan.left && a.plan.right == b.plan.right &&
+         a.label == b.label;
+}
+
 }  // namespace balsa::testing

@@ -1,6 +1,15 @@
 #include "src/model/value_network.h"
 
+#include <cmath>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <numeric>
+
 #include <gtest/gtest.h>
+
+#include "src/balsa/simulation.h"
+#include "test_util.h"
 
 namespace balsa {
 namespace {
@@ -159,6 +168,376 @@ TEST(ValueNetworkTest, RawLabelSpaceSupported) {
   opts.lr = 5e-3;
   net.Train(data, opts);
   EXPECT_NEAR(net.Predict(data[0].query, data[0].plan), 7.0, 1.0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Bitwise training equivalence. ReferenceTrainer is a frozen copy of the
+// per-sample trainer that ValueNetwork::Train replaced: one forward pass and
+// one backward pass per (plan, node) sample, over per-node vectors, with the
+// same Rng layer init, shuffles, Adam and early stopping. Train stacks each
+// minibatch into matrices; the trained weights must not change by a bit.
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+class ReferenceTrainer {
+ public:
+  explicit ReferenceTrainer(const ValueNetConfig& config) : config_(config) {
+    Rng rng(config.init_seed);
+    const int in = config.query_dim + config.node_dim;
+    tc1_ = nn::TreeConvLayer(in, config.tree_hidden1, &rng);
+    tc2_ = nn::TreeConvLayer(config.tree_hidden1, config.tree_hidden2, &rng);
+    fc1_ = nn::Linear(config.tree_hidden2, config.mlp_hidden, &rng);
+    fc2_ = nn::Linear(config.mlp_hidden, 1, &rng);
+    tc1_.CollectParams(&params_);
+    tc2_.CollectParams(&params_);
+    fc1_.CollectParams(&params_);
+    fc2_.CollectParams(&params_);
+  }
+
+  std::string SavedBytes(const std::string& name) {
+    const std::string path = ::testing::TempDir() + "/" + name;
+    EXPECT_TRUE(nn::SaveParams(params_, path).ok());
+    return FileBytes(path);
+  }
+
+  ValueNetwork::TrainResult Train(const std::vector<TrainingPoint>& data,
+                                  const ValueNetwork::TrainOptions& options) {
+    ValueNetwork::TrainResult result;
+    if (data.empty()) return result;
+    std::vector<int> order(data.size());
+    std::iota(order.begin(), order.end(), 0);
+    Rng rng(options.shuffle_seed);
+    rng.Shuffle(&order);
+    size_t num_val = static_cast<size_t>(
+        static_cast<double>(data.size()) * options.val_fraction);
+    num_val = std::min(num_val, data.size() - 1);
+    std::vector<int> val(order.begin(), order.begin() + num_val);
+    std::vector<int> train(order.begin() + num_val, order.end());
+
+    nn::Adam::Options adam_opts;
+    adam_opts.lr = options.lr;
+    nn::Adam adam(params_, adam_opts);
+    auto eval_loss = [&](const std::vector<int>& idx) {
+      if (idx.empty()) return 0.0;
+      double total = 0;
+      for (int i : idx) {
+        double z = ToLabelSpace(data[i].label);
+        Acts acts;
+        double pred = Forward(data[i].query, data[i].plan, &acts);
+        total += (pred - z) * (pred - z);
+      }
+      return total / static_cast<double>(idx.size());
+    };
+
+    double best_val = std::numeric_limits<double>::infinity();
+    int stale_epochs = 0;
+    std::vector<nn::Mat> best_weights;
+    for (int epoch = 0; epoch < options.max_epochs; ++epoch) {
+      rng.Shuffle(&train);
+      double epoch_loss = 0;
+      size_t pos = 0;
+      while (pos < train.size()) {
+        size_t batch_end = std::min(
+            pos + static_cast<size_t>(options.batch_size), train.size());
+        int batch = static_cast<int>(batch_end - pos);
+        for (size_t b = pos; b < batch_end; ++b) {
+          const TrainingPoint& pt = data[train[b]];
+          Acts acts;
+          double pred = Forward(pt.query, pt.plan, &acts);
+          double residual = pred - ToLabelSpace(pt.label);
+          epoch_loss += residual * residual;
+          Backward(pt.plan, acts, 2.0 * residual);
+        }
+        adam.Step(batch);
+        result.sgd_samples += batch;
+        pos = batch_end;
+      }
+      result.epochs_run = epoch + 1;
+      result.final_train_loss =
+          epoch_loss / static_cast<double>(std::max<size_t>(1, train.size()));
+      if (!val.empty()) {
+        double val_loss = eval_loss(val);
+        if (val_loss < best_val - 1e-9) {
+          best_val = val_loss;
+          stale_epochs = 0;
+          best_weights.clear();
+          for (nn::Param* p : params_) best_weights.push_back(p->value);
+        } else if (epoch + 1 >= options.min_epochs &&
+                   ++stale_epochs >= options.patience) {
+          break;
+        }
+      }
+    }
+    if (!val.empty() && !best_weights.empty()) {
+      for (size_t i = 0; i < params_.size(); ++i) {
+        params_[i]->value = best_weights[i];
+      }
+    }
+    result.best_val_loss = val.empty() ? result.final_train_loss : best_val;
+    return result;
+  }
+
+ private:
+  struct Acts {
+    std::vector<nn::Vec> inputs, h1, h2;
+    nn::Vec pooled, m1, out;
+    std::vector<int> argmax;
+  };
+
+  static void MatTVec(const nn::Mat& w, const nn::Vec& dy, nn::Vec* dx) {
+    for (int r = 0; r < w.rows; ++r) {
+      const float* row = &w.data[static_cast<size_t>(r) * w.cols];
+      float d = dy[r];
+      if (d == 0) continue;
+      for (int c = 0; c < w.cols; ++c) (*dx)[c] += row[c] * d;
+    }
+  }
+
+  static void OuterAcc(const nn::Vec& dy, const nn::Vec& x, nn::Mat* dw) {
+    for (int r = 0; r < dw->rows; ++r) {
+      float d = dy[r];
+      if (d == 0) continue;
+      float* row = &dw->data[static_cast<size_t>(r) * dw->cols];
+      for (int c = 0; c < dw->cols; ++c) row[c] += d * x[c];
+    }
+  }
+
+  static void ReluBackward(const nn::Vec& y, nn::Vec* dy) {
+    for (size_t i = 0; i < y.size(); ++i) {
+      if (y[i] <= 0) (*dy)[i] = 0;
+    }
+  }
+
+  // params: w, b.
+  static void LinearBackward(nn::Linear* layer, const nn::Vec& x,
+                             const nn::Vec& dy, nn::Vec* dx) {
+    OuterAcc(dy, x, &layer->w().grad);
+    for (int r = 0; r < layer->b().grad.rows; ++r) {
+      layer->b().grad.at(r, 0) += dy[r];
+    }
+    if (dx) MatTVec(layer->w().value, dy, dx);
+  }
+
+  // params: wp, wl, wr, b.
+  static void TreeConvBackward(nn::TreeConvLayer* layer,
+                               const std::vector<nn::Vec>& in,
+                               const nn::TreeSample& plan,
+                               const std::vector<nn::Vec>& dout,
+                               std::vector<nn::Vec>* din) {
+    std::vector<nn::Param*> p;
+    layer->CollectParams(&p);
+    const int n = static_cast<int>(in.size());
+    if (din) din->assign(n, nn::Vec(static_cast<size_t>(layer->in_dim()), 0.f));
+    for (int i = 0; i < n; ++i) {
+      const nn::Vec& dy = dout[i];
+      OuterAcc(dy, in[i], &p[0]->grad);
+      if (din) MatTVec(p[0]->value, dy, &(*din)[i]);
+      if (plan.left[i] >= 0) {
+        OuterAcc(dy, in[plan.left[i]], &p[1]->grad);
+        if (din) MatTVec(p[1]->value, dy, &(*din)[plan.left[i]]);
+      }
+      if (plan.right[i] >= 0) {
+        OuterAcc(dy, in[plan.right[i]], &p[2]->grad);
+        if (din) MatTVec(p[2]->value, dy, &(*din)[plan.right[i]]);
+      }
+      for (int r = 0; r < p[3]->grad.rows; ++r) p[3]->grad.at(r, 0) += dy[r];
+    }
+  }
+
+  double ToLabelSpace(double y) const {
+    return config_.log_transform ? std::log1p(std::max(0.0, y)) : y;
+  }
+
+  double Forward(const nn::Vec& query, const nn::TreeSample& plan,
+                 Acts* a) const {
+    const size_t n = plan.features.size();
+    a->inputs.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      a->inputs[i] = query;
+      a->inputs[i].insert(a->inputs[i].end(), plan.features[i].begin(),
+                          plan.features[i].end());
+    }
+    tc1_.Forward(a->inputs, plan.left, plan.right, &a->h1);
+    for (auto& v : a->h1) nn::ReluForward(&v);
+    tc2_.Forward(a->h1, plan.left, plan.right, &a->h2);
+    for (auto& v : a->h2) nn::ReluForward(&v);
+    const size_t dim = a->h2[0].size();
+    a->pooled.assign(dim, -1e30f);
+    a->argmax.assign(dim, 0);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        if (a->h2[i][d] > a->pooled[d]) {
+          a->pooled[d] = a->h2[i][d];
+          a->argmax[d] = static_cast<int>(i);
+        }
+      }
+    }
+    fc1_.Forward(a->pooled, &a->m1);
+    nn::ReluForward(&a->m1);
+    fc2_.Forward(a->m1, &a->out);
+    return a->out[0];
+  }
+
+  void Backward(const nn::TreeSample& plan, const Acts& a, double dout) {
+    nn::Vec dy_out{static_cast<float>(dout)};
+    nn::Vec dm1(a.m1.size(), 0.f);
+    LinearBackward(&fc2_, a.m1, dy_out, &dm1);
+    ReluBackward(a.m1, &dm1);
+    nn::Vec dpooled(a.pooled.size(), 0.f);
+    LinearBackward(&fc1_, a.pooled, dm1, &dpooled);
+    std::vector<nn::Vec> dh2(a.h2.size(), nn::Vec(a.pooled.size(), 0.f));
+    for (size_t d = 0; d < dpooled.size(); ++d) {
+      dh2[a.argmax[d]][d] += dpooled[d];
+    }
+    for (size_t i = 0; i < dh2.size(); ++i) ReluBackward(a.h2[i], &dh2[i]);
+    std::vector<nn::Vec> dh1;
+    TreeConvBackward(&tc2_, a.h1, plan, dh2, &dh1);
+    for (size_t i = 0; i < dh1.size(); ++i) ReluBackward(a.h1[i], &dh1[i]);
+    TreeConvBackward(&tc1_, a.inputs, plan, dh1, nullptr);
+  }
+
+  ValueNetConfig config_;
+  nn::TreeConvLayer tc1_, tc2_;
+  nn::Linear fc1_, fc2_;
+  std::vector<nn::Param*> params_;
+};
+
+class TrainBitwiseTest : public ::testing::Test {
+ protected:
+  TrainBitwiseTest()
+      : fixture_(testing::MakeStarFixture()),
+        query_(testing::MakeStarQuery(fixture_.schema())),
+        featurizer_(&fixture_.schema(), fixture_.estimator.get()),
+        cout_(fixture_.estimator, &fixture_.schema()) {}
+
+  ValueNetConfig Config(bool log_transform) const {
+    ValueNetConfig config;
+    config.query_dim = featurizer_.query_dim();
+    config.node_dim = featurizer_.node_dim();
+    config.log_transform = log_transform;
+    config.init_seed = 17;
+    return config;
+  }
+
+  // Augmented simulator points of the star query: every subtree of every
+  // enumerated plan (all physical operators), so subtree sizes range from
+  // one node to the full bushy or left-deep plan.
+  std::vector<TrainingPoint> SimulationData(size_t max_points) const {
+    SimulationOptions options;
+    options.max_points_per_query = max_points;
+    options.canonical_operators_only = false;
+    options.num_threads = 1;
+    auto data = CollectSimulationData({&query_}, fixture_.schema(), cout_,
+                                      featurizer_, options);
+    BALSA_CHECK(data.ok(), data.status().ToString());
+    return std::move(data).value();
+  }
+
+  // Trains a ValueNetwork and the reference on the same data, in the same
+  // sequence of Train calls, and expects equal results and weight bytes
+  // after each call.
+  void ExpectSameTraining(
+      const ValueNetConfig& config,
+      const std::vector<std::pair<std::vector<TrainingPoint>,
+                                  ValueNetwork::TrainOptions>>& runs) {
+    ValueNetwork net(config);
+    ReferenceTrainer ref(config);
+    const std::string path = ::testing::TempDir() + "/bitwise_net.bin";
+    ASSERT_TRUE(net.Save(path).ok());
+    ASSERT_EQ(FileBytes(path), ref.SavedBytes("bitwise_ref.bin"));
+    for (size_t i = 0; i < runs.size(); ++i) {
+      ValueNetwork::TrainResult got = net.Train(runs[i].first, runs[i].second);
+      ValueNetwork::TrainResult want = ref.Train(runs[i].first, runs[i].second);
+      EXPECT_EQ(got.epochs_run, want.epochs_run) << "run " << i;
+      EXPECT_EQ(got.final_train_loss, want.final_train_loss) << "run " << i;
+      EXPECT_EQ(got.best_val_loss, want.best_val_loss) << "run " << i;
+      EXPECT_EQ(got.sgd_samples, want.sgd_samples) << "run " << i;
+      ASSERT_TRUE(net.Save(path).ok());
+      EXPECT_TRUE(FileBytes(path) == ref.SavedBytes("bitwise_ref.bin"))
+          << "weights differ after run " << i;
+    }
+  }
+
+  testing::StarFixture fixture_;
+  Query query_;
+  Featurizer featurizer_;
+  CoutCostModel cout_;
+};
+
+TEST_F(TrainBitwiseTest, SimulationBootstrapThenFineTune) {
+  std::vector<TrainingPoint> sim = SimulationData(400);
+  ASSERT_EQ(sim.size(), 400u);
+  size_t min_nodes = 1000, max_nodes = 0;
+  for (const TrainingPoint& pt : sim) {
+    min_nodes = std::min(min_nodes, pt.plan.features.size());
+    max_nodes = std::max(max_nodes, pt.plan.features.size());
+  }
+  EXPECT_EQ(min_nodes, 1u);
+  EXPECT_EQ(max_nodes, 7u);  // a full 4-way plan
+
+  // Bootstrap with a 10% validation split: 360 training points make five
+  // full minibatches and a ragged one of 40.
+  ValueNetwork::TrainOptions boot;
+  boot.max_epochs = 5;
+  // Fine-tune on a slice with its own shuffle, without validation, in
+  // minibatches of 48 (ragged: 150 = 3 * 48 + 6).
+  std::vector<TrainingPoint> slice(sim.begin() + 100, sim.begin() + 250);
+  for (TrainingPoint& pt : slice) pt.label *= 0.5;
+  ValueNetwork::TrainOptions tune;
+  tune.max_epochs = 3;
+  tune.val_fraction = 0;
+  tune.batch_size = 48;
+  tune.shuffle_seed = 9;
+  ExpectSameTraining(Config(true), {{sim, boot}, {slice, tune}});
+}
+
+TEST_F(TrainBitwiseTest, RawLabelSpace) {
+  std::vector<TrainingPoint> sim = SimulationData(200);
+  // Raw costs are large; scale them so raw-space training stays finite.
+  for (TrainingPoint& pt : sim) pt.label = std::log1p(pt.label);
+  ValueNetwork::TrainOptions opts;
+  opts.max_epochs = 4;
+  ExpectSameTraining(Config(false), {{sim, opts}});
+}
+
+TEST_F(TrainBitwiseTest, EarlyStoppingRestoresBestWeights) {
+  // Noise labels over hand-built plans, including (a b) (c d), whose root
+  // has join children on both sides: validation loss soon stops improving,
+  // so training stops early and restores an earlier epoch's weights.
+  const int qd = featurizer_.query_dim();
+  const int nd = featurizer_.node_dim();
+  nn::TreeSample bushy;
+  for (int i = 0; i < 7; ++i) {
+    bushy.features.push_back(nn::Vec(static_cast<size_t>(nd), 0.1f * i));
+  }
+  bushy.left = {1, 2, -1, -1, 5, -1, -1};
+  bushy.right = {4, 3, -1, -1, 6, -1, -1};
+  Rng rng(21);
+  std::vector<TrainingPoint> data;
+  for (int i = 0; i < 150; ++i) {
+    TrainingPoint pt;
+    pt.query = nn::Vec(static_cast<size_t>(qd),
+                       static_cast<float>(rng.UniformDouble()));
+    pt.plan = i % 3 == 0 ? bushy
+                         : (i % 3 == 1 ? Join(nd, 0.3f, 0.8f)
+                                       : Leaf(nd, static_cast<float>(i) / 150));
+    pt.plan.features[0][0] = static_cast<float>(rng.UniformDouble());
+    pt.label = rng.UniformDouble() * 1000;
+    data.push_back(std::move(pt));
+  }
+  ValueNetwork::TrainOptions opts;
+  opts.max_epochs = 200;
+  opts.patience = 2;
+  opts.val_fraction = 0.2;
+  opts.batch_size = 16;
+  ValueNetwork probe(Config(true));
+  ASSERT_LT(probe.Train(data, opts).epochs_run, opts.max_epochs);
+  ExpectSameTraining(Config(true), {{data, opts}});
 }
 
 }  // namespace
