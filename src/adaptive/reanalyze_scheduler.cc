@@ -6,6 +6,7 @@
 
 #include "src/obs/trace.h"
 #include "src/stats/incremental_analyze.h"
+#include "src/stats/table_stats.h"
 
 namespace balsa {
 
@@ -23,28 +24,31 @@ ReanalyzeScheduler::ReanalyzeScheduler(Database* db, ChangeLog* log,
       pool_(pool),
       options_(options),
       detector_(options.thresholds),
-      incremental_rounds_(static_cast<size_t>(log->num_tables()), 0) {
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry* reg = options_.metrics;
-    registrations_.push_back(reg->AttachCounter("adaptive.passes", &passes_));
-    registrations_.push_back(reg->AttachCounter("adaptive.bumps", &bumps_));
-    registrations_.push_back(reg->AttachCounter(
-        "adaptive.incremental_merges", &incremental_merges_));
-    registrations_.push_back(
-        reg->AttachCounter("adaptive.full_reanalyzes", &full_reanalyzes_));
-    registrations_.push_back(
-        reg->AttachCounter("adaptive.rewarm_replans", &rewarm_replans_));
-    registrations_.push_back(reg->AttachCounter("adaptive.errors", &errors_));
-    registrations_.push_back(
-        reg->AttachHistogram("adaptive.reanalyze_us", &reanalyze_us_));
-    registrations_.push_back(reg->AttachHistogram(
-        "adaptive.drift_score_milli", &drift_score_milli_));
-    registrations_.push_back(reg->AttachGauge("adaptive.max_drift_score_milli",
-                                              &max_drift_score_milli_));
-  }
-}
+      incremental_rounds_(static_cast<size_t>(log->num_tables()), 0) {}
 
 ReanalyzeScheduler::~ReanalyzeScheduler() { Stop(); }
+
+void ReanalyzeScheduler::AttachMetrics(obs::MetricsRegistry* registry) {
+  registrations_.clear();
+  if (registry == nullptr) return;
+  registrations_.push_back(
+      registry->AttachCounter("adaptive.passes", &passes_));
+  registrations_.push_back(registry->AttachCounter("adaptive.bumps", &bumps_));
+  registrations_.push_back(registry->AttachCounter(
+      "adaptive.incremental_merges", &incremental_merges_));
+  registrations_.push_back(
+      registry->AttachCounter("adaptive.full_reanalyzes", &full_reanalyzes_));
+  registrations_.push_back(
+      registry->AttachCounter("adaptive.rewarm_replans", &rewarm_replans_));
+  registrations_.push_back(
+      registry->AttachCounter("adaptive.errors", &errors_));
+  registrations_.push_back(
+      registry->AttachHistogram("adaptive.reanalyze_us", &reanalyze_us_));
+  registrations_.push_back(registry->AttachHistogram(
+      "adaptive.drift_score_milli", &drift_score_milli_));
+  registrations_.push_back(registry->AttachGauge(
+      "adaptive.max_drift_score_milli", &max_drift_score_milli_));
+}
 
 ReanalyzeScheduler::PassReport ReanalyzeScheduler::RunOnce() {
   return RunPass();
@@ -101,10 +105,8 @@ ReanalyzeScheduler::PassReport ReanalyzeScheduler::RunPass() {
             full = rounds >= options_.max_incremental_rounds ||
                    changed / base > options_.full_reanalyze_fraction;
             if (full) {
-              AnalyzeOptions analyze = options_.analyze;
-              analyze.stats_version = new_version;
               BALSA_ASSIGN_OR_RETURN(merged,
-                                     AnalyzeTable(snapshot, t, analyze));
+                                     AnalyzeTable(snapshot, t, new_version));
             } else {
               merged = MergeTableDelta(stats[static_cast<size_t>(t)], anchor,
                                        locked_delta, new_version);

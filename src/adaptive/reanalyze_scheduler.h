@@ -42,7 +42,6 @@
 #include "src/serving/optimizer_server.h"
 #include "src/stats/card_oracle.h"
 #include "src/stats/swappable_estimator.h"
-#include "src/stats/table_stats.h"
 #include "src/storage/change_log.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
@@ -64,12 +63,6 @@ struct ReanalyzeSchedulerOptions {
   /// Hottest fingerprints to replan after each bump (0 disables re-warm,
   /// or pass server == nullptr).
   int rewarm_top_k = 8;
-  /// Knobs for the full-rescan fallback.
-  AnalyzeOptions analyze;
-  /// When set, the scheduler attaches its counters, the drift-score and
-  /// re-ANALYZE duration histograms, and a peak-drift gauge under
-  /// "adaptive.". Borrowed; must outlive the scheduler.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class ReanalyzeScheduler {
@@ -136,6 +129,12 @@ class ReanalyzeScheduler {
 
   const DriftDetector& detector() const { return detector_; }
 
+  /// Attaches the counters, the drift-score and re-ANALYZE duration
+  /// histograms, and the peak-drift gauge under "adaptive.". Registry is
+  /// borrowed and must outlive the scheduler; calling again replaces the
+  /// previous attachments.
+  void AttachMetrics(obs::MetricsRegistry* registry);
+
  private:
   PassReport RunPass() EXCLUDES(pass_mu_);
   void TimerLoop() EXCLUDES(timer_mu_);
@@ -167,7 +166,7 @@ class ReanalyzeScheduler {
   bool stop_ GUARDED_BY(timer_mu_) = true;
   std::thread timer_;
 
-  /// Registry attachments (empty without options.metrics). Last member.
+  /// Registry attachments (empty until AttachMetrics). Last member.
   std::vector<obs::Registration> registrations_;
 };
 

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "src/util/logging.h"
+#include "src/util/parallel_for.h"
 
 namespace balsa {
 
@@ -49,8 +50,7 @@ BalsaAgent::BalsaAgent(const Schema* schema, ExecutionEngine* engine,
   network_ = std::make_unique<ValueNetwork>(options_.net);
   inference_ =
       std::make_unique<InferenceService>(network_.get(), options_.inference);
-  executor_ = std::make_unique<ParallelExecutor>(
-      ParallelExecutorOptions{options_.num_threads});
+  threads_ = std::make_unique<ThreadPool>(options_.num_threads);
   if (options_.sim.num_threads == 0) {
     options_.sim.num_threads = options_.num_threads;
   }
@@ -163,8 +163,8 @@ Status BalsaAgent::RunIteration() {
   const std::vector<const Query*> queries = workload_->TrainQueries();
   std::vector<std::optional<StatusOr<BeamSearchPlanner::PlanningResult>>>
       planned_all(queries.size());
-  BALSA_RETURN_IF_ERROR(executor_->ForEach(
-      queries.size(), [&](size_t qi) -> Status {
+  BALSA_RETURN_IF_ERROR(ParallelForStatus(
+      threads_.get(), queries.size(), [&](size_t qi) -> Status {
         planned_all[qi] = PlanForTraining(
             *queries[qi], PlanningSeed(options_.seed, iteration_, qi));
         return planned_all[qi]->ok() ? Status::OK()
@@ -273,8 +273,8 @@ StatusOr<double> BalsaAgent::EvaluateWorkload(
   // Plan in parallel (pure network inference), then measure sequentially:
   // the engine and card oracle are the stateful substrate.
   std::vector<std::optional<StatusOr<Plan>>> plans(queries.size());
-  BALSA_RETURN_IF_ERROR(
-      executor_->ForEach(queries.size(), [&](size_t qi) -> Status {
+  BALSA_RETURN_IF_ERROR(ParallelForStatus(
+      threads_.get(), queries.size(), [&](size_t qi) -> Status {
         plans[qi] = PlanBest(*queries[qi]);
         return plans[qi]->ok() ? Status::OK() : plans[qi]->status();
       }));

@@ -20,7 +20,7 @@
 #include "src/model/value_network.h"
 #include "src/optimizer/dp_optimizer.h"
 #include "src/runtime/inference_service.h"
-#include "src/runtime/parallel_executor.h"
+#include "src/util/thread_pool.h"
 #include "src/workloads/workload.h"
 
 namespace balsa {
@@ -173,9 +173,9 @@ class BalsaAgent {
   /// Micro-batches concurrent planning threads' scoring requests into
   /// fused forward passes.
   std::unique_ptr<InferenceService> inference_;
-  /// Real planning/collection threads (the virtual clock still accounts
-  /// execution time via pool_).
-  std::unique_ptr<ParallelExecutor> executor_;
+  /// Real planning threads (the virtual clock still accounts execution
+  /// time via pool_).
+  std::unique_ptr<ThreadPool> threads_;
   BeamSearchPlanner planner_;
   TimeoutPolicy timeout_;
   ExperienceBuffer experience_;

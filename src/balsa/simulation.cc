@@ -4,8 +4,9 @@
 #include <utility>
 
 #include "src/optimizer/dp_optimizer.h"
-#include "src/runtime/parallel_executor.h"
+#include "src/util/parallel_for.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace balsa {
 
@@ -45,8 +46,8 @@ StatusOr<std::vector<TrainingPoint>> CollectSimulationData(
     size_t num_enumerated = 0;
   };
   std::vector<PerQuery> collected(used.size());
-  ParallelExecutor executor(ParallelExecutorOptions{options.num_threads});
-  Status st = executor.ForEach(used.size(), [&](size_t qi) -> Status {
+  ThreadPool pool(options.num_threads);
+  Status st = ParallelForStatus(&pool, used.size(), [&](size_t qi) -> Status {
     const Query* query = used[qi];
     PerQuery& out = collected[qi];
     // Per-query reservoir so large queries cannot drown out small ones;

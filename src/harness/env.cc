@@ -65,12 +65,7 @@ StatusOr<std::unique_ptr<Env>> MakeEnv(WorkloadKind kind,
   gen.scale = options.data_scale;
   BALSA_RETURN_IF_ERROR(GenerateData(env->db.get(), gen));
 
-  ExecutorOptions exec_options;
-  if (options.scan_threads > 0) {
-    env->scan_pool = std::make_unique<ThreadPool>(options.scan_threads);
-    exec_options.pool = env->scan_pool.get();
-  }
-  env->oracle = std::make_unique<CardOracle>(env->db.get(), exec_options);
+  env->oracle = std::make_unique<CardOracle>(env->db.get());
 
   // --- Statistics and estimators ----------------------------------------
   BALSA_ASSIGN_OR_RETURN(std::vector<TableStats> stats, Analyze(*env->db));

@@ -11,7 +11,6 @@
 #include "src/engine/execution_engine.h"
 #include "src/optimizer/dp_optimizer.h"
 #include "src/stats/card_oracle.h"
-#include "src/util/thread_pool.h"
 #include "src/workloads/workload.h"
 
 namespace balsa {
@@ -35,19 +34,12 @@ struct EnvOptions {
   /// > 1 wraps the estimator in lognormal noise with this median factor
   /// (the §10 robustness experiment).
   double estimator_noise_factor = 0.0;
-  /// > 0 gives the oracle's executors a shared scan pool of this many
-  /// threads, fanning full-table scans out morsel-wise. 0 scans serially.
-  /// Results are bitwise identical either way.
-  int scan_threads = 0;
 };
 
 /// Everything needed to run the paper's experiments on one workload.
 struct Env {
   EnvOptions options;
   std::unique_ptr<Database> db;
-  /// Morsel-scan pool shared by the oracle's executors (null when
-  /// scan_threads == 0). Declared before the oracle so it outlives it.
-  std::unique_ptr<ThreadPool> scan_pool;
   std::unique_ptr<CardOracle> oracle;
 
   /// The textbook estimator (per-column histograms, independence).

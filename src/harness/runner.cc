@@ -5,8 +5,9 @@
 #include <cstring>
 #include <optional>
 
-#include "src/runtime/parallel_executor.h"
+#include "src/util/parallel_for.h"
 #include "src/util/stats_util.h"
+#include "src/util/thread_pool.h"
 
 namespace balsa {
 
@@ -106,15 +107,14 @@ StatusOr<std::vector<AgentRunResult>> RunAgentSeeds(
   // its memoization is thread-safe and execution-order independent.
   std::vector<std::optional<StatusOr<AgentRunResult>>> runs(
       static_cast<size_t>(seeds));
-  ParallelExecutor executor(ParallelExecutorOptions{options.num_threads});
+  ThreadPool pool(options.num_threads);
   // Each agent spins its own planning pool; slice the thread budget across
   // the runs executing concurrently instead of oversubscribing the machine
   // by seeds x hardware_concurrency.
-  const int concurrent = std::max(1, std::min(seeds, executor.num_threads()));
-  const int threads_per_run =
-      std::max(1, executor.num_threads() / concurrent);
-  BALSA_RETURN_IF_ERROR(executor.ForEach(
-      static_cast<size_t>(seeds), [&](size_t s) -> Status {
+  const int concurrent = std::max(1, std::min(seeds, pool.num_threads()));
+  const int threads_per_run = std::max(1, pool.num_threads() / concurrent);
+  BALSA_RETURN_IF_ERROR(ParallelForStatus(
+      &pool, static_cast<size_t>(seeds), [&](size_t s) -> Status {
         BalsaAgentOptions opts = options;
         opts.seed = options.seed + s;
         opts.num_threads = threads_per_run;

@@ -48,7 +48,7 @@ StatusOr<AgentRunResult> RunAgent(Env* env, bool commdb,
                                   BalsaAgentOptions options);
 
 /// Runs `seeds` agents with seeds 0..n-1; options.seed is added per run.
-/// Runs fan out across the runtime's thread pool (options.num_threads),
+/// Runs fan out across a thread pool of options.num_threads threads,
 /// each against its own ExecutionEngine instance (fresh plan cache, its own
 /// noise stream derived from the run seed) over the shared card oracle, so
 /// results are independent of the thread count and of each other.

@@ -10,6 +10,11 @@ namespace balsa::introspect {
 
 namespace {
 
+/// Alert transitions shown (newest first).
+constexpr size_t kMaxAlertEvents = 5;
+/// Retained traces shown per flight-recorder list (slowest first).
+constexpr size_t kMaxFlightTraces = 5;
+
 std::string FmtF(const char* fmt, double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), fmt, v);
@@ -75,7 +80,7 @@ struct StatuszData {
 StatuszData Gather(const StatuszSources& sources) {
   StatuszData data;
   const obs::RegistrySnapshot snapshot = sources.registry->Snapshot();
-  const std::string& p = sources.serving_prefix;
+  const std::string p = "serving";
   data.requests = CounterValue(snapshot, p + ".requests");
   data.hits = CounterValue(snapshot, p + ".hits");
   data.hit_rate = data.requests > 0
@@ -138,8 +143,7 @@ StatuszData Gather(const StatuszSources& sources) {
     std::vector<obs::AlertEvent> events = monitor.Events();
     for (auto it = events.rbegin();
          it != events.rend() &&
-         data.alert_events.size() <
-             static_cast<size_t>(sources.max_alert_events);
+         data.alert_events.size() < kMaxAlertEvents;
          ++it) {
       data.alert_events.push_back(*it);
     }
@@ -155,11 +159,12 @@ StatuszData Gather(const StatuszSources& sources) {
               [](const obs::RetainedTrace& a, const obs::RetainedTrace& b) {
                 return a.latency_us > b.latency_us;
               });
-    const auto limit = static_cast<size_t>(sources.max_flight_traces);
     for (const obs::RetainedTrace& entry : retained) {
-      if (data.flight_top.size() < limit) data.flight_top.push_back(entry);
+      if (data.flight_top.size() < kMaxFlightTraces) {
+        data.flight_top.push_back(entry);
+      }
       if ((entry.capped || entry.error) &&
-          data.flight_flagged.size() < limit) {
+          data.flight_flagged.size() < kMaxFlightTraces) {
         data.flight_flagged.push_back(entry);
       }
     }

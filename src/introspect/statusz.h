@@ -27,12 +27,6 @@ struct StatuszSources {
   /// flight_recorder section — its slowest retained traces and every
   /// retained row-capped or errored request.
   const OptimizerServer* server = nullptr;
-  /// Metric name prefix the serving stack was attached under.
-  std::string serving_prefix = "serving";
-  /// Alert transitions shown (newest first).
-  int max_alert_events = 5;
-  /// Retained traces shown per flight-recorder list (slowest first).
-  int max_flight_traces = 5;
 };
 
 /// The text dashboard: serving totals + QPS, per-outcome (with p99

@@ -15,20 +15,23 @@ InferenceService::InferenceService(const ValueNetwork* network,
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry* reg = options_.metrics;
-    const std::string& p = options_.metrics_prefix;
-    registrations_.push_back(reg->AttachCounter(p + ".requests", &requests_));
-    registrations_.push_back(reg->AttachCounter(p + ".items", &items_));
-    registrations_.push_back(
-        reg->AttachCounter(p + ".forward_batches", &forward_batches_));
-    registrations_.push_back(
-        reg->AttachGauge(p + ".max_fused_items", &max_fused_));
-    registrations_.push_back(
-        reg->AttachHistogram(p + ".batch_items", &batch_items_));
-    registrations_.push_back(
-        reg->AttachHistogram(p + ".batch_serve_us", &batch_serve_us_));
-  }
+}
+
+void InferenceService::AttachMetrics(obs::MetricsRegistry* registry) {
+  registrations_.clear();
+  if (registry == nullptr) return;
+  registrations_.push_back(
+      registry->AttachCounter("runtime.inference.requests", &requests_));
+  registrations_.push_back(
+      registry->AttachCounter("runtime.inference.items", &items_));
+  registrations_.push_back(registry->AttachCounter(
+      "runtime.inference.forward_batches", &forward_batches_));
+  registrations_.push_back(registry->AttachGauge(
+      "runtime.inference.max_fused_items", &max_fused_));
+  registrations_.push_back(registry->AttachHistogram(
+      "runtime.inference.batch_items", &batch_items_));
+  registrations_.push_back(registry->AttachHistogram(
+      "runtime.inference.batch_serve_us", &batch_serve_us_));
 }
 
 InferenceService::~InferenceService() {

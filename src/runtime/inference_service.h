@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,11 +38,6 @@ struct InferenceServiceOptions {
   /// runs the forward pass on the calling thread (no queue, no fusion) —
   /// useful for profiling and single-threaded callers.
   int num_workers = 1;
-  /// When set, the service attaches its counters, the fused-batch-size
-  /// histogram, and the forward-pass duration histogram under
-  /// metrics_prefix. Borrowed; must outlive the service.
-  obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "runtime.inference";
 };
 
 class InferenceService {
@@ -83,6 +77,13 @@ class InferenceService {
 
   const ValueNetwork* network() const { return network_; }
 
+  /// Attaches the counters (".requests", ".items", ".forward_batches"),
+  /// the ".max_fused_items" gauge, and the fused-batch-size and
+  /// forward-pass duration histograms (".batch_items", ".batch_serve_us")
+  /// under "runtime.inference". Registry is borrowed and must outlive the
+  /// service; calling again replaces the previous attachments.
+  void AttachMetrics(obs::MetricsRegistry* registry);
+
  private:
   struct Request {
     const std::vector<RootJob>* jobs = nullptr;
@@ -119,7 +120,7 @@ class InferenceService {
   obs::Gauge max_fused_;  // high-water mark via UpdateMax
   obs::Log2Histogram batch_items_;
   obs::Log2Histogram batch_serve_us_;
-  /// Registry attachments (empty without options.metrics). Last member:
+  /// Registry attachments (empty until AttachMetrics). Last member:
   /// detaches before the instruments die.
   std::vector<obs::Registration> registrations_;
 };

@@ -16,26 +16,6 @@ PlannerOptions ServingPlannerOptions(PlannerOptions planner) {
   return planner;
 }
 
-/// The cache and the inference service attach their own instruments; the
-/// server hands its registry down unless the caller already wired one.
-PlanCacheOptions ServingCacheOptions(const OptimizerServerOptions& options) {
-  PlanCacheOptions cache = options.cache;
-  if (cache.metrics == nullptr && options.metrics != nullptr) {
-    cache.metrics = options.metrics;
-    cache.metrics_prefix = options.metrics_prefix + ".plan_cache";
-  }
-  return cache;
-}
-
-InferenceServiceOptions ServingInferenceOptions(
-    const OptimizerServerOptions& options) {
-  InferenceServiceOptions inference = options.inference;
-  if (inference.metrics == nullptr && options.metrics != nullptr) {
-    inference.metrics = options.metrics;
-  }
-  return inference;
-}
-
 uint64_t InFlightKey(uint64_t fingerprint, int64_t version) {
   return fingerprint ^
          (static_cast<uint64_t>(version) * 0x9E3779B97F4A7C15ULL);
@@ -79,25 +59,26 @@ OptimizerServer::OptimizerServer(const Schema* schema,
     : schema_(schema),
       oracle_(oracle),
       options_(options),
-      inference_(std::make_unique<InferenceService>(
-          network, ServingInferenceOptions(options))),
-      executor_(std::make_unique<ParallelExecutor>(
-          ParallelExecutorOptions{options.num_planning_threads})),
+      inference_(std::make_unique<InferenceService>(network,
+                                                    options.inference)),
+      pool_(options.num_planning_threads),
       planner_(schema, featurizer, network,
                ServingPlannerOptions(options.planner)),
-      cache_(ServingCacheOptions(options)),
+      cache_(options.cache),
       tracer_(options.trace),
       flight_store_(options.flight_recorder) {
   planner_.set_inference_service(inference_.get());
   // Arm the pool's queue-wait clock only when someone will read the
   // histogram; an un-instrumented server's pool never touches the clock.
   if (options_.metrics != nullptr || flight_store_.enabled()) {
-    executor_->pool()->SetQueueWaitObserver(
+    pool_.SetQueueWaitObserver(
         [this](double wait_us) { pool_wait_us_.Record(wait_us); });
   }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* reg = options_.metrics;
-    const std::string& p = options_.metrics_prefix;
+    cache_.AttachMetrics(reg);
+    inference_->AttachMetrics(reg);
+    const std::string p = "serving";
     registrations_.push_back(reg->AttachCounter(p + ".requests", &requests_));
     registrations_.push_back(reg->AttachCounter(p + ".hits", &hits_));
     registrations_.push_back(reg->AttachCounter(p + ".misses", &misses_));
@@ -117,12 +98,11 @@ OptimizerServer::OptimizerServer(const Schema* schema,
     for (obs::Registration& r : flight_store_.AttachTo(reg, p)) {
       registrations_.push_back(std::move(r));
     }
-    // The planning pool belongs to the runtime layer, so its queue depth
-    // and queue wait are named under runtime.*, not the serving prefix.
+    // The planning pool's queue depth and queue wait are named under
+    // runtime.*, not the serving prefix.
     registrations_.push_back(reg->AttachCallbackGauge(
-        "runtime.pool.queue_depth", [pool = executor_->pool()] {
-          return pool->ApproxQueueDepth();
-        }));
+        "runtime.pool.queue_depth",
+        [this] { return pool_.ApproxQueueDepth(); }));
     registrations_.push_back(
         reg->AttachHistogram("runtime.pool.wait_us", &pool_wait_us_));
   }
@@ -235,14 +215,14 @@ StatusOr<CachedPlan> OptimizerServer::PlanMiss(
   // beam-search span (and the inference spans under it) land in it.
   obs::ScopedTraceContext trace_scope(trace_context);
   planned_.Inc();
-  auto start = std::chrono::steady_clock::now();
   if (trace_context.active()) {
     // The pool-level wait histogram (runtime.pool.wait_us) sees every task
     // via the queue-wait observer; this records the *same interval* as a
     // span in the request's own trace, where a saturation diagnosis needs
     // it ("the request was slow because it sat in the queue").
-    const double wait_us =
-        std::chrono::duration<double, std::micro>(start - enqueued).count();
+    const double wait_us = std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - enqueued)
+                               .count();
     const double start_us = std::chrono::duration<double, std::micro>(
                                 enqueued - trace_context.trace->start_time())
                                 .count();
@@ -264,9 +244,6 @@ StatusOr<CachedPlan> OptimizerServer::PlanMiss(
   entry.plan = result.value().plans[0].plan;
   entry.predicted_ms = result.value().plans[0].predicted_ms;
   entry.stats_version = version;
-  entry.planning_micros = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
   return entry;
 }
 
@@ -274,7 +251,7 @@ StatusOr<std::shared_ptr<const CachedPlan>> OptimizerServer::PlanAndAdmit(
     const Query& query, uint64_t fingerprint,
     const std::vector<int>& canonical_rank, int64_t version) {
   // Capture the trace context *before* crossing onto the pool thread.
-  auto future = executor_->pool()->Submit(
+  auto future = pool_.Submit(
       [this, &query, version, context = obs::CurrentTraceContextCopy(),
        enqueued = std::chrono::steady_clock::now()] {
         return PlanMiss(query, version, context, enqueued);
@@ -296,7 +273,7 @@ StatusOr<std::shared_ptr<const CachedPlan>> OptimizerServer::PlanAndAdmit(
 StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::PlanUncached(
     const Query& query, uint64_t fingerprint, int64_t version,
     bool coalesced) {
-  auto future = executor_->pool()->Submit(
+  auto future = pool_.Submit(
       [this, &query, version, context = obs::CurrentTraceContextCopy(),
        enqueued = std::chrono::steady_clock::now()] {
         return PlanMiss(query, version, context, enqueued);
@@ -481,12 +458,11 @@ OptimizerServer::RewarmReport OptimizerServer::Rewarm(int top_k) {
     // their scoring through the shared inference service. Re-warm is not a
     // client request, so it plans without a trace context.
     pending.push_back(
-        {&h, executor_->pool()->Submit(
-                 [this, &h, version,
-                  enqueued = std::chrono::steady_clock::now()] {
-                   return PlanMiss(*h.entry->exemplar, version,
-                                   obs::TraceContext{}, enqueued);
-                 })});
+        {&h, pool_.Submit([this, &h, version,
+                           enqueued = std::chrono::steady_clock::now()] {
+           return PlanMiss(*h.entry->exemplar, version, obs::TraceContext{},
+                           enqueued);
+         })});
   }
   for (Pending& p : pending) {
     StatusOr<CachedPlan> planned = p.future.get();

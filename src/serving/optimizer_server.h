@@ -7,7 +7,7 @@
 // canonical relation space and are translated to each requester's FROM
 // numbering on the way out, so alias-renamed or FROM-reordered requests
 // receive correctly wired plans. Cache misses fan out through
-// the runtime: planning runs on the server's ParallelExecutor pool (bounded
+// the runtime: planning runs on the server's planning ThreadPool (bounded
 // planning concurrency = admission control), and every planner scores its
 // frontiers through one shared InferenceService, so concurrent misses fuse
 // into shared value-network forward batches.
@@ -36,7 +36,8 @@
 // OptimizerServerOptions::metrics to export everything — server counters,
 // outcome histograms, stage histograms, plan-cache counters, inference
 // stats, planning-pool queue depth and queue wait — through one
-// MetricsRegistry.
+// MetricsRegistry, under the "serving." prefix (the cache under
+// "serving.plan_cache.", the pool and inference service under "runtime.").
 //
 // Flight recorder: the server's obs::TraceStore is the only place a
 // request is retained. With OptimizerServerOptions::flight_recorder
@@ -70,10 +71,10 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/inference_service.h"
-#include "src/runtime/parallel_executor.h"
 #include "src/serving/plan_cache.h"
 #include "src/stats/card_oracle.h"
 #include "src/util/thread_annotations.h"
+#include "src/util/thread_pool.h"
 
 namespace balsa {
 
@@ -99,11 +100,11 @@ struct OptimizerServerOptions {
   obs::TraceStoreOptions flight_recorder;
   /// When set, every serving instrument — counters, latency histograms,
   /// trace stage histograms, plan-cache and inference-service stats, the
-  /// planning pool's queue depth — is attached under metrics_prefix.
-  /// Borrowed; must outlive the server. nullptr = instruments still work
-  /// (they ARE the server's stats), they just aren't exported anywhere.
+  /// planning pool's queue depth and queue wait — is attached to it, and
+  /// the pool's queue-wait clock is armed. Borrowed; must outlive the
+  /// server. nullptr = instruments still work (they ARE the server's
+  /// stats), they just aren't exported anywhere.
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "serving";
 };
 
 class OptimizerServer {
@@ -222,7 +223,7 @@ class OptimizerServer {
     return pool_wait_us_;
   }
   const InferenceService* inference() const { return inference_.get(); }
-  int num_planning_threads() const { return executor_->num_threads(); }
+  int num_planning_threads() const { return pool_.num_threads(); }
 
  private:
   struct InFlight {
@@ -266,13 +267,14 @@ class OptimizerServer {
   const CardOracle* oracle_;
   OptimizerServerOptions options_;
 
-  /// Planning-pool queue wait. Declared before the executor: the pool's
+  /// Planning-pool queue wait. Declared before the pool: the pool's
   /// destructor drains queued tasks, and a drained task's wait observation
   /// must not land in a dead histogram.
   obs::Log2Histogram pool_wait_us_;
 
   std::unique_ptr<InferenceService> inference_;
-  std::unique_ptr<ParallelExecutor> executor_;
+  /// Planning threads (options.num_planning_threads).
+  ThreadPool pool_;
   BeamSearchPlanner planner_;
   PlanCache cache_;
 

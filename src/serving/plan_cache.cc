@@ -1,37 +1,38 @@
 #include "src/serving/plan_cache.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
 namespace balsa {
 
 PlanCache::PlanCache(PlanCacheOptions options)
     : options_(options),
-      shards_(static_cast<size_t>(std::max(1, options.num_shards))) {
-  if (options_.metrics == nullptr) return;
-  obs::MetricsRegistry* reg = options_.metrics;
-  const std::string& p = options_.metrics_prefix;
+      shards_(static_cast<size_t>(std::max(1, options.num_shards))) {}
+
+void PlanCache::AttachMetrics(obs::MetricsRegistry* registry) {
+  registrations_.clear();
+  if (registry == nullptr) return;
+  const std::string p = "serving.plan_cache";
   // Every shard attaches under the same names; the registry merges
   // duplicates at snapshot time, so the export reads as cache-wide totals.
   for (Shard& shard : shards_) {
-    registrations_.push_back(reg->AttachCounter(p + ".hits",
-                                                &shard.stats.hits));
-    registrations_.push_back(reg->AttachCounter(p + ".misses",
-                                                &shard.stats.misses));
-    registrations_.push_back(reg->AttachCounter(p + ".insertions",
-                                                &shard.stats.insertions));
-    registrations_.push_back(reg->AttachCounter(
+    registrations_.push_back(registry->AttachCounter(p + ".hits",
+                                                     &shard.stats.hits));
+    registrations_.push_back(registry->AttachCounter(p + ".misses",
+                                                     &shard.stats.misses));
+    registrations_.push_back(registry->AttachCounter(
+        p + ".insertions", &shard.stats.insertions));
+    registrations_.push_back(registry->AttachCounter(
         p + ".stale_evictions", &shard.stats.stale_evictions));
-    registrations_.push_back(reg->AttachCounter(p + ".lru_evictions",
-                                                &shard.stats.lru_evictions));
-    registrations_.push_back(reg->AttachCounter(
-        p + ".admission_rejections", &shard.stats.admission_rejections));
+    registrations_.push_back(registry->AttachCounter(
+        p + ".lru_evictions", &shard.stats.lru_evictions));
   }
   // Occupancy and footprint are snapshot-time reads (they take the shard
   // mutexes), not hot-path pushes.
-  registrations_.push_back(reg->AttachCallbackGauge(
+  registrations_.push_back(registry->AttachCallbackGauge(
       p + ".entries", [this] { return static_cast<int64_t>(size()); }));
-  registrations_.push_back(reg->AttachCallbackGauge(
+  registrations_.push_back(registry->AttachCallbackGauge(
       p + ".approx_bytes",
       [this] { return static_cast<int64_t>(ApproxBytes()); }));
 }
@@ -95,12 +96,6 @@ void PlanCache::Insert(uint64_t fingerprint, CachedPlan entry) {
     shard.stats.insertions.Inc();
     return;
   }
-  // Cost-aware admission: a fresh slot (and possibly an eviction) is only
-  // worth spending on a plan that was expensive to compute.
-  if (shared->planning_micros < options_.admission_min_plan_micros) {
-    shard.stats.admission_rejections.Inc();
-    return;
-  }
   if (shard.map.size() >= options_.shard_capacity) {
     uint64_t victim = shard.lru.back();
     shard.lru.pop_back();
@@ -121,7 +116,6 @@ PlanCache::Metrics PlanCache::shard_metrics(int shard) const {
   stats.insertions = s.stats.insertions.Value();
   stats.stale_evictions = s.stats.stale_evictions.Value();
   stats.lru_evictions = s.stats.lru_evictions.Value();
-  stats.admission_rejections = s.stats.admission_rejections.Value();
   MutexLock lock(s.mu);
   stats.entries = s.map.size();
   return stats;
@@ -136,7 +130,6 @@ PlanCache::Metrics PlanCache::Totals() const {
     total.insertions += s.insertions;
     total.stale_evictions += s.stale_evictions;
     total.lru_evictions += s.lru_evictions;
-    total.admission_rejections += s.admission_rejections;
     total.entries += s.entries;
   }
   return total;

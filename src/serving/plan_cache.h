@@ -11,12 +11,6 @@
 // Concurrent lookups of different fingerprints contend only when they map
 // to the same shard; there is no global lock anywhere in the cache.
 //
-// Admission: with a nonzero admission_min_plan_micros floor the cache only
-// admits entries whose planning actually cost something — a cache slot (and
-// the LRU victim it would evict) is only worth spending on plans that are
-// expensive to recompute. Rejections are counted per shard
-// (Metrics::admission_rejections).
-//
 // Hotness: every hit bumps the entry's hit counter; HottestEntries() ranks
 // entries by it so the post-bump re-warm pass (OptimizerServer::Rewarm) can
 // replan the traffic that would otherwise eat the miss storm. Replacing a
@@ -27,7 +21,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -43,15 +36,6 @@ struct PlanCacheOptions {
   /// Max entries per shard (total capacity = num_shards * shard_capacity).
   /// 0 disables the cache: every Lookup misses and Insert is a no-op.
   size_t shard_capacity = 512;
-  /// Cost-aware admission floor: entries whose planning_micros is below
-  /// this are not admitted (0 = admit everything).
-  double admission_min_plan_micros = 0;
-  /// When set, every shard attaches its counters under
-  /// "<metrics_prefix>.hits" etc. — all shards share the names, and the
-  /// registry snapshot merges them into totals — plus occupancy and
-  /// retained-bytes callback gauges. Borrowed; must outlive the cache.
-  obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "serving.plan_cache";
 };
 
 /// A cached planning result. `stats_version` records the statistics
@@ -60,8 +44,6 @@ struct CachedPlan {
   Plan plan;
   double predicted_ms = 0;
   int64_t stats_version = 0;
-  /// Wall time the beam search took; the admission policy's signal.
-  double planning_micros = 0;
   /// The query the leader planned (in its own FROM numbering) and the
   /// permutation into the entry's canonical relation space — enough to
   /// replan this fingerprint under a newer stats_version (the re-warm pass)
@@ -97,10 +79,15 @@ class PlanCache {
   /// Inserts (or replaces) the entry for `fingerprint`, evicting the
   /// shard's least-recently-used entry when it is full. An insert carrying
   /// an older stats_version than the cached entry is dropped — a laggard
-  /// planner never downgrades the cache — and one whose planning_micros is
-  /// under the admission floor is rejected (unless it *replaces* an entry,
-  /// which re-admission always may: the slot is already paid for).
+  /// planner never downgrades the cache.
   void Insert(uint64_t fingerprint, CachedPlan entry);
+
+  /// Attaches every shard's counters under "serving.plan_cache.hits" etc.
+  /// — all shards share the names, and the registry snapshot merges them
+  /// into totals — plus the ".entries" occupancy and ".approx_bytes"
+  /// callback gauges. Registry is borrowed and must outlive the cache;
+  /// calling again replaces the previous attachments.
+  void AttachMetrics(obs::MetricsRegistry* registry);
 
   struct Metrics {
     int64_t hits = 0;
@@ -108,7 +95,6 @@ class PlanCache {
     int64_t insertions = 0;
     int64_t stale_evictions = 0;     // erased on version mismatch
     int64_t lru_evictions = 0;       // erased by capacity pressure
-    int64_t admission_rejections = 0;  // dropped by the cost-aware floor
     size_t entries = 0;
   };
   Metrics shard_metrics(int shard) const;
@@ -168,7 +154,6 @@ class PlanCache {
       obs::Counter insertions;
       obs::Counter stale_evictions;
       obs::Counter lru_evictions;
-      obs::Counter admission_rejections;
     };
     Counters stats;
   };
@@ -178,7 +163,7 @@ class PlanCache {
 
   PlanCacheOptions options_;
   std::vector<Shard> shards_;
-  /// Registry attachments (empty without options.metrics). Last member:
+  /// Registry attachments (empty until AttachMetrics). Last member:
   /// detaches before the shards' counters die.
   std::vector<obs::Registration> registrations_;
 };

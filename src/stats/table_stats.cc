@@ -4,43 +4,28 @@
 #include <string>
 #include <unordered_map>
 
-#include "src/util/rng.h"
-
 namespace balsa {
 
 namespace {
 
-ColumnStats AnalyzeColumn(const ChunkedColumn& column,
-                          const AnalyzeOptions& options, Rng* rng) {
+constexpr int kNumMcvs = 8;
+constexpr int kNumHistogramBuckets = 32;
+
+ColumnStats AnalyzeColumn(const ChunkedColumn& column) {
   ColumnStats stats;
   std::vector<int64_t> values;
   values.reserve(static_cast<size_t>(column.size()));
   int64_t nulls = 0;
-  if (options.sample_rows > 0 && column.size() > options.sample_rows) {
-    for (int64_t i = 0; i < options.sample_rows; ++i) {
-      int64_t v = column[static_cast<int64_t>(
-          rng->Uniform(static_cast<uint64_t>(column.size())))];
-      if (IsNull(v)) {
-        nulls++;
-      } else {
-        values.push_back(v);
-      }
+  for (int64_t v : column) {
+    if (IsNull(v)) {
+      nulls++;
+    } else {
+      values.push_back(v);
     }
-    stats.null_fraction =
-        static_cast<double>(nulls) / static_cast<double>(options.sample_rows);
-  } else {
-    for (int64_t v : column) {
-      if (IsNull(v)) {
-        nulls++;
-      } else {
-        values.push_back(v);
-      }
-    }
-    stats.null_fraction = column.empty()
-                              ? 0.0
-                              : static_cast<double>(nulls) /
-                                    static_cast<double>(column.size());
   }
+  stats.null_fraction = column.empty() ? 0.0
+                                       : static_cast<double>(nulls) /
+                                             static_cast<double>(column.size());
   if (values.empty()) {
     stats.num_distinct = 0;
     return stats;
@@ -72,8 +57,7 @@ ColumnStats AnalyzeColumn(const ChunkedColumn& column,
   double n = static_cast<double>(values.size());
   double avg_freq = 1.0 / static_cast<double>(freq.size());
   double mcv_total = 0;
-  for (int i = 0; i < options.num_mcvs && i < static_cast<int>(freq.size());
-       ++i) {
+  for (int i = 0; i < kNumMcvs && i < static_cast<int>(freq.size()); ++i) {
     double f = static_cast<double>(freq[i].first) / n;
     if (f <= avg_freq * 1.25 && i > 0) break;
     stats.mcv_values.push_back(freq[i].second);
@@ -92,8 +76,8 @@ ColumnStats AnalyzeColumn(const ChunkedColumn& column,
     }
   }
   if (!rest.empty()) {
-    int buckets = std::min<int>(options.num_histogram_buckets,
-                                static_cast<int>(rest.size()));
+    int buckets =
+        std::min<int>(kNumHistogramBuckets, static_cast<int>(rest.size()));
     stats.histogram_bounds.resize(buckets + 1);
     for (int b = 0; b <= buckets; ++b) {
       size_t idx = static_cast<size_t>(
@@ -107,7 +91,7 @@ ColumnStats AnalyzeColumn(const ChunkedColumn& column,
 }  // namespace
 
 StatusOr<TableStats> AnalyzeTable(const Snapshot& snapshot, int table_idx,
-                                  const AnalyzeOptions& options) {
+                                  int64_t stats_version) {
   const Schema& schema = snapshot.schema();
   if (table_idx < 0 || table_idx >= schema.num_tables()) {
     return Status::OutOfRange("table index " + std::to_string(table_idx));
@@ -117,32 +101,30 @@ StatusOr<TableStats> AnalyzeTable(const Snapshot& snapshot, int table_idx,
                                       schema.table(table_idx).name +
                                       " has no data; generate first");
   }
-  // Seed per table so a lone re-ANALYZE samples the same rows it would
-  // inside a full Analyze() pass.
-  Rng rng(0xA11A1FE ^ (static_cast<uint64_t>(table_idx) * 0x9E3779B9ULL));
   const TableVersion& table = snapshot.table(table_idx);
   TableStats ts;
   ts.row_count = table.row_count();
-  ts.stats_version = options.stats_version;
+  ts.stats_version = stats_version;
   ts.columns.reserve(static_cast<size_t>(table.num_columns()));
   for (int c = 0; c < table.num_columns(); ++c) {
-    ts.columns.push_back(AnalyzeColumn(table.column(c), options, &rng));
+    ts.columns.push_back(AnalyzeColumn(table.column(c)));
   }
   return ts;
 }
 
 StatusOr<TableStats> AnalyzeTable(const Database& db, int table_idx,
-                                  const AnalyzeOptions& options) {
-  return AnalyzeTable(db.GetSnapshot(), table_idx, options);
+                                  int64_t stats_version) {
+  return AnalyzeTable(db.GetSnapshot(), table_idx, stats_version);
 }
 
 StatusOr<std::vector<TableStats>> Analyze(const Database& db,
-                                          const AnalyzeOptions& options) {
+                                          int64_t stats_version) {
   const Snapshot snapshot = db.GetSnapshot();
   std::vector<TableStats> out;
   out.reserve(static_cast<size_t>(db.schema().num_tables()));
   for (int t = 0; t < db.schema().num_tables(); ++t) {
-    BALSA_ASSIGN_OR_RETURN(TableStats ts, AnalyzeTable(snapshot, t, options));
+    BALSA_ASSIGN_OR_RETURN(TableStats ts,
+                           AnalyzeTable(snapshot, t, stats_version));
     out.push_back(std::move(ts));
   }
   return out;

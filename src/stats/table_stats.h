@@ -46,24 +46,18 @@ struct TableStats {
   int64_t stats_version = 0;
 };
 
-struct AnalyzeOptions {
-  int num_mcvs = 8;
-  int num_histogram_buckets = 32;
-  /// Sample at most this many rows per table (0 = full scan). Sampling is
-  /// what makes real ANALYZE stats inaccurate; we default to full scans and
-  /// let skew/correlation supply the estimation error, as in the paper.
-  int64_t sample_rows = 0;
-  /// Stamped into every produced TableStats::stats_version. Callers that
-  /// re-ANALYZE after data changes pass a larger value (e.g. the oracle's
-  /// bumped generation) so stale derived caches can be detected.
-  int64_t stats_version = 0;
-};
+// ANALYZE always scans every row (no sampling): sampling is what makes real
+// ANALYZE stats inaccurate, and here skew/correlation supply the estimation
+// error instead, as in the paper. `stats_version` is stamped into every
+// produced TableStats::stats_version; callers that re-ANALYZE after data
+// changes pass a larger value (e.g. the oracle's bumped generation) so stale
+// derived caches can be detected.
 
 /// Computes statistics for every table, read through ONE pinned snapshot so
 /// the produced stats describe a single publication epoch even while
 /// change-stream writers ingest.
 StatusOr<std::vector<TableStats>> Analyze(const Database& db,
-                                          const AnalyzeOptions& options = {});
+                                          int64_t stats_version = 0);
 
 /// Computes statistics for one table of a pinned snapshot — the full-rescan
 /// fallback of the adaptive re-ANALYZE pipeline (src/adaptive), which runs
@@ -71,10 +65,10 @@ StatusOr<std::vector<TableStats>> Analyze(const Database& db,
 /// never blocks writers. The incremental alternative merges change-stream
 /// sketches instead (src/stats/incremental_analyze.h).
 StatusOr<TableStats> AnalyzeTable(const Snapshot& snapshot, int table_idx,
-                                  const AnalyzeOptions& options = {});
+                                  int64_t stats_version = 0);
 
 /// Convenience: pins the database's current snapshot first.
 StatusOr<TableStats> AnalyzeTable(const Database& db, int table_idx,
-                                  const AnalyzeOptions& options = {});
+                                  int64_t stats_version = 0);
 
 }  // namespace balsa

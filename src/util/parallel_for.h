@@ -3,6 +3,9 @@
 // (n, num_shards), so which worker runs which index never depends on thread
 // scheduling — callers that write result slot i from iteration i get
 // deterministic output for any pool size, including none.
+// ParallelForStatus is the Status-returning fan-out the agent, simulation
+// collection and multi-seed runs use: the error it reports is likewise a
+// pure function of the tasks, never of which thread failed first.
 #pragma once
 
 #include <algorithm>
@@ -11,6 +14,7 @@
 #include <future>
 #include <vector>
 
+#include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
 namespace balsa {
@@ -45,6 +49,18 @@ inline void ParallelFor(ThreadPool* pool, size_t n,
     lo = hi;
   }
   for (std::future<void>& f : done) f.get();
+}
+
+/// Runs fn(i) for every i in [0, n) like ParallelFor — every task runs, even
+/// after another has failed — and returns the lowest-index non-OK status.
+inline Status ParallelForStatus(ThreadPool* pool, size_t n,
+                                const std::function<Status(size_t)>& fn) {
+  std::vector<Status> statuses(n);
+  ParallelFor(pool, n, [&](size_t i) { statuses[i] = fn(i); });
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
 }
 
 }  // namespace balsa

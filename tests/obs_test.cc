@@ -13,12 +13,15 @@
 #include <thread>
 #include <vector>
 
+#include "src/adaptive/reanalyze_scheduler.h"
 #include "src/obs/export.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serving/optimizer_server.h"
 #include "src/serving/replay_driver.h"
+#include "src/stats/swappable_estimator.h"
+#include "src/storage/change_log.h"
 #include "test_util.h"
 
 namespace balsa::obs {
@@ -678,6 +681,105 @@ TEST(MonitorSeriesTest, BracketedRateMatchesReplayDriverQps) {
   EXPECT_NEAR(sampled_qps / report->requests_per_sec, 1.0, 0.10)
       << "sampled " << sampled_qps << " vs driver "
       << report->requests_per_sec;
+}
+
+// The exported metric names are an interface: statusz, dashboards and the
+// benches read them by name. A fully armed server (registry plus flight
+// recorder), the database, the change log and the re-ANALYZE scheduler all
+// attach to one registry, and the sorted name set must match exactly.
+TEST(MetricNamesTest, FullyArmedStackExportsExactNameSet) {
+  MetricsRegistry registry;  // declared first: outlives every attachment
+  balsa::testing::StarFixture fixture = balsa::testing::MakeStarFixture();
+  SwappableEstimator swappable(fixture.estimator);
+  ChangeLog log(fixture.db.get());
+  Featurizer featurizer(&fixture.schema(), &swappable);
+  ValueNetConfig config;
+  config.query_dim = featurizer.query_dim();
+  config.node_dim = featurizer.node_dim();
+  config.tree_hidden1 = 16;
+  config.tree_hidden2 = 8;
+  config.mlp_hidden = 8;
+  ValueNetwork network(config);
+
+  OptimizerServerOptions options;
+  options.metrics = &registry;
+  options.flight_recorder.enabled = true;
+  OptimizerServer server(&fixture.schema(), &featurizer, &network,
+                         fixture.oracle.get(), options);
+  fixture.db->AttachMetrics(&registry);
+  log.AttachMetrics(&registry);
+  ReanalyzeScheduler scheduler(fixture.db.get(), &log, fixture.oracle.get(),
+                               &swappable, &server, /*pool=*/nullptr);
+  scheduler.AttachMetrics(&registry);
+  scheduler.AttachMetrics(&registry);  // a second call replaces the first
+  scheduler.RunOnce();
+
+  const RegistrySnapshot snapshot = registry.Snapshot();
+  const MetricValue* passes = snapshot.Find("adaptive.passes");
+  ASSERT_NE(passes, nullptr);
+  EXPECT_EQ(passes->value, 1);  // attached once, not merged twice
+  std::vector<std::string> names;
+  for (const MetricValue& m : snapshot.metrics) names.push_back(m.name);
+  const std::vector<std::string> expected = {
+      "adaptive.bumps",
+      "adaptive.drift_score_milli",
+      "adaptive.errors",
+      "adaptive.full_reanalyzes",
+      "adaptive.incremental_merges",
+      "adaptive.max_drift_score_milli",
+      "adaptive.passes",
+      "adaptive.reanalyze_us",
+      "adaptive.rewarm_replans",
+      "runtime.inference.batch_items",
+      "runtime.inference.batch_serve_us",
+      "runtime.inference.forward_batches",
+      "runtime.inference.items",
+      "runtime.inference.max_fused_items",
+      "runtime.inference.requests",
+      "runtime.pool.queue_depth",
+      "runtime.pool.wait_us",
+      "serving.coalesced",
+      "serving.flight_recorder.completions",
+      "serving.flight_recorder.evicted",
+      "serving.flight_recorder.retained",
+      "serving.hits",
+      "serving.misses",
+      "serving.plan_cache.approx_bytes",
+      "serving.plan_cache.entries",
+      "serving.plan_cache.hits",
+      "serving.plan_cache.insertions",
+      "serving.plan_cache.lru_evictions",
+      "serving.plan_cache.misses",
+      "serving.plan_cache.stale_evictions",
+      "serving.planned",
+      "serving.request_us{outcome=coalesced}",
+      "serving.request_us{outcome=hit}",
+      "serving.request_us{outcome=miss}",
+      "serving.requests",
+      "serving.rewarmed",
+      "serving.stage_us{stage=admit}",
+      "serving.stage_us{stage=beam_search}",
+      "serving.stage_us{stage=cache_lookup}",
+      "serving.stage_us{stage=coalesce_wait}",
+      "serving.stage_us{stage=exec_join}",
+      "serving.stage_us{stage=exec_scan}",
+      "serving.stage_us{stage=fingerprint}",
+      "serving.stage_us{stage=inference}",
+      "serving.stage_us{stage=queue_wait}",
+      "serving.stage_us{stage=reanalyze}",
+      "serving.traces",
+      "storage.changelog.batches",
+      "storage.changelog.rebase_epoch_lag",
+      "storage.changelog.rows_deleted",
+      "storage.changelog.rows_inserted",
+      "storage.changelog.values_updated",
+      "storage.chunks_copied",
+      "storage.chunks_shared",
+      "storage.publication_epoch",
+      "storage.publications",
+      "storage.retained_bytes",
+  };
+  EXPECT_EQ(names, expected);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The parallel execution runtime: thread pool, ParallelFor partitioning,
-// ParallelExecutor status propagation, and the determinism contract — with
+// ParallelForStatus error propagation, and the determinism contract — with
 // fixed seeds, results are identical for every thread count, because index
 // assignment is static and per-task rngs derive only from task indices.
 #include "src/util/thread_pool.h"
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "src/balsa/simulation.h"
-#include "src/runtime/parallel_executor.h"
 #include "src/util/parallel_for.h"
 #include "src/util/rng.h"
 #include "test_util.h"
@@ -80,15 +79,10 @@ TEST(ParallelForTest, SeededTasksAreThreadCountInvariant) {
   EXPECT_EQ(run(5), baseline);
 }
 
-TEST(ParallelExecutorTest, ReportsConfiguredThreads) {
-  ParallelExecutor executor(ParallelExecutorOptions{3});
-  EXPECT_EQ(executor.num_threads(), 3);
-}
-
-TEST(ParallelExecutorTest, ForEachRunsAllTasksOnSuccess) {
-  ParallelExecutor executor(ParallelExecutorOptions{4});
+TEST(ParallelForStatusTest, RunsAllTasksOnSuccess) {
+  ThreadPool pool(4);
   std::vector<int> done(100, 0);
-  Status st = executor.ForEach(done.size(), [&](size_t i) {
+  Status st = ParallelForStatus(&pool, done.size(), [&](size_t i) {
     done[i] = static_cast<int>(i) + 1;
     return Status::OK();
   });
@@ -98,18 +92,23 @@ TEST(ParallelExecutorTest, ForEachRunsAllTasksOnSuccess) {
   }
 }
 
-TEST(ParallelExecutorTest, ForEachReturnsLowestIndexError) {
-  ParallelExecutor executor(ParallelExecutorOptions{4});
-  Status st = executor.ForEach(32, [&](size_t i) -> Status {
-    if (i == 7 || i == 21) {
-      return Status::Internal("task " + std::to_string(i));
-    }
-    return Status::OK();
-  });
-  ASSERT_FALSE(st.ok());
-  // Deterministic winner: the lowest failing index, not whichever thread
-  // finished first.
-  EXPECT_EQ(st.message(), "task 7");
+TEST(ParallelForStatusTest, ReturnsLowestIndexErrorForEveryThreadCount) {
+  for (int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    std::vector<int> ran(32, 0);
+    Status st = ParallelForStatus(&pool, ran.size(), [&](size_t i) -> Status {
+      ran[i]++;
+      if (i == 7 || i == 21) {
+        return Status::Internal("task " + std::to_string(i));
+      }
+      return Status::OK();
+    });
+    ASSERT_FALSE(st.ok());
+    // Deterministic winner: the lowest failing index, not whichever thread
+    // finished first — and a failure cancels no other task.
+    EXPECT_EQ(st.message(), "task 7") << threads << " threads";
+    for (int r : ran) EXPECT_EQ(r, 1) << threads << " threads";
+  }
 }
 
 TEST(SimulationCollectionTest, DatasetIsThreadCountInvariant) {

@@ -12,14 +12,12 @@
 namespace balsa {
 namespace {
 
-CachedPlan MakeEntry(int relation, int64_t version = 0,
-                     double planning_micros = 0) {
+CachedPlan MakeEntry(int relation, int64_t version = 0) {
   CachedPlan entry;
   entry.plan.AddScan(relation, ScanOp::kSeqScan);
   entry.plan.set_root(0);
   entry.predicted_ms = relation * 10.0;
   entry.stats_version = version;
-  entry.planning_micros = planning_micros;
   return entry;
 }
 
@@ -179,36 +177,6 @@ TEST(PlanCacheTest, CountersAddUpAcrossShards) {
   EXPECT_EQ(total.entries, 100u);
 }
 
-TEST(PlanCacheTest, AdmissionFloorRejectsCheapPlans) {
-  PlanCacheOptions options;
-  options.admission_min_plan_micros = 100.0;
-  PlanCache cache(options);
-  cache.Insert(1, MakeEntry(1, 0, /*planning_micros=*/10.0));  // too cheap
-  cache.Insert(2, MakeEntry(2, 0, /*planning_micros=*/500.0));
-  std::shared_ptr<const CachedPlan> out;
-  EXPECT_FALSE(cache.Lookup(1, 0, &out));
-  EXPECT_TRUE(cache.Lookup(2, 0, &out));
-  PlanCache::Metrics totals = cache.Totals();
-  EXPECT_EQ(totals.admission_rejections, 1);
-  EXPECT_EQ(totals.insertions, 1);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // Replacement bypasses the floor: the slot is already paid for, and a
-  // re-warm's fast replan must be able to refresh an existing fingerprint.
-  cache.Insert(2, MakeEntry(3, 1, /*planning_micros=*/10.0));
-  ASSERT_TRUE(cache.Lookup(2, 1, &out));
-  EXPECT_EQ(out->plan.node(0).relation, 3);
-  EXPECT_EQ(cache.Totals().admission_rejections, 1);
-}
-
-TEST(PlanCacheTest, ZeroFloorAdmitsEverything) {
-  PlanCache cache;  // default admission_min_plan_micros = 0
-  cache.Insert(1, MakeEntry(1, 0, 0.0));
-  std::shared_ptr<const CachedPlan> out;
-  EXPECT_TRUE(cache.Lookup(1, 0, &out));
-  EXPECT_EQ(cache.Totals().admission_rejections, 0);
-}
-
 TEST(PlanCacheTest, HottestEntriesRankByHits) {
   PlanCache cache;
   for (uint64_t k = 1; k <= 4; ++k) cache.Insert(k, MakeEntry(static_cast<int>(k)));
@@ -256,8 +224,11 @@ TEST(PlanCacheTest, ReplacementResetsHitCount) {
   EXPECT_EQ(hot[1].hits, 0);
   EXPECT_EQ(hot[1].entry->stats_version, 1);
 
-  // Hits after the replacement accrue to the new plan normally.
+  // The replacing plan is what the slot serves, and hits after the
+  // replacement accrue to it normally.
   ASSERT_TRUE(cache.Lookup(1, 1, &out));
+  EXPECT_EQ(out->plan.node(0).relation, 5);
+  EXPECT_EQ(cache.Totals().insertions, 3);
   hot = cache.HottestEntries(1);
   EXPECT_EQ(hot[0].fingerprint, 1u);
   EXPECT_EQ(hot[0].hits, 1);
@@ -328,7 +299,6 @@ TEST(PlanCacheTest, TotalsStayMonotoneAndBoundedUnderConcurrency) {
       sum.insertions += m.insertions;
       sum.stale_evictions += m.stale_evictions;
       sum.lru_evictions += m.lru_evictions;
-      sum.admission_rejections += m.admission_rejections;
     }
     return sum;
   };
@@ -373,9 +343,6 @@ TEST(PlanCacheTest, TotalsStayMonotoneAndBoundedUnderConcurrency) {
           after.stale_evictions, prev.stale_evictions, "stale_evictions");
     check(before.lru_evictions, totals.lru_evictions, after.lru_evictions,
           prev.lru_evictions, "lru_evictions");
-    check(before.admission_rejections, totals.admission_rejections,
-          after.admission_rejections, prev.admission_rejections,
-          "admission_rejections");
     prev = totals;
   }
   for (std::thread& w : workers) w.join();
