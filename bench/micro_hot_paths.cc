@@ -1,13 +1,17 @@
 // Google-benchmark microbenchmarks for the hot paths: executor joins,
 // oracle lookups, value-network inference and training, beam-search
-// planning, and DP enumeration. These bound the per-iteration cost of the
-// learning loop.
+// planning, and DP enumeration, which bound the per-iteration cost of the
+// learning loop; plus query canonicalization and plan remapping, which
+// set the cost of a plan-cache hit.
 #include <benchmark/benchmark.h>
 
 #include "src/balsa/planner.h"
 #include "src/balsa/simulation.h"
 #include "src/model/value_network.h"
 #include "src/optimizer/dp_optimizer.h"
+#include "src/serving/query_fingerprint.h"
+#include "src/workloads/imdb_like.h"
+#include "src/workloads/job_workload.h"
 #include "tests/test_util.h"
 
 namespace balsa {
@@ -211,6 +215,53 @@ void BM_FeaturizePlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeaturizePlan);
+
+/// The largest JOB query the serving benchmarks send (at most 10
+/// relations); the JOB workload needs only its schema, not data.
+const Query& JobServingQuery() {
+  static const Workload* job = [] {
+    StatusOr<Schema> schema = BuildImdbLikeSchema();
+    BALSA_CHECK(schema.ok(), schema.status().ToString());
+    StatusOr<Workload> workload = GenerateJobWorkload(*schema);
+    BALSA_CHECK(workload.ok(), workload.status().ToString());
+    return new Workload(std::move(workload).value());
+  }();
+  const Query* best = &job->queries().front();
+  for (const Query& q : job->queries()) {
+    if (q.num_relations() <= 10 && q.num_relations() > best->num_relations()) {
+      best = &q;
+    }
+  }
+  return *best;
+}
+
+void BM_CanonicalizeQuery(benchmark::State& state) {
+  const Query& query = JobServingQuery();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CanonicalizeQuery(query));
+  }
+  state.SetLabel(std::to_string(query.num_relations()) + " relations, " +
+                 std::to_string(query.joins().size()) + " joins");
+}
+BENCHMARK(BM_CanonicalizeQuery);
+
+/// A cached plan (left-deep, canonical numbering) back to the query's
+/// FROM numbering, as a cache hit does.
+void BM_RemapPlanRelations(benchmark::State& state) {
+  const Query& query = JobServingQuery();
+  Plan plan;
+  int root = plan.AddScan(0, ScanOp::kSeqScan);
+  for (int r = 1; r < query.num_relations(); ++r) {
+    root = plan.AddJoin(root, plan.AddScan(r, ScanOp::kIndexScan),
+                        JoinOp::kHashJoin);
+  }
+  std::vector<int> from_canonical =
+      InversePermutation(CanonicalizeQuery(query).canonical_rank);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RemapPlanRelations(plan, from_canonical));
+  }
+}
+BENCHMARK(BM_RemapPlanRelations);
 
 }  // namespace
 }  // namespace balsa

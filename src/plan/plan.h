@@ -48,6 +48,11 @@ class Plan {
   /// Adds a join of two existing nodes; returns its arena index.
   int AddJoin(int left, int right, JoinOp op);
 
+  /// Reserves arena room for `num_nodes` nodes.
+  void Reserve(int num_nodes) {
+    nodes_.reserve(static_cast<size_t>(num_nodes));
+  }
+
   int root() const { return root_; }
   void set_root(int root) { root_ = root; }
 

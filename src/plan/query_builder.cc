@@ -4,6 +4,13 @@ namespace balsa {
 
 QueryBuilder& QueryBuilder::From(const std::string& table,
                                  const std::string& alias) {
+  if (static_cast<int>(relations_.size()) >= TableSet::kCapacity) {
+    if (deferred_error_.ok()) {
+      deferred_error_ =
+          Status::InvalidArgument("a query joins at most 64 relations");
+    }
+    return *this;
+  }
   int idx = schema_->TableIndex(table);
   if (idx < 0) {
     if (deferred_error_.ok()) {

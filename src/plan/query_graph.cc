@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/logging.h"
+
 namespace balsa {
 
 const char* PredOpName(PredOp op) {
@@ -24,6 +26,8 @@ Query::Query(std::string name, std::vector<QueryRelation> relations,
       relations_(std::move(relations)),
       joins_(std::move(joins)),
       filters_(std::move(filters)) {
+  BALSA_CHECK(num_relations() <= TableSet::kCapacity,
+              "a query joins at most 64 relations");
   neighbors_.assign(relations_.size(), TableSet());
   for (const auto& j : joins_) {
     neighbors_[j.left.relation] =
@@ -52,15 +56,7 @@ bool Query::IsConnected(TableSet set) const {
 }
 
 bool Query::CanJoin(TableSet left, TableSet right) const {
-  if (left.Intersects(right)) return false;
-  for (const auto& j : joins_) {
-    bool l_in_left = left.Contains(j.left.relation);
-    bool r_in_right = right.Contains(j.right.relation);
-    bool l_in_right = right.Contains(j.left.relation);
-    bool r_in_left = left.Contains(j.right.relation);
-    if ((l_in_left && r_in_right) || (l_in_right && r_in_left)) return true;
-  }
-  return false;
+  return !left.Intersects(right) && NeighborsOf(left).Intersects(right);
 }
 
 std::vector<JoinPredicate> Query::JoinsBetween(TableSet left,

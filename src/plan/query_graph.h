@@ -76,7 +76,8 @@ class Query {
   /// True if the induced join subgraph on `set` is connected.
   bool IsConnected(TableSet set) const;
 
-  /// True if some join predicate crosses the (left, right) cut.
+  /// True if some join predicate crosses the (left, right) cut. Reads the
+  /// neighbor masks, so `left` must hold only this query's relations.
   bool CanJoin(TableSet left, TableSet right) const;
 
   /// Join predicates with one side in `left` and the other in `right`,

@@ -1,6 +1,7 @@
 #include "src/serving/query_fingerprint.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace balsa {
@@ -13,62 +14,125 @@ inline uint64_t Mix(uint64_t h, uint64_t v) {
   return h ^ (h >> 31);
 }
 
-/// Order-independent fold of a multiset of hashes.
-uint64_t FoldSorted(std::vector<uint64_t> values, uint64_t seed) {
-  std::sort(values.begin(), values.end());
+/// Order-independent fold of a multiset of `count` hashes; sorts them in
+/// place. Short runs sort by compare-exchange insertion, which has no
+/// data-dependent branch to mispredict; the refinement rounds sort one
+/// short, random run per relation per round.
+uint64_t FoldSorted(uint64_t* values, size_t count, uint64_t seed) {
+  if (count > 16) {
+    std::sort(values, values + count);
+  } else {
+    for (size_t i = 1; i < count; ++i) {
+      for (size_t j = i; j > 0; --j) {
+        uint64_t lo = std::min(values[j - 1], values[j]);
+        values[j] = std::max(values[j - 1], values[j]);
+        values[j - 1] = lo;
+      }
+    }
+  }
   uint64_t h = seed;
-  for (uint64_t v : values) h = Mix(h, v);
+  for (size_t i = 0; i < count; ++i) h = Mix(h, values[i]);
   return h;
 }
 
-uint64_t FilterHash(const FilterPredicate& f) {
-  uint64_t h = Mix(0xF117E7ULL, static_cast<uint64_t>(f.col.column));
-  h = Mix(h, static_cast<uint64_t>(f.op));
-  h = Mix(h, static_cast<uint64_t>(f.value));
-  // IN-lists are sets: {1, 5} and {5, 1} filter identically.
-  std::vector<uint64_t> in(f.in_values.begin(), f.in_values.end());
-  return Mix(h, FoldSorted(std::move(in), 0x1A));
-}
+struct Incident {
+  uint64_t edge;  // Mix(label, own column, other column)
+  int other;      // neighbor relation
+};
+
+/// Per-thread buffers for the arrays whose length is a predicate count.
+/// They are cleared between calls, so after a thread's first query a call
+/// allocates only when a query outgrows every earlier one. A buffer a
+/// query grew past kRetained entries is freed at the end of that call, so
+/// a thread holds at most 48 KB between calls however large a
+/// client's IN list or join list was.
+struct Scratch {
+  static constexpr size_t kRetained = 1024;
+
+  std::vector<std::pair<int, uint64_t>> filters;  // (relation, filter hash)
+  std::vector<uint64_t> values;     // one IN list, then the final edges
+  std::vector<Incident> adjacency;  // CSR: relation r's edges at offset[r]
+  std::vector<uint64_t> terms;      // one round's incident terms, same CSR
+
+  void Trim() {
+    Trim(&filters);
+    Trim(&values);
+    Trim(&adjacency);
+    Trim(&terms);
+  }
+  template <typename T>
+  static void Trim(std::vector<T>* v) {
+    if (v->capacity() > kRetained) std::vector<T>().swap(*v);
+  }
+};
 
 }  // namespace
 
+// Arrays indexed by relation live on the stack (a Query has at most
+// TableSet::kCapacity relations); arrays indexed by predicate reuse the
+// thread's Scratch.
 CanonicalQuery CanonicalizeQuery(const Query& query) {
   const int n = query.num_relations();
   if (n == 0) return {};
+  thread_local Scratch scratch;
 
   // Initial color: what the relation *is* (schema table) plus what its
-  // filters keep — everything about it except its name and position.
-  std::vector<uint64_t> color(n);
+  // filters keep — everything about it except its name and position. A
+  // relation's filters hash to a sorted run of (relation, hash) pairs.
+  scratch.filters.clear();
+  for (const FilterPredicate& f : query.filters()) {
+    uint64_t h = Mix(0xF117E7ULL, static_cast<uint64_t>(f.col.column));
+    h = Mix(h, static_cast<uint64_t>(f.op));
+    h = Mix(h, static_cast<uint64_t>(f.value));
+    // IN-lists are sets: {1, 5} and {5, 1} filter identically.
+    scratch.values.assign(f.in_values.begin(), f.in_values.end());
+    h = Mix(h, FoldSorted(scratch.values.data(), scratch.values.size(), 0x1A));
+    scratch.filters.push_back({f.col.relation, h});
+  }
+  auto* filter = scratch.filters.data();
+  auto* filters_end = filter + scratch.filters.size();
+  std::sort(filter, filters_end);
+
+  // Entries [0, n) of color, next and order are written before they are
+  // read and the rest are never read, so they are not zeroed: clearing
+  // 1.3 KB per call is a measurable share of a cache hit.
+  uint64_t color_a[TableSet::kCapacity];
+  uint64_t color_b[TableSet::kCapacity];
+  uint64_t* color = color_a;
+  uint64_t* next = color_b;
   for (int r = 0; r < n; ++r) {
-    std::vector<uint64_t> filters;
-    for (const FilterPredicate& f : query.FiltersOn(r)) {
-      filters.push_back(FilterHash(f));
+    while (filter < filters_end && filter->first < r) ++filter;
+    uint64_t filters_hash = 0x2B;
+    for (; filter < filters_end && filter->first == r; ++filter) {
+      filters_hash = Mix(filters_hash, filter->second);
     }
     uint64_t h =
         Mix(0xC0104ULL, static_cast<uint64_t>(query.relations()[r].table_idx));
-    color[r] = Mix(h, FoldSorted(std::move(filters), 0x2B));
+    color[r] = Mix(h, filters_hash);
   }
 
-  // Per-relation adjacency with precomputed edge-label hashes, so the
+  // Adjacency in CSR form with precomputed edge-label hashes, so the
   // refinement rounds touch each incident predicate directly instead of
-  // rescanning the whole join list per relation per round. This runs on
-  // every request — cache hits included — so it is hot-path code.
-  struct Incident {
-    uint64_t edge;  // Mix(label, own column, other column)
-    int other;      // neighbor relation
-  };
-  std::vector<std::vector<Incident>> adjacency(static_cast<size_t>(n));
-  for (const JoinPredicate& j : query.joins()) {
+  // rescanning the whole join list per relation per round.
+  const std::vector<JoinPredicate>& joins = query.joins();
+  // Each run fills back to front, which leaves offset[r] at its start.
+  int offset[TableSet::kCapacity + 1] = {};
+  for (const JoinPredicate& j : joins) {
+    ++offset[j.left.relation];
+    ++offset[j.right.relation];
+  }
+  for (int r = 1; r <= n; ++r) offset[r] += offset[r - 1];
+  scratch.adjacency.resize(2 * joins.size());
+  Incident* adjacency = scratch.adjacency.data();
+  for (const JoinPredicate& j : joins) {
     uint64_t left_edge = Mix(
         Mix(0xED6EULL, static_cast<uint64_t>(j.left.column)),
         static_cast<uint64_t>(j.right.column));
     uint64_t right_edge = Mix(
         Mix(0xED6EULL, static_cast<uint64_t>(j.right.column)),
         static_cast<uint64_t>(j.left.column));
-    adjacency[static_cast<size_t>(j.left.relation)].push_back(
-        {left_edge, j.right.relation});
-    adjacency[static_cast<size_t>(j.right.relation)].push_back(
-        {right_edge, j.left.relation});
+    adjacency[--offset[j.left.relation]] = {left_edge, j.right.relation};
+    adjacency[--offset[j.right.relation]] = {right_edge, j.left.relation};
   }
 
   // Refinement: absorb neighbor colors along column-labeled join edges.
@@ -76,31 +140,28 @@ CanonicalQuery CanonicalizeQuery(const Query& query) {
   // relations distinguishable by their position in the join graph get
   // distinct colors while symmetric ones (true automorphisms) stay equal —
   // exactly the queries that plan identically.
-  std::vector<uint64_t> next(static_cast<size_t>(n));
-  std::vector<uint64_t> incident;  // reused across relations and rounds
+  scratch.terms.resize(scratch.adjacency.size());
+  uint64_t* terms = scratch.terms.data();
   for (int round = 0; round < n; ++round) {
-    for (int r = 0; r < n; ++r) {
-      incident.clear();
-      for (const Incident& inc : adjacency[static_cast<size_t>(r)]) {
-        incident.push_back(Mix(inc.edge, color[static_cast<size_t>(inc.other)]));
-      }
-      std::sort(incident.begin(), incident.end());
-      uint64_t folded = 0x3C;
-      for (uint64_t v : incident) folded = Mix(folded, v);
-      next[static_cast<size_t>(r)] = Mix(color[static_cast<size_t>(r)], folded);
+    for (int k = 0; k < offset[n]; ++k) {
+      terms[k] = Mix(adjacency[k].edge, color[adjacency[k].other]);
     }
-    color.swap(next);
+    for (int r = 0; r < n; ++r) {
+      next[r] = Mix(color[r], FoldSorted(terms + offset[r],
+                                         offset[r + 1] - offset[r], 0x3C));
+    }
+    std::swap(color, next);
   }
 
   // Final hash: the color multiset plus every edge under final colors.
-  std::vector<uint64_t> edges;
-  for (const JoinPredicate& j : query.joins()) {
+  scratch.values.clear();
+  for (const JoinPredicate& j : joins) {
     uint64_t a = Mix(color[j.left.relation],
                      static_cast<uint64_t>(j.left.column));
     uint64_t b = Mix(color[j.right.relation],
                      static_cast<uint64_t>(j.right.column));
     if (a > b) std::swap(a, b);  // equality joins are symmetric
-    edges.push_back(Mix(a, b));
+    scratch.values.push_back(Mix(a, b));
   }
 
   CanonicalQuery canonical;
@@ -109,21 +170,24 @@ CanonicalQuery CanonicalizeQuery(const Query& query) {
   // symmetries in all but pathologically regular graphs (1-WL can be
   // coarser than automorphism orbits), so the consumer validates remapped
   // plans rather than trusting tie-breaks blindly (see optimizer_server).
-  std::vector<int> order(static_cast<size_t>(n));
-  for (int r = 0; r < n; ++r) order[static_cast<size_t>(r)] = r;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    size_t ua = static_cast<size_t>(a), ub = static_cast<size_t>(b);
-    return color[ua] != color[ub] ? color[ua] < color[ub] : a < b;
+  int order[TableSet::kCapacity];
+  for (int r = 0; r < n; ++r) order[r] = r;
+  std::sort(order, order + n, [color](int a, int b) {
+    return color[a] != color[b] ? color[a] < color[b] : a < b;
   });
   canonical.canonical_rank.resize(static_cast<size_t>(n));
+  // Walking relations in canonical order also visits the colors sorted.
+  uint64_t colors_hash = 0x4D;
   for (int rank = 0; rank < n; ++rank) {
-    canonical.canonical_rank[static_cast<size_t>(
-        order[static_cast<size_t>(rank)])] = rank;
+    canonical.canonical_rank[static_cast<size_t>(order[rank])] = rank;
+    colors_hash = Mix(colors_hash, color[order[rank]]);
   }
 
   uint64_t h = Mix(0xF1DE5ULL, static_cast<uint64_t>(n));
-  h = Mix(h, FoldSorted(std::move(color), 0x4D));
-  canonical.fingerprint = Mix(h, FoldSorted(std::move(edges), 0x5E));
+  h = Mix(h, colors_hash);
+  canonical.fingerprint =
+      Mix(h, FoldSorted(scratch.values.data(), scratch.values.size(), 0x5E));
+  scratch.Trim();
   return canonical;
 }
 
@@ -137,6 +201,7 @@ Plan RemapPlanRelations(const Plan& plan,
   // are preserved, and AddScan/AddJoin recompute the table sets under the
   // new numbering.
   Plan out;
+  out.Reserve(plan.num_nodes());
   for (int i = 0; i < plan.num_nodes(); ++i) {
     const PlanNode& node = plan.node(i);
     if (node.is_join) {

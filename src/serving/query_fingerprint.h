@@ -46,7 +46,9 @@ struct CanonicalQuery {
   std::vector<int> canonical_rank;
 };
 
-/// Fingerprint plus the canonical relation ordering for `query`.
+/// Fingerprint plus the canonical relation ordering for `query`. Runs on
+/// every request, so it heap-allocates only the returned canonical_rank
+/// (plus per-thread scratch, the first time a thread sees a query this big).
 CanonicalQuery CanonicalizeQuery(const Query& query);
 
 /// Fingerprint only (convenience for callers that never exchange plans).

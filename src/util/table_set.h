@@ -12,6 +12,9 @@ namespace balsa {
 /// Immutable-value set of relation indices (0..63) with cheap set algebra.
 class TableSet {
  public:
+  /// Most relations a set, and so a query, can hold.
+  static constexpr int kCapacity = 64;
+
   constexpr TableSet() : bits_(0) {}
   constexpr explicit TableSet(uint64_t bits) : bits_(bits) {}
 

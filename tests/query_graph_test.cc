@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/plan/query_builder.h"
+#include "src/util/rng.h"
 #include "test_util.h"
 
 namespace balsa {
@@ -48,6 +49,52 @@ TEST_F(QueryGraphTest, CanJoin) {
   EXPECT_FALSE(query_.CanJoin(TableSet::Single(1), TableSet::Single(2)));
   EXPECT_TRUE(
       query_.CanJoin(TableSet::Single(0).With(1), TableSet::Single(3)));
+}
+
+TEST(QueryGraphPropertyTest, CanJoinMatchesAPredicateScan) {
+  // CanJoin reads the neighbor masks; the reference scans every predicate
+  // for one that crosses the (left, right) cut.
+  auto scan = [](const Query& q, TableSet left, TableSet right) {
+    if (left.Intersects(right)) return false;
+    for (const JoinPredicate& j : q.joins()) {
+      int a = j.left.relation, b = j.right.relation;
+      if ((left.Contains(a) && right.Contains(b)) ||
+          (right.Contains(a) && left.Contains(b))) {
+        return true;
+      }
+    }
+    return false;
+  };
+  Rng rng(23);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(1, 20));
+    std::vector<QueryRelation> relations;
+    for (int r = 0; r < n; ++r) {
+      // Few distinct tables, so aliased self-joins are common.
+      relations.push_back(
+          {static_cast<int>(rng.Uniform(3)), "r" + std::to_string(r)});
+    }
+    std::vector<JoinPredicate> joins;
+    const int num_joins = static_cast<int>(rng.UniformInt(0, 2 * n));
+    for (int k = 0; k < num_joins; ++k) {
+      // Endpoints may coincide: a predicate between two columns of one
+      // relation crosses no cut.
+      int a = static_cast<int>(rng.Uniform(static_cast<uint64_t>(n)));
+      int b = static_cast<int>(rng.Uniform(static_cast<uint64_t>(n)));
+      joins.push_back({{a, 0}, {b, 1}});
+    }
+    Query q("random", std::move(relations), std::move(joins), {});
+    const uint64_t all = q.AllTables().bits();
+    for (int cut = 0; cut < 50; ++cut) {
+      TableSet left(rng.Next() & all);
+      // Half the cuts are disjoint by construction, half may overlap.
+      TableSet right(rng.Next() & all);
+      if (rng.Bernoulli(0.5)) right = right.Minus(left);
+      EXPECT_EQ(q.CanJoin(left, right), scan(q, left, right))
+          << "trial " << trial << " left " << left.ToString() << " right "
+          << right.ToString();
+    }
+  }
 }
 
 TEST_F(QueryGraphTest, JoinsBetweenAreOriented) {

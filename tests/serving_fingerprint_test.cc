@@ -3,15 +3,223 @@
 // planning problem (tables, join graph, filter predicates and constants).
 #include "src/serving/query_fingerprint.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "src/sql/parser.h"
+#include "src/util/rng.h"
+#include "src/workloads/imdb_like.h"
+#include "src/workloads/job_workload.h"
+#include "src/workloads/tpch_like.h"
 #include "test_util.h"
+
+// Every heap allocation in this binary is counted, so a test can pin how
+// many a call makes. The replacements stay out of line: inlined, gcc would
+// pair a caller's `new` with the `free` inside `delete` and warn.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace balsa {
 namespace {
+
+/// Allocations `fn` makes.
+template <typename Fn>
+int64_t AllocationsOf(Fn fn) {
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+// A frozen copy of CanonicalizeQuery as it was before the allocation-free
+// rewrite: the reference the rewrite must match bit for bit.
+namespace reference {
+
+inline uint64_t Mix(uint64_t h, uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  h *= 0xBF58476D1CE4E5B9ULL;
+  return h ^ (h >> 31);
+}
+
+uint64_t FoldSorted(std::vector<uint64_t> values, uint64_t seed) {
+  std::sort(values.begin(), values.end());
+  uint64_t h = seed;
+  for (uint64_t v : values) h = Mix(h, v);
+  return h;
+}
+
+uint64_t FilterHash(const FilterPredicate& f) {
+  uint64_t h = Mix(0xF117E7ULL, static_cast<uint64_t>(f.col.column));
+  h = Mix(h, static_cast<uint64_t>(f.op));
+  h = Mix(h, static_cast<uint64_t>(f.value));
+  std::vector<uint64_t> in(f.in_values.begin(), f.in_values.end());
+  return Mix(h, FoldSorted(std::move(in), 0x1A));
+}
+
+CanonicalQuery CanonicalizeQuery(const Query& query) {
+  const int n = query.num_relations();
+  if (n == 0) return {};
+  std::vector<uint64_t> color(n);
+  for (int r = 0; r < n; ++r) {
+    std::vector<uint64_t> filters;
+    for (const FilterPredicate& f : query.FiltersOn(r)) {
+      filters.push_back(FilterHash(f));
+    }
+    uint64_t h =
+        Mix(0xC0104ULL, static_cast<uint64_t>(query.relations()[r].table_idx));
+    color[r] = Mix(h, FoldSorted(std::move(filters), 0x2B));
+  }
+  struct Incident {
+    uint64_t edge;
+    int other;
+  };
+  std::vector<std::vector<Incident>> adjacency(static_cast<size_t>(n));
+  for (const JoinPredicate& j : query.joins()) {
+    uint64_t left_edge = Mix(
+        Mix(0xED6EULL, static_cast<uint64_t>(j.left.column)),
+        static_cast<uint64_t>(j.right.column));
+    uint64_t right_edge = Mix(
+        Mix(0xED6EULL, static_cast<uint64_t>(j.right.column)),
+        static_cast<uint64_t>(j.left.column));
+    adjacency[static_cast<size_t>(j.left.relation)].push_back(
+        {left_edge, j.right.relation});
+    adjacency[static_cast<size_t>(j.right.relation)].push_back(
+        {right_edge, j.left.relation});
+  }
+  std::vector<uint64_t> next(static_cast<size_t>(n));
+  std::vector<uint64_t> incident;
+  for (int round = 0; round < n; ++round) {
+    for (int r = 0; r < n; ++r) {
+      incident.clear();
+      for (const Incident& inc : adjacency[static_cast<size_t>(r)]) {
+        incident.push_back(
+            Mix(inc.edge, color[static_cast<size_t>(inc.other)]));
+      }
+      std::sort(incident.begin(), incident.end());
+      uint64_t folded = 0x3C;
+      for (uint64_t v : incident) folded = Mix(folded, v);
+      next[static_cast<size_t>(r)] = Mix(color[static_cast<size_t>(r)], folded);
+    }
+    color.swap(next);
+  }
+  std::vector<uint64_t> edges;
+  for (const JoinPredicate& j : query.joins()) {
+    uint64_t a = Mix(color[j.left.relation],
+                     static_cast<uint64_t>(j.left.column));
+    uint64_t b = Mix(color[j.right.relation],
+                     static_cast<uint64_t>(j.right.column));
+    if (a > b) std::swap(a, b);
+    edges.push_back(Mix(a, b));
+  }
+  CanonicalQuery canonical;
+  std::vector<int> order(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) order[static_cast<size_t>(r)] = r;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    size_t ua = static_cast<size_t>(a), ub = static_cast<size_t>(b);
+    return color[ua] != color[ub] ? color[ua] < color[ub] : a < b;
+  });
+  canonical.canonical_rank.resize(static_cast<size_t>(n));
+  for (int rank = 0; rank < n; ++rank) {
+    canonical.canonical_rank[static_cast<size_t>(
+        order[static_cast<size_t>(rank)])] = rank;
+  }
+  uint64_t h = Mix(0xF1DE5ULL, static_cast<uint64_t>(n));
+  h = Mix(h, FoldSorted(std::move(color), 0x4D));
+  canonical.fingerprint = Mix(h, FoldSorted(std::move(edges), 0x5E));
+  return canonical;
+}
+
+}  // namespace reference
+
+/// The same planning problem as `q`, spelled differently: relations
+/// FROM-permuted and renamed, join and filter lists shuffled, join sides
+/// swapped at random and every IN list shuffled.
+Query Respell(const Query& q, Rng* rng) {
+  const int n = q.num_relations();
+  std::vector<int> perm(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) perm[static_cast<size_t>(r)] = r;
+  auto shuffle = [rng](auto& v) {
+    for (size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[rng->Uniform(i)]);
+    }
+  };
+  shuffle(perm);  // old relation r becomes relation perm[r]
+  std::vector<QueryRelation> relations(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    QueryRelation rel = q.relations()[static_cast<size_t>(r)];
+    rel.alias = "t" + std::to_string(rng->Next() % 1000) + "_" +
+                std::to_string(perm[static_cast<size_t>(r)]);
+    relations[static_cast<size_t>(perm[static_cast<size_t>(r)])] = rel;
+  }
+  auto moved = [&](ColumnRef c) {
+    c.relation = perm[static_cast<size_t>(c.relation)];
+    return c;
+  };
+  std::vector<JoinPredicate> joins;
+  for (const JoinPredicate& j : q.joins()) {
+    JoinPredicate m{moved(j.left), moved(j.right)};
+    if (rng->Bernoulli(0.5)) std::swap(m.left, m.right);
+    joins.push_back(m);
+  }
+  shuffle(joins);
+  std::vector<FilterPredicate> filters;
+  for (FilterPredicate f : q.filters()) {
+    f.col = moved(f.col);
+    shuffle(f.in_values);
+    filters.push_back(std::move(f));
+  }
+  shuffle(filters);
+  return Query(q.name() + "'", std::move(relations), std::move(joins),
+               std::move(filters));
+}
+
+/// A query past any JOB-sized scratch: every relation of the 64 allowed,
+/// a ring plus chords for more than 64 join predicates (parallel edges
+/// included), and a 2000-value IN list holding negative constants, longer
+/// than any buffer a thread keeps between calls.
+Query Oversized() {
+  const int n = TableSet::kCapacity;
+  std::vector<QueryRelation> relations;
+  for (int r = 0; r < n; ++r) {
+    relations.push_back({r % 5, "r" + std::to_string(r)});
+  }
+  std::vector<JoinPredicate> joins;
+  for (int r = 0; r < n; ++r) {
+    joins.push_back({{r, 0}, {(r + 1) % n, 1}});
+    if (r % 3 == 0) joins.push_back({{r, 2}, {(r + 7) % n, 0}});
+  }
+  joins.push_back({{0, 0}, {1, 1}});
+  Rng rng(5);
+  FilterPredicate in;
+  in.col = {3, 2};
+  in.op = PredOp::kIn;
+  for (int i = 0; i < 2000; ++i) {
+    in.in_values.push_back(rng.UniformInt(-500, 500));
+  }
+  FilterPredicate lt;
+  lt.col = {3, 1};
+  lt.op = PredOp::kLt;
+  lt.value = -7;
+  return Query("oversized", std::move(relations), std::move(joins),
+               {in, lt});
+}
 
 class FingerprintTest : public ::testing::Test {
  protected:
@@ -231,6 +439,100 @@ TEST_F(FingerprintTest, DistinctAcrossAWholeWorkloadScale) {
     }
   }
   EXPECT_EQ(seen.size(), 80u);
+}
+
+TEST(FingerprintDifferentialTest, MatchesTheReferenceBitForBit) {
+  // Every query of every workload MakeEnv builds (JOB, Ext-JOB, TPC-H at
+  // MakeEnv's default workload seed), each respelled eight ways, then one
+  // query larger than everything before it.
+  std::vector<Query> queries;
+  auto add_all = [&](const StatusOr<Workload>& w) {
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    for (const Query& q : w->queries()) queries.push_back(q);
+  };
+  JobWorkloadOptions job;
+  StatusOr<Schema> imdb = BuildImdbLikeSchema();
+  ASSERT_TRUE(imdb.ok());
+  add_all(GenerateJobWorkload(*imdb, job));
+  add_all(GenerateExtJobWorkload(*imdb, job));
+  TpchLikeOptions tpch;
+  tpch.seed = job.seed;
+  StatusOr<Schema> tpch_schema = BuildTpchLikeSchema(tpch);
+  ASSERT_TRUE(tpch_schema.ok());
+  add_all(GenerateTpchWorkload(*tpch_schema, tpch));
+  ASSERT_GT(queries.size(), 113u);
+
+  Rng rng(19);
+  int mismatches = 0;
+  auto check = [&](const Query& q) {
+    CanonicalQuery got = CanonicalizeQuery(q);
+    CanonicalQuery want = reference::CanonicalizeQuery(q);
+    if (got.fingerprint != want.fingerprint ||
+        got.canonical_rank != want.canonical_rank) {
+      ++mismatches;
+      ADD_FAILURE() << "differs from the reference on " << q.name();
+    }
+    return got.fingerprint;
+  };
+  for (const Query& q : queries) {
+    uint64_t fingerprint = check(q);
+    for (int v = 0; v < 8; ++v) {
+      EXPECT_EQ(check(Respell(q, &rng)), fingerprint) << q.name();
+    }
+  }
+  Query big = Oversized();
+  ASSERT_GT(big.joins().size(), 64u);
+  uint64_t big_fingerprint = check(big);
+  EXPECT_EQ(check(Respell(big, &rng)), big_fingerprint);
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(FingerprintAllocationTest, HitPathCallsAllocateOnlyTheirResult) {
+  StatusOr<Schema> imdb = BuildImdbLikeSchema();
+  ASSERT_TRUE(imdb.ok());
+  StatusOr<Workload> job = GenerateJobWorkload(*imdb);
+  ASSERT_TRUE(job.ok());
+  // One pass grows this thread's scratch to the workload's largest sizes.
+  const Query* largest = &job->queries().front();
+  for (const Query& q : job->queries()) {
+    CanonicalizeQuery(q);
+    if (q.num_relations() > largest->num_relations()) largest = &q;
+  }
+  for (const Query& q : job->queries()) {
+    CanonicalQuery canonical;
+    EXPECT_EQ(AllocationsOf([&] { canonical = CanonicalizeQuery(q); }), 1)
+        << q.name();  // the returned canonical_rank
+  }
+
+  // A JOB-sized left-deep plan remapped: the one allocation is its arena.
+  const int n = largest->num_relations();
+  Plan plan;
+  int root = plan.AddScan(0, ScanOp::kSeqScan);
+  for (int r = 1; r < n; ++r) {
+    root = plan.AddJoin(root, plan.AddScan(r, ScanOp::kIndexScan),
+                        JoinOp::kHashJoin);
+  }
+  std::vector<int> map = CanonicalizeQuery(*largest).canonical_rank;
+  Plan mapped;
+  EXPECT_EQ(AllocationsOf([&] { mapped = RemapPlanRelations(plan, map); }), 1);
+  EXPECT_EQ(mapped.num_nodes(), plan.num_nodes());
+}
+
+TEST(FingerprintAllocationTest, AnOversizedQueryDoesNotPinItsScratch) {
+  StatusOr<Schema> imdb = BuildImdbLikeSchema();
+  ASSERT_TRUE(imdb.ok());
+  StatusOr<Workload> job = GenerateJobWorkload(*imdb);
+  ASSERT_TRUE(job.ok());
+  for (const Query& q : job->queries()) CanonicalizeQuery(q);
+  const Query& q = job->queries().front();
+  ASSERT_FALSE(q.joins().empty());
+  ASSERT_EQ(AllocationsOf([&] { CanonicalizeQuery(q); }), 1);
+
+  // The 2000-value IN list grows the thread's value buffer past what it
+  // keeps, so that call frees it and the next JOB query regrows it once.
+  CanonicalizeQuery(Oversized());
+  EXPECT_GT(AllocationsOf([&] { CanonicalizeQuery(q); }), 1);
+  EXPECT_EQ(AllocationsOf([&] { CanonicalizeQuery(q); }), 1);
 }
 
 }  // namespace

@@ -124,6 +124,31 @@ TEST_F(SqlParserTest, Errors) {
                         "WHERE s.customer_id < c.id").ok());
 }
 
+TEST_F(SqlParserTest, AtMostSixtyFourRelations) {
+  // A star of `n` aliased copies of sales around s0.
+  auto star = [](int n) {
+    std::string from = "SELECT * FROM sales s0";
+    std::string where;
+    for (int r = 1; r < n; ++r) {
+      std::string alias = "s" + std::to_string(r);
+      from += ", sales " + alias;
+      where += (r == 1 ? " WHERE " : " AND ") + alias +
+               ".customer_id = s0.customer_id";
+    }
+    return from + where;
+  };
+  auto at_cap = ParseSql(fixture_.schema(), star(TableSet::kCapacity));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_relations(), TableSet::kCapacity);
+
+  auto over = ParseSql(fixture_.schema(), star(TableSet::kCapacity + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().ToString().find("at most 64 relations"),
+            std::string::npos)
+      << over.status().ToString();
+}
+
 TEST_F(SqlParserTest, RoundTripsThroughOptimizer) {
   auto q = ParseSql(fixture_.schema(),
                     "SELECT * FROM sales s, customer c, product p, store st "
