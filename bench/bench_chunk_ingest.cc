@@ -1,4 +1,4 @@
-// Chunked storage: O(batch) publication and morsel-driven scans.
+// Chunked storage: O(batch) publication and chunk-at-a-time scans.
 //
 // Two measured regimes over one purpose-built table:
 //   1. Publication cost: the wall time of a fixed append batch must not
@@ -8,21 +8,20 @@
 //      ratio. A paired snapshot check gates the space side: pinning the
 //      versions before and after a single append on the 1M-row table may
 //      retain at most ~one extra chunk, never a second copy of the table.
-//   2. Scan throughput: the executor's vectorized morsel scan (branch-free
+//   2. Scan throughput: the executor's vectorized full scan (branch-free
 //      per-chunk filter loops) must not be slower than the pre-chunk
 //      executor's full-column scan — reproduced here as a per-row loop with
 //      predicate dispatch per row through ChunkedColumn::operator[]. The
-//      parallel path (morsels fanned over a ThreadPool) and the
-//      chunk-skipping path (clustered column, kEq probe) are reported, and
-//      every path — index / full scan, skipping on / off, pool / serial —
-//      must return bitwise-identical rows.
+//      index path is reported, and the reference scan, the full scan and
+//      the index path must return bitwise-identical rows.
 //
 // Acceptance gates (exit non-zero on violation; CI runs --smoke, TSan too):
 //   1. append batch cost at 1M rows <= 2x the cost at 100k rows;
 //   2. one append on the 1M-row table retains <= one extra chunk of bytes
 //      across the before/after snapshots;
-//   3. serial morsel scan throughput >= the scalar full-column reference;
-//   4. all scan paths bitwise identical (zero mismatches).
+//   3. full scan throughput >= the scalar full-column reference;
+//   4. reference scan, full scan and index path bitwise identical (zero
+//      mismatches).
 //
 //   ./build/bench/bench_chunk_ingest [--smoke]
 #include <algorithm>
@@ -36,7 +35,6 @@
 #include "src/plan/query_builder.h"
 #include "src/storage/column_store.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace balsa {
 namespace {
@@ -60,7 +58,6 @@ struct ChunkBenchConfig {
   /// Scan corpus and repetitions (best-of to shed scheduler noise).
   int64_t scan_rows = 4'000'000;
   int scan_repeats = 5;
-  int scan_threads = 4;
 };
 
 double Seconds(std::chrono::steady_clock::time_point start) {
@@ -78,18 +75,16 @@ Schema BenchSchema() {
     c.domain_size = 1 << 20;
     return c;
   };
-  // a: uniform values (no chunk can be skipped — honest scan timing);
-  // b: clustered values (consecutive runs share one value, so min/max
-  //    summaries exclude almost every chunk for a kEq probe);
-  // c: ballast so publication copies realistic multi-column rows.
+  // a: uniform values (the scanned column);
+  // b, c: ballast so publication copies realistic multi-column rows.
   BALSA_CHECK(
       schema.AddTable({"chunks", 16, {attr("a"), attr("b"), attr("c")}}).ok(),
       "add table");
   return schema;
 }
 
-/// Installs `rows` rows: a uniform in [0, 10000), b clustered in runs of
-/// 1000, c arbitrary ballast.
+/// Installs `rows` rows: a uniform in [0, 10000), b and c arbitrary
+/// ballast.
 void Install(Database* db, int64_t rows, Rng* rng) {
   TableData data;
   data.row_count = rows;
@@ -178,22 +173,16 @@ int Run(const ChunkBenchConfig& config) {
   // 3 columns publish 3 rebuilt tails; "one extra chunk" per column.
   const size_t retain_budget = 3 * kChunkRows * sizeof(int64_t);
 
-  // --- Gates 3 and 4: morsel scans vs the scalar reference ----------------
+  // --- Gates 3 and 4: chunked scans vs the scalar reference --------------
   Database db(BenchSchema());
   Install(&db, config.scan_rows, &rng);
   Snapshot snap = db.GetSnapshot();
-  ThreadPool pool(config.scan_threads);
 
   QueryBuilder eq_builder(&db.schema(), "eq");
   auto eq_query = eq_builder.From("chunks", "x")
                       .Filter("x.a", PredOp::kEq, 123)
                       .Build();
   BALSA_CHECK(eq_query.ok(), "eq query");
-  QueryBuilder clustered_builder(&db.schema(), "clustered");
-  auto clustered_query = clustered_builder.From("chunks", "x")
-                             .Filter("x.b", PredOp::kEq, 42)
-                             .Build();
-  BALSA_CHECK(clustered_query.ok(), "clustered query");
 
   auto time_scan = [&](const Query& query, const ExecutorOptions& options,
                        std::vector<uint32_t>* out) {
@@ -221,41 +210,22 @@ int Run(const ChunkBenchConfig& config) {
     reference_rps = static_cast<double>(config.scan_rows) / best;
   }
 
-  ExecutorOptions serial;
-  serial.use_index_for_eq = false;
-  ExecutorOptions parallel = serial;
-  parallel.pool = &pool;
-  ExecutorOptions no_skip = serial;
-  no_skip.use_chunk_skipping = false;
+  ExecutorOptions full;
+  full.use_index_for_eq = false;
   ExecutorOptions indexed;  // defaults: index path on
 
-  std::vector<uint32_t> serial_rows, parallel_rows, no_skip_rows, index_rows;
-  const double serial_rps = time_scan(*eq_query, serial, &serial_rows);
-  const double parallel_rps = time_scan(*eq_query, parallel, &parallel_rows);
-  time_scan(*eq_query, no_skip, &no_skip_rows);
+  std::vector<uint32_t> full_rows, index_rows;
+  const double full_rps = time_scan(*eq_query, full, &full_rows);
   // Index build cost is not the scan's; warm it before timing the lookup
   // path (still reported, not gated — it answers from the hash index).
   snap.index(0, 0);
   const double index_rps = time_scan(*eq_query, indexed, &index_rows);
 
   int mismatches = 0;
-  mismatches += serial_rows != reference_rows;
-  mismatches += parallel_rows != serial_rows;
-  mismatches += no_skip_rows != serial_rows;
-  mismatches += index_rows != serial_rows;
+  mismatches += full_rows != reference_rows;
+  mismatches += index_rows != reference_rows;
 
-  // Chunk skipping on the clustered column (reported): the kEq probe's
-  // value falls inside a single chunk's [min, max] range, so the sealed
-  // summaries exclude every other chunk without reading it.
-  std::vector<uint32_t> clustered_skip_rows, clustered_full_rows;
-  const double clustered_skip_rps =
-      time_scan(*clustered_query, serial, &clustered_skip_rows);
-  const double clustered_full_rps =
-      time_scan(*clustered_query, no_skip, &clustered_full_rows);
-  mismatches += clustered_skip_rows != clustered_full_rows;
-
-  const double scan_ratio =
-      reference_rps > 0 ? serial_rps / reference_rps : 0;
+  const double scan_ratio = reference_rps > 0 ? full_rps / reference_rps : 0;
 
   TablePrinter table({"measurement", "value", "gate"});
   table.AddRow({"append stream @100k (s)", TablePrinter::Fmt(small_s, 4), ""});
@@ -269,17 +239,10 @@ int Run(const ChunkBenchConfig& config) {
                             static_cast<double>(retain_budget) / 1024.0, 1)});
   table.AddRow({"reference scan (Mrows/s)",
                 TablePrinter::Fmt(reference_rps / 1e6, 1), ""});
-  table.AddRow({"serial morsel scan (Mrows/s)",
-                TablePrinter::Fmt(serial_rps / 1e6, 1),
+  table.AddRow({"full scan (Mrows/s)", TablePrinter::Fmt(full_rps / 1e6, 1),
                 ">= " + TablePrinter::Fmt(kMinScanRatio, 1) + "x ref"});
-  table.AddRow({"parallel morsel scan (Mrows/s)",
-                TablePrinter::Fmt(parallel_rps / 1e6, 1), ""});
   table.AddRow({"indexed eq scan (Mrows/s)",
                 TablePrinter::Fmt(index_rps / 1e6, 1), ""});
-  table.AddRow({"clustered eq, skipping (Mrows/s)",
-                TablePrinter::Fmt(clustered_skip_rps / 1e6, 1), ""});
-  table.AddRow({"clustered eq, exhaustive (Mrows/s)",
-                TablePrinter::Fmt(clustered_full_rps / 1e6, 1), ""});
   table.AddRow({"path mismatches",
                 TablePrinter::Fmt(static_cast<double>(mismatches), 0), "= 0"});
   table.Print();
@@ -289,7 +252,7 @@ int Run(const ChunkBenchConfig& config) {
   gate(retained - before_bytes <= retain_budget,
        "a 1-row append on a 1M-row table must retain <= one chunk per column");
   gate(scan_ratio >= kMinScanRatio,
-       "serial morsel scan must not fall below the full-column reference");
+       "full scan must not fall below the full-column reference");
   gate(mismatches == 0,
        "all scan paths must return bitwise-identical rows");
 
@@ -317,17 +280,16 @@ int main(int argc, char** argv) {
     config.scan_repeats = 3;
   }
   bench::PrintHeader(
-      "chunked storage: O(batch) publication and morsel-driven scans",
+      "chunked storage: O(batch) publication and chunk-at-a-time scans",
       "no direct paper counterpart; the storage substrate under the "
       "adaptivity experiments — publication cost must not scale with table "
       "size, scans must not regress",
       flags);
   std::printf(
       "chunk config:%s %d appends x %d rows (best of %d), scan corpus %lld "
-      "rows (best of %d), %d scan threads\n",
+      "rows (best of %d)\n",
       config.smoke ? " (smoke)" : "", config.appends_per_run,
       config.append_batch_rows, config.append_repeats,
-      static_cast<long long>(config.scan_rows), config.scan_repeats,
-      config.scan_threads);
+      static_cast<long long>(config.scan_rows), config.scan_repeats);
   return Run(config);
 }

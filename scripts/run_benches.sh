@@ -23,8 +23,8 @@ fi
 # writers actually publishing); bench_chunk_ingest asserts the chunked-
 # storage gates (1M-row append batch cost <= 2x the 100k-row cost, one-row
 # append on a 1M-row table retains at most one tail chunk per column,
-# serial morsel scan >= the scalar per-row reference, zero bitwise
-# mismatches across serial/parallel/skipping/indexed scan paths);
+# full scan >= the scalar per-row reference, zero bitwise mismatches
+# between the reference scan, the full scan and the index path);
 # bench_obs_overhead asserts the observability gates (instrumented serving
 # >= 0.97x the recording-disabled baseline on the closed-loop replay, and
 # >= 0.90x on a single-thread cache-hit hammer); bench_explain_overhead

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "src/obs/trace.h"
-#include "src/util/parallel_for.h"
 
 namespace balsa {
 
@@ -65,7 +64,7 @@ void ApplyFilterToChunk(PredOp op, int64_t value, const int64_t* v, int64_t n,
 /// Fused single-predicate scan of one chunk: with exactly one vectorizable
 /// filter the selection bitmap's extra passes cost more than they save, so
 /// matches are emitted directly in one pass over the chunk's raw values.
-/// Returns true when the local row cap was hit.
+/// Returns true when `matches` reached the row cap.
 bool FusedScanChunk(PredOp op, int64_t value, const int64_t* v, int64_t n,
                     int64_t base, int64_t cap,
                     std::vector<uint32_t>* matches) {
@@ -212,12 +211,11 @@ StatusOr<Intermediate> Executor::Scan(const Query& query, int rel,
     return finish(std::move(out));
   }
 
-  // Morsel-driven chunked scan. Vectorizable predicates run branch-free
-  // over each chunk's raw values into a selection bitmap; kIn (the only
-  // per-row predicate) filters the survivors. Equality predicates first
-  // consult the chunk's sealed min/max summary and skip chunks that cannot
-  // match. Morsels produce disjoint ascending row ranges, so concatenating
-  // their matches in order reproduces the serial scan bitwise.
+  // Chunked full scan. Vectorizable predicates run branch-free over each
+  // chunk's raw values: with exactly one of them the fused kernel emits
+  // matches in the same pass; otherwise they AND into a selection bitmap
+  // and kIn (the only per-row predicate) filters the survivors. Matches
+  // append in ascending row order until the row cap.
   struct VecFilter {
     PredOp op;
     int64_t value;
@@ -236,97 +234,39 @@ StatusOr<Intermediate> Executor::Scan(const Query& query, int rel,
 
   const int64_t num_rows = snapshot_.row_count(table_idx);
   const int num_chunks = ChunkCountForRows(num_rows);
-  const int chunks_per_morsel = std::max(1, options_.morsel_chunks);
-  const int num_morsels =
-      (num_chunks + chunks_per_morsel - 1) / chunks_per_morsel;
-
-  std::vector<std::vector<uint32_t>> morsel_rows(
-      static_cast<size_t>(num_morsels));
-  // Skip counts are per-morsel (summed after the parallel section), so
-  // profiling stays race-free and deterministic under any pool size.
-  std::vector<int64_t> morsel_skipped;
-  if (profiled) {
-    prof->chunks_total = num_chunks;
-    prof->morsels = num_morsels;
-    morsel_skipped.assign(static_cast<size_t>(num_morsels), 0);
-  }
-  auto scan_morsel = [&](size_t m) {
-    std::vector<uint8_t> sel;
-    std::vector<uint32_t>& matches = morsel_rows[m];
-    const int first = static_cast<int>(m) * chunks_per_morsel;
-    const int last = std::min(num_chunks, first + chunks_per_morsel);
-    for (int ci = first; ci < last; ++ci) {
-      if (options_.use_chunk_skipping) {
-        bool skip = false;
-        for (const VecFilter& f : vectorized) {
-          if (f.op == PredOp::kEq && !f.column->chunk(ci).MayContain(f.value)) {
-            skip = true;
-            break;
-          }
-        }
-        if (skip) {
-          if (profiled) morsel_skipped[m]++;
-          continue;
-        }
-      }
-      const int64_t base = static_cast<int64_t>(ci) << kChunkShift;
-      const int64_t n = std::min(kChunkRows, num_rows - base);
-      if (vectorized.size() == 1 && per_row.empty()) {
-        const VecFilter& f = vectorized[0];
-        if (FusedScanChunk(f.op, f.value, f.column->chunk(ci).data(), n,
-                           base, options_.row_cap, &matches)) {
-          return;
-        }
-        continue;
-      }
-      sel.assign(static_cast<size_t>(n), 1);
-      for (const VecFilter& f : vectorized) {
-        ApplyFilterToChunk(f.op, f.value, f.column->chunk(ci).data(), n,
-                           sel.data());
-      }
-      for (int64_t i = 0; i < n; ++i) {
-        if (!sel[static_cast<size_t>(i)]) continue;
-        uint32_t r = static_cast<uint32_t>(base + i);
-        bool pass = true;
-        for (const FilterPredicate* f : per_row) {
-          if (!EvalFilter(query, *f, r)) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        matches.push_back(r);
-        // A morsel never needs more than row_cap matches: only the first
-        // row_cap overall survive, and hitting the cap locally already
-        // proves the scan is capped.
-        if (static_cast<int64_t>(matches.size()) >= options_.row_cap) return;
-      }
+  if (profiled) prof->chunks_total = num_chunks;
+  const bool fused = vectorized.size() == 1 && per_row.empty();
+  std::vector<uint8_t> sel;
+  for (int ci = 0; ci < num_chunks && !out.capped; ++ci) {
+    const int64_t base = static_cast<int64_t>(ci) << kChunkShift;
+    const int64_t n = std::min(kChunkRows, num_rows - base);
+    if (fused) {
+      const VecFilter& f = vectorized[0];
+      out.capped = FusedScanChunk(f.op, f.value, f.column->chunk(ci).data(),
+                                  n, base, options_.row_cap, &rows);
+      continue;
     }
-  };
-  if (options_.pool != nullptr && num_morsels > 1) {
-    ParallelFor(options_.pool, static_cast<size_t>(num_morsels), scan_morsel);
-  } else {
-    for (size_t m = 0; m < static_cast<size_t>(num_morsels); ++m) {
-      scan_morsel(m);
+    sel.assign(static_cast<size_t>(n), 1);
+    for (const VecFilter& f : vectorized) {
+      ApplyFilterToChunk(f.op, f.value, f.column->chunk(ci).data(), n,
+                         sel.data());
     }
-  }
-
-  if (profiled) {
-    for (int64_t skipped : morsel_skipped) prof->chunks_skipped += skipped;
-  }
-
-  int64_t total = 0;
-  for (const auto& matches : morsel_rows) {
-    total += static_cast<int64_t>(matches.size());
-  }
-  out.capped = total >= options_.row_cap;
-  rows.reserve(static_cast<size_t>(std::min(total, options_.row_cap)));
-  for (const auto& matches : morsel_rows) {
-    for (uint32_t r : matches) {
-      if (static_cast<int64_t>(rows.size()) >= options_.row_cap) {
-        return finish(std::move(out));
+    for (int64_t i = 0; i < n; ++i) {
+      if (!sel[static_cast<size_t>(i)]) continue;
+      uint32_t r = static_cast<uint32_t>(base + i);
+      bool pass = true;
+      for (const FilterPredicate* f : per_row) {
+        if (!EvalFilter(query, *f, r)) {
+          pass = false;
+          break;
+        }
       }
+      if (!pass) continue;
       rows.push_back(r);
+      if (static_cast<int64_t>(rows.size()) >= options_.row_cap) {
+        out.capped = true;
+        break;
+      }
     }
   }
   return finish(std::move(out));

@@ -6,15 +6,11 @@
 // Every Executor reads through a pinned storage Snapshot: results are
 // computed against one immutable publication epoch, so scans and joins are
 // safe — and bitwise reproducible — while change-stream writers ingest
-// concurrently. Scans are morsel-driven: the filter pipeline runs
-// chunk-at-a-time with tight branch-free inner loops over each chunk's raw
-// values, equality predicates skip chunks whose sealed min/max summary
-// excludes the probe value, and morsels (fixed runs of chunks) can be
-// scanned in parallel on a caller-provided ThreadPool — results are
-// concatenated in chunk order, so they are bitwise identical for any pool
-// size, including none. Equality-filtered scans are served from the
-// snapshot's per-version hash index (built lazily, retired with the
-// version) and produce exactly the sequence a full scan would.
+// concurrently. A full scan runs the filter pipeline chunk-at-a-time with
+// tight branch-free inner loops over each chunk's raw values and appends
+// matches in row order until the row cap. Equality-filtered scans are
+// served from the snapshot's per-version hash index (built lazily, retired
+// with the version) and produce exactly the sequence a full scan would.
 //
 // Intermediate relations are materialized as row-id tuples (one row id per
 // participating base relation), so no data copying occurs beyond ids.
@@ -30,8 +26,6 @@
 #include "src/util/status.h"
 
 namespace balsa {
-
-class ThreadPool;
 
 /// An intermediate result: for each tuple, the contributing row id of every
 /// base relation in `rels`. Column-major: tuples[i] is the row-id column for
@@ -60,17 +54,6 @@ struct ExecutorOptions {
   /// of a full pass. Results are identical either way (the index returns
   /// ascending row ids); off only for testing the scan path itself.
   bool use_index_for_eq = true;
-  /// Skip chunks whose sealed min/max summary excludes an equality
-  /// predicate's value. Results are identical either way; off only for
-  /// testing the skip logic against the exhaustive path.
-  bool use_chunk_skipping = true;
-  /// Chunks per morsel (the unit of scan parallelism and of the tight
-  /// filter loops). Only affects performance, never results.
-  int morsel_chunks = 16;
-  /// When set, full scans fan morsels out across this pool and concatenate
-  /// per-morsel matches in chunk order — bitwise identical to the serial
-  /// scan. The pool is borrowed and must outlive the executor's calls.
-  ThreadPool* pool = nullptr;
   /// Collect per-node measurements (src/exec/profile.h) into the sinks
   /// passed to Scan/Join/ExecuteProfiled. Off (the default) costs nothing:
   /// no clock reads, no extra allocations, and results are bitwise
@@ -97,7 +80,7 @@ class Executor {
   const ExecutorOptions& options() const { return options_; }
 
   /// Scans relation `rel` of `query`, applying all its filters
-  /// morsel-at-a-time over the table's chunks. With options.profile on and
+  /// chunk-at-a-time over the table's chunks. With options.profile on and
   /// `prof` non-null, fills `prof` with the scan's measurements.
   StatusOr<Intermediate> Scan(const Query& query, int rel,
                               NodeProfile* prof = nullptr) const;

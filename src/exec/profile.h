@@ -37,12 +37,9 @@ struct NodeProfile {
   int relation = -1;
   /// Matches came from the snapshot's hash index instead of a full pass.
   bool used_index = false;
-  /// Chunks of the base table, and how many the sealed min/max summaries
-  /// let the scan skip (0/0 on the index path, which touches no chunks).
+  /// Chunks of the base table the full scan walked (0 on the index path,
+  /// which touches no chunks).
   int64_t chunks_total = 0;
-  int64_t chunks_skipped = 0;
-  /// Morsels the chunked scan was split into (its unit of parallelism).
-  int morsels = 0;
 
   // --- Join path ---------------------------------------------------------
   /// Input cardinalities in plan order ("rows in").

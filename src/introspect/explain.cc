@@ -62,9 +62,7 @@ void RenderText(const PlanExplain& ex, int idx, int depth, std::string* out) {
     } else if (e->used_index) {
       *out += "  [index]";
     } else {
-      *out += "  [chunks " + std::to_string(e->chunks_total) + ", " +
-              std::to_string(e->chunks_skipped) + " skipped, " +
-              std::to_string(e->morsels) + " morsels]";
+      *out += "  [chunks " + std::to_string(e->chunks_total) + "]";
     }
     if (e->capped) *out += "  [CAPPED]";
   }
@@ -99,8 +97,6 @@ void RenderJson(const PlanExplain& ex, int idx, std::string* out) {
       *out += ",\"used_index\":";
       *out += e->used_index ? "true" : "false";
       *out += ",\"chunks_total\":" + std::to_string(e->chunks_total);
-      *out += ",\"chunks_skipped\":" + std::to_string(e->chunks_skipped);
-      *out += ",\"morsels\":" + std::to_string(e->morsels);
     }
   }
   if (e->is_join) {
@@ -188,8 +184,6 @@ StatusOr<PlanExplain> ExplainAnalyze(
     e.capped = p->capped;
     e.used_index = p->used_index;
     e.chunks_total = p->chunks_total;
-    e.chunks_skipped = p->chunks_skipped;
-    e.morsels = p->morsels;
     e.build_rows = p->build_rows;
     e.probe_rows = p->probe_rows;
     if (!e.is_join) {

@@ -2,9 +2,9 @@
 // annotates every node with the estimator's cardinality; ExplainAnalyze
 // additionally executes the plan with profiling on (Executor::
 // ExecuteProfiled) and reports each node's *actual* cardinality, wall
-// time, path taken (index vs. full scan, chunks skipped, morsel count,
-// row-cap hits), and Q-error — the max(est/act, act/est) ratio that
-// quantifies how far off the estimator was, per node. A learned
+// time, path taken (index vs. full scan, chunks walked, row-cap hits),
+// and Q-error — the max(est/act, act/est) ratio that quantifies how far
+// off the estimator was, per node. A learned
 // optimizer's "disastrous plan" post-mortem starts here: the node whose
 // Q-error explodes is the node the model mispriced.
 //
@@ -60,8 +60,6 @@ struct ExplainNode {
   bool capped = false;
   bool used_index = false;
   int64_t chunks_total = 0;
-  int64_t chunks_skipped = 0;
-  int morsels = 0;
   int64_t build_rows = 0;
   int64_t probe_rows = 0;
 };
@@ -84,7 +82,7 @@ struct PlanExplain {
 
   /// Indented tree, root first, one node per line:
   ///   HashJoin  est=512 act=301 q=1.70  2104.2us
-  ///     SeqScan(mc)  est=4000 act=4000 q=1.00  [chunks 40/12 skipped, ...]
+  ///     SeqScan(mc)  est=4000 act=4000 q=1.00  [chunks 1]
   std::string ToText() const;
   /// One nested JSON object: {"query":...,"analyzed":...,"plan":{...,
   /// "children":[...]}} with per-node est/actual/q_error fields.

@@ -33,6 +33,12 @@ void CardOracle::Put(uint64_t key, TrueCard card, uint64_t epoch) {
   }
 }
 
+Executor CardOracle::PinExecutor() const {
+  ExecutorOptions options;
+  options.row_cap = row_cap_;
+  return Executor(db_->GetSnapshot(), options);
+}
+
 StatusOr<TrueCard> CardOracle::Cardinality(const Query& query, TableSet set) {
   if (query.id() < 0) {
     return Status::InvalidArgument("query " + query.name() + " has no id");
@@ -44,7 +50,7 @@ StatusOr<TrueCard> CardOracle::Cardinality(const Query& query, TableSet set) {
   // Pin a snapshot before reading any data: if an ingest batch lands while
   // we execute, our results are stamped with the pinned (pre-mutation)
   // epoch and expire with it.
-  Executor executor(db_->GetSnapshot(), exec_options_);
+  Executor executor = PinExecutor();
   return ComputeBySteps(executor, executor.snapshot().epoch(), query, set);
 }
 
@@ -132,7 +138,7 @@ StatusOr<std::vector<TrueCard>> CardOracle::PlanCardinalities(
   if (all_cached) return out;
   // One snapshot for the whole plan: every node's cardinality describes the
   // same publication epoch even while writers ingest.
-  Executor executor(db_->GetSnapshot(), exec_options_);
+  Executor executor = PinExecutor();
   const uint64_t epoch = executor.snapshot().epoch();
   for (int i = 0; i < plan.num_nodes(); ++i) {
     BALSA_ASSIGN_OR_RETURN(

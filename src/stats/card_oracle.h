@@ -48,8 +48,11 @@ class CardOracle {
  public:
   static constexpr int kNumShards = 16;
 
-  explicit CardOracle(const Database* db, ExecutorOptions exec_options = {})
-      : db_(db), exec_options_(exec_options) {}
+  /// `row_cap` caps every intermediate the oracle executes (see
+  /// ExecutorOptions::row_cap); cardinalities past it come back `capped`.
+  explicit CardOracle(const Database* db,
+                      int64_t row_cap = ExecutorOptions{}.row_cap)
+      : db_(db), row_cap_(row_cap) {}
 
   /// True cardinality of the join of `set` (with filters), measured against
   /// a snapshot pinned for this call. Queries must have unique,
@@ -136,8 +139,11 @@ class CardOracle {
   StatusOr<TrueCard> ComputeBySteps(const Executor& executor, uint64_t epoch,
                                     const Query& query, TableSet set);
 
+  /// An executor over a freshly pinned snapshot, capped at row_cap_.
+  Executor PinExecutor() const;
+
   const Database* db_;
-  ExecutorOptions exec_options_;
+  int64_t row_cap_;
   Shard shards_[kNumShards];
   /// Intentionally unguarded: relaxed execution tally (NumExecutions is a
   /// progress probe, not a consistent cut over the shard maps).

@@ -161,7 +161,6 @@ Status ChangeLog::InsertRows(int table,
   }
   rows_inserted_.Inc(static_cast<int64_t>(rows.size()));
   batches_.Inc();
-  Notify(table);
   return Status::OK();
 }
 
@@ -206,7 +205,6 @@ Status ChangeLog::DeleteRows(int table, std::vector<int64_t> row_ids) {
     rows_deleted_.Inc(num_deleted);
   }
   batches_.Inc();
-  Notify(table);
   return Status::OK();
 }
 
@@ -258,7 +256,6 @@ Status ChangeLog::UpdateValues(
   }
   values_updated_.Inc(static_cast<int64_t>(updates.size()));
   batches_.Inc();
-  Notify(table);
   return Status::OK();
 }
 
@@ -343,32 +340,6 @@ void ChangeLog::AttachMetrics(obs::MetricsRegistry* registry) {
       registry->AttachCounter("storage.changelog.batches", &batches_));
   registrations_.push_back(registry->AttachHistogram(
       "storage.changelog.rebase_epoch_lag", &rebase_epoch_lag_));
-}
-
-int ChangeLog::AddListener(std::function<void(int)> fn) {
-  MutexLock lock(listeners_mu_);
-  listeners_.emplace_back(next_listener_id_, std::move(fn));
-  return next_listener_id_++;
-}
-
-void ChangeLog::RemoveListener(int id) {
-  MutexLock lock(listeners_mu_);
-  for (auto it = listeners_.begin(); it != listeners_.end(); ++it) {
-    if (it->first == id) {
-      listeners_.erase(it);
-      return;
-    }
-  }
-}
-
-void ChangeLog::Notify(int table) {
-  std::vector<std::function<void(int)>> listeners;
-  {
-    MutexLock lock(listeners_mu_);
-    listeners.reserve(listeners_.size());
-    for (const auto& [id, fn] : listeners_) listeners.push_back(fn);
-  }
-  for (const auto& fn : listeners) fn(table);
 }
 
 }  // namespace balsa

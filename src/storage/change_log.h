@@ -6,17 +6,19 @@
 // drift detector scores and what the incremental re-ANALYZE merges into
 // TableStats, so statistics track a write-heavy stream without rescanning.
 //
-// Concurrency: one mutex per table serializes that table's writers; writers
-// to different tables never contend, and readers never take these locks at
-// all (they pin storage snapshots). Rebase() captures the delta, the anchor,
-// and a pinned Snapshot atomically, then runs the re-ANALYZE *without* the
-// ingest lock — writers keep streaming during a full rescan. Mutations that
-// land while a rebase is in flight are additionally buffered as raw values
-// and replayed against the freshly installed anchor, so the post-rebase
-// delta describes exactly (current data) - (new anchor's data). Sketch state
-// is a deterministic fold over each table's mutation sequence (HLL register
-// maxima and bucket counters commute), so any writer-thread partitioning
-// that preserves per-table order yields bit-identical sketches.
+// Concurrency: one mutex per table serializes that table's writers. No
+// ingest lock spans tables: writers to different tables meet only at the
+// database's brief version-pointer swap (Database::Publish), and readers
+// never take these locks at all (they pin storage snapshots). Rebase()
+// captures the delta, the anchor, and a pinned Snapshot atomically, then
+// runs the re-ANALYZE *without* the ingest lock — writers keep streaming
+// during a full rescan. Mutations that land while a rebase is in flight are
+// additionally buffered as raw values and replayed against the freshly
+// installed anchor, so the post-rebase delta describes exactly (current
+// data) - (new anchor's data). Sketch state is a deterministic fold over
+// each table's mutation sequence (HLL register maxima and bucket counters
+// commute), so any writer-thread partitioning that preserves per-table
+// order yields bit-identical sketches.
 #pragma once
 
 #include <cstdint>
@@ -130,13 +132,6 @@ class ChangeLog {
                     const TableDelta&, const TableAnchor&,
                     const balsa::Snapshot&)>& reanalyze);
 
-  /// `fn(table)` runs after every successful ingest batch (on the writer's
-  /// thread, outside the table lock). Used to invalidate caches derived
-  /// from the data itself. Returns an id for RemoveListener; anything `fn`
-  /// captures must stay alive until then.
-  int AddListener(std::function<void(int)> fn);
-  void RemoveListener(int id);
-
   int num_tables() const { return static_cast<int>(tables_.size()); }
 
   // --- Observability ------------------------------------------------------
@@ -185,14 +180,9 @@ class ChangeLog {
   /// with the table lock held, after a successful rebase installed the new
   /// anchor), then clears it.
   static void ReplayPending(TableState* state) REQUIRES(state->mu);
-  void Notify(int table) EXCLUDES(listeners_mu_);
 
   Database* db_;
   std::vector<std::unique_ptr<TableState>> tables_;
-  mutable Mutex listeners_mu_;
-  int next_listener_id_ GUARDED_BY(listeners_mu_) = 0;
-  std::vector<std::pair<int, std::function<void(int)>>> listeners_
-      GUARDED_BY(listeners_mu_);
 
   obs::Counter rows_inserted_;
   obs::Counter rows_deleted_;

@@ -8,33 +8,10 @@ namespace balsa {
 Chunk::Chunk(SealTag, std::vector<int64_t> values)
     : values_(std::move(values)) {
   assert(!values_.empty() && size() <= kChunkRows);
-  for (int64_t v : values_) {
-    if (IsNull(v)) continue;
-    if (!has_non_null_) {
-      min_value_ = max_value_ = v;
-      has_non_null_ = true;
-    } else {
-      if (v < min_value_) min_value_ = v;
-      if (v > max_value_) max_value_ = v;
-    }
-  }
-}
-
-Chunk::Chunk(SealTag, std::vector<int64_t> values, Summary summary)
-    : values_(std::move(values)),
-      min_value_(summary.min),
-      max_value_(summary.max),
-      has_non_null_(summary.has_non_null) {
-  assert(!values_.empty() && size() <= kChunkRows);
 }
 
 std::shared_ptr<const Chunk> Chunk::Seal(std::vector<int64_t> values) {
   return std::make_shared<const Chunk>(SealTag{}, std::move(values));
-}
-
-std::shared_ptr<const Chunk> Chunk::SealWithSummary(
-    std::vector<int64_t> values, Summary summary) {
-  return std::make_shared<const Chunk>(SealTag{}, std::move(values), summary);
 }
 
 const std::shared_ptr<const ChunkedColumn::FullChunks>&

@@ -5,9 +5,8 @@
 // the previous version by pointer and materializes only the chunks it
 // writes — appends copy at most the partial tail, single-cell updates copy
 // exactly one chunk, swap-remove deletes copy the chunks they touch plus
-// the shrinking tail. Every chunk is sealed at construction with a min/max
-// summary over its non-NULL values, which the executor's morsel scans use
-// to skip chunks that cannot contain an equality probe's value.
+// the shrinking tail. Chunks hold raw values only: the executor scans
+// every chunk (an equality filter takes the hash-index path instead).
 //
 // Modeled on the chunk-list / sequence-reader split of production chunked
 // stores (YTsaurus chunk_server + chunk_sequence_reader): owners hold chunk
@@ -26,7 +25,7 @@ namespace balsa {
 
 /// NULL encoding. Exactly -1 is NULL; every other int64 — including other
 /// negatives, which the mutation API may write — is a real value that
-/// filters, joins, indexes, chunk summaries, and ANALYZE must all see.
+/// filters, joins, indexes, and ANALYZE must all see.
 inline constexpr int64_t kNullValue = -1;
 
 inline bool IsNull(int64_t value) { return value == kNullValue; }
@@ -36,20 +35,9 @@ inline constexpr int kChunkShift = 12;
 inline constexpr int64_t kChunkRows = int64_t{1} << kChunkShift;  // 4096
 inline constexpr int64_t kChunkMask = kChunkRows - 1;
 
-/// One immutable run of up to kChunkRows values, sealed with a min/max
-/// summary at construction. NULLs (storage::kNullValue, exactly -1) are
-/// excluded from the summary: a chunk of {-5, NULL, 7} has min -5, max 7 —
-/// other negative values are real and must stay inside the bounds.
-///
-/// Summaries are *conservative*: MayContain may say yes for a value the
-/// chunk does not hold (a scan then just fails to skip), never no for one
-/// it does. Seal stamps the exact range; copy-on-write rebuilds carry the
-/// predecessor chunk's summary widened by the values they write
-/// (SealWithSummary), so publication stays O(rows touched) — no re-scan of
-/// the chunk per mutation — at the price of ranges that only tighten again
-/// on a full re-seal.
+/// One immutable run of 1..kChunkRows values.
 class Chunk {
-  /// Passkey: the public constructors require it, only Seal* can mint it —
+  /// Passkey: the public constructor requires it, only Seal can mint it —
   /// outside code must go through Seal while make_shared still works
   /// (single allocation for chunk + control block).
   struct SealTag {
@@ -57,39 +45,8 @@ class Chunk {
   };
 
  public:
-  /// A conservative min/max-over-non-NULLs accumulator. Default state is
-  /// "no non-NULL values": MayContain-false.
-  struct Summary {
-    int64_t min = 0;
-    int64_t max = 0;
-    bool has_non_null = false;
-
-    void Widen(int64_t value) {
-      if (IsNull(value)) return;
-      if (!has_non_null) {
-        min = max = value;
-        has_non_null = true;
-      } else {
-        if (value < min) min = value;
-        if (value > max) max = value;
-      }
-    }
-  };
-
-  /// Seals `values` (1..kChunkRows of them) into an immutable chunk,
-  /// stamping the exact min/max summary.
+  /// Seals `values` (1..kChunkRows of them) into an immutable chunk.
   static std::shared_ptr<const Chunk> Seal(std::vector<int64_t> values);
-
-  /// Seals `values` with a caller-supplied summary instead of scanning.
-  /// `summary` must be conservative: it covers every non-NULL value in
-  /// `values` (it may be wider), and has_non_null is true if any value is
-  /// non-NULL (it may be true for an all-NULL chunk).
-  static std::shared_ptr<const Chunk> SealWithSummary(
-      std::vector<int64_t> values, Summary summary);
-
-  Summary summary() const {
-    return Summary{min_value_, max_value_, has_non_null_};
-  }
 
   int64_t size() const { return static_cast<int64_t>(values_.size()); }
   bool full() const { return size() == kChunkRows; }
@@ -99,29 +56,12 @@ class Chunk {
   }
   const std::vector<int64_t>& values() const { return values_; }
 
-  /// Min/max over the chunk's non-NULL values; meaningless (and
-  /// MayContain-safe) when has_non_null() is false.
-  int64_t min_value() const { return min_value_; }
-  int64_t max_value() const { return max_value_; }
-  bool has_non_null() const { return has_non_null_; }
-
-  /// True if an equality probe for `value` can possibly match here. NULL
-  /// probes never match (NULL fails every predicate) and a chunk of all
-  /// NULLs matches nothing.
-  bool MayContain(int64_t value) const {
-    return has_non_null_ && value >= min_value_ && value <= max_value_;
-  }
-
   size_t bytes() const { return values_.size() * sizeof(int64_t); }
 
   Chunk(SealTag, std::vector<int64_t> values);
-  Chunk(SealTag, std::vector<int64_t> values, Summary summary);
 
  private:
   std::vector<int64_t> values_;
-  int64_t min_value_ = 0;
-  int64_t max_value_ = 0;
-  bool has_non_null_ = false;
 };
 
 /// An immutable column as a refcounted chunk list. Invariant: every chunk

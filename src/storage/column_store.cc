@@ -26,28 +26,24 @@ class ColumnEditor {
   int64_t Get(int64_t row) const {
     size_t ci = static_cast<size_t>(row >> kChunkShift);
     if (ci == cached_ci_) {
-      return cached_->values[static_cast<size_t>(row & kChunkMask)];
+      return (*cached_)[static_cast<size_t>(row & kChunkMask)];
     }
     auto it = dirty_.find(ci);
     return it != dirty_.end()
-               ? it->second.values[static_cast<size_t>(row & kChunkMask)]
+               ? it->second[static_cast<size_t>(row & kChunkMask)]
                : (*chunks_[ci])[row & kChunkMask];
   }
 
   void Set(int64_t row, int64_t value) {
-    Dirty& dirty = Load(static_cast<size_t>(row >> kChunkShift));
-    dirty.values[static_cast<size_t>(row & kChunkMask)] = value;
-    // Widen, never re-scan: the summary stays a conservative superset of
-    // the chunk's live range, so resealing costs O(writes), not O(chunk).
-    dirty.summary.Widen(value);
+    Load(static_cast<size_t>(row >> kChunkShift))
+        [static_cast<size_t>(row & kChunkMask)] = value;
   }
 
   /// Removes the last row (swap-remove's shrink step), dropping the tail
-  /// chunk when it empties. The summary is untouched — removal can only
-  /// shrink the live range, and conservative summaries may stay wide.
+  /// chunk when it empties.
   void PopBack() {
     size_t tail = static_cast<size_t>((size_ - 1) >> kChunkShift);
-    std::vector<int64_t>& values = Load(tail).values;
+    std::vector<int64_t>& values = Load(tail);
     values.pop_back();
     if (values.empty()) {
       dirty_.erase(tail);
@@ -62,9 +58,8 @@ class ColumnEditor {
   ColumnPtr Finish() {
     chunks_copied_ = static_cast<int64_t>(dirty_.size());
     chunks_shared_ = static_cast<int64_t>(chunks_.size()) - chunks_copied_;
-    for (auto& [ci, dirty] : dirty_) {
-      chunks_[ci] = Chunk::SealWithSummary(std::move(dirty.values),
-                                           dirty.summary);
+    for (auto& [ci, values] : dirty_) {
+      chunks_[ci] = Chunk::Seal(std::move(values));
     }
     return std::make_shared<const ChunkedColumn>(std::move(chunks_));
   }
@@ -76,17 +71,11 @@ class ColumnEditor {
   int64_t chunks_shared() const { return chunks_shared_; }
 
  private:
-  struct Dirty {
-    std::vector<int64_t> values;
-    Chunk::Summary summary;
-  };
-
-  Dirty& Load(size_t ci) {
+  std::vector<int64_t>& Load(size_t ci) {
     if (ci == cached_ci_) return *cached_;
     auto it = dirty_.find(ci);
     if (it == dirty_.end()) {
-      it = dirty_.emplace(ci, Dirty{chunks_[ci]->values(),
-                                    chunks_[ci]->summary()}).first;
+      it = dirty_.emplace(ci, chunks_[ci]->values()).first;
     }
     // Entries are node-stable across inserts, so the one-entry cache (the
     // swap-remove loop hammers the same one or two chunks) stays valid
@@ -97,9 +86,9 @@ class ColumnEditor {
   }
 
   std::vector<ChunkPtr> chunks_;
-  std::unordered_map<size_t, Dirty> dirty_;
+  std::unordered_map<size_t, std::vector<int64_t>> dirty_;
   size_t cached_ci_ = SIZE_MAX;
-  Dirty* cached_ = nullptr;
+  std::vector<int64_t>* cached_ = nullptr;
   int64_t size_;
   int64_t chunks_copied_ = 0;
   int64_t chunks_shared_ = 0;
@@ -115,30 +104,21 @@ ColumnPtr AppendToColumn(const ChunkedColumn& prev,
                          const std::vector<int64_t>& appended) {
   std::vector<int64_t> tail;
   tail.reserve(static_cast<size_t>(kChunkRows));
-  // The rebuilt tail keeps the old partial chunk's summary and widens it
-  // with the appended values — no re-scan of carried-over rows. Chunks made
-  // purely of appended values accumulate an exact summary the same way.
-  Chunk::Summary summary;
   if (prev.tail() != nullptr) {
     const std::vector<int64_t>& old_tail = prev.tail()->values();
     tail.insert(tail.end(), old_tail.begin(), old_tail.end());
-    summary = prev.tail()->summary();
   }
   std::vector<ChunkPtr> grown;  // chunks this append filled and sealed
   for (int64_t v : appended) {
     tail.push_back(v);
-    summary.Widen(v);
     if (static_cast<int64_t>(tail.size()) == kChunkRows) {
-      grown.push_back(Chunk::SealWithSummary(std::move(tail), summary));
+      grown.push_back(Chunk::Seal(std::move(tail)));
       tail = {};
       tail.reserve(static_cast<size_t>(kChunkRows));
-      summary = Chunk::Summary();
     }
   }
   ChunkPtr new_tail;
-  if (!tail.empty()) {
-    new_tail = Chunk::SealWithSummary(std::move(tail), summary);
-  }
+  if (!tail.empty()) new_tail = Chunk::Seal(std::move(tail));
   if (grown.empty()) {
     return std::make_shared<const ChunkedColumn>(prev.full_chunks(),
                                                  std::move(new_tail));

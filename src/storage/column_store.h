@@ -176,9 +176,9 @@ class Database {
   // concurrently with any reader: in-flight snapshots keep the version they
   // pinned. Concurrent writers to the *same* table must still be serialized
   // by the caller — the ChangeLog's per-table ingest lock does this;
-  // writers to different tables never contend. Memoized true cardinalities
-  // expire on their own: every publication advances the epoch that tags
-  // them.
+  // writers to different tables share only Publish's pointer swap.
+  // Memoized true cardinalities expire on their own: every publication
+  // advances the epoch that tags them.
 
   /// Appends row-major `rows` (one vector of column values per row) in
   /// O(batch + tail chunk): every existing full chunk is shared with the

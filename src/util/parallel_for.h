@@ -20,17 +20,13 @@
 namespace balsa {
 
 /// Runs fn(i) for every i in [0, n), blocking until all complete. Work is
-/// split into at most pool->num_threads() contiguous shards of at least
-/// `min_shard` indices; with a null pool (or a single shard) it runs inline
-/// on the calling thread.
+/// split into at most pool->num_threads() contiguous shards; with a null
+/// pool (or a single shard) it runs inline on the calling thread.
 inline void ParallelFor(ThreadPool* pool, size_t n,
-                        const std::function<void(size_t)>& fn,
-                        size_t min_shard = 1) {
+                        const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  min_shard = std::max<size_t>(1, min_shard);
   size_t shards =
-      pool ? std::min<size_t>(static_cast<size_t>(pool->num_threads()),
-                              (n + min_shard - 1) / min_shard)
+      pool ? std::min<size_t>(static_cast<size_t>(pool->num_threads()), n)
            : 1;
   if (shards <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);

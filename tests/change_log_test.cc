@@ -319,33 +319,6 @@ TEST(ChangeLogTest, IngestDuringRebaseIsNotBlockedAndSurvivesIt) {
   EXPECT_EQ(log.anchor(0).stats_version, 1);
 }
 
-TEST(ChangeLogTest, ListenersFireAfterEveryBatch) {
-  auto db = SmallDb();
-  ChangeLog log(db.get());
-  int calls = 0;
-  log.AddListener([&](int table) {
-    EXPECT_EQ(table, 0);
-    calls++;
-  });
-  ASSERT_TRUE(log.InsertRows(0, {{6, 70}}).ok());
-  ASSERT_TRUE(log.UpdateValues(0, 1, {{0, 1}}).ok());
-  ASSERT_TRUE(log.DeleteRows(0, {0}).ok());
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(ChangeLogTest, RemovedListenersStopFiring) {
-  auto db = SmallDb();
-  ChangeLog log(db.get());
-  int first = 0, second = 0;
-  int id = log.AddListener([&](int) { first++; });
-  log.AddListener([&](int) { second++; });
-  ASSERT_TRUE(log.InsertRows(0, {{6, 70}}).ok());
-  log.RemoveListener(id);
-  ASSERT_TRUE(log.InsertRows(0, {{7, 71}}).ok());
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 2);
-}
-
 TEST(ChangeLogTest, SketchStateIsIngestOrderIndependent) {
   // The same multiset of mutations in two different batch splits must yield
   // identical sketches — the drift bench's thread-count-invariance gate.

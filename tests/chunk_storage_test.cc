@@ -2,8 +2,8 @@
 // share every untouched chunk by pointer (asserted via chunk_ptr identity
 // and dedup byte accounting), appends landing exactly on a seal boundary
 // must keep the full-chunks-except-last invariant, swap-remove must move
-// rows across chunk boundaries correctly, and min/max chunk summaries must
-// treat negative values as real while excluding only exactly kNullValue.
+// rows across chunk boundaries correctly, and full scans must treat
+// negative values as real while excluding only exactly kNullValue.
 #include <cstdint>
 #include <vector>
 
@@ -211,53 +211,11 @@ TEST(ChunkStorageTest, OneRowAppendOnMillionRowTableRetainsOneChunk) {
             before_bytes + sizeof(int64_t));  // one more row's bytes
 }
 
-TEST(ChunkStorageTest, MinMaxSummariesCountNegativesAndExcludeOnlyNull) {
-  auto chunk = Chunk::Seal({-5, kNullValue, 7, -2});
-  EXPECT_TRUE(chunk->has_non_null());
-  EXPECT_EQ(chunk->min_value(), -5);
-  EXPECT_EQ(chunk->max_value(), 7);
-  EXPECT_TRUE(chunk->MayContain(-5));
-  EXPECT_TRUE(chunk->MayContain(-2));
-  EXPECT_TRUE(chunk->MayContain(0));
-  EXPECT_FALSE(chunk->MayContain(-6));
-  EXPECT_FALSE(chunk->MayContain(8));
-
-  auto all_null = Chunk::Seal({kNullValue, kNullValue});
-  EXPECT_FALSE(all_null->has_non_null());
-  EXPECT_FALSE(all_null->MayContain(0));
-  EXPECT_FALSE(all_null->MayContain(kNullValue));
-}
-
-TEST(ChunkStorageTest, RebuiltChunkSummariesWidenConservatively) {
-  // Copy-on-write rebuilds carry the old chunk's summary forward and widen
-  // it with the written values rather than re-scanning — so after an update
-  // overwrites the maximum, the summary may stay wide (MayContain remains
-  // an over-approximation) but must still cover every live value, and a
-  // fresh full seal of the same data tightens back to the exact range.
-  Database db(OneTableSchema());
-  Install(&db, 100, [](int64_t r) { return r; });  // v0 in [0, 100)
-  ASSERT_TRUE(db.SetValue(0, 1, /*row=*/99, /*value=*/5).ok());
-  ASSERT_TRUE(db.AppendRows(0, {{100, 250}}).ok());
-
-  Snapshot snap = db.GetSnapshot();
-  const Chunk& tail = snap.column(0, 1).chunk(0);
-  // 250 was appended, 5 written: both inside the summary. The retired max
-  // 99 may linger (conservative), but the bounds cover the live range.
-  EXPECT_TRUE(tail.MayContain(250));
-  EXPECT_TRUE(tail.MayContain(5));
-  EXPECT_LE(tail.min_value(), 0);
-  EXPECT_GE(tail.max_value(), 250);
-
-  auto resealed = Chunk::Seal(tail.values());
-  EXPECT_EQ(resealed->min_value(), 0);
-  EXPECT_EQ(resealed->max_value(), 250);
-}
-
-TEST(ChunkStorageTest, ChunkSkippingNeverSkipsNegativeValues) {
+TEST(ChunkStorageTest, FullScanFindsNegativesAndNeverMatchesNull) {
   // Two chunks: the first holds only non-negative values, the second holds
-  // the negatives (and NULLs). A kEq probe for a negative value must skip
-  // the first chunk but still find its rows; a probe for NULL matches
-  // nothing even though -1 lies inside the second chunk's [min, max].
+  // the negatives (and NULLs). A full-scan kEq probe for a negative value
+  // finds its one row in the second chunk; a probe for NULL matches
+  // nothing even though the second chunk is full of -1s.
   Database db(OneTableSchema());
   TableData data;
   data.row_count = 2 * kChunkRows;
@@ -285,19 +243,16 @@ TEST(ChunkStorageTest, ChunkSkippingNeverSkipsNegativeValues) {
                         .Build();
   ASSERT_TRUE(null_probe.ok());
 
-  for (bool skipping : {true, false}) {
-    ExecutorOptions options;
-    options.use_index_for_eq = false;
-    options.use_chunk_skipping = skipping;
-    Executor executor(&db, options);
-    auto found = executor.Scan(*neg, 0);
-    ASSERT_TRUE(found.ok());
-    ASSERT_EQ(found->NumRows(), 1);
-    EXPECT_EQ(found->tuples[0][0], static_cast<uint32_t>(kChunkRows));
-    auto none = executor.Scan(*null_probe, 0);
-    ASSERT_TRUE(none.ok());
-    EXPECT_EQ(none->NumRows(), 0);
-  }
+  ExecutorOptions options;
+  options.use_index_for_eq = false;
+  Executor executor(&db, options);
+  auto found = executor.Scan(*neg, 0);
+  ASSERT_TRUE(found.ok());
+  ASSERT_EQ(found->NumRows(), 1);
+  EXPECT_EQ(found->tuples[0][0], static_cast<uint32_t>(kChunkRows));
+  auto none = executor.Scan(*null_probe, 0);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->NumRows(), 0);
 }
 
 TEST(ChunkStorageTest, HashIndexSpansChunkBoundariesAscending) {

@@ -129,9 +129,7 @@ TEST_F(EngineTest, EnginesDifferInLatencyProfile) {
 }
 
 TEST_F(EngineTest, DisasterFloorAppliesToCappedPlans) {
-  ExecutorOptions tiny_cap;
-  tiny_cap.row_cap = 5;
-  CardOracle capped_oracle(fixture_.db.get(), tiny_cap);
+  CardOracle capped_oracle(fixture_.db.get(), /*row_cap=*/5);
   EngineOptions options = PostgresLikeEngineOptions();
   ExecutionEngine engine(fixture_.db.get(), &capped_oracle, options);
   auto latency = engine.NoiselessLatency(query_, LeftDeepAll());

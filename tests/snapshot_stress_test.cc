@@ -18,7 +18,6 @@
 #include "src/stats/table_stats.h"
 #include "src/storage/change_log.h"
 #include "src/util/logging.h"
-#include "src/util/thread_pool.h"
 
 namespace balsa {
 namespace {
@@ -195,57 +194,65 @@ TEST(SnapshotStressTest, ReadersRaceIngestWithoutTearingOrBlocking) {
   }
 }
 
-TEST(SnapshotStressTest, ParallelMorselScansAndIndexBuildsRaceFourWriters) {
-  // Multi-chunk tables so morsel scans genuinely fan out: parallel and
-  // serial executors over the same pinned snapshot must agree bitwise while
-  // four writers ingest (one per table, per contract) and a mid-stream
-  // Rebase replays table 0's traffic. Lazy index builds race the scans on
-  // the same versions. Run under ThreadSanitizer in CI.
+TEST(SnapshotStressTest, ScansAndIndexBuildsRaceFourWriters) {
+  // Multi-chunk tables: full scans and index-path scans over the same
+  // pinned snapshot must agree bitwise while four writers ingest (one per
+  // table, per contract) and a mid-stream Rebase replays table 0's traffic.
+  // Lazy index builds race the scans on the same versions. Run under
+  // ThreadSanitizer in CI.
   constexpr int kTables = 4;
   const int64_t rows = 2 * kChunkRows + 300;
   auto db = StressDb(kTables, rows);
   ChangeLog log(db.get());
   const Schema& schema = db->schema();
-  ThreadPool pool(4);
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> torn{0};
   std::atomic<int64_t> scans{0};
 
-  // One all-rows query per table: v is always a non-negative multiple of
-  // id, so kGe 0 matches every row of every published version.
-  std::vector<Query> queries;
-  for (int t = 0; t < kTables; ++t) {
-    QueryBuilder builder(&schema, "morsel");
+  auto build = [&](int t, PredOp op, int64_t value) {
+    QueryBuilder builder(&schema, "scan");
     auto query = builder.From(schema.table(t).name, "a")
-                     .Filter("a.v", PredOp::kGe, 0)
+                     .Filter("a.v", op, value)
                      .Build();
     BALSA_CHECK(query.ok(), "query");
-    Query q = std::move(query).value();
-    q.set_id(t + 1);
-    queries.push_back(std::move(q));
+    return std::move(query).value();
+  };
+  // One all-rows query per table (v is always a non-negative multiple of
+  // id, so kGe 0 matches every row of every published version), plus
+  // equality probes on ids in every initial chunk, at both multiples the
+  // writers flip rows between.
+  std::vector<Query> all_rows;
+  std::vector<std::vector<Query>> probes(kTables);
+  for (int t = 0; t < kTables; ++t) {
+    all_rows.push_back(build(t, PredOp::kGe, 0));
+    for (int64_t id : {int64_t{7}, kChunkRows + 1, rows - 9}) {
+      for (int64_t multiple : {3, 5}) {
+        probes[static_cast<size_t>(t)].push_back(
+            build(t, PredOp::kEq, multiple * id));
+      }
+    }
   }
 
-  // Morsel readers: scan each table in parallel (single-chunk morsels on a
-  // shared pool) and serially from the same snapshot; results must be
-  // bitwise identical and cover exactly the snapshot's rows.
-  auto morsel_reader = [&] {
+  // Scan readers: from one pinned snapshot, the full scan covers exactly
+  // the snapshot's rows and each equality probe's index path returns
+  // exactly its full scan.
+  auto scan_reader = [&] {
     int t = 0;
+    size_t probe = 0;
+    ExecutorOptions full_scan;
+    full_scan.use_index_for_eq = false;
     while (!stop.load(std::memory_order_acquire)) {
       Snapshot snap = db->GetSnapshot();
-      ExecutorOptions parallel;
-      parallel.use_index_for_eq = false;
-      parallel.morsel_chunks = 1;
-      parallel.pool = &pool;
-      ExecutorOptions serial = parallel;
-      serial.pool = nullptr;
-      auto pr = Executor(snap, parallel).Scan(queries[t], 0);
-      auto sr = Executor(snap, serial).Scan(queries[t], 0);
-      if (!pr.ok() || !sr.ok()) {
+      auto all = Executor(snap, full_scan).Scan(all_rows[t], 0);
+      if (!all.ok() || all->NumRows() != snap.row_count(t)) torn++;
+      const auto& table_probes = probes[static_cast<size_t>(t)];
+      const Query& eq = table_probes[probe++ % table_probes.size()];
+      auto indexed = Executor(snap).Scan(eq, 0);
+      auto scanned = Executor(snap, full_scan).Scan(eq, 0);
+      if (!indexed.ok() || !scanned.ok() ||
+          indexed->tuples[0] != scanned->tuples[0]) {
         torn++;
-      } else {
-        if (pr->NumRows() != snap.row_count(t)) torn++;
-        if (pr->tuples[0] != sr->tuples[0]) torn++;
       }
       scans++;
       t = (t + 1) % kTables;
@@ -272,8 +279,8 @@ TEST(SnapshotStressTest, ParallelMorselScansAndIndexBuildsRaceFourWriters) {
   };
 
   std::vector<std::thread> readers;
-  readers.emplace_back(morsel_reader);
-  readers.emplace_back(morsel_reader);
+  readers.emplace_back(scan_reader);
+  readers.emplace_back(scan_reader);
   readers.emplace_back(index_reader);
   std::vector<std::thread> writers;
   for (int t = 0; t < kTables; ++t) {
@@ -281,9 +288,8 @@ TEST(SnapshotStressTest, ParallelMorselScansAndIndexBuildsRaceFourWriters) {
         [&, t] { WriteBatches(&log, db.get(), t, 40, t + 1); });
   }
 
-  // Mid-rebase replay: a Rebase on table 0 runs its (parallel-scanning)
-  // rescan while table 0's writer keeps streaming; the pinned snapshot must
-  // stay frozen under the pool's morsel scans.
+  // Mid-rebase replay: a Rebase on table 0 runs its rescan while table 0's
+  // writer keeps streaming; the pinned snapshot must stay frozen under it.
   std::thread rebaser([&] {
     Status status = log.Rebase(
         0, [&](const TableDelta&, const TableAnchor&,
@@ -291,10 +297,8 @@ TEST(SnapshotStressTest, ParallelMorselScansAndIndexBuildsRaceFourWriters) {
           const int64_t pinned_rows = pinned.row_count(0);
           ExecutorOptions options;
           options.use_index_for_eq = false;
-          options.morsel_chunks = 1;
-          options.pool = &pool;
           for (int pass = 0; pass < 3; ++pass) {
-            auto result = Executor(pinned, options).Scan(queries[0], 0);
+            auto result = Executor(pinned, options).Scan(all_rows[0], 0);
             BALSA_CHECK(result.ok(), "rebase scan");
             if (result->NumRows() != pinned_rows) torn++;
             std::this_thread::yield();

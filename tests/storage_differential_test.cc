@@ -6,14 +6,14 @@
 // plain std::vector<std::vector<int64_t>> model that re-applies the same
 // operations the obvious way. After every publication the pinned snapshot
 // must agree with the model bitwise: sampled rows each step, full columns
-// plus hash-index lookups and executor scans (index / full-scan /
-// chunk-skip / parallel-morsel paths, which must all be identical) at
-// checkpoints. One table is never installed and grows only by appends,
+// plus hash-index lookups and executor scans (index and full-scan paths,
+// which must be identical) at checkpoints. Both tables cross chunk
+// boundaries. One table is never installed and grows only by appends,
 // exercising the schema-width materialization path.
 //
-// Values include NULLs (exactly -1) and other negatives, so the min/max
-// chunk summaries, hash indexes, and filter loops are all forced to tell
-// the two apart. Zero divergence over >= 8 seeds x >= 1500 steps.
+// Values include NULLs (exactly -1) and other negatives, so the hash
+// indexes and filter loops are forced to tell the two apart. Zero
+// divergence over >= 8 seeds x >= 1500 steps.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -25,7 +25,6 @@
 #include "src/plan/query_builder.h"
 #include "src/storage/column_store.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define BALSA_TSAN_BUILD 1
@@ -137,11 +136,11 @@ void CheckSampled(const Snapshot& snap, int t, const RefTable& ref,
 }
 
 /// Full bitwise check: every cell, hash-index lookups, and executor scans
-/// through every code path (index, full scan, skipping on/off, serial and
-/// parallel morsels) against reference-computed answers.
+/// through both code paths (index and full scan; the full scan through both
+/// the bitmap and the fused single-filter kernel) against
+/// reference-computed answers.
 void CheckFull(const Schema& schema, const Database& db, int t,
-               const RefTable& ref, Rng* rng, ThreadPool* pool,
-               int64_t* divergences) {
+               const RefTable& ref, Rng* rng, int64_t* divergences) {
   Snapshot snap = db.GetSnapshot();
   ASSERT_EQ(snap.row_count(t), ref.rows());
   for (int c = 0; c < kNumColumns; ++c) {
@@ -182,23 +181,32 @@ void CheckFull(const Schema& schema, const Database& db, int t,
     }
   }
   for (bool use_index : {true, false}) {
-    for (bool skip : {true, false}) {
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), pool}) {
-        ExecutorOptions options;
-        options.use_index_for_eq = use_index;
-        options.use_chunk_skipping = skip;
-        options.pool = p;
-        options.morsel_chunks = 1;  // force morsel boundaries even when small
-        Executor executor(snap, options);
-        auto result = executor.Scan(*query, 0);
-        ASSERT_TRUE(result.ok());
-        if (result->tuples[0] != expected_rows) (*divergences)++;
-      }
+    ExecutorOptions options;
+    options.use_index_for_eq = use_index;
+    Executor executor(snap, options);
+    auto result = executor.Scan(*query, 0);
+    ASSERT_TRUE(result.ok());
+    if (result->tuples[0] != expected_rows) (*divergences)++;
+  }
+
+  // A lone range filter takes the fused single-filter kernel.
+  QueryBuilder range_builder(&schema, "diff_range");
+  auto range = range_builder.From(t == 0 ? "base" : "fresh", "x")
+                   .Filter("x.b", PredOp::kGe, ge_val)
+                   .Build();
+  ASSERT_TRUE(range.ok());
+  std::vector<uint32_t> expected_range;
+  for (size_t r = 0; r < ref.cols[1].size(); ++r) {
+    if (!IsNull(ref.cols[1][r]) && ref.cols[1][r] >= ge_val) {
+      expected_range.push_back(static_cast<uint32_t>(r));
     }
   }
+  auto range_result = Executor(snap).Scan(*range, 0);
+  ASSERT_TRUE(range_result.ok());
+  if (range_result->tuples[0] != expected_range) (*divergences)++;
 }
 
-void RunSeed(uint64_t seed, ThreadPool* pool) {
+void RunSeed(uint64_t seed) {
   Schema schema = DiffSchema();
   Database db(schema);
   RefTable refs[2];
@@ -265,7 +273,7 @@ void RunSeed(uint64_t seed, ThreadPool* pool) {
     ASSERT_EQ(divergences, 0) << "seed " << seed << " step " << step;
     if ((step + 1) % kCheckpointEvery == 0) {
       for (int table = 0; table < 2; ++table) {
-        CheckFull(schema, db, table, refs[table], &rng, pool, &divergences);
+        CheckFull(schema, db, table, refs[table], &rng, &divergences);
         ASSERT_EQ(divergences, 0)
             << "seed " << seed << " checkpoint at step " << step << " table "
             << table;
@@ -273,16 +281,13 @@ void RunSeed(uint64_t seed, ThreadPool* pool) {
     }
   }
   for (int table = 0; table < 2; ++table) {
-    CheckFull(schema, db, table, refs[table], &rng, pool, &divergences);
+    CheckFull(schema, db, table, refs[table], &rng, &divergences);
   }
   EXPECT_EQ(divergences, 0) << "seed " << seed;
 }
 
 TEST(StorageDifferentialTest, RandomizedStreamsMatchReferenceModel) {
-  ThreadPool pool(4);
-  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
-    RunSeed(seed, &pool);
-  }
+  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) RunSeed(seed);
 }
 
 }  // namespace
