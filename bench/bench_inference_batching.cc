@@ -1,21 +1,17 @@
 // Micro-benchmark for the batched value-network inference path: evals/sec
 // of the legacy per-item Predict hot path (batch size 1 — how beam search
 // scored plans before the runtime subsystem) vs ValueNetwork::ForwardBatch
-// at micro-batch sizes {8, 32, 128}, plus the InferenceService end to end
-// on root jobs (how beam search scores now: each plan's root join from its
-// children's cached embeddings). The acceptance gate for the runtime is
+// at micro-batch sizes {8, 32, 128}. The acceptance gate for the runtime is
 // >= 2x evals/sec at batch 32 (ForwardBatch vs Predict).
 //
 // Usage: bench_inference_batching [--full]
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "src/model/value_network.h"
-#include "src/runtime/inference_service.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -35,11 +31,6 @@ struct BenchSetup {
   std::unique_ptr<ValueNetwork> net;
   nn::Vec query_feat = featurizer.QueryFeatures(query);
   std::vector<nn::TreeSample> trees;
-  // root_jobs[i] scores trees[i]'s root join; the deques own what they
-  // point to.
-  std::deque<nn::Vec> root_feats;
-  std::deque<SubtreeEmbedding> child_embeddings;
-  std::vector<RootJob> root_jobs;
 
   explicit BenchSetup(int num_plans) {
     ValueNetConfig config;  // paper-default hidden sizes
@@ -63,15 +54,6 @@ struct BenchSetup {
       }
       plan.set_root(root);
       trees.push_back(featurizer.PlanFeatures(query, plan));
-      const PlanNode& join = plan.node(root);
-      root_feats.push_back(featurizer.NodeFeatures(query, join));
-      for (int child : {join.left, join.right}) {
-        child_embeddings.push_back(testing::EmbedSubtree(
-            *net, featurizer, query, query_feat, plan, child));
-      }
-      root_jobs.push_back(RootJob{&query_feat, &root_feats.back(),
-                                  &child_embeddings.end()[-2],
-                                  &child_embeddings.back()});
     }
   }
 };
@@ -132,19 +114,6 @@ int Main(int argc, char** argv) {
     std::printf("  %-28s %12.0f evals/sec  %5.2fx\n", label, rate,
                 rate / base);
   }
-
-  // End to end through the micro-batching service on root jobs
-  // (synchronous mode: the queue hop without cross-client fusion).
-  InferenceServiceOptions service_options;
-  service_options.max_batch_size = 32;
-  service_options.num_workers = 0;
-  InferenceService service(setup.net.get(), service_options);
-  double service_rate = Throughput(setup, min_seconds, [&] {
-    service.ScoreRoots(setup.root_jobs);
-  });
-  std::printf("  %-28s %12.0f evals/sec  %5.2fx\n",
-              "service root jobs (chunk=32)", service_rate,
-              service_rate / base);
 
   const bool pass = speedup_at_32 >= 2.0;
   std::printf("speedup at batch=32 vs batch=1: %.2fx (target >= 2x) %s\n",

@@ -156,7 +156,7 @@ Status BalsaAgent::RunIteration() {
 
   // --- Execute phase (§4.1): plan every training query, run it ---------
   // Planning fans out across the runtime's real threads (network scoring is
-  // the hot path; it is const and micro-batched by the inference service).
+  // the hot path; each thread scores its own frontiers on the const network).
   // Executions then run in deterministic query order: the engine's noise
   // stream, plan cache, and the experience buffer stay sequential, so an
   // iteration's outcome is independent of the thread count.

@@ -65,10 +65,10 @@ struct BalsaAgentOptions {
   /// Real threads for planning and simulation data collection
   /// (0 = hardware concurrency). Distinct from num_workers, which is the
   /// virtual-clock accounting model; results are identical for any thread
-  /// count — tasks merge in deterministic (query) order and scoring is
-  /// batch-composition independent.
+  /// count — tasks merge in deterministic (query) order, and every planning
+  /// thread scores its own frontiers on the shared read-only network.
   int num_threads = 0;
-  /// Micro-batching of concurrent value-network requests.
+  /// The scoring shell's options (num_workers must stay 0).
   InferenceServiceOptions inference;
   /// Virtual seconds charged per SGD sample processed during updates; this
   /// is what makes the retrain scheme progressively slower (§8.3.4).
@@ -170,8 +170,7 @@ class BalsaAgent {
   std::unique_ptr<ValueNetwork> network_;
   /// Post-bootstrap weights, for diversified-experience retraining.
   std::unique_ptr<ValueNetwork> bootstrap_snapshot_;
-  /// Micro-batches concurrent planning threads' scoring requests into
-  /// fused forward passes.
+  /// Scores each planning thread's frontiers on that thread.
   std::unique_ptr<InferenceService> inference_;
   /// Real planning threads (the virtual clock still accounts execution
   /// time via pool_).

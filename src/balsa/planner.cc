@@ -105,8 +105,8 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
     }
     if (need.empty()) return;
     if (options_.batch_scoring) {
-      // Fill the child terms the new roots read, here on the planning
-      // thread, so scoring (maybe on a service worker) only reads children.
+      // Fill the child terms the new roots read first, so scoring only
+      // reads children.
       std::vector<TermJob> terms;
       for (int id : need) {
         const PlanNode& root = arena.node(id);

@@ -82,10 +82,9 @@ class BeamSearchPlanner {
   const PlannerOptions& options() const { return options_; }
   void set_options(const PlannerOptions& options) { options_ = options; }
 
-  /// Routes batched scoring through a shared micro-batching service so
-  /// concurrent planners fuse their frontiers into shared forward passes.
-  /// Null (the default) scores via the network directly. The service must
-  /// wrap the same network.
+  /// Routes batched scoring through `service`, which scores on the calling
+  /// thread and counts (and traces) the calls. Null (the default) scores via
+  /// the network directly. The service must wrap the same network.
   void set_inference_service(InferenceService* service) {
     service_ = service;
   }

@@ -146,11 +146,6 @@ thread_local const TraceContext* t_current_context = nullptr;
 
 const TraceContext* CurrentTraceContext() { return t_current_context; }
 
-TraceContext CurrentTraceContextCopy() {
-  const TraceContext* current = t_current_context;
-  return current == nullptr ? TraceContext{} : *current;
-}
-
 ScopedTraceContext::ScopedTraceContext(TraceContext context)
     : context_(std::move(context)) {
   if (!context_.active()) return;

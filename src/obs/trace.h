@@ -1,13 +1,12 @@
 // Sampling request tracer: explains *where* a slow request spent its time.
 //
 // A sampled request carries a Trace — an append-only list of timed spans —
-// through every stage it touches: fingerprinting and cache lookup on the
-// request thread, beam search and inference scoring on a planning-pool
-// thread, executor scans/joins wherever the plan runs. Propagation is by
-// an explicit TraceContext installed into a thread-local slot
-// (ScopedTraceContext); crossing a thread boundary means capturing
-// CurrentTraceContext() by value and re-installing it in the task body —
-// see OptimizerServer::PlanMiss for the idiom.
+// through every stage it touches: fingerprinting, cache lookup, the wait
+// for a planning slot, beam search and inference scoring all on the request
+// thread (a miss plans where it arrives), executor scans/joins wherever the
+// plan runs. Propagation is by an explicit TraceContext installed into a
+// thread-local slot (ScopedTraceContext); work handed to another thread
+// copies *CurrentTraceContext() and re-installs it in the task body.
 //
 // Span sites are SpanTimer RAII objects. On a thread with no installed
 // context a SpanTimer is completely inert: one thread-local read, no clock
@@ -51,9 +50,9 @@ enum class TraceStage : int {
   kFingerprint = 0,  // query canonicalization (serving)
   kCacheLookup,      // plan-cache probe (serving)
   kCoalesceWait,     // blocked on another request's in-flight planning
-  kQueueWait,        // enqueue->dequeue wait on the planning pool
+  kQueueWait,        // wait for a planning slot (admission gate)
   kBeamSearch,       // the full beam search of a miss (serving/balsa)
-  kInference,        // one ScoreRoots call: queue wait + fused forward pass
+  kInference,        // one ScoreRoots call: the forward pass
   kAdmit,            // canonicalize + insert the planned entry (serving)
   kExecScan,         // one Executor::Scan over a relation's chunks
   kExecJoin,         // one Executor::Join of two intermediates
@@ -169,9 +168,6 @@ struct TraceContext {
 
 /// The context installed on the current thread (nullptr when none).
 const TraceContext* CurrentTraceContext();
-/// Copy of the current thread's context (inactive when none) — capture this
-/// by value before handing work to another thread.
-TraceContext CurrentTraceContextCopy();
 
 /// Installs `context` on this thread for the scope; restores the previous
 /// context on destruction. Installing an inactive context is a cheap no-op

@@ -6,6 +6,7 @@
 
 #include "src/serving/query_fingerprint.h"
 #include "src/sql/parser.h"
+#include "src/util/parallel_for.h"
 
 namespace balsa {
 
@@ -62,18 +63,16 @@ OptimizerServer::OptimizerServer(const Schema* schema,
       inference_(std::make_unique<InferenceService>(network,
                                                     options.inference)),
       pool_(options.num_planning_threads),
+      gate_(pool_.num_threads()),
       planner_(schema, featurizer, network,
                ServingPlannerOptions(options.planner)),
       cache_(options.cache),
       tracer_(options.trace),
       flight_store_(options.flight_recorder) {
   planner_.set_inference_service(inference_.get());
-  // Arm the pool's queue-wait clock only when someone will read the
-  // histogram; an un-instrumented server's pool never touches the clock.
-  if (options_.metrics != nullptr || flight_store_.enabled()) {
-    pool_.SetQueueWaitObserver(
-        [this](double wait_us) { pool_wait_us_.Record(wait_us); });
-  }
+  // Time gate waits only when someone will read the histogram; an
+  // un-instrumented server never touches the clock for them.
+  wait_armed_ = options_.metrics != nullptr || flight_store_.enabled();
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* reg = options_.metrics;
     cache_.AttachMetrics(reg);
@@ -98,11 +97,11 @@ OptimizerServer::OptimizerServer(const Schema* schema,
     for (obs::Registration& r : flight_store_.AttachTo(reg, p)) {
       registrations_.push_back(std::move(r));
     }
-    // The planning pool's queue depth and queue wait are named under
-    // runtime.*, not the serving prefix.
+    // The admission gate's waiters and wait keep the planning pool's
+    // runtime.* names: they measure the same thing, the time before
+    // planning began.
     registrations_.push_back(reg->AttachCallbackGauge(
-        "runtime.pool.queue_depth",
-        [this] { return pool_.ApproxQueueDepth(); }));
+        "runtime.pool.queue_depth", [this] { return gate_.waiters(); }));
     registrations_.push_back(
         reg->AttachHistogram("runtime.pool.wait_us", &pool_wait_us_));
   }
@@ -207,31 +206,23 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::OptimizeSql(
   return Optimize(query);
 }
 
-StatusOr<CachedPlan> OptimizerServer::PlanMiss(
-    const Query& query, int64_t version,
-    const obs::TraceContext& trace_context,
-    std::chrono::steady_clock::time_point enqueued) {
-  // Runs on a planning-pool thread: re-install the requester's trace so the
-  // beam-search span (and the inference spans under it) land in it.
-  obs::ScopedTraceContext trace_scope(trace_context);
-  planned_.Inc();
-  if (trace_context.active()) {
-    // The pool-level wait histogram (runtime.pool.wait_us) sees every task
-    // via the queue-wait observer; this records the *same interval* as a
-    // span in the request's own trace, where a saturation diagnosis needs
-    // it ("the request was slow because it sat in the queue").
-    const double wait_us = std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - enqueued)
-                               .count();
-    const double start_us = std::chrono::duration<double, std::micro>(
-                                enqueued - trace_context.trace->start_time())
-                                .count();
-    trace_context.trace->AddSpan(obs::TraceStage::kQueueWait, start_us,
-                                 wait_us);
-    trace_context.tracer->RecordStageMicros(obs::TraceStage::kQueueWait,
-                                            wait_us,
-                                            trace_context.trace->id());
+StatusOr<CachedPlan> OptimizerServer::PlanMiss(const Query& query,
+                                               int64_t version) {
+  // The requester's trace is already installed on this thread, so the
+  // queue-wait, beam-search and inference spans land in it directly.
+  AdmissionGate::Slot slot;
+  {
+    obs::SpanTimer span(obs::TraceStage::kQueueWait);
+    const auto asked = wait_armed_ ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point{};
+    slot = gate_.Acquire();
+    if (wait_armed_) {
+      pool_wait_us_.Record(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - asked)
+                               .count());
+    }
   }
+  planned_.Inc();
   StatusOr<BeamSearchPlanner::PlanningResult> result = [&] {
     obs::SpanTimer span(obs::TraceStage::kBeamSearch);
     return planner_.TopK(query, nullptr);
@@ -250,13 +241,7 @@ StatusOr<CachedPlan> OptimizerServer::PlanMiss(
 StatusOr<std::shared_ptr<const CachedPlan>> OptimizerServer::PlanAndAdmit(
     const Query& query, uint64_t fingerprint,
     const std::vector<int>& canonical_rank, int64_t version) {
-  // Capture the trace context *before* crossing onto the pool thread.
-  auto future = pool_.Submit(
-      [this, &query, version, context = obs::CurrentTraceContextCopy(),
-       enqueued = std::chrono::steady_clock::now()] {
-        return PlanMiss(query, version, context, enqueued);
-      });
-  BALSA_ASSIGN_OR_RETURN(CachedPlan planned, future.get());
+  BALSA_ASSIGN_OR_RETURN(CachedPlan planned, PlanMiss(query, version));
   obs::SpanTimer span(obs::TraceStage::kAdmit);
   // Store in canonical relation space so any FROM-ordering of this query
   // can translate the entry to its own numbering. The exemplar query and
@@ -273,12 +258,7 @@ StatusOr<std::shared_ptr<const CachedPlan>> OptimizerServer::PlanAndAdmit(
 StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::PlanUncached(
     const Query& query, uint64_t fingerprint, int64_t version,
     bool coalesced) {
-  auto future = pool_.Submit(
-      [this, &query, version, context = obs::CurrentTraceContextCopy(),
-       enqueued = std::chrono::steady_clock::now()] {
-        return PlanMiss(query, version, context, enqueued);
-      });
-  BALSA_ASSIGN_OR_RETURN(CachedPlan planned, future.get());
+  BALSA_ASSIGN_OR_RETURN(CachedPlan planned, PlanMiss(query, version));
   OptimizeResult result;
   result.plan = std::move(planned.plan);
   result.predicted_ms = planned.predicted_ms;
@@ -293,9 +273,9 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
   requests_.Inc();
   // Lazy flight-recorder shell for a request the tracer did not sample:
   // armed the moment it leaves the pure hit path. From then on every span
-  // site on this thread (admit, coalesce-wait) and on the planning pool
-  // (queue-wait, beam-search, inference) records into the shell; the hit
-  // path never reaches this and stays allocation- and clock-free.
+  // site on this thread (coalesce-wait, queue-wait, beam-search, inference,
+  // admit) records into the shell; the hit path never reaches this and
+  // stays allocation- and clock-free.
   std::optional<obs::ScopedTraceContext> flight_scope;
   auto arm_flight = [&] {
     if (!flight_store_.enabled() || *trace != nullptr) return;
@@ -438,43 +418,35 @@ OptimizerServer::RewarmReport OptimizerServer::Rewarm(int top_k) {
   std::vector<PlanCache::HotEntry> hot = cache_.HottestEntries(top_k);
   report.candidates = static_cast<int>(hot.size());
 
-  struct Pending {
-    const PlanCache::HotEntry* hot;
-    std::future<StatusOr<CachedPlan>> future;
-  };
-  std::vector<Pending> pending;
-  pending.reserve(hot.size());
+  std::vector<const PlanCache::HotEntry*> stale;
   for (const PlanCache::HotEntry& h : hot) {
     if (h.entry->stats_version >= version) {
       report.fresh++;
-      continue;
-    }
-    if (h.entry->exemplar == nullptr) {
+    } else if (h.entry->exemplar == nullptr) {
       report.failed++;  // pre-exemplar entry (never produced anymore)
-      continue;
+    } else {
+      stale.push_back(&h);
     }
-    // The exemplar is kept alive by h.entry (shared) for the future's
-    // lifetime; plans run concurrently on the planning pool and batch
-    // their scoring through the shared inference service. Re-warm is not a
-    // client request, so it plans without a trace context.
-    pending.push_back(
-        {&h, pool_.Submit([this, &h, version,
-                           enqueued = std::chrono::steady_clock::now()] {
-           return PlanMiss(*h.entry->exemplar, version, obs::TraceContext{},
-                           enqueued);
-         })});
   }
-  for (Pending& p : pending) {
-    StatusOr<CachedPlan> planned = p.future.get();
-    if (!planned.ok()) {
+  // Replans fan out over the pool; each takes a gate slot in PlanMiss, like
+  // a client miss. The exemplars stay alive through `hot`'s shared
+  // entries. Pool threads carry no trace context: re-warm is not a client
+  // request (a lone replan runs inline, under the caller's context).
+  std::vector<std::optional<StatusOr<CachedPlan>>> planned(stale.size());
+  ParallelFor(&pool_, stale.size(), [&](size_t i) {
+    planned[i] = PlanMiss(*stale[i]->entry->exemplar, version);
+  });
+  for (size_t i = 0; i < stale.size(); ++i) {
+    if (!planned[i]->ok()) {
       report.failed++;
       continue;
     }
-    CachedPlan entry = std::move(planned).value();
-    entry.plan = RemapPlanRelations(entry.plan, p.hot->entry->canonical_rank);
-    entry.exemplar = p.hot->entry->exemplar;
-    entry.canonical_rank = p.hot->entry->canonical_rank;
-    cache_.Insert(p.hot->fingerprint, std::move(entry));
+    const PlanCache::HotEntry& h = *stale[i];
+    CachedPlan entry = std::move(*planned[i]).value();
+    entry.plan = RemapPlanRelations(entry.plan, h.entry->canonical_rank);
+    entry.exemplar = h.entry->exemplar;
+    entry.canonical_rank = h.entry->canonical_rank;
+    cache_.Insert(h.fingerprint, std::move(entry));
     report.replanned++;
     rewarmed_.Inc();
   }

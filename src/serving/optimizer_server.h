@@ -6,11 +6,11 @@
 // microseconds without re-running beam search. Cached plans live in
 // canonical relation space and are translated to each requester's FROM
 // numbering on the way out, so alias-renamed or FROM-reordered requests
-// receive correctly wired plans. Cache misses fan out through
-// the runtime: planning runs on the server's planning ThreadPool (bounded
-// planning concurrency = admission control), and every planner scores its
-// frontiers through one shared InferenceService, so concurrent misses fuse
-// into shared value-network forward batches.
+// receive correctly wired plans. A cache miss plans on the requesting
+// thread: it takes a slot of the server's admission gate (at most
+// num_planning_threads beam searches run at once; later misses wait for a
+// slot), runs the beam search, and scores every frontier on that same
+// thread through the shared InferenceService. No miss crosses a thread.
 //
 // In-flight coalescing: misses for the *same* (fingerprint, stats_version)
 // collapse into one planning call — the first requester plans, the rest
@@ -35,9 +35,9 @@
 // and is handed back in OptimizeResult::trace). Pass
 // OptimizerServerOptions::metrics to export everything — server counters,
 // outcome histograms, stage histograms, plan-cache counters, inference
-// stats, planning-pool queue depth and queue wait — through one
+// counters, the admission gate's waiters and wait — through one
 // MetricsRegistry, under the "serving." prefix (the cache under
-// "serving.plan_cache.", the pool and inference service under "runtime.").
+// "serving.plan_cache.", the gate and inference service under "runtime.").
 //
 // Flight recorder: the server's obs::TraceStore is the only place a
 // request is retained. With OptimizerServerOptions::flight_recorder
@@ -73,6 +73,7 @@
 #include "src/runtime/inference_service.h"
 #include "src/serving/plan_cache.h"
 #include "src/stats/card_oracle.h"
+#include "src/util/admission_gate.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
 
@@ -83,10 +84,11 @@ struct OptimizerServerOptions {
   /// a server must hand every client the same plan for the same query.
   PlannerOptions planner;
   PlanCacheOptions cache;
-  /// Micro-batching of concurrent planners' scoring requests.
+  /// The scoring shell's options (num_workers must stay 0).
   InferenceServiceOptions inference;
-  /// Planning threads (0 = hardware concurrency). Bounds how many misses
-  /// plan at once; excess misses queue on the pool.
+  /// Concurrent beam searches (0 = hardware concurrency): the admission
+  /// gate's slot count. Misses plan on their own threads; a miss that finds
+  /// every slot taken waits for one. Rewarm fans out over a pool this size.
   int num_planning_threads = 0;
   /// Collapse concurrent misses on the same (fingerprint, stats_version)
   /// into one planning call. Off only for baselines that deliberately plan
@@ -100,8 +102,8 @@ struct OptimizerServerOptions {
   obs::TraceStoreOptions flight_recorder;
   /// When set, every serving instrument — counters, latency histograms,
   /// trace stage histograms, plan-cache and inference-service stats, the
-  /// planning pool's queue depth and queue wait — is attached to it, and
-  /// the pool's queue-wait clock is armed. Borrowed; must outlive the
+  /// admission gate's waiters and wait — is attached to it, and the
+  /// admission-wait clock is armed. Borrowed; must outlive the
   /// server. nullptr = instruments still work (they ARE the server's
   /// stats), they just aren't exported anywhere.
   obs::MetricsRegistry* metrics = nullptr;
@@ -170,9 +172,10 @@ class OptimizerServer {
   /// count) that are stale relative to the current stats_version, and
   /// re-admits them at the new version — the post-bump re-warm pass, called
   /// by the adaptive ReanalyzeScheduler right after it bumps the
-  /// generation so hot traffic does not eat a miss storm. Replans run in
-  /// parallel on the planning pool (scored through the shared
-  /// InferenceService). Thread-safe; concurrent client misses for the same
+  /// generation so hot traffic does not eat a miss storm. Replans fan out
+  /// over the server's pool and take admission-gate slots like client
+  /// misses, so beam searches in flight stay <= num_planning_threads.
+  /// Thread-safe; concurrent client misses for the same
   /// fingerprint at worst duplicate one beam search, they never see a stale
   /// or torn entry.
   struct RewarmReport {
@@ -216,14 +219,15 @@ class OptimizerServer {
   const obs::RequestTracer& tracer() const { return tracer_; }
   const obs::TraceStore& flight_recorder() const { return flight_store_; }
   obs::TraceStore* flight_recorder() { return &flight_store_; }
-  /// Enqueue->dequeue wait (µs) of every planning-pool task; recorded only
-  /// when metrics are attached or the flight recorder is on ("armed"), so
-  /// an un-instrumented pool takes no clock reads.
+  /// Wait (µs) for an admission-gate slot of every beam search, 0 when a
+  /// slot was free; recorded only when metrics are attached or the flight
+  /// recorder is on ("armed"), so an un-instrumented server takes no clock
+  /// reads for it.
   const obs::Log2Histogram& pool_wait_histogram() const {
     return pool_wait_us_;
   }
   const InferenceService* inference() const { return inference_.get(); }
-  int num_planning_threads() const { return pool_.num_threads(); }
+  int num_planning_threads() const { return gate_.slots(); }
 
  private:
   struct InFlight {
@@ -238,14 +242,11 @@ class OptimizerServer {
     std::shared_ptr<const CachedPlan> result;
   };
 
-  /// Runs one beam search on the planning pool and returns its best plan.
-  /// `trace_context` re-installs the requester's trace on the pool thread;
-  /// `enqueued` is when the task was submitted, so the enqueue->start wait
-  /// lands in the trace as a kQueueWait span.
-  StatusOr<CachedPlan> PlanMiss(
-      const Query& query, int64_t version,
-      const obs::TraceContext& trace_context,
-      std::chrono::steady_clock::time_point enqueued);
+  /// Runs one beam search on the calling thread, holding an admission-gate
+  /// slot for its duration, and returns its best plan. The wait for the
+  /// slot is the request's queue wait: a kQueueWait span on a traced thread,
+  /// and a pool_wait_us_ record when armed.
+  StatusOr<CachedPlan> PlanMiss(const Query& query, int64_t version);
   /// Plans `query`, admits the canonical-space entry to the cache, and
   /// returns it (shared by the leader's response and any waiters).
   StatusOr<std::shared_ptr<const CachedPlan>> PlanAndAdmit(
@@ -267,14 +268,16 @@ class OptimizerServer {
   const CardOracle* oracle_;
   OptimizerServerOptions options_;
 
-  /// Planning-pool queue wait. Declared before the pool: the pool's
-  /// destructor drains queued tasks, and a drained task's wait observation
-  /// must not land in a dead histogram.
+  /// Admission-gate wait, recorded only when wait_armed_.
   obs::Log2Histogram pool_wait_us_;
+  /// Metrics attached or flight recorder on: time every gate wait.
+  bool wait_armed_ = false;
 
   std::unique_ptr<InferenceService> inference_;
-  /// Planning threads (options.num_planning_threads).
+  /// Rewarm's fan-out (options.num_planning_threads threads).
   ThreadPool pool_;
+  /// Bounds concurrent beam searches at pool_.num_threads().
+  AdmissionGate gate_;
   BeamSearchPlanner planner_;
   PlanCache cache_;
 

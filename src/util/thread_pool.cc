@@ -12,7 +12,7 @@ ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) num_threads = DefaultNumThreads();
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this] { RunTasks(); });
   }
 }
 
@@ -25,33 +25,17 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::SetQueueWaitObserver(
-    std::function<void(double wait_us)> observer) {
-  {
-    MutexLock lock(mu_);
-    observer_ = std::move(observer);
-  }
-  has_observer_.store(true, std::memory_order_release);
-}
-
 void ThreadPool::Schedule(std::function<void()> fn) {
-  Task task;
-  task.fn = std::move(fn);
-  if (has_observer_.load(std::memory_order_acquire)) {
-    task.enqueued = std::chrono::steady_clock::now();
-    task.stamped = true;
-  }
   {
     MutexLock lock(mu_);
-    queue_.push(std::move(task));
+    queue_.push(std::move(fn));
   }
-  queued_.fetch_add(1, std::memory_order_relaxed);
   cv_.NotifyOne();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::RunTasks() {
   for (;;) {
-    Task task;
+    std::function<void()> task;
     {
       MutexLock lock(mu_);
       while (!stop_ && queue_.empty()) cv_.Wait(mu_);
@@ -61,17 +45,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    if (task.stamped) {
-      const double wait_us =
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - task.enqueued)
-              .count();
-      // The acquire pair on has_observer_ makes observer_ safe to read
-      // lock-free here: a stamped task implies the store completed.
-      observer_(wait_us);
-    }
-    task.fn();
+    task();
   }
 }
 

@@ -5,8 +5,6 @@
 // callables go through Schedule().
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <functional>
 #include <future>
 #include <memory>
@@ -46,52 +44,16 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
-  /// Tasks scheduled but not yet started, read without the queue lock —
-  /// approximate under concurrency but exact at quiescence. Fed to the
-  /// observability layer as a queue-depth gauge (util stays below obs in
-  /// the DAG, so the pool exposes the number and obs attaches it).
-  int64_t ApproxQueueDepth() const {
-    return queued_.load(std::memory_order_relaxed);
-  }
-
-  /// Installs an observer of per-task queue wait — the enqueue->dequeue
-  /// microseconds each task spent waiting for a worker. Same DAG split as
-  /// ApproxQueueDepth: the pool reports the number, the caller (obs layer)
-  /// owns the histogram it lands in. With no observer the pool takes no
-  /// clock reads at all; with one, each task costs two steady_clock reads.
-  /// Install before scheduling work and leave it in place: the callback is
-  /// not synchronized against running workers, and it runs on worker
-  /// threads so it must be thread-safe itself.
-  void SetQueueWaitObserver(std::function<void(double wait_us)> observer)
-      EXCLUDES(mu_);
-
   /// The pool size used when num_threads <= 0.
   static int DefaultNumThreads();
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    /// Valid only when `stamped` (an observer was installed at enqueue).
-    std::chrono::steady_clock::time_point enqueued;
-    bool stamped = false;
-  };
-
-  void WorkerLoop() EXCLUDES(mu_);
+  void RunTasks() EXCLUDES(mu_);
 
   Mutex mu_;
   CondVar cv_;
-  std::queue<Task> queue_ GUARDED_BY(mu_);
-  /// Intentionally unguarded: relaxed queue-depth estimate, approximate
-  /// under concurrency, exact at quiescence (see ApproxQueueDepth).
-  std::atomic<int64_t> queued_{0};
+  std::queue<std::function<void()>> queue_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
-  /// Gates the enqueue-side clock read without touching observer_.
-  std::atomic<bool> has_observer_{false};
-  /// Intentionally unguarded on the read side: written once under mu_,
-  /// then read lock-free by workers — the release store to has_observer_
-  /// paired with the acquire load in WorkerLoop publishes it (a stamped
-  /// task implies the store completed).
-  std::function<void(double)> observer_;
   std::vector<std::thread> threads_;
 };
 

@@ -2,6 +2,10 @@
 // environment. These are the slowest tests in the suite (seconds, not ms).
 #include "src/balsa/agent.h"
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/baselines/neo_impl.h"
@@ -181,6 +185,73 @@ TEST_F(AgentTest, DatasetEqualsPerNodeFeaturization) {
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(testing::SamePoint(got[i], want[i])) << "point " << i;
   }
+}
+
+TEST_F(AgentTest, RunIterationIsThreadCountInvariant) {
+  // Planning fans out over num_threads, each thread scoring its own
+  // frontiers; executions, training and the experience buffer stay in query
+  // order. So the trained weights and every curve field but wall-clock
+  // planning time must not depend on the thread count. Each run gets its
+  // own Env: the engine's noise stream and plan cache are stateful.
+  struct Run {
+    std::vector<IterationStats> curve;
+    std::string weights;
+  };
+  auto run = [](int threads) {
+    EnvOptions env_options;
+    env_options.data_scale = 0.05;
+    auto env = MakeEnv(WorkloadKind::kJobRandomSplit, env_options);
+    BALSA_CHECK(env.ok(), env.status().ToString());
+    BalsaAgentOptions options = FastOptions();
+    options.num_threads = threads;
+    options.eval_test_every = 2;  // exercises parallel EvaluateWorkload
+    BalsaAgent agent(&(*env)->schema(), (*env)->pg_engine.get(),
+                     (*env)->cout_model.get(), (*env)->estimator.get(),
+                     &(*env)->workload, options);
+    BALSA_CHECK(agent.Bootstrap().ok(), "bootstrap");
+    for (int i = 0; i < 3; ++i) {
+      BALSA_CHECK(agent.RunIteration().ok(), "iteration");
+    }
+    const std::string path = ::testing::TempDir() + "/agent_threads_" +
+                             std::to_string(threads) + ".bin";
+    BALSA_CHECK(agent.value_network().Save(path).ok(), "save");
+    std::ifstream in(path, std::ios::binary);
+    Run result;
+    result.curve = agent.curve();
+    result.weights.assign(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>());
+    return result;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  ASSERT_FALSE(one.weights.empty());
+  EXPECT_TRUE(one.weights == four.weights) << "saved networks differ";
+  ASSERT_EQ(one.curve.size(), 3u);
+  ASSERT_EQ(four.curve.size(), one.curve.size());
+  for (size_t i = 0; i < one.curve.size(); ++i) {
+    const IterationStats& a = one.curve[i];
+    const IterationStats& b = four.curve[i];
+    EXPECT_EQ(a.iteration, b.iteration) << "iteration " << i;
+    EXPECT_EQ(a.virtual_seconds, b.virtual_seconds) << "iteration " << i;
+    EXPECT_EQ(a.unique_plans, b.unique_plans) << "iteration " << i;
+    EXPECT_EQ(a.executed_runtime_ms, b.executed_runtime_ms)
+        << "iteration " << i;
+    EXPECT_EQ(a.max_query_runtime_ms, b.max_query_runtime_ms)
+        << "iteration " << i;
+    EXPECT_EQ(a.timeout_ms, b.timeout_ms) << "iteration " << i;
+    EXPECT_EQ(a.num_timeouts, b.num_timeouts) << "iteration " << i;
+    EXPECT_EQ(a.test_runtime_ms, b.test_runtime_ms) << "iteration " << i;
+    EXPECT_EQ(a.join_op_counts, b.join_op_counts) << "iteration " << i;
+    EXPECT_EQ(a.scan_op_counts, b.scan_op_counts) << "iteration " << i;
+    EXPECT_EQ(a.num_bushy_plans, b.num_bushy_plans) << "iteration " << i;
+    EXPECT_EQ(a.num_left_deep_plans, b.num_left_deep_plans)
+        << "iteration " << i;
+    EXPECT_EQ(a.network_evals, b.network_evals) << "iteration " << i;
+    EXPECT_EQ(a.inference_batches, b.inference_batches) << "iteration " << i;
+  }
+  // Iterations 0 and 2 evaluate the test set.
+  EXPECT_GT(one.curve[0].test_runtime_ms, 0);
+  EXPECT_GT(one.curve[2].test_runtime_ms, 0);
 }
 
 TEST_F(AgentTest, CannotIterateBeforeBootstrap) {

@@ -10,8 +10,9 @@
 //    predicted_ms of the per-plan Predict path (batch_scoring = false), for
 //    left-deep and bushy search, computing each (subtree, side) child term
 //    once;
-//  - the same holds when the root jobs go through an InferenceService with
-//    0, 1 or 2 workers and several concurrent clients.
+//  - several planning threads sharing one read-only network (scoring
+//    through one InferenceService, as the server's misses do) each get
+//    the plans of a single-threaded TopK, bit for bit.
 // Runs on the JOB-like workload over several data seeds.
 #include <memory>
 #include <set>
@@ -355,43 +356,40 @@ TEST(IncrementalScoringExactTest, ChildTermsCountDistinctSubtreeSides) {
   EXPECT_EQ(result->child_terms, static_cast<int64_t>(want.size()));
 }
 
-TEST_P(IncrementalScoringTest, ServiceMatchesPerPlanPredict) {
+TEST_P(IncrementalScoringTest, ConcurrentPlannersMatchSingleThreadedTopK) {
+  const PlannerOptions options = Options(/*bushy=*/true, true);
   std::vector<BeamSearchPlanner::PlanningResult> reference;
   for (const Query* query : queries_) {
-    reference.push_back(Search(*query, Options(/*bushy=*/true, false)));
+    reference.push_back(Search(*query, options));
   }
-  constexpr int kClients = 3;
-  for (int workers : {0, 1, 2}) {
-    InferenceServiceOptions service_options;
-    service_options.num_workers = workers;
-    service_options.max_batch_size = 64;  // some frontiers span chunks
-    InferenceService service(network_.get(), service_options);
-    std::vector<std::vector<BeamSearchPlanner::PlanningResult>> served(
-        kClients);
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        // Clients walk the queries from different offsets, so concurrent
-        // requests mix queries and fuse across them.
-        served[c].resize(queries_.size());
-        for (size_t k = 0; k < queries_.size(); ++k) {
-          const size_t i = (k + static_cast<size_t>(c)) % queries_.size();
-          served[c][i] =
-              Search(*queries_[i], Options(/*bushy=*/true, true), &service);
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    for (int c = 0; c < kClients; ++c) {
-      for (size_t i = 0; i < queries_.size(); ++i) {
-        ExpectSamePlans(served[c][i], reference[i],
-                        queries_[i]->name() + " workers=" +
-                            std::to_string(workers) + " client=" +
-                            std::to_string(c));
+  constexpr int kThreads = 4;
+  InferenceService service(network_.get());
+  std::vector<std::vector<BeamSearchPlanner::PlanningResult>> planned(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Threads walk the queries from different offsets, so concurrent
+      // searches mix queries on the shared network.
+      planned[t].resize(queries_.size());
+      for (size_t k = 0; k < queries_.size(); ++k) {
+        const size_t i = (k + static_cast<size_t>(t)) % queries_.size();
+        planned[t][i] = Search(*queries_[i], options, &service);
       }
-    }
-    EXPECT_GT(service.stats().items, 0);
+    });
   }
+  for (std::thread& t : threads) t.join();
+  int64_t batch_calls = 0, network_evals = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < queries_.size(); ++i) {
+      ExpectSamePlans(planned[t][i], reference[i],
+                      queries_[i]->name() + " thread=" + std::to_string(t));
+      batch_calls += planned[t][i].batch_calls;
+      network_evals += planned[t][i].network_evals;
+    }
+  }
+  EXPECT_EQ(service.stats().requests, batch_calls);
+  EXPECT_EQ(service.stats().items, network_evals);
 }
 
 INSTANTIATE_TEST_SUITE_P(DataSeeds, IncrementalScoringTest,

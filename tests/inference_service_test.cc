@@ -1,14 +1,14 @@
 // Batched inference correctness: ValueNetwork::ForwardBatch must agree with
 // per-item Predict, an item's score must be bitwise independent of its
-// batch, the micro-batching InferenceService must serve root jobs with the
-// scores ForwardBatch gives the whole plans, under concurrent clients too,
-// and service-driven beam search must produce exactly the plans the
-// per-plan path produces.
+// batch, the InferenceService must score root jobs with the scores
+// ForwardBatch gives the whole plans (reading, never writing, the
+// children), and service-driven beam search must produce exactly the plans
+// the per-plan path produces. Concurrent planners sharing one network are
+// tested in incremental_scoring_test.cc.
 #include "src/runtime/inference_service.h"
 
 #include <deque>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,64 +134,13 @@ TEST_F(InferenceServiceTest, MixedQueryBatchMatchesPerItem) {
 TEST_F(InferenceServiceTest, ServiceMatchesDirectForwardBatch) {
   std::vector<double> direct = network_->ForwardBatch(query_feat_,
                                                       TreePtrs());
-  for (int workers : {0, 1, 2}) {  // 0 = synchronous mode
-    InferenceServiceOptions options;
-    options.num_workers = workers;
-    InferenceService service(network_.get(), options);
-    std::vector<SubtreeEmbedding> served = service.ScoreRoots(root_jobs_);
-    ASSERT_EQ(served.size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_EQ(served[i].score, direct[i]) << "workers=" << workers;
-    }
-  }
-}
-
-TEST_F(InferenceServiceTest, ServiceChunksOversizedRequests) {
-  InferenceServiceOptions options;
-  options.max_batch_size = 4;
-  options.num_workers = 1;
-  InferenceService service(network_.get(), options);
-  std::vector<SubtreeEmbedding> served = service.ScoreRoots(root_jobs_);
-  std::vector<double> direct = network_->ForwardBatch(query_feat_,
-                                                      TreePtrs());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(served[i].score, direct[i]);
-  }
-  InferenceService::Stats stats = service.stats();
-  EXPECT_EQ(stats.items, static_cast<int64_t>(trees_.size()));
-  EXPECT_GE(stats.forward_batches,
-            static_cast<int64_t>((trees_.size() + 3) / 4));
-  EXPECT_LE(stats.max_fused_items, 4);
-}
-
-TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
-  InferenceServiceOptions options;
-  options.num_workers = 2;
-  InferenceService service(network_.get(), options);
-  std::vector<double> direct = network_->ForwardBatch(query_feat_,
-                                                      TreePtrs());
-
-  // Every client's jobs point at the same child embeddings: scoring only
-  // reads them, so they stay as they were.
+  InferenceService service(network_.get());
+  // Scoring only reads the children's embeddings and terms.
   const std::deque<SubtreeEmbedding> children_before = child_embeddings_;
-  constexpr int kClients = 8;
-  std::vector<std::vector<SubtreeEmbedding>> results(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int round = 0; round < 5; ++round) {
-        results[c] = service.ScoreRoots(root_jobs_);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-
-  for (int c = 0; c < kClients; ++c) {
-    ASSERT_EQ(results[c].size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i) {
-      // Fusion across clients must never perturb a score.
-      EXPECT_EQ(results[c][i].score, direct[i]) << "client " << c;
-    }
+  std::vector<SubtreeEmbedding> served = service.ScoreRoots(root_jobs_);
+  ASSERT_EQ(served.size(), direct.size());
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(served[i].score, direct[i]) << "plan " << i;
   }
   for (size_t i = 0; i < child_embeddings_.size(); ++i) {
     const SubtreeEmbedding& now = child_embeddings_[i];
@@ -203,9 +152,19 @@ TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
         << "child " << i;
   }
   InferenceService::Stats stats = service.stats();
-  EXPECT_EQ(stats.requests, kClients * 5);
-  EXPECT_EQ(stats.items,
-            static_cast<int64_t>(kClients * 5 * trees_.size()));
+  EXPECT_EQ(stats.requests, 1);
+  EXPECT_EQ(stats.items, static_cast<int64_t>(trees_.size()));
+}
+
+TEST(InferenceServiceDeathTest, RejectsWorkerThreads) {
+  ValueNetConfig config;
+  config.query_dim = 4;
+  config.node_dim = 4;
+  ValueNetwork network(config);
+  InferenceServiceOptions options;
+  options.num_workers = 1;
+  EXPECT_DEATH({ InferenceService service(&network, options); },
+               "num_workers must be 0");
 }
 
 TEST_F(InferenceServiceTest, BatchScoredBeamSearchFindsIdenticalPlans) {
@@ -248,9 +207,7 @@ TEST_F(InferenceServiceTest, PlannerThroughServiceFindsIdenticalPlans) {
   auto baseline = direct.TopK(query_);
   ASSERT_TRUE(baseline.ok());
 
-  InferenceServiceOptions service_options;
-  service_options.num_workers = 2;
-  InferenceService service(network_.get(), service_options);
+  InferenceService service(network_.get());
   BeamSearchPlanner routed(&fixture_.schema(), &featurizer_, network_.get(),
                            options);
   routed.set_inference_service(&service);
@@ -264,7 +221,9 @@ TEST_F(InferenceServiceTest, PlannerThroughServiceFindsIdenticalPlans) {
     EXPECT_EQ(via_service->plans[i].predicted_ms,
               baseline->plans[i].predicted_ms);
   }
-  EXPECT_GT(service.stats().forward_batches, 0);
+  // One service call per batched planner call, one item per network eval.
+  EXPECT_EQ(service.stats().requests, via_service->batch_calls);
+  EXPECT_EQ(service.stats().items, via_service->network_evals);
 }
 
 }  // namespace

@@ -730,11 +730,7 @@ TEST(MetricNamesTest, FullyArmedStackExportsExactNameSet) {
       "adaptive.passes",
       "adaptive.reanalyze_us",
       "adaptive.rewarm_replans",
-      "runtime.inference.batch_items",
-      "runtime.inference.batch_serve_us",
-      "runtime.inference.forward_batches",
       "runtime.inference.items",
-      "runtime.inference.max_fused_items",
       "runtime.inference.requests",
       "runtime.pool.queue_depth",
       "runtime.pool.wait_us",

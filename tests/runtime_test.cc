@@ -1,15 +1,20 @@
-// The parallel execution runtime: thread pool, ParallelFor partitioning,
-// ParallelForStatus error propagation, and the determinism contract — with
+// The parallel execution runtime: thread pool, the admission gate that
+// bounds concurrent planning, ParallelFor partitioning, ParallelForStatus
+// error propagation, and the determinism contract — with
 // fixed seeds, results are identical for every thread count, because index
 // assignment is static and per-task rngs derive only from task indices.
 #include "src/util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/balsa/simulation.h"
+#include "src/util/admission_gate.h"
 #include "src/util/parallel_for.h"
 #include "src/util/rng.h"
 #include "test_util.h"
@@ -44,6 +49,79 @@ TEST(ThreadPoolTest, DefaultsToHardwareConcurrency) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 1);
   EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultNumThreads());
+}
+
+TEST(AdmissionGateTest, NeverAdmitsMoreThanItsSlots) {
+  AdmissionGate gate(2);
+  EXPECT_EQ(gate.slots(), 2);
+  std::atomic<int> inside{0};
+  std::atomic<int> high_water{0};
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 200; ++round) {
+        AdmissionGate::Slot slot = gate.Acquire();
+        const int now = inside.fetch_add(1) + 1;
+        int seen = high_water.load();
+        while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::yield();
+        inside.fetch_sub(1);
+        admitted.fetch_add(1);
+      }  // the slot frees here
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(admitted.load(), 8 * 200);
+  EXPECT_LE(high_water.load(), 2);
+  EXPECT_GE(high_water.load(), 1);
+  EXPECT_EQ(gate.waiters(), 0);
+}
+
+TEST(AdmissionGateTest, WaitersIsExactAtQuiescence) {
+  AdmissionGate gate(2);
+  // Hold both slots, so every later Acquire blocks.
+  std::vector<AdmissionGate::Slot> held;
+  held.push_back(gate.Acquire());
+  held.push_back(gate.Acquire());
+  EXPECT_EQ(gate.waiters(), 0);
+
+  auto wait_for_waiters = [&](int64_t want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (gate.waiters() != want &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return gate.waiters();
+  };
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      AdmissionGate::Slot slot = gate.Acquire();
+      admitted.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(wait_for_waiters(3), 3);
+  EXPECT_EQ(admitted.load(), 0);
+
+  // Freeing both slots lets all three through, one slot at a time.
+  held.clear();
+  EXPECT_EQ(wait_for_waiters(0), 0);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(admitted.load(), 3);
+  EXPECT_EQ(gate.waiters(), 0);
+
+  // A moved slot frees once; an empty slot frees nothing.
+  AdmissionGate::Slot a = gate.Acquire();
+  AdmissionGate::Slot b = std::move(a);
+  AdmissionGate::Slot c = gate.Acquire();
+  a = AdmissionGate::Slot();
+  b = AdmissionGate::Slot();  // frees one slot
+  AdmissionGate::Slot d = gate.Acquire();  // would block if b had not freed
+  EXPECT_EQ(gate.waiters(), 0);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

@@ -173,6 +173,48 @@ TEST_F(OptimizerServerTest, PlansAreClientAndPoolThreadCountInvariant) {
   }
 }
 
+TEST_F(OptimizerServerTest, OneSlotGateAdmitsEveryClientsMiss) {
+  // One planning slot, four clients with distinct queries: each miss plans
+  // on its own client thread, one at a time, and every admitted beam search
+  // records its wait for the slot (0 µs when the slot was free).
+  obs::MetricsRegistry registry;  // outlives the server's attachments
+  OptimizerServerOptions options = SmallOptions();
+  options.num_planning_threads = 1;
+  options.metrics = &registry;
+  auto server = MakeServer(options);
+  EXPECT_EQ(server->num_planning_threads(), 1);
+
+  constexpr int kClients = 4;
+  std::vector<OptimizerServer::OptimizeResult> served(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      auto result = server->Optimize(StarVariant(c));
+      BALSA_CHECK(result.ok(), result.status().ToString());
+      served[static_cast<size_t>(c)] = std::move(result).value();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  BeamSearchPlanner fresh(&fixture_.schema(), &featurizer_, network_.get(),
+                          SmallOptions().planner);
+  for (int c = 0; c < kClients; ++c) {
+    const OptimizerServer::OptimizeResult& got =
+        served[static_cast<size_t>(c)];
+    EXPECT_FALSE(got.cache_hit);
+    auto direct = fresh.TopK(StarVariant(c));
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(got.plan.Fingerprint(), direct->plans[0].plan.Fingerprint())
+        << "client " << c;
+    EXPECT_EQ(got.predicted_ms, direct->plans[0].predicted_ms);
+  }
+  EXPECT_EQ(server->stats().planned, kClients);
+  EXPECT_EQ(server->pool_wait_histogram().Count(), server->stats().planned);
+  const obs::RegistrySnapshot snapshot = registry.Snapshot();
+  ASSERT_NE(snapshot.Find("runtime.pool.queue_depth"), nullptr);
+  EXPECT_EQ(snapshot.Find("runtime.pool.queue_depth")->value, 0);
+}
+
 TEST_F(OptimizerServerTest, StatsBumpInvalidatesWithoutServingStale) {
   auto server = MakeServer(SmallOptions());
   auto before = server->Optimize(query_);
@@ -314,10 +356,11 @@ TEST_F(OptimizerServerTest, TracedRequestProducesSpansAcrossTheStack) {
   ASSERT_NE(trace, nullptr);
   EXPECT_EQ(server->tracer()->traces_started(), 1);
   // A served miss records its serving- and planning-side spans, including
-  // the inference calls made from the planning-pool thread (the trace
-  // context crossed the pool boundary with the task).
+  // the wait for a planning slot and the inference calls, all made on the
+  // requesting thread under its installed trace.
   EXPECT_TRUE(trace->HasStage(obs::TraceStage::kFingerprint));
   EXPECT_TRUE(trace->HasStage(obs::TraceStage::kCacheLookup));
+  EXPECT_TRUE(trace->HasStage(obs::TraceStage::kQueueWait));
   EXPECT_TRUE(trace->HasStage(obs::TraceStage::kBeamSearch));
   EXPECT_TRUE(trace->HasStage(obs::TraceStage::kInference));
   EXPECT_TRUE(trace->HasStage(obs::TraceStage::kAdmit));
