@@ -105,56 +105,147 @@ void BM_ValueNetworkForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueNetworkForwardBatch)->Arg(8)->Arg(32)->Arg(128);
 
-// The same plan scored the way beam search scores it: only the root join,
-// from its children's cached embeddings and child terms.
-void BM_ValueNetworkScoreRoots(benchmark::State& state) {
-  MicroEnv& env = GlobalEnv();
+/// The JOB shapes perfbench plans at: the 21-table IMDb-like schema, whose
+/// layer-1 input is 21 query selectivities and 27 mostly one-hot node
+/// inputs, and perfbench's 32/16/16 value network. The JOB workload needs
+/// only its schema, not data.
+struct JobEnv {
+  /// Query features need selectivities, not data: relation i's is
+  /// 1 / (2 + i).
+  class FixedSelectivities : public CardinalityEstimatorInterface {
+   public:
+    double EstimateScanRows(const Query&, int) const override { return 1e3; }
+    double EstimateJoinRows(const Query&, TableSet) const override {
+      return 1e3;
+    }
+    double EstimateSelectivity(const Query&, int rel) const override {
+      return 1.0 / (2 + rel);
+    }
+  };
+
+  Schema schema;
+  Workload workload;
+  FixedSelectivities estimator;
+  Featurizer featurizer{&schema, &estimator};
+  const Query* query = nullptr;  // the largest with at most 10 relations
+  std::unique_ptr<ValueNetwork> net;
+
+  JobEnv(Schema s, Workload w)
+      : schema(std::move(s)), workload(std::move(w)) {
+    query = &workload.queries().front();
+    for (const Query& q : workload.queries()) {
+      if (q.num_relations() <= 10 &&
+          q.num_relations() > query->num_relations()) {
+        query = &q;
+      }
+    }
+    ValueNetConfig config;
+    config.query_dim = featurizer.query_dim();
+    config.node_dim = featurizer.node_dim();
+    config.tree_hidden1 = 32;
+    config.tree_hidden2 = 16;
+    config.mlp_hidden = 16;
+    net = std::make_unique<ValueNetwork>(config);
+  }
+};
+
+JobEnv& GlobalJobEnv() {
+  static JobEnv* env = [] {
+    StatusOr<Schema> schema = BuildImdbLikeSchema();
+    BALSA_CHECK(schema.ok(), schema.status().ToString());
+    StatusOr<Workload> workload = GenerateJobWorkload(*schema);
+    BALSA_CHECK(workload.ok(), workload.status().ToString());
+    return new JobEnv(std::move(schema).value(),
+                      std::move(workload).value());
+  }();
+  return *env;
+}
+
+/// A plan joining relations [0, n - 1) left-deep, then relation n - 1 as
+/// the root's right child.
+Plan LeftDeepPlan(int n) {
   Plan plan;
-  int s = plan.AddScan(0, ScanOp::kSeqScan);
-  int c = plan.AddScan(1, ScanOp::kSeqScan);
-  int sc = plan.AddJoin(s, c, JoinOp::kHashJoin);
-  int p = plan.AddScan(2, ScanOp::kSeqScan);
-  plan.set_root(plan.AddJoin(sc, p, JoinOp::kHashJoin));
-  nn::Vec qf = env.featurizer.QueryFeatures(env.query);
-  nn::Vec root =
-      env.featurizer.NodeFeatures(env.query, plan.node(plan.root()));
+  int root = plan.AddScan(0, ScanOp::kSeqScan);
+  for (int r = 1; r < n; ++r) {
+    root = plan.AddJoin(root, plan.AddScan(r, ScanOp::kSeqScan),
+                        JoinOp::kHashJoin);
+  }
+  plan.set_root(root);
+  return plan;
+}
+
+// `plan`'s root scored the way beam search scores it: only the root join,
+// from its children's cached embeddings and child terms, state.range(0)
+// copies per call.
+void ScoreRootsLoop(benchmark::State& state, const ValueNetwork& net,
+                    const Featurizer& featurizer, const Query& query,
+                    const Plan& plan) {
+  nn::Vec qf = featurizer.QueryFeatures(query);
+  const PlanNode& node = plan.node(plan.root());
+  nn::Vec root = featurizer.NodeFeatures(query, node);
   // EmbedSubtree fills both child terms of what it returns.
-  SubtreeEmbedding left = testing::EmbedSubtree(*env.net, env.featurizer,
-                                                env.query, qf, plan, sc);
-  SubtreeEmbedding right = testing::EmbedSubtree(*env.net, env.featurizer,
-                                                 env.query, qf, plan, p);
+  SubtreeEmbedding left =
+      testing::EmbedSubtree(net, featurizer, query, qf, plan, node.left);
+  SubtreeEmbedding right =
+      testing::EmbedSubtree(net, featurizer, query, qf, plan, node.right);
   std::vector<RootJob> batch(static_cast<size_t>(state.range(0)),
                              RootJob{&qf, &root, &left, &right});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env.net->ScoreRoots(batch));
+    benchmark::DoNotOptimize(net.ScoreRoots(batch));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ValueNetworkScoreRoots)->Arg(8)->Arg(32)->Arg(128);
 
-// The child terms a search computes before scoring a frontier: half the
-// batch as left children, half as right.
-void BM_ValueNetworkChildTerms(benchmark::State& state) {
-  MicroEnv& env = GlobalEnv();
-  Plan plan;
-  int s = plan.AddScan(0, ScanOp::kSeqScan);
-  int c = plan.AddScan(1, ScanOp::kSeqScan);
-  plan.set_root(plan.AddJoin(s, c, JoinOp::kHashJoin));
-  nn::Vec qf = env.featurizer.QueryFeatures(env.query);
+// The child terms a search computes before scoring a frontier, for
+// state.range(0) copies of `plan`'s root: half as left children, half as
+// right.
+void ChildTermsLoop(benchmark::State& state, const ValueNetwork& net,
+                    const Featurizer& featurizer, const Query& query,
+                    const Plan& plan) {
+  nn::Vec qf = featurizer.QueryFeatures(query);
   std::vector<SubtreeEmbedding> children(
       static_cast<size_t>(state.range(0)),
-      testing::EmbedSubtree(*env.net, env.featurizer, env.query, qf, plan));
+      testing::EmbedSubtree(net, featurizer, query, qf, plan));
   std::vector<TermJob> jobs;
   for (size_t i = 0; i < children.size(); ++i) {
     jobs.push_back({&children[i], static_cast<int>(i % 2)});
   }
   for (auto _ : state) {
-    env.net->ChildTerms(jobs);
+    net.ChildTerms(jobs);
     benchmark::DoNotOptimize(children.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+// The star fixture (4 tables, 64/32 hidden units): layer 2 dominates.
+void BM_ValueNetworkScoreRoots(benchmark::State& state) {
+  MicroEnv& env = GlobalEnv();
+  ScoreRootsLoop(state, *env.net, env.featurizer, env.query,
+                 LeftDeepPlan(3));
+}
+BENCHMARK(BM_ValueNetworkScoreRoots)->Arg(8)->Arg(32)->Arg(128);
+
+void BM_ValueNetworkChildTerms(benchmark::State& state) {
+  MicroEnv& env = GlobalEnv();
+  ChildTermsLoop(state, *env.net, env.featurizer, env.query, LeftDeepPlan(2));
+}
 BENCHMARK(BM_ValueNetworkChildTerms)->Arg(8)->Arg(32);
+
+// The JOB shapes, where layer 1 is most of the work: a 6-relation
+// left-deep root, and 2-relation joins as children.
+void BM_ValueNetworkScoreRootsJob(benchmark::State& state) {
+  JobEnv& env = GlobalJobEnv();
+  ScoreRootsLoop(state, *env.net, env.featurizer, *env.query,
+                 LeftDeepPlan(6));
+}
+BENCHMARK(BM_ValueNetworkScoreRootsJob)->Arg(8)->Arg(32)->Arg(128);
+
+void BM_ValueNetworkChildTermsJob(benchmark::State& state) {
+  JobEnv& env = GlobalJobEnv();
+  ChildTermsLoop(state, *env.net, env.featurizer, *env.query,
+                 LeftDeepPlan(2));
+}
+BENCHMARK(BM_ValueNetworkChildTermsJob)->Arg(8)->Arg(32);
 
 // One SGD epoch of ValueNetwork::Train over 256 simulator points (every
 // subtree of the star query's enumerated plans), in minibatches of 64;
@@ -217,23 +308,8 @@ void BM_FeaturizePlan(benchmark::State& state) {
 BENCHMARK(BM_FeaturizePlan);
 
 /// The largest JOB query the serving benchmarks send (at most 10
-/// relations); the JOB workload needs only its schema, not data.
-const Query& JobServingQuery() {
-  static const Workload* job = [] {
-    StatusOr<Schema> schema = BuildImdbLikeSchema();
-    BALSA_CHECK(schema.ok(), schema.status().ToString());
-    StatusOr<Workload> workload = GenerateJobWorkload(*schema);
-    BALSA_CHECK(workload.ok(), workload.status().ToString());
-    return new Workload(std::move(workload).value());
-  }();
-  const Query* best = &job->queries().front();
-  for (const Query& q : job->queries()) {
-    if (q.num_relations() <= 10 && q.num_relations() > best->num_relations()) {
-      best = &q;
-    }
-  }
-  return *best;
-}
+/// relations).
+const Query& JobServingQuery() { return *GlobalJobEnv().query; }
 
 void BM_CanonicalizeQuery(benchmark::State& state) {
   const Query& query = JobServingQuery();

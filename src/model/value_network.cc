@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "src/util/logging.h"
 
@@ -26,6 +28,13 @@ void ValueNetwork::InitWeights(uint64_t seed) {
   tc2_ = nn::TreeConvLayer(config_.tree_hidden1, config_.tree_hidden2, &rng);
   fc1_ = nn::Linear(config_.tree_hidden2, config_.mlp_hidden, &rng);
   fc2_ = nn::Linear(config_.mlp_hidden, 1, &rng);
+  TransposeLayer1();
+}
+
+void ValueNetwork::TransposeLayer1() {
+  tc1_wt_[0] = nn::Transpose(tc1_.wp());
+  tc1_wt_[1] = nn::Transpose(tc1_.wl());
+  tc1_wt_[2] = nn::Transpose(tc1_.wr());
 }
 
 std::vector<nn::Param*> ValueNetwork::Params() {
@@ -161,19 +170,57 @@ std::vector<double> ValueNetwork::ForwardBatch(
   return ForwardBatch(queries, plans);
 }
 
+namespace {
+
+// Layer 1's query terms W[:, :qd] q for one call, computed once per distinct
+// query and found again by pointer or by bytes: equal bytes give an equal
+// term, so a column may continue from any match.
+class QueryTerms {
+ public:
+  QueryTerms(const nn::Mat& wt, int query_dim) : wt_(wt), qd_(query_dim) {}
+
+  const nn::Vec& Of(const float* query) {
+    for (const auto& [q, term] : terms_) {
+      if (q == query || std::memcmp(q, query, sizeof(float) * qd_) == 0) {
+        return term;
+      }
+    }
+    nn::Vec term(static_cast<size_t>(wt_.cols), 0.f);
+    nn::GatherAdd(wt_, 0, query, qd_, term.data());
+    return terms_.emplace_back(query, std::move(term)).second;
+  }
+
+ private:
+  const nn::Mat& wt_;
+  const int qd_;
+  std::vector<std::pair<const float*, nn::Vec>> terms_;
+};
+
+}  // namespace
+
 std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
     const std::vector<RootJob>& jobs) const {
   const int n = static_cast<int>(jobs.size());
   std::vector<SubtreeEmbedding> out(static_cast<size_t>(n));
   if (n == 0) return out;
 
-  nn::Mat x(config_.query_dim + config_.node_dim, n);
+  // Layer 1's Wp (query ++ node) per column: the query's term, continued
+  // over the node's nonzero inputs (GatherAdd), bitwise the AddMatMul that
+  // ForwardWithTerms would run.
+  const int qd = config_.query_dim;
+  const int h1_rows = config_.tree_hidden1;
+  QueryTerms query_terms(tc1_wt_[0], qd);
+  nn::Mat h1(h1_rows, n);
+  nn::Vec product;
   for (int j = 0; j < n; ++j) {
     nn::Vec& in = out[j].input;
-    in.reserve(static_cast<size_t>(x.rows));
+    in.reserve(static_cast<size_t>(qd + config_.node_dim));
     in.assign(jobs[j].query->begin(), jobs[j].query->end());
     in.insert(in.end(), jobs[j].node->begin(), jobs[j].node->end());
-    for (int r = 0; r < x.rows; ++r) x.at(r, j) = in[r];
+    product = query_terms.Of(jobs[j].query->data());
+    nn::GatherAdd(tc1_wt_[0], qd, jobs[j].node->data(), config_.node_dim,
+                  product.data());
+    for (int r = 0; r < h1_rows; ++r) h1.at(r, j) = product[r];
   }
   // One side's cached terms for one layer: a child's terms hold the tc1
   // term, then the tc2 term from `offset` on.
@@ -197,9 +244,9 @@ std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
     return v;
   };
 
-  const size_t h1_dim = static_cast<size_t>(config_.tree_hidden1);
-  nn::Mat h1, pooled, m1, o;
-  tc1_.ForwardWithTerms(x, terms(0, 0), terms(1, 0), &h1);
+  const size_t h1_dim = static_cast<size_t>(h1_rows);
+  nn::Mat pooled, m1, o;
+  tc1_.AddTermsAndBias(terms(0, 0), terms(1, 0), &h1);
   nn::ReluMatForward(&h1);
   tc2_.ForwardWithTerms(h1, terms(0, h1_dim), terms(1, h1_dim), &pooled);
   nn::ReluMatForward(&pooled);
@@ -226,6 +273,8 @@ std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
 }
 
 void ValueNetwork::ChildTerms(const std::vector<TermJob>& jobs) const {
+  const int qd = config_.query_dim;
+  const int t1_rows = config_.tree_hidden1;
   for (int side : {0, 1}) {
     std::vector<SubtreeEmbedding*> children;
     for (const TermJob& job : jobs) {
@@ -233,24 +282,24 @@ void ValueNetwork::ChildTerms(const std::vector<TermJob>& jobs) const {
     }
     if (children.empty()) continue;
     const int m = static_cast<int>(children.size());
-    // Column k of `field` stacked over the children.
-    auto gather = [&](nn::Vec SubtreeEmbedding::*field, int rows) {
-      nn::Mat g(rows, m);
-      for (int k = 0; k < m; ++k) {
-        const nn::Vec& col = children[k]->*field;
-        for (int r = 0; r < rows; ++r) g.at(r, k) = col[r];
-      }
-      return g;
-    };
-    nn::Mat t1 = tc1_.ChildTerm(side, gather(&SubtreeEmbedding::input,
-                                             tc1_.in_dim()));
-    nn::Mat t2 =
-        tc2_.ChildTerm(side, gather(&SubtreeEmbedding::h1, tc2_.in_dim()));
+    // Layer 2's terms from the children's h1 columns stacked into one
+    // batch; layer 1's (Wl or Wr times the input) as ScoreRoots builds Wp's.
+    nn::Mat h1(tc2_.in_dim(), m);
     for (int k = 0; k < m; ++k) {
+      const nn::Vec& col = children[k]->h1;
+      for (int r = 0; r < h1.rows; ++r) h1.at(r, k) = col[r];
+    }
+    nn::Mat t2 = tc2_.ChildTerm(side, h1);
+    const nn::Mat& wt = tc1_wt_[1 + side];
+    QueryTerms query_terms(wt, qd);
+    for (int k = 0; k < m; ++k) {
+      const float* input = children[k]->input.data();
+      const nn::Vec& query_term = query_terms.Of(input);
       nn::Vec& term = children[k]->terms[side];
-      term.resize(static_cast<size_t>(t1.rows + t2.rows));
-      for (int r = 0; r < t1.rows; ++r) term[r] = t1.at(r, k);
-      for (int r = 0; r < t2.rows; ++r) term[t1.rows + r] = t2.at(r, k);
+      term.resize(static_cast<size_t>(t1_rows + t2.rows));
+      std::copy(query_term.begin(), query_term.end(), term.begin());
+      nn::GatherAdd(wt, qd, input + qd, config_.node_dim, term.data());
+      for (int r = 0; r < t2.rows; ++r) term[t1_rows + r] = t2.at(r, k);
     }
   }
 }
@@ -359,13 +408,16 @@ ValueNetwork::TrainResult ValueNetwork::Train(
     }
   }
   if (!val.empty()) restore();
+  TransposeLayer1();
   result.best_val_loss = val.empty() ? result.final_train_loss : best_val;
   return result;
 }
 
 Status ValueNetwork::CopyWeightsFrom(const ValueNetwork& other) {
   auto* mutable_other = const_cast<ValueNetwork*>(&other);
-  return nn::CopyParams(mutable_other->Params(), Params());
+  Status status = nn::CopyParams(mutable_other->Params(), Params());
+  TransposeLayer1();
+  return status;
 }
 
 Status ValueNetwork::Save(const std::string& path) {
@@ -373,7 +425,10 @@ Status ValueNetwork::Save(const std::string& path) {
 }
 
 Status ValueNetwork::Load(const std::string& path) {
-  return nn::LoadParams(Params(), path);
+  // A failed load may have read some of the weights before it stopped.
+  Status status = nn::LoadParams(Params(), path);
+  TransposeLayer1();
+  return status;
 }
 
 }  // namespace balsa

@@ -92,19 +92,24 @@ class ValueNetwork {
 
   /// Incremental scoring: embeds each job's root from its own input column
   /// and its children's cached terms, in one batched pass over the new
-  /// roots only. Bitwise equal to ForwardBatch over the whole subtree: the
-  /// root columns go through the same tree-conv kernel
-  /// (TreeConvLayer::ForwardWithTerms) with terms that ChildTerms computed
-  /// as ForwardBatch computes them, and pooled = max(root h2, children's
-  /// pooled) is DynamicMaxPool's value: post-ReLU values are never
-  /// negative, -0 or NaN, so their max does not depend on visiting order.
+  /// roots only. Bitwise equal to ForwardBatch over the whole subtree:
+  ///  - layer 1's Wp product is the query's term W[:, :qd] q, computed once
+  ///    per call for each distinct query, continued over the node's
+  ///    nonzero (mostly one-hot) inputs by nn::GatherAdd, which sums as
+  ///    AddMatMul does;
+  ///  - the rest of both tree-conv layers is TreeConvLayer's kernel
+  ///    (ForwardWithTerms) with terms that ChildTerms computed the same way;
+  ///  - pooled = max(root h2, children's pooled) is DynamicMaxPool's value:
+  ///    post-ReLU values are never negative, -0 or NaN, so their max does
+  ///    not depend on visiting order.
   /// Only reads the children, so concurrent calls may share them.
   std::vector<SubtreeEmbedding> ScoreRoots(
       const std::vector<RootJob>& jobs) const;
 
-  /// Fills each job's child->terms[side] (TreeConvLayer::ChildTerm of its
-  /// input and h1 columns), batched per side. A term is bitwise independent
-  /// of the rest of the batch.
+  /// Fills each job's child->terms[side]: layer 1's Wl (or Wr) times the
+  /// child's input, as ScoreRoots computes Wp's product, then layer 2's
+  /// TreeConvLayer::ChildTerm of the children's h1 columns, batched per
+  /// side. A term is bitwise independent of the rest of the batch.
   void ChildTerms(const std::vector<TermJob>& jobs) const;
 
   struct TrainOptions {
@@ -163,12 +168,19 @@ class ValueNetwork {
   std::vector<nn::Param*> Params();
   std::vector<const nn::Param*> Params() const;
 
+  /// Rebuilds tc1_wt_ from tc1_'s weights. Every write of the weights
+  /// (InitWeights, Train, Load, CopyWeightsFrom) ends with it.
+  void TransposeLayer1();
+
   double ToLabelSpace(double y) const;
   double FromLabelSpace(double z) const;
 
   ValueNetConfig config_;
   nn::TreeConvLayer tc1_, tc2_;
   nn::Linear fc1_, fc2_;
+  /// Transposes of tc1_'s Wp, Wl and Wr, which ScoreRoots and ChildTerms
+  /// gather weight columns from.
+  nn::Mat tc1_wt_[3];
 };
 
 }  // namespace balsa

@@ -108,6 +108,22 @@ void AddMatMul(const Mat& w, const Mat& x, Mat* y) {
   }
 }
 
+void GatherAdd(const Mat& wt, int first, const float* x, int k,
+               float* __restrict__ y) {
+  // A nonzero input adds w * x, AddMatMul's exact term (a one-hot 1 adds w
+  // itself). A zero input's product is +-0 when w is finite, and adding
+  // +-0 to a sum never changes it: the sum is nonzero, or it is +0, since
+  // a sum started at +0 can reach zero again only as +0 in
+  // round-to-nearest. So skipping zeros relies on finite weights.
+  const int rows = wt.cols;
+  for (int c = 0; c < k; ++c) {
+    const float v = x[c];
+    if (v == 0) continue;
+    const float* __restrict__ w = Row(wt, first + c);
+    for (int r = 0; r < rows; ++r) y[r] += w[r] * v;
+  }
+}
+
 void ReluMatForward(Mat* x) {
   for (float& v : x->data) v = v > 0 ? v : 0;
 }
@@ -225,6 +241,13 @@ void TreeConvLayer::ForwardWithTerms(const Mat& x, const TermColumns& left,
   out->cols = n;
   out->data.assign(static_cast<size_t>(out->rows) * n, 0.f);
   AddMatMul(wp_.value, x, out);
+  AddTermsAndBias(left, right, out);
+}
+
+void TreeConvLayer::AddTermsAndBias(const TermColumns& left,
+                                    const TermColumns& right,
+                                    Mat* out) const {
+  const int n = out->cols;
   // Each term is added whole, with a single add per element — the same
   // "+= acc" grouping Forward uses, so outputs match the per-item path.
   for (const TermColumns* side : {&left, &right}) {

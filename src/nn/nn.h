@@ -41,6 +41,16 @@ void MatVec(const Mat& w, const Vec& x, Vec* y);
 /// across independent batch columns, which is what makes batching fast.
 void AddMatMul(const Mat& w, const Mat& x, Mat* y);
 
+/// y += W[:, first : first + k] x over W's transpose `wt` (W's column c is
+/// wt's row c, contiguous over W's rows; y has wt.cols entries). Each
+/// element adds its terms in ascending column order, as AddMatMul does,
+/// but zero inputs are skipped. Started from +0, that is AddMatMul from a
+/// zeroed y, bitwise; continued from such a partial sum, it is AddMatMul
+/// over the longer column range. Layer 1 scores a column this way: the
+/// query prefix once per distinct query, then each node's mostly one-hot
+/// tail from a copy of that term.
+void GatherAdd(const Mat& wt, int first, const float* x, int k, float* y);
+
 /// In-place ReLU over a whole matrix (elementwise, same as ReluForward).
 void ReluMatForward(Mat* x);
 /// dy *= 1[y > 0] elementwise, where y is the post-ReLU activation.
@@ -141,6 +151,11 @@ class TreeConvLayer {
   /// same operations in the same order and match bitwise.
   void ForwardWithTerms(const Mat& x, const TermColumns& left,
                         const TermColumns& right, Mat* out) const;
+  /// ForwardWithTerms after its Wp x product, for a caller that computed
+  /// that product bitwise as AddMatMul does (see GatherAdd) into *out:
+  /// adds each column's left term, right term and b, in that order.
+  void AddTermsAndBias(const TermColumns& left, const TermColumns& right,
+                       Mat* out) const;
   /// Backward of ForwardBatch over the same columns, node-major as in
   /// Linear::BackwardBatch. Visits the columns j in order; each adds the
   /// outer products of dy[j] with x[j], x[left[j]] and x[right[j]] to the
@@ -159,6 +174,9 @@ class TreeConvLayer {
   }
   int in_dim() const { return wp_.value.cols; }
   int out_dim() const { return wp_.value.rows; }
+  const Mat& wp() const { return wp_.value; }
+  const Mat& wl() const { return wl_.value; }
+  const Mat& wr() const { return wr_.value; }
 
  private:
   Param wp_, wl_, wr_, b_;

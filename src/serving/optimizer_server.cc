@@ -430,10 +430,14 @@ OptimizerServer::RewarmReport OptimizerServer::Rewarm(int top_k) {
   }
   // Replans fan out over the pool; each takes a gate slot in PlanMiss, like
   // a client miss. The exemplars stay alive through `hot`'s shared
-  // entries. Pool threads carry no trace context: re-warm is not a client
-  // request (a lone replan runs inline, under the caller's context).
+  // entries. Each replan runs under the caller's trace context, whichever
+  // thread ParallelFor puts it on, so a traced re-warm records every
+  // replan's spans.
+  const obs::TraceContext* current = obs::CurrentTraceContext();
+  const obs::TraceContext context = current ? *current : obs::TraceContext{};
   std::vector<std::optional<StatusOr<CachedPlan>>> planned(stale.size());
   ParallelFor(&pool_, stale.size(), [&](size_t i) {
+    obs::ScopedTraceContext trace_scope(context);
     planned[i] = PlanMiss(*stale[i]->entry->exemplar, version);
   });
   for (size_t i = 0; i < stale.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,59 @@ Mat RandomMat(int rows, int cols, Rng* rng) {
   Mat m(rows, cols);
   for (float& v : m.data) v = static_cast<float>(rng->UniformDouble() * 2 - 1);
   return m;
+}
+
+// GatherAdd from +0 over a query prefix, then continued over a node tail,
+// against AddMatMul from a zeroed y over the same columns. memcmp, since
+// EXPECT_EQ would equate -0 with +0.
+TEST(GatherAddTest, MatchesAddMatMulFromZeroBitwise) {
+  Rng rng(17);
+  const int qd = 21, nd = 27;
+  const float tail[] = {0.f, 1.f, -0.f, 0.5f};
+  for (int rows : {1, 7, 32, 37}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Mat w = RandomMat(rows, qd + nd, &rng);
+      Mat x(qd + nd, 1);
+      for (int c = 0; c < qd; ++c) {
+        x.at(c, 0) =
+            rng.Uniform(3) == 0 ? 0.f : static_cast<float>(rng.UniformDouble());
+      }
+      for (int c = qd; c < qd + nd; ++c) x.at(c, 0) = tail[rng.Uniform(4)];
+      Mat wq(rows, qd), xq(qd, 1);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < qd; ++c) wq.at(r, c) = w.at(r, c);
+      }
+      for (int c = 0; c < qd; ++c) xq.at(c, 0) = x.at(c, 0);
+      Mat want_query(rows, 1), want(rows, 1);
+      AddMatMul(wq, xq, &want_query);
+      AddMatMul(w, x, &want);
+
+      const Mat wt = Transpose(w);
+      const size_t bytes = sizeof(float) * static_cast<size_t>(rows);
+      Vec got(static_cast<size_t>(rows), 0.f);
+      GatherAdd(wt, 0, x.data.data(), qd, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want_query.data.data(), bytes), 0)
+          << rows << " rows, trial " << trial;
+      GatherAdd(wt, qd, x.data.data() + qd, nd, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data.data(), bytes), 0)
+          << rows << " rows, trial " << trial;
+    }
+  }
+}
+
+// A sum that cancels to zero is +0, so the -0 products GatherAdd skips
+// (0.25 * -0 and -0.25 * 0) leave it +0, as adding them does in AddMatMul.
+TEST(GatherAddTest, SkippedZerosKeepACancelledSumPositive) {
+  Mat w(1, 4);
+  w.data = {0.5f, -0.5f, 0.25f, -0.25f};
+  Mat x(4, 1);
+  x.data = {1.f, 1.f, -0.f, 0.f};
+  Mat want(1, 1);
+  AddMatMul(w, x, &want);
+  Vec got(1, 0.f);
+  GatherAdd(Transpose(w), 0, x.data.data(), 4, got.data());
+  EXPECT_FALSE(std::signbit(want.data[0]));
+  EXPECT_EQ(std::memcmp(got.data(), want.data.data(), sizeof(float)), 0);
 }
 
 double SumSquares(const Mat& m) {

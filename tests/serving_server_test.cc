@@ -337,6 +337,37 @@ TEST_F(OptimizerServerTest, RewarmRefreshesHottestEntriesAfterBump) {
   EXPECT_EQ(again.fresh, 2);
 }
 
+// A re-warm under a trace records every replan's slot wait and beam search,
+// whether ParallelFor runs its replans inline (one stale entry) or on the
+// server's pool threads (several).
+TEST_F(OptimizerServerTest, TracedRewarmRecordsEveryReplan) {
+  OptimizerServerOptions options = SmallOptions();
+  options.num_planning_threads = 2;
+  options.trace.sample_every = 1;
+  auto server = MakeServer(options);
+  for (int64_t region = 0; region < 3; ++region) {
+    ASSERT_TRUE(server->Optimize(StarVariant(region)).ok());
+  }
+  for (int top_k : {1, 3}) {
+    fixture_.oracle->BumpGeneration();
+    std::shared_ptr<obs::Trace> trace = server->tracer()->MaybeStartTrace();
+    ASSERT_NE(trace, nullptr);
+    OptimizerServer::RewarmReport report;
+    {
+      obs::ScopedTraceContext scope(server->tracer(), trace);
+      report = server->Rewarm(top_k);
+    }
+    ASSERT_EQ(report.replanned, top_k);
+    int beam_searches = 0, queue_waits = 0;
+    for (const obs::TraceSpan& span : trace->spans()) {
+      beam_searches += span.stage == obs::TraceStage::kBeamSearch;
+      queue_waits += span.stage == obs::TraceStage::kQueueWait;
+    }
+    EXPECT_EQ(beam_searches, top_k) << "top_k " << top_k;
+    EXPECT_EQ(queue_waits, top_k) << "top_k " << top_k;
+  }
+}
+
 // The acceptance criterion for the request tracer: one served request,
 // followed by executing its plan under the same trace, yields a single
 // trace whose spans cover the whole stack — serving (fingerprint, cache

@@ -1,6 +1,7 @@
 #include "src/model/value_network.h"
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -150,6 +151,84 @@ TEST(ValueNetworkTest, SaveLoadRoundTrip) {
   nn::Vec q(4, 0.4f);
   auto plan = Join(6, 0.7f, 0.1f);
   EXPECT_EQ(a.Predict(q, plan), b.Predict(q, plan));
+}
+
+// ScoreRoots and ChildTerms read a transposed copy of layer 1's weights.
+// After each way the weights are written, incremental scoring of a fresh
+// leaf and of a join over two leaves equals the dense Predict bit for bit.
+class LayerOneRefreshTest : public ::testing::Test {
+ protected:
+  static uint64_t Bits(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+  }
+
+  static void ExpectScoreRootsMatchesPredict(const ValueNetwork& net) {
+    // One-hot node features; the query has a zero slot.
+    const nn::Vec q = {0.25f, 0.f, 0.75f, 1e-6f};
+    const nn::Vec a = {1, 0, 0, 1, 0, 0};
+    const nn::Vec b = {0, 1, 0, 0, 1, 0};
+    const nn::Vec join = {0, 0, 1, 1, 1, 0};
+    SubtreeEmbedding left = net.ScoreRoots({{&q, &a, nullptr, nullptr}})[0];
+    SubtreeEmbedding right = net.ScoreRoots({{&q, &b, nullptr, nullptr}})[0];
+    net.ChildTerms({{&left, 0}, {&right, 1}});
+    const double joined = net.ScoreRoots({{&q, &join, &left, &right}})[0].score;
+
+    nn::TreeSample leaf_plan;
+    leaf_plan.features = {a};
+    leaf_plan.left = {-1};
+    leaf_plan.right = {-1};
+    nn::TreeSample join_plan;
+    join_plan.features = {join, a, b};
+    join_plan.left = {1, -1, -1};
+    join_plan.right = {2, -1, -1};
+    EXPECT_EQ(Bits(left.score), Bits(net.Predict(q, leaf_plan)));
+    EXPECT_EQ(Bits(joined), Bits(net.Predict(q, join_plan)));
+  }
+};
+
+TEST_F(LayerOneRefreshTest, AfterTrain) {
+  ValueNetwork net(SmallConfig());
+  std::vector<TrainingPoint> data;
+  for (int i = 0; i < 20; ++i) {
+    TrainingPoint pt;
+    pt.query = nn::Vec(4, static_cast<float>(i) / 20.f);
+    pt.plan = Join(6, static_cast<float>(i % 2), 1.f);
+    pt.label = 10.0 + 50.0 * i;
+    data.push_back(std::move(pt));
+  }
+  ValueNetwork::TrainOptions opts;
+  opts.max_epochs = 5;
+  opts.val_fraction = 0.2;  // ends with restoring the best weights
+  net.Train(data, opts);
+  ExpectScoreRootsMatchesPredict(net);
+}
+
+TEST_F(LayerOneRefreshTest, AfterLoad) {
+  ValueNetwork a(SmallConfig());
+  ValueNetConfig cfg = SmallConfig();
+  cfg.init_seed = 55;
+  ValueNetwork b(cfg);
+  const std::string path = ::testing::TempDir() + "/layer_one_refresh.bin";
+  ASSERT_TRUE(a.Save(path).ok());
+  ASSERT_TRUE(b.Load(path).ok());
+  ExpectScoreRootsMatchesPredict(b);
+}
+
+TEST_F(LayerOneRefreshTest, AfterCopyWeightsFrom) {
+  ValueNetwork a(SmallConfig());
+  ValueNetConfig cfg = SmallConfig();
+  cfg.init_seed = 99;
+  ValueNetwork b(cfg);
+  ASSERT_TRUE(b.CopyWeightsFrom(a).ok());
+  ExpectScoreRootsMatchesPredict(b);
+}
+
+TEST_F(LayerOneRefreshTest, AfterInitWeights) {
+  ValueNetwork net(SmallConfig());
+  net.InitWeights(12345);
+  ExpectScoreRootsMatchesPredict(net);
 }
 
 TEST(ValueNetworkTest, RawLabelSpaceSupported) {
