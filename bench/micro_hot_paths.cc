@@ -175,23 +175,32 @@ Plan LeftDeepPlan(int n) {
 }
 
 // `plan`'s root scored the way beam search scores it: only the root join,
-// from its children's cached embeddings and child terms, state.range(0)
-// copies per call.
+// from its children's cached rows and child terms, state.range(0) copies
+// per call.
 void ScoreRootsLoop(benchmark::State& state, const ValueNetwork& net,
                     const Featurizer& featurizer, const Query& query,
                     const Plan& plan) {
   nn::Vec qf = featurizer.QueryFeatures(query);
+  nn::Vec term = testing::QueryTermOf(net, qf);
   const PlanNode& node = plan.node(plan.root());
   nn::Vec root = featurizer.NodeFeatures(query, node);
   // EmbedSubtree fills both child terms of what it returns.
-  SubtreeEmbedding left =
+  testing::Embedding left =
       testing::EmbedSubtree(net, featurizer, query, qf, plan, node.left);
-  SubtreeEmbedding right =
+  testing::Embedding right =
       testing::EmbedSubtree(net, featurizer, query, qf, plan, node.right);
-  std::vector<RootJob> batch(static_cast<size_t>(state.range(0)),
-                             RootJob{&qf, &root, &left, &right});
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t stride = static_cast<size_t>(net.row_layout().stride);
+  std::vector<float> rows(n * stride);
+  std::vector<double> scores(n);
+  std::vector<RootJob> batch;
+  for (size_t i = 0; i < n; ++i) {
+    batch.push_back({term.data(), root.data(), left.row.data(),
+                     right.row.data(), &rows[i * stride], &scores[i]});
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.ScoreRoots(batch));
+    net.ScoreRoots(batch);
+    benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -203,12 +212,15 @@ void ChildTermsLoop(benchmark::State& state, const ValueNetwork& net,
                     const Featurizer& featurizer, const Query& query,
                     const Plan& plan) {
   nn::Vec qf = featurizer.QueryFeatures(query);
-  std::vector<SubtreeEmbedding> children(
+  nn::Vec term = testing::QueryTermOf(net, qf);
+  nn::Vec feat = featurizer.NodeFeatures(query, plan.node(plan.root()));
+  std::vector<testing::Embedding> children(
       static_cast<size_t>(state.range(0)),
       testing::EmbedSubtree(net, featurizer, query, qf, plan));
   std::vector<TermJob> jobs;
   for (size_t i = 0; i < children.size(); ++i) {
-    jobs.push_back({&children[i], static_cast<int>(i % 2)});
+    jobs.push_back({term.data(), feat.data(), children[i].row.data(),
+                    static_cast<int>(i % 2)});
   }
   for (auto _ : state) {
     net.ChildTerms(jobs);
@@ -284,6 +296,22 @@ void BM_BeamSearchPlanQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BeamSearchPlanQuery)->Args({5, 1})->Args({20, 10});
+
+// One miss's beam search at serve_miss's shapes: the JOB query with the most
+// relations up to 10, a 32/16/16 network, beam 10, top-k 5.
+void BM_BeamSearchPlanQueryJob(benchmark::State& state) {
+  JobEnv& env = GlobalJobEnv();
+  PlannerOptions options;
+  options.beam_size = 10;
+  options.top_k = 5;
+  BeamSearchPlanner planner(&env.schema, &env.featurizer, env.net.get(),
+                            options);
+  for (auto _ : state) {
+    auto result = planner.TopK(*env.query);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_BeamSearchPlanQueryJob);
 
 void BM_DpOptimize(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();

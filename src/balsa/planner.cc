@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "src/cost/cost_model.h"
 
@@ -11,58 +10,169 @@ namespace balsa {
 
 namespace {
 
-// What a search keeps of one subtree besides its root node.
+// What a thread's workspace may hold between searches. JOB searches stay
+// well below it (under 1 MB with a 64/32/32 network); a search that grew
+// the workspace past it frees the workspace when it ends.
+constexpr size_t kRetainedBytes = size_t{4} << 20;
+
+template <typename T>
+size_t Bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+// An open-addressing table from 64-bit fingerprints to ids: linear probing,
+// at most half full. Clear() keeps its slots.
+class FingerprintTable {
+ public:
+  // The id stored under `key`, storing `id` there first if the key is
+  // absent; the bool is true when it was.
+  std::pair<int, bool> Insert(uint64_t key, int id) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(key) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id < 0) {
+        slot = {key, id};
+        ++size_;
+        return {id, true};
+      }
+      if (slot.key == key) return {slot.id, false};
+    }
+  }
+
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+
+  size_t Bytes() const { return balsa::Bytes(slots_); }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    int id = -1;  // -1: empty
+  };
+
+  static size_t Hash(uint64_t key) {
+    key ^= key >> 33;
+    key *= 0xFF51AFD7ED558CCDULL;
+    return static_cast<size_t>(key ^ (key >> 33));
+  }
+
+  void Grow() {
+    std::vector<Slot> old;
+    old.swap(slots_);
+    slots_.resize(std::max<size_t>(64, 2 * old.size()));
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.id >= 0) Insert(slot.key, slot.id);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
+// What a search keeps of one subtree besides its root node, its embedding
+// row and its node features.
 struct Subtree {
   uint64_t fingerprint = 0;
   bool scored = false;                // set when queued for scoring
   bool has_term[2] = {false, false};  // set when queued for ChildTerms
-  SubtreeEmbedding embedding;  // only the score without batch_scoring
+  double score = 0;
 };
 
 // The hash-consed subtrees of one search. States share subtrees by id, so
 // each subtree is built, fingerprinted and scored once per search however
 // many states hold it. A subtree's id is its root's index in a forest plan,
-// whose join nodes point at their children's ids. Ids stay valid as the
-// arena grows; references from at() do not.
+// whose join nodes point at their children's ids, and its row in the
+// embedding table. Ids stay valid as the arena grows; references from at()
+// and pointers from row() and node_features() do not.
 class SubtreeArena {
  public:
+  // Empties the arena for a search with `stride`-float embedding rows and
+  // `node_dim`-float node features, keeping capacity.
+  void Reset(int stride, int node_dim) {
+    stride_ = static_cast<size_t>(stride);
+    node_dim_ = static_cast<size_t>(node_dim);
+    forest_.Clear();
+    subtrees_.clear();
+    rows_.clear();
+    node_features_.clear();
+    ids_.Clear();
+  }
+
+  size_t Bytes() const {
+    return balsa::Bytes(forest_.nodes()) + balsa::Bytes(subtrees_) +
+           balsa::Bytes(rows_) + balsa::Bytes(node_features_) + ids_.Bytes();
+  }
+
   int Leaf(int relation, ScanOp op) {
-    auto [it, inserted] = ids_.try_emplace(
-        Plan::LeafFingerprint(relation, op), forest_.num_nodes());
-    if (inserted) Add(forest_.AddScan(relation, op), it->first);
-    return it->second;
+    const uint64_t fp = Plan::LeafFingerprint(relation, op);
+    auto [id, inserted] = ids_.Insert(fp, forest_.num_nodes());
+    if (inserted) {
+      forest_.AddScan(relation, op);
+      Add(fp);
+    }
+    return id;
   }
 
   int Join(JoinOp op, int left, int right) {
-    auto [it, inserted] = ids_.try_emplace(
-        Plan::JoinFingerprint(op, at(left).fingerprint, at(right).fingerprint),
-        forest_.num_nodes());
-    if (inserted) Add(forest_.AddJoin(left, right, op), it->first);
-    return it->second;
+    const uint64_t fp =
+        Plan::JoinFingerprint(op, at(left).fingerprint, at(right).fingerprint);
+    auto [id, inserted] = ids_.Insert(fp, forest_.num_nodes());
+    if (inserted) {
+      forest_.AddJoin(left, right, op);
+      Add(fp);
+    }
+    return id;
   }
 
   const PlanNode& node(int id) const { return forest_.node(id); }
   Subtree& at(int id) { return subtrees_[id]; }
-  const Subtree& at(int id) const { return subtrees_[id]; }
+  float* row(int id) { return &rows_[id * stride_]; }
+  float* node_features(int id) { return &node_features_[id * node_dim_]; }
 
   // The subtree as a standalone plan, copied in postorder: ComposeJoin's
   // node layout.
   Plan ToPlan(int id) const { return ExtractSubtree(forest_, id); }
 
  private:
-  void Add(int id, uint64_t fingerprint) {
-    subtrees_.emplace_back();
-    subtrees_[id].fingerprint = fingerprint;
+  // The entries of the forest node just added.
+  void Add(uint64_t fingerprint) {
+    subtrees_.push_back({fingerprint});
+    rows_.resize(rows_.size() + stride_);
+    node_features_.resize(node_features_.size() + node_dim_);
   }
 
+  size_t stride_ = 0;
+  size_t node_dim_ = 0;
   Plan forest_;
-  std::vector<Subtree> subtrees_;          // by id
-  std::unordered_map<uint64_t, int> ids_;  // fingerprint -> id
+  // By id:
+  std::vector<Subtree> subtrees_;
+  std::vector<float> rows_;           // embedding rows, stride_ floats each
+  std::vector<float> node_features_;  // written when queued for scoring
+  FingerprintTable ids_;              // fingerprint -> id
 };
 
+// A search state: `length` arena ids at `offset` of the workspace's id
+// pool (its partial plans), and the max of their scores (a state runs at
+// least this long).
 struct State {
-  std::vector<int> ids;  // arena ids of the state's partial plans
-  double score = 0;      // max over them (a state runs at least this long)
+  size_t offset = 0;
+  int length = 0;
+  double score = 0;
+};
+
+// A frontier child: state entries i and j replaced by their join.
+struct Child {
+  int i, j, joined;
+};
+
+// A complete plan found; it becomes a Plan only if it is among the k best.
+struct Complete {
+  int id;
+  double score;
 };
 
 // Order-insensitive identity of a state from its subtree fingerprints;
@@ -78,26 +188,77 @@ uint64_t Signature(std::vector<uint64_t>* fps) {
 
 }  // namespace
 
+struct BeamSearchPlanner::Workspace {
+  SubtreeArena arena;
+  FingerprintTable visited;  // state signatures
+  FingerprintTable emitted;  // complete-plan fingerprints
+  std::vector<float> query_term;
+  std::vector<int> pool, next_pool;  // the beam's ids; next_pool compacts
+  std::vector<State> beam;
+  std::vector<Child> children;
+  std::vector<Complete> complete;
+  std::vector<uint64_t> fps;  // signature scratch
+  // One scoring call's subtrees, and the jobs for them.
+  std::vector<int> pending, need;
+  std::vector<TermJob> terms;
+  std::vector<RootJob> jobs;
+
+  void Reset(int stride, int node_dim) {
+    arena.Reset(stride, node_dim);
+    visited.Clear();
+    emitted.Clear();
+    pool.clear();
+    beam.clear();
+    complete.clear();
+  }
+
+  // The heap the workspace holds.
+  size_t Bytes() const {
+    return arena.Bytes() + visited.Bytes() + emitted.Bytes() +
+           balsa::Bytes(query_term) + balsa::Bytes(pool) +
+           balsa::Bytes(next_pool) + balsa::Bytes(beam) +
+           balsa::Bytes(children) + balsa::Bytes(complete) +
+           balsa::Bytes(fps) + balsa::Bytes(pending) + balsa::Bytes(need) +
+           balsa::Bytes(terms) + balsa::Bytes(jobs);
+  }
+};
+
 StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
     const Query& query, Rng* rng) const {
   auto start = std::chrono::steady_clock::now();
-  PlanningResult result;
   if (options_.epsilon_collapse > 0 && rng == nullptr) {
     return Status::InvalidArgument("epsilon_collapse requires an rng");
   }
+  thread_local Workspace ws;
+  PlanningResult result;
+  Status status = Search(query, rng, &ws, &result);
+  if (ws.Bytes() > kRetainedBytes) ws = Workspace();
+  if (!status.ok()) return status;
+  auto end = std::chrono::steady_clock::now();
+  result.planning_time_ms =
+      std::chrono::duration<double, std::milli>(end - start).count();
+  return result;
+}
 
-  nn::Vec query_feat = featurizer_->QueryFeatures(query);
-  SubtreeArena arena;
+Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
+                                 PlanningResult* result) const {
+  ws->Reset(network_->row_layout().stride, featurizer_->node_dim());
+  SubtreeArena& arena = ws->arena;
+  const nn::Vec query_feat = featurizer_->QueryFeatures(query);
+  ws->query_term.resize(static_cast<size_t>(network_->query_term_dim()));
+  network_->QueryTerm(query_feat.data(), ws->query_term.data());
+  const float* query_term = ws->query_term.data();
 
-  // Scores every subtree in `pending` not scored yet — in one batched
+  // Scores every subtree in ws->pending not scored yet — in one batched
   // root-only pass (batch_scoring) or one full Predict per plan. Both paths
   // produce identical scores (the batched kernels accumulate in MatVec's
   // exact order), so the search below is oblivious to the mode. Every
   // child of a pending join must already be scored.
-  auto score_pending = [&](const std::vector<int>& pending) {
-    result.scored_states += static_cast<int64_t>(pending.size());
-    std::vector<int> need;
-    for (int id : pending) {
+  auto score_pending = [&] {
+    result->scored_states += static_cast<int64_t>(ws->pending.size());
+    std::vector<int>& need = ws->need;
+    need.clear();
+    for (int id : ws->pending) {
       Subtree& s = arena.at(id);
       if (s.scored) continue;
       s.scored = true;
@@ -107,136 +268,131 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
     if (options_.batch_scoring) {
       // Fill the child terms the new roots read first, so scoring only
       // reads children.
-      std::vector<TermJob> terms;
+      ws->terms.clear();
       for (int id : need) {
         const PlanNode& root = arena.node(id);
         if (!root.is_join) continue;
         for (int side : {0, 1}) {
-          Subtree& child = arena.at(side == 0 ? root.left : root.right);
-          if (child.has_term[side]) continue;
-          child.has_term[side] = true;
-          terms.push_back({&child.embedding, side});
+          const int child = side == 0 ? root.left : root.right;
+          Subtree& s = arena.at(child);
+          if (s.has_term[side]) continue;
+          s.has_term[side] = true;
+          ws->terms.push_back({query_term, arena.node_features(child),
+                               arena.row(child), side});
         }
       }
-      network_->ChildTerms(terms);
-      result.child_terms += static_cast<int64_t>(terms.size());
+      network_->ChildTerms(ws->terms);
+      result->child_terms += static_cast<int64_t>(ws->terms.size());
 
-      std::vector<nn::Vec> node_feats;
-      node_feats.reserve(need.size());
-      std::vector<RootJob> jobs(need.size());
-      for (size_t i = 0; i < need.size(); ++i) {
-        const PlanNode& root = arena.node(need[i]);
-        node_feats.push_back(featurizer_->NodeFeatures(query, root));
-        jobs[i].query = &query_feat;
-        jobs[i].node = &node_feats.back();
+      ws->jobs.clear();
+      for (int id : need) {
+        const PlanNode& root = arena.node(id);
+        float* features = arena.node_features(id);
+        featurizer_->NodeFeatures(query, root, features);
+        RootJob job{query_term, features, nullptr, nullptr, arena.row(id),
+                    &arena.at(id).score};
         if (root.is_join) {
-          jobs[i].left = &arena.at(root.left).embedding;
-          jobs[i].right = &arena.at(root.right).embedding;
+          job.left = arena.row(root.left);
+          job.right = arena.row(root.right);
         }
+        ws->jobs.push_back(job);
       }
-      std::vector<SubtreeEmbedding> scored =
-          service_ ? service_->ScoreRoots(jobs) : network_->ScoreRoots(jobs);
-      for (size_t i = 0; i < need.size(); ++i) {
-        arena.at(need[i]).embedding = std::move(scored[i]);
+      if (service_) {
+        service_->ScoreRoots(ws->jobs);
+      } else {
+        network_->ScoreRoots(ws->jobs);
       }
-      result.batch_calls++;
+      result->batch_calls++;
     } else {
       for (int id : need) {
-        arena.at(id).embedding.score = network_->Predict(
+        arena.at(id).score = network_->Predict(
             query_feat, featurizer_->PlanFeatures(query, arena.ToPlan(id)));
-        result.batch_calls++;
+        result->batch_calls++;
       }
     }
-    result.network_evals += static_cast<int64_t>(need.size());
+    result->network_evals += static_cast<int64_t>(need.size());
   };
 
   // Per relation: the scan variants a join side can use, and the index
   // scan an index nested-loop join probes its inner leaf with (ComposeJoin's
   // rewrite) when some join column of the relation is indexed. All are
-  // interned and embedded up front, in one call.
+  // interned and embedded up front, in one call. A Query has at most
+  // TableSet::kCapacity relations.
   const int num_rels = query.num_relations();
-  std::vector<std::vector<int>> leaf_variants(static_cast<size_t>(num_rels));
-  std::vector<int> index_inner(static_cast<size_t>(num_rels), -1);
-  {
-    std::vector<int> pending;
-    for (int rel = 0; rel < num_rels; ++rel) {
-      std::vector<int>& variants = leaf_variants[rel];
-      variants.push_back(arena.Leaf(rel, ScanOp::kSeqScan));
-      if (options_.enable_index_scan &&
-          IndexScanEffective(*schema_, query, rel)) {
-        variants.push_back(arena.Leaf(rel, ScanOp::kIndexScan));
-      }
-      pending.insert(pending.end(), variants.begin(), variants.end());
-      if (options_.enable_index_nl_join &&
-          IndexNLValid(*schema_, query, query.AllTables().Without(rel), rel)) {
-        index_inner[rel] = arena.Leaf(rel, ScanOp::kIndexScan);
-        if (variants.size() == 1) pending.push_back(index_inner[rel]);
-      }
+  int leaf_variants[TableSet::kCapacity][2];
+  int num_variants[TableSet::kCapacity];
+  int index_inner[TableSet::kCapacity];
+  ws->pending.clear();
+  for (int rel = 0; rel < num_rels; ++rel) {
+    int* variants = leaf_variants[rel];
+    num_variants[rel] = 0;
+    variants[num_variants[rel]++] = arena.Leaf(rel, ScanOp::kSeqScan);
+    if (options_.enable_index_scan &&
+        IndexScanEffective(*schema_, query, rel)) {
+      variants[num_variants[rel]++] = arena.Leaf(rel, ScanOp::kIndexScan);
     }
-    score_pending(pending);
+    ws->pending.insert(ws->pending.end(), variants,
+                       variants + num_variants[rel]);
+    index_inner[rel] = -1;
+    if (options_.enable_index_nl_join &&
+        IndexNLValid(*schema_, query, query.AllTables().Without(rel), rel)) {
+      index_inner[rel] = arena.Leaf(rel, ScanOp::kIndexScan);
+      if (num_variants[rel] == 1) ws->pending.push_back(index_inner[rel]);
+    }
   }
+  score_pending();
 
   // Root state: every relation as an unjoined sequential scan.
-  State root;
+  State root{0, num_rels, 0};
   for (int rel = 0; rel < num_rels; ++rel) {
-    root.ids.push_back(leaf_variants[rel][0]);
-    root.score =
-        std::max(root.score, arena.at(root.ids.back()).embedding.score);
+    ws->pool.push_back(leaf_variants[rel][0]);
+    root.score = std::max(root.score, arena.at(ws->pool.back()).score);
   }
   if (num_rels == 1) {
-    result.plans.push_back({arena.ToPlan(root.ids[0]), root.score});
-    auto end = std::chrono::steady_clock::now();
-    result.planning_time_ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    return result;
+    result->plans.reserve(1);
+    result->plans.push_back({arena.ToPlan(ws->pool[0]), root.score});
+    return Status::OK();
   }
 
-  std::vector<JoinOp> join_ops;  // index-NL is added per pair
-  if (options_.enable_hash_join) join_ops.push_back(JoinOp::kHashJoin);
-  if (options_.enable_merge_join) join_ops.push_back(JoinOp::kMergeJoin);
-  if (options_.enable_nl_join) join_ops.push_back(JoinOp::kNLJoin);
+  JoinOp join_ops[3];  // index-NL is added per pair
+  int num_join_ops = 0;
+  if (options_.enable_hash_join) join_ops[num_join_ops++] = JoinOp::kHashJoin;
+  if (options_.enable_merge_join) {
+    join_ops[num_join_ops++] = JoinOp::kMergeJoin;
+  }
+  if (options_.enable_nl_join) join_ops[num_join_ops++] = JoinOp::kNLJoin;
 
-  std::vector<State> beam{std::move(root)};
-  std::unordered_set<uint64_t> visited;
-  std::unordered_set<uint64_t> emitted;  // complete-plan fingerprints
-  // Complete plans found; each becomes a Plan only if it is among the k
-  // best.
-  struct Complete {
-    int id;
-    double score;
+  std::vector<State>& beam = ws->beam;
+  beam.push_back(root);
+  std::vector<Complete>& complete = ws->complete;
+  std::vector<int>& pool = ws->pool;
+  auto by_score = [](const State& a, const State& b) {
+    return a.score < b.score;
   };
-  std::vector<Complete> complete;
-  std::vector<uint64_t> fps;  // signature scratch
   int expansions = 0;
 
   while (!beam.empty() &&
          static_cast<int>(complete.size()) < options_.top_k &&
          expansions < options_.max_expansions) {
     // Pop the best state.
-    auto best_it =
-        std::min_element(beam.begin(), beam.end(),
-                         [](const State& a, const State& b) {
-                           return a.score < b.score;
-                         });
-    State state = std::move(*best_it);
+    auto best_it = std::min_element(beam.begin(), beam.end(), by_score);
+    const State state = *best_it;
     beam.erase(best_it);
     expansions++;
+    const int n = state.length;
+    auto id_at = [&](int x) { return pool[state.offset + x]; };
 
     // Build the expansion frontier structurally: each child state replaces
     // entries i and j of `state` with their new join, scored below in one
     // batch.
-    struct Child {
-      int i, j, joined;
-    };
-    std::vector<Child> children;
-    const int n = static_cast<int>(state.ids.size());
+    ws->children.clear();
 
     // Left-deep mode: once a multi-relation plan exists, it must be the
     // outer side of every further join.
     int forced_left = -1;
     if (!options_.bushy) {
       for (int i = 0; i < n; ++i) {
-        if (arena.node(state.ids[i]).tables.size() > 1) forced_left = i;
+        if (arena.node(id_at(i)).tables.size() > 1) forced_left = i;
       }
     }
 
@@ -244,33 +400,36 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
       if (forced_left >= 0 && i != forced_left) continue;
       for (int j = 0; j < n; ++j) {
         if (i == j) continue;
-        const TableSet left = arena.node(state.ids[i]).tables;
-        const TableSet right = arena.node(state.ids[j]).tables;
+        const TableSet left = arena.node(id_at(i)).tables;
+        const TableSet right = arena.node(id_at(j)).tables;
         if (!options_.bushy && right.size() > 1) continue;
         if (!query.CanJoin(left, right)) continue;
 
         // A base relation joins as any of its scan variants (a state holds
-        // it as its sequential scan); a joined subtree as itself.
+        // it as its sequential scan); a joined subtree as itself. The pool
+        // does not change while the frontier is built.
         const bool left_is_leaf = left.size() == 1;
         const bool right_is_leaf = right.size() == 1;
-        const std::vector<int>* lv =
-            left_is_leaf ? &leaf_variants[left.First()] : nullptr;
-        const std::vector<int>* rv =
-            right_is_leaf ? &leaf_variants[right.First()] : nullptr;
-        const int* lefts = lv ? lv->data() : &state.ids[i];
-        const size_t num_lefts = lv ? lv->size() : 1;
-        const int* rights = rv ? rv->data() : &state.ids[j];
-        const size_t num_rights = rv ? rv->size() : 1;
+        const int* lefts = left_is_leaf ? leaf_variants[left.First()]
+                                        : &pool[state.offset + i];
+        const int num_lefts = left_is_leaf ? num_variants[left.First()] : 1;
+        const int* rights = right_is_leaf ? leaf_variants[right.First()]
+                                          : &pool[state.offset + j];
+        const int num_rights =
+            right_is_leaf ? num_variants[right.First()] : 1;
 
         auto add_children = [&](JoinOp op, const int* inners,
-                                size_t num_inners) {
-          for (size_t li = 0; li < num_lefts; ++li) {
-            for (size_t ri = 0; ri < num_inners; ++ri) {
-              children.push_back({i, j, arena.Join(op, lefts[li], inners[ri])});
+                                int num_inners) {
+          for (int li = 0; li < num_lefts; ++li) {
+            for (int ri = 0; ri < num_inners; ++ri) {
+              ws->children.push_back(
+                  {i, j, arena.Join(op, lefts[li], inners[ri])});
             }
           }
         };
-        for (JoinOp op : join_ops) add_children(op, rights, num_rights);
+        for (int k = 0; k < num_join_ops; ++k) {
+          add_children(join_ops[k], rights, num_rights);
+        }
         // Index-NL probes its inner leaf through an index; scan variants of
         // the inner are meaningless for it.
         if (options_.enable_index_nl_join && right_is_leaf &&
@@ -281,61 +440,67 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
     }
 
     // Score the frontier's new join roots (one ScoreRoots in batch mode).
-    {
-      std::vector<int> pending;
-      pending.reserve(children.size());
-      for (const Child& child : children) pending.push_back(child.joined);
-      score_pending(pending);
+    ws->pending.clear();
+    for (const Child& child : ws->children) {
+      ws->pending.push_back(child.joined);
     }
+    score_pending();
 
     // A child state holds the state's other entries, then the new join.
     // Only unseen incomplete ones are built.
-    for (const Child& child : children) {
+    for (const Child& child : ws->children) {
       const Subtree& joined = arena.at(child.joined);
       if (n == 2) {
-        if (emitted.insert(joined.fingerprint).second) {
-          complete.push_back({child.joined, joined.embedding.score});
+        if (ws->emitted.Insert(joined.fingerprint, 0).second) {
+          complete.push_back({child.joined, joined.score});
         }
         continue;
       }
-      fps.clear();
+      ws->fps.clear();
       for (int x = 0; x < n; ++x) {
         if (x != child.i && x != child.j) {
-          fps.push_back(arena.at(state.ids[x]).fingerprint);
+          ws->fps.push_back(arena.at(id_at(x)).fingerprint);
         }
       }
-      fps.push_back(joined.fingerprint);
-      if (!visited.insert(Signature(&fps)).second) continue;
-      State next;
-      next.ids.reserve(static_cast<size_t>(n) - 1);
+      ws->fps.push_back(joined.fingerprint);
+      if (!ws->visited.Insert(Signature(&ws->fps), 0).second) continue;
+      State next{pool.size(), n - 1, 0};
       for (int x = 0; x < n; ++x) {
         if (x != child.i && x != child.j) {
-          next.ids.push_back(state.ids[x]);
-          next.score =
-              std::max(next.score, arena.at(state.ids[x]).embedding.score);
+          const int id = id_at(x);
+          pool.push_back(id);
+          next.score = std::max(next.score, arena.at(id).score);
         }
       }
-      next.ids.push_back(child.joined);
-      next.score = std::max(next.score, joined.embedding.score);
-      beam.push_back(std::move(next));
+      pool.push_back(child.joined);
+      next.score = std::max(next.score, joined.score);
+      beam.push_back(next);
     }
 
     // epsilon-greedy beam collapse (ablation arm, §8.3.3).
     if (options_.epsilon_collapse > 0 && !beam.empty() &&
         rng->Bernoulli(options_.epsilon_collapse)) {
-      State kept = std::move(beam[rng->Uniform(beam.size())]);
+      const State kept = beam[rng->Uniform(beam.size())];
       beam.clear();
-      beam.push_back(std::move(kept));
+      beam.push_back(kept);
     }
 
     // Keep only the best b states.
     if (static_cast<int>(beam.size()) > options_.beam_size) {
       std::nth_element(beam.begin(), beam.begin() + options_.beam_size - 1,
-                       beam.end(), [](const State& a, const State& b) {
-                         return a.score < b.score;
-                       });
+                       beam.end(), by_score);
       beam.resize(options_.beam_size);
     }
+
+    // Compact the pool to the surviving states' ids.
+    ws->next_pool.clear();
+    for (State& s : beam) {
+      const size_t offset = ws->next_pool.size();
+      ws->next_pool.insert(ws->next_pool.end(), pool.begin() + s.offset,
+                           pool.begin() + s.offset + s.length);
+      s.offset = offset;
+    }
+    pool.swap(ws->next_pool);
   }
 
   if (complete.empty()) {
@@ -350,13 +515,11 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
   if (static_cast<int>(complete.size()) > options_.top_k) {
     complete.resize(static_cast<size_t>(options_.top_k));
   }
+  result->plans.reserve(complete.size());
   for (const Complete& c : complete) {
-    result.plans.push_back({arena.ToPlan(c.id), c.score});
+    result->plans.push_back({arena.ToPlan(c.id), c.score});
   }
-  auto end = std::chrono::steady_clock::now();
-  result.planning_time_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  return result;
+  return Status::OK();
 }
 
 }  // namespace balsa

@@ -5,6 +5,15 @@
 // V(state) = max over the state's partial plans of V(query, plan); the beam
 // keeps the b best states and the search runs until k complete plans are
 // found, returned in ascending predicted latency.
+//
+// A search keeps all its state in one per-thread workspace that TopK clears
+// on entry, keeping its capacity: the hash-consed subtree arena, one
+// embedding row per subtree (ValueNetwork's h1 | pooled | left term | right
+// term layout) beside its score and node features, open-addressing tables
+// for the fingerprint -> id map and the visited and emitted sets, and the
+// beam as slices of one id pool. After a thread's first searches, TopK
+// allocates only its result. A search that grew the workspace past its
+// retained size (4 MB; JOB searches stay under 1 MB) frees it when it ends.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +99,13 @@ class BeamSearchPlanner {
   }
 
  private:
+  struct Workspace;
+
+  /// The search itself, in the calling thread's workspace (cleared on
+  /// entry): fills `result` but for planning_time_ms.
+  Status Search(const Query& query, Rng* rng, Workspace* ws,
+                PlanningResult* result) const;
+
   const Schema* schema_;
   const Featurizer* featurizer_;
   const ValueNetwork* network_;

@@ -18,18 +18,29 @@ double SafeLog2(double x) { return std::log2(std::max(2.0, x)); }
 
 }  // namespace
 
+// Both walk the query's predicates in place: beam search asks them per
+// frontier pair, and Query::JoinsBetween and FiltersOn return copies.
 bool IndexNLValid(const Schema& schema, const Query& query, TableSet outer,
                   int rel) {
-  for (const auto& j : query.JoinsBetween(outer, TableSet::Single(rel))) {
-    // j.right is the inner-side column.
-    if (IsIndexedColumn(schema, query, j.right)) return true;
+  for (const JoinPredicate& j : query.joins()) {
+    // The inner-side column: JoinsBetween(outer, {rel})'s j.right.
+    const ColumnRef* inner = nullptr;
+    if (outer.Contains(j.left.relation) && j.right.relation == rel) {
+      inner = &j.right;
+    } else if (j.left.relation == rel && outer.Contains(j.right.relation)) {
+      inner = &j.left;
+    }
+    if (inner != nullptr && IsIndexedColumn(schema, query, *inner)) {
+      return true;
+    }
   }
   return false;
 }
 
 bool IndexScanEffective(const Schema& schema, const Query& query, int rel) {
-  for (const auto& f : query.FiltersOn(rel)) {
-    if ((f.op == PredOp::kEq || f.op == PredOp::kIn) &&
+  for (const FilterPredicate& f : query.filters()) {
+    if (f.col.relation == rel &&
+        (f.op == PredOp::kEq || f.op == PredOp::kIn) &&
         IsIndexedColumn(schema, query, f.col)) {
       return true;
     }

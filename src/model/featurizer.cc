@@ -20,18 +20,24 @@ nn::Vec Featurizer::QueryFeatures(const Query& query, TableSet scope) const {
   return out;
 }
 
-nn::Vec Featurizer::NodeFeatures(const Query& query,
-                                 const PlanNode& node) const {
-  nn::Vec feat(static_cast<size_t>(node_dim()), 0.f);
+void Featurizer::NodeFeatures(const Query& query, const PlanNode& node,
+                              float* out) const {
+  std::fill(out, out + node_dim(), 0.f);
   if (node.is_join) {
-    feat[static_cast<size_t>(node.join_op)] = 1.f;
+    out[static_cast<size_t>(node.join_op)] = 1.f;
   } else {
-    feat[kNumJoinOps + static_cast<size_t>(node.scan_op)] = 1.f;
+    out[kNumJoinOps + static_cast<size_t>(node.scan_op)] = 1.f;
   }
   for (int rel : node.tables) {
-    feat[kNumJoinOps + kNumScanOps +
-         static_cast<size_t>(query.relations()[rel].table_idx)] = 1.f;
+    out[kNumJoinOps + kNumScanOps +
+        static_cast<size_t>(query.relations()[rel].table_idx)] = 1.f;
   }
+}
+
+nn::Vec Featurizer::NodeFeatures(const Query& query,
+                                 const PlanNode& node) const {
+  nn::Vec feat(static_cast<size_t>(node_dim()));
+  NodeFeatures(query, node, feat.data());
   return feat;
 }
 

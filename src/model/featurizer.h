@@ -36,7 +36,9 @@ class Featurizer {
   nn::Vec QueryFeatures(const Query& query, TableSet scope) const;
 
   /// Feature vector of one plan node: its operator one-hot plus the schema
-  /// tables it covers.
+  /// tables it covers, written over the node_dim() floats at `out`.
+  void NodeFeatures(const Query& query, const PlanNode& node,
+                    float* out) const;
   nn::Vec NodeFeatures(const Query& query, const PlanNode& node) const;
 
   /// Tree encoding of the subtree of `plan` rooted at `node_idx` (-1=root).

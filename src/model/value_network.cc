@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <utility>
-
-#include "src/util/logging.h"
 
 namespace balsa {
 
@@ -18,6 +15,11 @@ struct ValueNetwork::Stacked {
 };
 
 ValueNetwork::ValueNetwork(ValueNetConfig config) : config_(config) {
+  layout_.pooled = config_.tree_hidden1;
+  layout_.term_dim = config_.tree_hidden1 + config_.tree_hidden2;
+  layout_.term[0] = layout_.pooled + config_.tree_hidden2;
+  layout_.term[1] = layout_.term[0] + layout_.term_dim;
+  layout_.stride = layout_.term[1] + layout_.term_dim;
   InitWeights(config_.init_seed);
 }
 
@@ -172,136 +174,139 @@ std::vector<double> ValueNetwork::ForwardBatch(
 
 namespace {
 
-// Layer 1's query terms W[:, :qd] q for one call, computed once per distinct
-// query and found again by pointer or by bytes: equal bytes give an equal
-// term, so a column may continue from any match.
-class QueryTerms {
- public:
-  QueryTerms(const nn::Mat& wt, int query_dim) : wt_(wt), qd_(query_dim) {}
+// ScoreRoots' and ChildTerms' batch matrices, reused across a thread's
+// calls. A call over more than kRetainedColumns columns frees them at its
+// end, so between calls a thread keeps at most that many columns of each,
+// however wide a batch once was.
+struct ScoringScratch {
+  static constexpr size_t kRetainedColumns = 512;
 
-  const nn::Vec& Of(const float* query) {
-    for (const auto& [q, term] : terms_) {
-      if (q == query || std::memcmp(q, query, sizeof(float) * qd_) == 0) {
-        return term;
-      }
-    }
-    nn::Vec term(static_cast<size_t>(wt_.cols), 0.f);
-    nn::GatherAdd(wt_, 0, query, qd_, term.data());
-    return terms_.emplace_back(query, std::move(term)).second;
+  nn::Mat h1, pooled, m1, out, t2;
+  nn::TermColumns terms[2][2];  // [layer][side]
+  std::vector<size_t> side_jobs;  // ChildTerms: one side's jobs
+
+  void Trim(size_t columns) {
+    if (columns > kRetainedColumns) *this = ScoringScratch();
   }
-
- private:
-  const nn::Mat& wt_;
-  const int qd_;
-  std::vector<std::pair<const float*, nn::Vec>> terms_;
 };
+
+ScoringScratch& ThreadScratch() {
+  thread_local ScoringScratch scratch;
+  return scratch;
+}
+
+// Sizes `m` as rows x cols, keeping its capacity; the entries are left for
+// the caller to write.
+void Shape(nn::Mat* m, int rows, int cols) {
+  m->rows = rows;
+  m->cols = cols;
+  m->data.resize(static_cast<size_t>(rows) * cols);
+}
 
 }  // namespace
 
-std::vector<SubtreeEmbedding> ValueNetwork::ScoreRoots(
-    const std::vector<RootJob>& jobs) const {
+void ValueNetwork::QueryTerm(const float* query, float* term) const {
+  const int h1_rows = config_.tree_hidden1;
+  std::fill(term, term + query_term_dim(), 0.f);
+  for (int k = 0; k < 3; ++k) {
+    nn::GatherAdd(tc1_wt_[k], 0, query, config_.query_dim,
+                  term + k * h1_rows);
+  }
+}
+
+void ValueNetwork::ScoreRoots(const std::vector<RootJob>& jobs) const {
   const int n = static_cast<int>(jobs.size());
-  std::vector<SubtreeEmbedding> out(static_cast<size_t>(n));
-  if (n == 0) return out;
+  if (n == 0) return;
+  ScoringScratch& s = ThreadScratch();
 
   // Layer 1's Wp (query ++ node) per column: the query's term, continued
-  // over the node's nonzero inputs (GatherAdd), bitwise the AddMatMul that
-  // ForwardWithTerms would run.
+  // over the node's nonzero inputs (GatherAdd) in the row's h1 slot, bitwise
+  // the AddMatMul that ForwardWithTerms would run.
   const int qd = config_.query_dim;
   const int h1_rows = config_.tree_hidden1;
-  QueryTerms query_terms(tc1_wt_[0], qd);
-  nn::Mat h1(h1_rows, n);
-  nn::Vec product;
+  Shape(&s.h1, h1_rows, n);
   for (int j = 0; j < n; ++j) {
-    nn::Vec& in = out[j].input;
-    in.reserve(static_cast<size_t>(qd + config_.node_dim));
-    in.assign(jobs[j].query->begin(), jobs[j].query->end());
-    in.insert(in.end(), jobs[j].node->begin(), jobs[j].node->end());
-    product = query_terms.Of(jobs[j].query->data());
-    nn::GatherAdd(tc1_wt_[0], qd, jobs[j].node->data(), config_.node_dim,
-                  product.data());
-    for (int r = 0; r < h1_rows; ++r) h1.at(r, j) = product[r];
+    float* product = jobs[j].row;
+    std::copy(jobs[j].query_term, jobs[j].query_term + h1_rows, product);
+    nn::GatherAdd(tc1_wt_[0], qd, jobs[j].node, config_.node_dim, product);
+    for (int r = 0; r < h1_rows; ++r) s.h1.at(r, j) = product[r];
   }
-  // One side's cached terms for one layer: a child's terms hold the tc1
-  // term, then the tc2 term from `offset` on.
-  const size_t term_dim =
-      static_cast<size_t>(config_.tree_hidden1 + config_.tree_hidden2);
-  auto terms = [&](int side, size_t offset) {
-    nn::TermColumns t;
-    t.cols.resize(static_cast<size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const SubtreeEmbedding* child = side == 0 ? jobs[j].left : jobs[j].right;
-      if (child == nullptr) continue;
-      BALSA_CHECK(child->terms[side].size() == term_dim,
-                  "ScoreRoots: a child's term for its side is not filled");
-      t.cols[j] = child->terms[side].data() + offset;
+  // Each side's cached terms for each layer: a child's term holds the tc1
+  // term, then the tc2 term from h1_rows on.
+  for (int layer : {0, 1}) {
+    for (int side : {0, 1}) {
+      nn::TermColumns& t = s.terms[layer][side];
+      t.cols.assign(static_cast<size_t>(n), nullptr);
+      const int offset = layout_.term[side] + layer * h1_rows;
+      for (int j = 0; j < n; ++j) {
+        const float* child = side == 0 ? jobs[j].left : jobs[j].right;
+        if (child != nullptr) t.cols[j] = child + offset;
+      }
     }
-    return t;
-  };
-  auto column = [](const nn::Mat& m, int j) {
-    nn::Vec v(static_cast<size_t>(m.rows));
-    for (int r = 0; r < m.rows; ++r) v[r] = m.at(r, j);
-    return v;
-  };
+  }
 
-  const size_t h1_dim = static_cast<size_t>(h1_rows);
-  nn::Mat pooled, m1, o;
-  tc1_.AddTermsAndBias(terms(0, 0), terms(1, 0), &h1);
-  nn::ReluMatForward(&h1);
-  tc2_.ForwardWithTerms(h1, terms(0, h1_dim), terms(1, h1_dim), &pooled);
-  nn::ReluMatForward(&pooled);
+  tc1_.AddTermsAndBias(s.terms[0][0], s.terms[0][1], &s.h1);
+  nn::ReluMatForward(&s.h1);
+  tc2_.ForwardWithTerms(s.h1, s.terms[1][0], s.terms[1][1], &s.pooled);
+  nn::ReluMatForward(&s.pooled);
   // pooled starts as each root's h2; fold in the children's pooled maxima.
+  nn::Mat& pooled = s.pooled;
   for (int j = 0; j < n; ++j) {
-    for (const SubtreeEmbedding* child : {jobs[j].left, jobs[j].right}) {
+    for (const float* child : {jobs[j].left, jobs[j].right}) {
       if (child == nullptr) continue;
+      const float* child_pooled = child + layout_.pooled;
       for (int d = 0; d < pooled.rows; ++d) {
-        if (child->pooled[d] > pooled.at(d, j)) {
-          pooled.at(d, j) = child->pooled[d];
+        if (child_pooled[d] > pooled.at(d, j)) {
+          pooled.at(d, j) = child_pooled[d];
         }
       }
     }
   }
-  fc1_.ForwardBatch(pooled, &m1);
-  nn::ReluMatForward(&m1);
-  fc2_.ForwardBatch(m1, &o);
+  fc1_.ForwardBatch(pooled, &s.m1);
+  nn::ReluMatForward(&s.m1);
+  fc2_.ForwardBatch(s.m1, &s.out);
   for (int j = 0; j < n; ++j) {
-    out[j].h1 = column(h1, j);
-    out[j].pooled = column(pooled, j);
-    out[j].score = FromLabelSpace(o.at(0, j));
+    float* row = jobs[j].row;
+    for (int r = 0; r < h1_rows; ++r) row[r] = s.h1.at(r, j);
+    for (int d = 0; d < pooled.rows; ++d) {
+      row[layout_.pooled + d] = pooled.at(d, j);
+    }
+    *jobs[j].score = FromLabelSpace(s.out.at(0, j));
   }
-  return out;
+  s.Trim(static_cast<size_t>(n));
 }
 
 void ValueNetwork::ChildTerms(const std::vector<TermJob>& jobs) const {
+  ScoringScratch& s = ThreadScratch();
   const int qd = config_.query_dim;
-  const int t1_rows = config_.tree_hidden1;
+  const int h1_rows = config_.tree_hidden1;
   for (int side : {0, 1}) {
-    std::vector<SubtreeEmbedding*> children;
-    for (const TermJob& job : jobs) {
-      if (job.side == side) children.push_back(job.child);
+    s.side_jobs.clear();
+    for (size_t k = 0; k < jobs.size(); ++k) {
+      if (jobs[k].side == side) s.side_jobs.push_back(k);
     }
-    if (children.empty()) continue;
-    const int m = static_cast<int>(children.size());
-    // Layer 2's terms from the children's h1 columns stacked into one
-    // batch; layer 1's (Wl or Wr times the input) as ScoreRoots builds Wp's.
-    nn::Mat h1(tc2_.in_dim(), m);
+    if (s.side_jobs.empty()) continue;
+    const int m = static_cast<int>(s.side_jobs.size());
+    // Layer 2's terms from the subtrees' h1 columns stacked into one batch;
+    // layer 1's (Wl or Wr) continued from the query term over the node's
+    // features, as ScoreRoots continues Wp's.
+    Shape(&s.h1, h1_rows, m);
     for (int k = 0; k < m; ++k) {
-      const nn::Vec& col = children[k]->h1;
-      for (int r = 0; r < h1.rows; ++r) h1.at(r, k) = col[r];
+      const float* h1 = jobs[s.side_jobs[k]].row;
+      for (int r = 0; r < h1_rows; ++r) s.h1.at(r, k) = h1[r];
     }
-    nn::Mat t2 = tc2_.ChildTerm(side, h1);
+    tc2_.ChildTerm(side, s.h1, &s.t2);
     const nn::Mat& wt = tc1_wt_[1 + side];
-    QueryTerms query_terms(wt, qd);
     for (int k = 0; k < m; ++k) {
-      const float* input = children[k]->input.data();
-      const nn::Vec& query_term = query_terms.Of(input);
-      nn::Vec& term = children[k]->terms[side];
-      term.resize(static_cast<size_t>(t1_rows + t2.rows));
-      std::copy(query_term.begin(), query_term.end(), term.begin());
-      nn::GatherAdd(wt, qd, input + qd, config_.node_dim, term.data());
-      for (int r = 0; r < t2.rows; ++r) term[t1_rows + r] = t2.at(r, k);
+      const TermJob& job = jobs[s.side_jobs[k]];
+      const float* query_term = job.query_term + (1 + side) * h1_rows;
+      float* term = job.row + layout_.term[side];
+      std::copy(query_term, query_term + h1_rows, term);
+      nn::GatherAdd(wt, qd, job.node, config_.node_dim, term);
+      for (int r = 0; r < s.t2.rows; ++r) term[h1_rows + r] = s.t2.at(r, k);
     }
   }
+  s.Trim(jobs.size());
 }
 
 ValueNetwork::TrainResult ValueNetwork::Train(
@@ -416,7 +421,7 @@ ValueNetwork::TrainResult ValueNetwork::Train(
 Status ValueNetwork::CopyWeightsFrom(const ValueNetwork& other) {
   auto* mutable_other = const_cast<ValueNetwork*>(&other);
   Status status = nn::CopyParams(mutable_other->Params(), Params());
-  TransposeLayer1();
+  if (status.ok()) TransposeLayer1();
   return status;
 }
 
@@ -425,9 +430,8 @@ Status ValueNetwork::Save(const std::string& path) {
 }
 
 Status ValueNetwork::Load(const std::string& path) {
-  // A failed load may have read some of the weights before it stopped.
   Status status = nn::LoadParams(Params(), path);
-  TransposeLayer1();
+  if (status.ok()) TransposeLayer1();
   return status;
 }
 

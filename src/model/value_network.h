@@ -34,33 +34,41 @@ struct TrainingPoint {
   double label = 0;
 };
 
-/// What incremental scoring keeps of a scored subtree: enough to score any
-/// join over it from the new root's columns alone.
-struct SubtreeEmbedding {
-  nn::Vec input;     // the root's input column: query ++ node features
-  nn::Vec h1;        // the root's post-ReLU first tree-conv layer
-  nn::Vec pooled;    // max of the second layer's output over the subtree
-  /// What the subtree adds to a parent as its left (0) or right (1) child:
-  /// Wl·input ++ Wl2·h1 of the two tree-conv layers (Wr, Wr2 on the
-  /// right). Filled by ValueNetwork::ChildTerms; empty until then.
-  nn::Vec terms[2];
-  double score = 0;  // predicted label (original units)
+/// Where incremental scoring keeps a scored subtree: one row of `stride`
+/// floats in a caller-owned flat table, beside the subtree's score:
+///   h1 | pooled | left term | right term
+///  - h1: the root's post-ReLU first tree-conv layer (tree_hidden1);
+///  - pooled: max of the second layer's output over the subtree
+///    (tree_hidden2);
+///  - the terms: what the subtree adds to a parent as its left or right
+///    child, Wl·input ++ Wl2·h1 of the two tree-conv layers (Wr, Wr2 on the
+///    right), term_dim floats each. ChildTerms fills them; ScoreRoots
+///    writes only h1 and pooled.
+struct EmbeddingRowLayout {
+  int pooled = 0;  // h1 starts the row
+  int term[2] = {0, 0};
+  int term_dim = 0;
+  int stride = 0;
 };
 
 /// One subtree root to score. A leaf has no children; a join's children
-/// are subtrees scored earlier, each with its term for its side filled.
-/// The pointers are borrowed for the call.
+/// are rows scored earlier, each with its term for its side filled. The
+/// pointers are borrowed for the call.
 struct RootJob {
-  const nn::Vec* query = nullptr;
-  const nn::Vec* node = nullptr;  // Featurizer::NodeFeatures of the root
-  const SubtreeEmbedding* left = nullptr;
-  const SubtreeEmbedding* right = nullptr;
+  const float* query_term = nullptr;  // ValueNetwork::QueryTerm of the query
+  const float* node = nullptr;  // Featurizer::NodeFeatures of the root
+  const float* left = nullptr;  // the children's rows
+  const float* right = nullptr;
+  float* row = nullptr;     // the root's row
+  double* score = nullptr;  // its predicted label (original units)
 };
 
 /// A scored subtree whose child term for `side` (0 = left, 1 = right) is to
-/// be filled.
+/// be filled in its row.
 struct TermJob {
-  SubtreeEmbedding* child = nullptr;
+  const float* query_term = nullptr;  // ValueNetwork::QueryTerm of the query
+  const float* node = nullptr;  // Featurizer::NodeFeatures of its root
+  float* row = nullptr;
   int side = 0;
 };
 
@@ -90,11 +98,23 @@ class ValueNetwork {
       const nn::Vec& query,
       const std::vector<const nn::TreeSample*>& plans) const;
 
-  /// Incremental scoring: embeds each job's root from its own input column
-  /// and its children's cached terms, in one batched pass over the new
-  /// roots only. Bitwise equal to ForwardBatch over the whole subtree:
-  ///  - layer 1's Wp product is the query's term W[:, :qd] q, computed once
-  ///    per call for each distinct query, continued over the node's
+  /// The row layout incremental scoring uses for this architecture.
+  const EmbeddingRowLayout& row_layout() const { return layout_; }
+
+  /// Floats in a query term: 3 * tree_hidden1.
+  int query_term_dim() const { return 3 * config_.tree_hidden1; }
+
+  /// Layer 1's products of a query's part of the input columns,
+  /// Wp[:, :qd] q | Wl[:, :qd] q | Wr[:, :qd] q, each summed from +0 by
+  /// nn::GatherAdd (AddMatMul's sums over those columns). A search computes
+  /// it once; ScoreRoots and ChildTerms continue every column from it.
+  void QueryTerm(const float* query, float* term) const;
+
+  /// Incremental scoring: embeds each job's root from its query term, its
+  /// node features and its children's cached terms, in one batched pass
+  /// over the new roots only, writing the root's h1 and pooled into its row
+  /// and its score. Bitwise equal to ForwardBatch over the whole subtree:
+  ///  - layer 1's Wp product is the query term continued over the node's
   ///    nonzero (mostly one-hot) inputs by nn::GatherAdd, which sums as
   ///    AddMatMul does;
   ///  - the rest of both tree-conv layers is TreeConvLayer's kernel
@@ -102,14 +122,15 @@ class ValueNetwork {
   ///  - pooled = max(root h2, children's pooled) is DynamicMaxPool's value:
   ///    post-ReLU values are never negative, -0 or NaN, so their max does
   ///    not depend on visiting order.
-  /// Only reads the children, so concurrent calls may share them.
-  std::vector<SubtreeEmbedding> ScoreRoots(
-      const std::vector<RootJob>& jobs) const;
+  /// Only reads the children, so concurrent calls may share them. The
+  /// batch's matrices are per-thread and reused across calls.
+  void ScoreRoots(const std::vector<RootJob>& jobs) const;
 
-  /// Fills each job's child->terms[side]: layer 1's Wl (or Wr) times the
-  /// child's input, as ScoreRoots computes Wp's product, then layer 2's
-  /// TreeConvLayer::ChildTerm of the children's h1 columns, batched per
-  /// side. A term is bitwise independent of the rest of the batch.
+  /// Fills each job's term for its side: layer 1's Wl (or Wr) product,
+  /// continued from the query term over the node's features as ScoreRoots
+  /// continues Wp's, then layer 2's TreeConvLayer::ChildTerm of the
+  /// subtrees' h1 columns, batched per side. A term is bitwise independent
+  /// of the rest of the batch.
   void ChildTerms(const std::vector<TermJob>& jobs) const;
 
   struct TrainOptions {
@@ -141,10 +162,12 @@ class ValueNetwork {
   void InitWeights(uint64_t seed);
 
   /// Copies weights from another network of identical architecture
-  /// (V_real <- V_sim initialization, §2.1).
+  /// (V_real <- V_sim initialization, §2.1). On a mismatch, nothing
+  /// changes.
   Status CopyWeightsFrom(const ValueNetwork& other);
 
   Status Save(const std::string& path);
+  /// All-or-nothing: a failed load leaves the network as it was.
   Status Load(const std::string& path);
 
   size_t NumWeights() const;
@@ -178,9 +201,10 @@ class ValueNetwork {
   ValueNetConfig config_;
   nn::TreeConvLayer tc1_, tc2_;
   nn::Linear fc1_, fc2_;
-  /// Transposes of tc1_'s Wp, Wl and Wr, which ScoreRoots and ChildTerms
-  /// gather weight columns from.
+  /// Transposes of tc1_'s Wp, Wl and Wr, which QueryTerm, ScoreRoots and
+  /// ChildTerms gather weight columns from.
   nn::Mat tc1_wt_[3];
+  EmbeddingRowLayout layout_;
 };
 
 }  // namespace balsa

@@ -217,7 +217,7 @@ void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
     for (int r = 0; r < x.rows; ++r) {
       for (int k = 0; k < m; ++k) gathered.at(r, k) = x.at(r, child[cols[k]]);
     }
-    *terms = ChildTerm(side, gathered);
+    ChildTerm(side, gathered, terms);
     t.stride = m;
     for (int k = 0; k < m; ++k) t.cols[cols[k]] = &terms->data[k];
     return t;
@@ -227,10 +227,11 @@ void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
                    side_terms(1, right, &right_terms), out);
 }
 
-Mat TreeConvLayer::ChildTerm(int side, const Mat& x) const {
-  Mat terms(wp_.value.rows, x.cols);
-  AddMatMul(side == 0 ? wl_.value : wr_.value, x, &terms);
-  return terms;
+void TreeConvLayer::ChildTerm(int side, const Mat& x, Mat* terms) const {
+  terms->rows = wp_.value.rows;
+  terms->cols = x.cols;
+  terms->data.assign(static_cast<size_t>(terms->rows) * x.cols, 0.f);
+  AddMatMul(side == 0 ? wl_.value : wr_.value, x, terms);
 }
 
 void TreeConvLayer::ForwardWithTerms(const Mat& x, const TermColumns& left,
@@ -385,27 +386,38 @@ Status SaveParams(const std::vector<Param*>& params, const std::string& path) {
 Status LoadParams(const std::vector<Param*>& params, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return Status::NotFound("cannot open " + path);
-  uint64_t count = 0;
-  if (std::fread(&count, sizeof(count), 1, f) != 1 ||
-      count != params.size()) {
-    std::fclose(f);
-    return Status::InvalidArgument("param count mismatch in " + path);
-  }
-  for (Param* p : params) {
-    int32_t rows = 0, cols = 0;
-    if (std::fread(&rows, sizeof(rows), 1, f) != 1 ||
-        std::fread(&cols, sizeof(cols), 1, f) != 1 ||
-        rows != p->value.rows || cols != p->value.cols) {
-      std::fclose(f);
-      return Status::InvalidArgument("param shape mismatch in " + path);
+  // Every value is read and checked before any parameter is written.
+  auto read_all = [&]() -> StatusOr<std::vector<std::vector<float>>> {
+    uint64_t count = 0;
+    if (std::fread(&count, sizeof(count), 1, f) != 1 ||
+        count != params.size()) {
+      return Status::InvalidArgument("param count mismatch in " + path);
     }
-    if (std::fread(p->value.data.data(), sizeof(float), p->value.data.size(),
-                   f) != p->value.data.size()) {
-      std::fclose(f);
-      return Status::InvalidArgument("truncated param file " + path);
+    std::vector<std::vector<float>> values;
+    values.reserve(params.size());
+    for (const Param* p : params) {
+      int32_t rows = 0, cols = 0;
+      if (std::fread(&rows, sizeof(rows), 1, f) != 1 ||
+          std::fread(&cols, sizeof(cols), 1, f) != 1 ||
+          rows != p->value.rows || cols != p->value.cols) {
+        return Status::InvalidArgument("param shape mismatch in " + path);
+      }
+      std::vector<float>& v = values.emplace_back(p->value.data.size());
+      if (std::fread(v.data(), sizeof(float), v.size(), f) != v.size()) {
+        return Status::InvalidArgument("truncated param file " + path);
+      }
     }
-  }
+    if (std::fgetc(f) != EOF) {
+      return Status::InvalidArgument("trailing bytes in param file " + path);
+    }
+    return values;
+  };
+  StatusOr<std::vector<std::vector<float>>> values = read_all();
   std::fclose(f);
+  if (!values.ok()) return values.status();
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i]->value.data.swap((*values)[i]);
+  }
   return Status::OK();
 }
 
@@ -414,12 +426,15 @@ Status CopyParams(const std::vector<Param*>& from,
   if (from.size() != to.size()) {
     return Status::InvalidArgument("param list size mismatch");
   }
+  // Every shape is checked before any parameter is written.
   for (size_t i = 0; i < from.size(); ++i) {
     if (from[i]->value.rows != to[i]->value.rows ||
         from[i]->value.cols != to[i]->value.cols) {
       return Status::InvalidArgument("param shape mismatch at index " +
                                      std::to_string(i));
     }
+  }
+  for (size_t i = 0; i < from.size(); ++i) {
     to[i]->value.data = from[i]->value.data;
   }
   return Status::OK();

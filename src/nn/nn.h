@@ -143,8 +143,9 @@ class TreeConvLayer {
   void ForwardBatch(const Mat& x, const std::vector<int>& left,
                     const std::vector<int>& right, Mat* out) const;
   /// What each column of `x` adds to a parent as its left (side 0) or
-  /// right (side 1) child: Wl x or Wr x, accumulated from zero.
-  Mat ChildTerm(int side, const Mat& x) const;
+  /// right (side 1) child: Wl x or Wr x, accumulated from zero into
+  /// *terms, which keeps its capacity.
+  void ChildTerm(int side, const Mat& x, Mat* terms) const;
   /// The kernel under ForwardBatch: column j of `out` is Wp x[j], plus the
   /// left term of j, plus the right term, plus b, one add per element each.
   /// Incremental scoring passes cached child terms, so both paths run the
@@ -227,11 +228,14 @@ class Adam {
   int64_t t_ = 0;
 };
 
-/// Binary serialization of a parameter list (for checkpoints).
+/// Binary serialization of a parameter list (for checkpoints). A load is
+/// all-or-nothing: a file whose count, shapes or length do not match
+/// `params` exactly (no trailing bytes) changes no parameter.
 Status SaveParams(const std::vector<Param*>& params, const std::string& path);
 Status LoadParams(const std::vector<Param*>& params, const std::string& path);
 
-/// Copies values (not moments) from one param set to another of equal shape.
+/// Copies values (not moments) from one param set to another of equal
+/// shape. On a mismatch, no parameter is changed.
 Status CopyParams(const std::vector<Param*>& from,
                   const std::vector<Param*>& to);
 

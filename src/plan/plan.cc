@@ -217,8 +217,11 @@ Plan ComposeJoin(const Plan& left, const Plan& right, JoinOp op) {
 }
 
 Plan ExtractSubtree(const Plan& src, int idx) {
+  if (idx < 0) idx = src.root();
   Plan out;
-  int root = CopySubtree(src, idx < 0 ? src.root() : idx, &out);
+  // A binary tree over k leaves has 2k - 1 nodes.
+  out.Reserve(2 * src.node(idx).tables.size() - 1);
+  int root = CopySubtree(src, idx, &out);
   out.set_root(root);
   return out;
 }

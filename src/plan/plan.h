@@ -53,6 +53,12 @@ class Plan {
     nodes_.reserve(static_cast<size_t>(num_nodes));
   }
 
+  /// Removes every node, keeping the arena's capacity.
+  void Clear() {
+    nodes_.clear();
+    root_ = -1;
+  }
+
   int root() const { return root_; }
   void set_root(int root) { root_ = root; }
 
@@ -114,7 +120,8 @@ class Plan {
 /// inner scan is rewritten to an index scan (the probe path).
 Plan ComposeJoin(const Plan& left, const Plan& right, JoinOp op);
 
-/// Copies the subtree of `src` rooted at `idx` into a standalone plan.
+/// Copies the subtree of `src` rooted at `idx` into a standalone plan, in
+/// one allocation.
 Plan ExtractSubtree(const Plan& src, int idx);
 
 }  // namespace balsa

@@ -22,15 +22,14 @@ void InferenceService::AttachMetrics(obs::MetricsRegistry* registry) {
       registry->AttachCounter("runtime.inference.items", &items_));
 }
 
-std::vector<SubtreeEmbedding> InferenceService::ScoreRoots(
-    const std::vector<RootJob>& jobs) {
-  if (jobs.empty()) return {};
+void InferenceService::ScoreRoots(const std::vector<RootJob>& jobs) {
+  if (jobs.empty()) return;
   // On a traced planning thread this records one kInference span per call:
   // the forward pass. Inert otherwise.
   obs::SpanTimer span(obs::TraceStage::kInference);
   requests_.Inc();
   items_.Inc(static_cast<int64_t>(jobs.size()));
-  return network_->ScoreRoots(jobs);
+  network_->ScoreRoots(jobs);
 }
 
 InferenceService::Stats InferenceService::stats() const {

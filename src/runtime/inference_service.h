@@ -1,9 +1,9 @@
 // The value-network scoring call beam search makes once per expansion,
 // mirroring Balsa's batched V(query, plan) scoring of beam-search frontiers
 // (§6). Beam search scores incrementally: each planning thread keeps a
-// per-search arena of subtree embeddings, so a call carries only the
-// frontier's new join roots (RootJobs, each with its own query and pointers
-// to its children's cached embeddings). The planning thread fills the
+// per-search table of subtree embedding rows, so a call carries only the
+// frontier's new join roots (RootJobs, each with its query's term and
+// pointers to its children's cached rows). The planning thread fills the
 // children's child terms before it calls, so scoring only reads them.
 //
 // Scoring runs on the calling thread: a miss's beam search and its forward
@@ -42,9 +42,9 @@ class InferenceService {
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  /// One embedding (with its score) per job, as ValueNetwork::ScoreRoots
-  /// returns, computed on the calling thread. Thread-safe.
-  std::vector<SubtreeEmbedding> ScoreRoots(const std::vector<RootJob>& jobs);
+  /// ValueNetwork::ScoreRoots on the calling thread: writes each job's row
+  /// and score. Thread-safe.
+  void ScoreRoots(const std::vector<RootJob>& jobs);
 
   struct Stats {
     int64_t requests = 0;  // ScoreRoots calls

@@ -1,5 +1,6 @@
 #include "src/serving/optimizer_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <utility>
@@ -7,6 +8,7 @@
 #include "src/serving/query_fingerprint.h"
 #include "src/sql/parser.h"
 #include "src/util/parallel_for.h"
+#include "src/util/thread_pool.h"
 
 namespace balsa {
 
@@ -62,8 +64,9 @@ OptimizerServer::OptimizerServer(const Schema* schema,
       options_(options),
       inference_(std::make_unique<InferenceService>(network,
                                                     options.inference)),
-      pool_(options.num_planning_threads),
-      gate_(pool_.num_threads()),
+      gate_(options.num_planning_threads > 0
+                ? options.num_planning_threads
+                : ThreadPool::DefaultNumThreads()),
       planner_(schema, featurizer, network,
                ServingPlannerOptions(options.planner)),
       cache_(options.cache),
@@ -428,15 +431,20 @@ OptimizerServer::RewarmReport OptimizerServer::Rewarm(int top_k) {
       stale.push_back(&h);
     }
   }
-  // Replans fan out over the pool; each takes a gate slot in PlanMiss, like
-  // a client miss. The exemplars stay alive through `hot`'s shared
-  // entries. Each replan runs under the caller's trace context, whichever
-  // thread ParallelFor puts it on, so a traced re-warm records every
-  // replan's spans.
+  // Replans fan out over threads started for this call, no more than the
+  // gate has slots (one replan runs inline); each takes a gate slot in
+  // PlanMiss, like a client miss. The exemplars stay alive through `hot`'s
+  // shared entries. Each replan runs under the caller's trace context,
+  // whichever thread ParallelFor puts it on, so a traced re-warm records
+  // every replan's spans.
   const obs::TraceContext* current = obs::CurrentTraceContext();
   const obs::TraceContext context = current ? *current : obs::TraceContext{};
   std::vector<std::optional<StatusOr<CachedPlan>>> planned(stale.size());
-  ParallelFor(&pool_, stale.size(), [&](size_t i) {
+  const int threads =
+      static_cast<int>(std::min<size_t>(gate_.slots(), stale.size()));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  ParallelFor(pool.get(), stale.size(), [&](size_t i) {
     obs::ScopedTraceContext trace_scope(context);
     planned[i] = PlanMiss(*stale[i]->entry->exemplar, version);
   });

@@ -75,7 +75,6 @@
 #include "src/stats/card_oracle.h"
 #include "src/util/admission_gate.h"
 #include "src/util/thread_annotations.h"
-#include "src/util/thread_pool.h"
 
 namespace balsa {
 
@@ -88,7 +87,8 @@ struct OptimizerServerOptions {
   InferenceServiceOptions inference;
   /// Concurrent beam searches (0 = hardware concurrency): the admission
   /// gate's slot count. Misses plan on their own threads; a miss that finds
-  /// every slot taken waits for one. Rewarm fans out over a pool this size.
+  /// every slot taken waits for one. Rewarm fans out over up to this many
+  /// threads, started for the call.
   int num_planning_threads = 0;
   /// Collapse concurrent misses on the same (fingerprint, stats_version)
   /// into one planning call. Off only for baselines that deliberately plan
@@ -173,8 +173,9 @@ class OptimizerServer {
   /// re-admits them at the new version — the post-bump re-warm pass, called
   /// by the adaptive ReanalyzeScheduler right after it bumps the
   /// generation so hot traffic does not eat a miss storm. Replans fan out
-  /// over the server's pool and take admission-gate slots like client
-  /// misses, so beam searches in flight stay <= num_planning_threads.
+  /// over min(num_planning_threads, stale entries) threads started for the
+  /// call, and take admission-gate slots like client misses, so beam
+  /// searches in flight stay <= num_planning_threads.
   /// Thread-safe; concurrent client misses for the same
   /// fingerprint at worst duplicate one beam search, they never see a stale
   /// or torn entry.
@@ -274,9 +275,7 @@ class OptimizerServer {
   bool wait_armed_ = false;
 
   std::unique_ptr<InferenceService> inference_;
-  /// Rewarm's fan-out (options.num_planning_threads threads).
-  ThreadPool pool_;
-  /// Bounds concurrent beam searches at pool_.num_threads().
+  /// Bounds concurrent beam searches at num_planning_threads, resolved.
   AdmissionGate gate_;
   BeamSearchPlanner planner_;
   PlanCache cache_;

@@ -81,10 +81,12 @@ double CardinalityEstimator::FilterSelectivity(
 
 double CardinalityEstimator::EstimateSelectivity(const Query& query,
                                                  int rel) const {
-  // Independence assumption: multiply selectivities of all conjuncts.
+  // Independence assumption: multiply selectivities of all conjuncts, in
+  // the query's order (FiltersOn's, without its copies: query features are
+  // on beam search's path).
   double sel = 1.0;
-  for (const auto& f : query.FiltersOn(rel)) {
-    sel *= FilterSelectivity(query, f);
+  for (const FilterPredicate& f : query.filters()) {
+    if (f.col.relation == rel) sel *= FilterSelectivity(query, f);
   }
   return sel;
 }

@@ -11,10 +11,15 @@
 //    left-deep and bushy search, computing each (subtree, side) child term
 //    once;
 //  - several planning threads sharing one read-only network (scoring
-//    through one InferenceService, as the server's misses do) each get
-//    the plans of a single-threaded TopK, bit for bit.
+//    through one InferenceService, as the server's misses do), each
+//    planning queries of very different sizes back to back in its own
+//    reused workspace, get the plans of a single-threaded TopK, bit for
+//    bit.
 // Runs on the JOB-like workload over several data seeds.
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <utility>
@@ -170,15 +175,15 @@ TEST_P(IncrementalScoringTest, EverySubtreeScoreMatchesForwardBatch) {
 
 TEST_P(IncrementalScoringTest, BatchedRootJobsMatchForwardBatch) {
   // One ScoreRoots call mixing leaves and joins of several queries, each
-  // job with its own query vector: every score must equal ForwardBatch
-  // over that job's whole subtree.
-  std::vector<nn::Vec> query_feats;
-  query_feats.reserve(queries_.size());
+  // job with its own query term: every score must equal ForwardBatch over
+  // that job's whole subtree.
+  std::vector<nn::Vec> query_feats, query_terms;
   for (const Query* query : queries_) {
     query_feats.push_back(featurizer_->QueryFeatures(*query));
+    query_terms.push_back(testing::QueryTermOf(*network_, query_feats.back()));
   }
   std::vector<nn::Vec> node_feats;
-  std::vector<SubtreeEmbedding> children;
+  std::vector<testing::Embedding> children;
   std::vector<const nn::Vec*> want_queries;
   std::vector<nn::TreeSample> want_trees;
   struct Job {
@@ -211,22 +216,25 @@ TEST_P(IncrementalScoringTest, BatchedRootJobsMatchForwardBatch) {
       }
     }
   }
+  ASSERT_FALSE(specs.empty());
+  std::vector<testing::Embedding> roots(specs.size());
   std::vector<RootJob> jobs;
   std::vector<const nn::TreeSample*> tree_ptrs;
   for (size_t i = 0; i < specs.size(); ++i) {
     const Job& s = specs[i];
+    roots[i].row.resize(static_cast<size_t>(network_->row_layout().stride));
     jobs.push_back(RootJob{
-        &query_feats[s.query], &node_feats[s.node],
-        s.left == npos ? nullptr : &children[s.left],
-        s.right == npos ? nullptr : &children[s.right]});
+        query_terms[s.query].data(), node_feats[s.node].data(),
+        s.left == npos ? nullptr : children[s.left].row.data(),
+        s.right == npos ? nullptr : children[s.right].row.data(),
+        roots[i].row.data(), &roots[i].score});
     tree_ptrs.push_back(&want_trees[i]);
   }
-  ASSERT_FALSE(jobs.empty());
-  std::vector<SubtreeEmbedding> got = network_->ScoreRoots(jobs);
+  network_->ScoreRoots(jobs);
   std::vector<double> want = network_->ForwardBatch(want_queries, tree_ptrs);
-  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(roots.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].score, want[i]) << "job " << i;
+    EXPECT_EQ(roots[i].score, want[i]) << "job " << i;
   }
 }
 
@@ -234,53 +242,77 @@ TEST_P(IncrementalScoringTest, CachedChildTermsMatchFreshChildTerm) {
   // The network's tree-conv layers, rebuilt from its init seed:
   // ValueNetwork::InitWeights draws tc1 and then tc2 first.
   const ValueNetConfig& config = network_->config();
+  const EmbeddingRowLayout& layout = network_->row_layout();
   Rng rng(config.init_seed);
   const nn::TreeConvLayer tc1(config.query_dim + config.node_dim,
                               config.tree_hidden1, &rng);
   const nn::TreeConvLayer tc2(config.tree_hidden1, config.tree_hidden2,
                               &rng);
-  auto fresh = [&](const SubtreeEmbedding& child, int side) {
-    auto column = [](const nn::Vec& v) {
-      nn::Mat m(static_cast<int>(v.size()), 1);
-      m.data = v;
-      return m;
-    };
-    nn::Vec term = tc1.ChildTerm(side, column(child.input)).data;
-    nn::Vec t2 = tc2.ChildTerm(side, column(child.h1)).data;
-    term.insert(term.end(), t2.begin(), t2.end());
+  // A subtree as EmbedSubtree embedded it, with its root's input column
+  // (query ++ node features) and query term.
+  struct Subtree {
+    testing::Embedding embedding;
+    nn::Vec node, input;
+    const nn::Vec* query_term;
+  };
+  auto column = [](const float* v, int rows) {
+    nn::Mat m(rows, 1);
+    m.data.assign(v, v + rows);
+    return m;
+  };
+  auto fresh = [&](const Subtree& sub, int side) {
+    nn::Mat t1, t2;
+    tc1.ChildTerm(side, column(sub.input.data(), tc1.in_dim()), &t1);
+    tc2.ChildTerm(side, column(sub.embedding.row.data(), tc2.in_dim()), &t2);
+    nn::Vec term = t1.data;
+    term.insert(term.end(), t2.data.begin(), t2.data.end());
     return term;
+  };
+  auto cached = [&](const testing::Embedding& e, int side) {
+    const auto begin = e.row.begin() + layout.term[side];
+    return nn::Vec(begin, begin + layout.term_dim);
   };
 
   // Every subtree of every planned plan, across queries, embedded alone
   // (EmbedSubtree fills both terms), then re-termed in one mixed batch of
   // both sides, the way a search batches the children of a frontier.
-  std::vector<SubtreeEmbedding> subtrees;
+  std::vector<nn::Vec> query_terms;
+  query_terms.reserve(queries_.size());
+  std::vector<Subtree> subtrees;
   for (const Query* query : queries_) {
     const nn::Vec query_feat = featurizer_->QueryFeatures(*query);
+    query_terms.push_back(testing::QueryTermOf(*network_, query_feat));
     auto planned = Search(*query, Options(/*bushy=*/true, true));
     for (const auto& scored : planned.plans) {
       for (int node = 0; node < scored.plan.num_nodes(); ++node) {
-        subtrees.push_back(testing::EmbedSubtree(
-            *network_, *featurizer_, *query, query_feat, scored.plan, node));
+        Subtree sub{testing::EmbedSubtree(*network_, *featurizer_, *query,
+                                          query_feat, scored.plan, node),
+                    featurizer_->NodeFeatures(*query, scored.plan.node(node)),
+                    query_feat, &query_terms.back()};
+        sub.input.insert(sub.input.end(), sub.node.begin(), sub.node.end());
+        subtrees.push_back(std::move(sub));
       }
     }
   }
   ASSERT_FALSE(subtrees.empty());
-  std::vector<SubtreeEmbedding> batched = subtrees;
+  std::vector<Subtree> batched = subtrees;
   std::vector<TermJob> jobs;
   for (size_t i = 0; i < batched.size(); ++i) {
     for (int side : {0, 1}) {
       if ((i + static_cast<size_t>(side)) % 3 == 0) continue;  // ragged
-      batched[i].terms[side].clear();
-      jobs.push_back({&batched[i], side});
+      float* term = batched[i].embedding.row.data() + layout.term[side];
+      std::fill(term, term + layout.term_dim,
+                std::numeric_limits<float>::quiet_NaN());
+      jobs.push_back({batched[i].query_term->data(), batched[i].node.data(),
+                      batched[i].embedding.row.data(), side});
     }
   }
   network_->ChildTerms(jobs);
   for (size_t i = 0; i < subtrees.size(); ++i) {
     for (int side : {0, 1}) {
       const nn::Vec want = fresh(subtrees[i], side);
-      EXPECT_EQ(subtrees[i].terms[side], want) << "subtree " << i;
-      EXPECT_EQ(batched[i].terms[side], want) << "subtree " << i;
+      EXPECT_EQ(cached(subtrees[i].embedding, side), want) << "subtree " << i;
+      EXPECT_EQ(cached(batched[i].embedding, side), want) << "subtree " << i;
     }
   }
 }
@@ -358,34 +390,61 @@ TEST(IncrementalScoringExactTest, ChildTermsCountDistinctSubtreeSides) {
 
 TEST_P(IncrementalScoringTest, ConcurrentPlannersMatchSingleThreadedTopK) {
   const PlannerOptions options = Options(/*bushy=*/true, true);
+  const size_t n = queries_.size();
   std::vector<BeamSearchPlanner::PlanningResult> reference;
   for (const Query* query : queries_) {
     reference.push_back(Search(*query, options));
   }
+  // The queries ordered largest, smallest, next largest, next smallest...:
+  // each search reuses its thread's workspace right after a search of a
+  // very different size.
+  std::vector<size_t> by_size(n);
+  std::iota(by_size.begin(), by_size.end(), size_t{0});
+  std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
+    return queries_[a]->num_relations() < queries_[b]->num_relations();
+  });
+  std::vector<size_t> order;
+  for (size_t lo = 0, hi = n; lo < hi;) {
+    order.push_back(by_size[--hi]);
+    if (lo < hi) order.push_back(by_size[lo++]);
+  }
+  ASSERT_LT(queries_[order[1]]->num_relations(),
+            queries_[order[0]]->num_relations());
+
   constexpr int kThreads = 4;
+  constexpr int kPasses = 2;
   InferenceService service(network_.get());
+  // planned[t][pass * n + i]: thread t's search of query i in that pass.
   std::vector<std::vector<BeamSearchPlanner::PlanningResult>> planned(
       kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Threads walk the queries from different offsets, so concurrent
+      // Threads walk the order from different offsets, so concurrent
       // searches mix queries on the shared network.
-      planned[t].resize(queries_.size());
-      for (size_t k = 0; k < queries_.size(); ++k) {
-        const size_t i = (k + static_cast<size_t>(t)) % queries_.size();
-        planned[t][i] = Search(*queries_[i], options, &service);
+      planned[t].resize(kPasses * n);
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (size_t k = 0; k < n; ++k) {
+          const size_t i = order[(k + static_cast<size_t>(t)) % n];
+          planned[t][pass * n + i] = Search(*queries_[i], options, &service);
+        }
       }
     });
   }
   for (std::thread& t : threads) t.join();
   int64_t batch_calls = 0, network_evals = 0;
   for (int t = 0; t < kThreads; ++t) {
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      ExpectSamePlans(planned[t][i], reference[i],
-                      queries_[i]->name() + " thread=" + std::to_string(t));
-      batch_calls += planned[t][i].batch_calls;
-      network_evals += planned[t][i].network_evals;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (size_t i = 0; i < n; ++i) {
+        const BeamSearchPlanner::PlanningResult& got = planned[t][pass * n + i];
+        ExpectSamePlans(got, reference[i],
+                        queries_[i]->name() + " thread=" + std::to_string(t) +
+                            " pass=" + std::to_string(pass));
+        EXPECT_EQ(got.network_evals, reference[i].network_evals);
+        EXPECT_EQ(got.child_terms, reference[i].child_terms);
+        batch_calls += got.batch_calls;
+        network_evals += got.network_evals;
+      }
     }
   }
   EXPECT_EQ(service.stats().requests, batch_calls);

@@ -34,6 +34,7 @@ class InferenceServiceTest : public ::testing::Test {
     config.init_seed = 11;
     network_ = std::make_unique<ValueNetwork>(config);
     query_feat_ = featurizer_.QueryFeatures(query_);
+    query_term_ = testing::QueryTermOf(*network_, query_feat_);
 
     // Distinct left-deep plans: every permutation of the dimension joins
     // under every single join operator.
@@ -64,9 +65,12 @@ class InferenceServiceTest : public ::testing::Test {
       child_embeddings_.push_back(testing::EmbedSubtree(
           *network_, featurizer_, query_, query_feat_, plan, child));
     }
-    root_jobs_.push_back(RootJob{&query_feat_, &root_feats_.back(),
-                                 &child_embeddings_.end()[-2],
-                                 &child_embeddings_.back()});
+    testing::Embedding& out = roots_.emplace_back();
+    out.row.resize(static_cast<size_t>(network_->row_layout().stride));
+    root_jobs_.push_back(RootJob{query_term_.data(), root_feats_.back().data(),
+                                 child_embeddings_.end()[-2].row.data(),
+                                 child_embeddings_.back().row.data(),
+                                 out.row.data(), &out.score});
   }
 
   std::vector<const nn::TreeSample*> TreePtrs() const {
@@ -80,10 +84,12 @@ class InferenceServiceTest : public ::testing::Test {
   Featurizer featurizer_;
   std::unique_ptr<ValueNetwork> network_;
   nn::Vec query_feat_;
+  nn::Vec query_term_;
   std::vector<nn::TreeSample> trees_;
   // Deques: the jobs point into them.
   std::deque<nn::Vec> root_feats_;
-  std::deque<SubtreeEmbedding> child_embeddings_;
+  std::deque<testing::Embedding> child_embeddings_;
+  std::deque<testing::Embedding> roots_;  // the jobs' outputs
   std::vector<RootJob> root_jobs_;  // root_jobs_[i] scores trees_[i]
 };
 
@@ -136,19 +142,16 @@ TEST_F(InferenceServiceTest, ServiceMatchesDirectForwardBatch) {
                                                       TreePtrs());
   InferenceService service(network_.get());
   // Scoring only reads the children's embeddings and terms.
-  const std::deque<SubtreeEmbedding> children_before = child_embeddings_;
-  std::vector<SubtreeEmbedding> served = service.ScoreRoots(root_jobs_);
-  ASSERT_EQ(served.size(), direct.size());
+  const std::deque<testing::Embedding> children_before = child_embeddings_;
+  service.ScoreRoots(root_jobs_);
+  ASSERT_EQ(roots_.size(), direct.size());
   for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(served[i].score, direct[i]) << "plan " << i;
+    EXPECT_EQ(roots_[i].score, direct[i]) << "plan " << i;
   }
   for (size_t i = 0; i < child_embeddings_.size(); ++i) {
-    const SubtreeEmbedding& now = child_embeddings_[i];
-    const SubtreeEmbedding& before = children_before[i];
-    EXPECT_TRUE(now.input == before.input && now.h1 == before.h1 &&
-                now.pooled == before.pooled &&
-                now.terms[0] == before.terms[0] &&
-                now.terms[1] == before.terms[1] && now.score == before.score)
+    const testing::Embedding& now = child_embeddings_[i];
+    const testing::Embedding& before = children_before[i];
+    EXPECT_TRUE(now.row == before.row && now.score == before.score)
         << "child " << i;
   }
   InferenceService::Stats stats = service.stats();

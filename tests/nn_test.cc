@@ -195,7 +195,9 @@ TEST(TreeConvTest, ChildTermsReproduceForwardBitwise) {
     Mat child(3, 1);
     const Vec& f = t.features[side == 0 ? t.left[0] : t.right[0]];
     for (int r = 0; r < 3; ++r) child.at(r, 0) = f[r];
-    terms.push_back(layer.ChildTerm(side, child).data);
+    Mat term;
+    layer.ChildTerm(side, child, &term);
+    terms.push_back(term.data);
   }
   TermColumns left{{terms[0].data(), nullptr, nullptr}, 1};
   TermColumns right{{terms[1].data(), nullptr, nullptr}, 1};

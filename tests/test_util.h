@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "src/catalog/schema.h"
 #include "src/model/featurizer.h"
@@ -116,28 +117,45 @@ inline Query MakeStarQuery(const Schema& schema, int id = 0) {
   return q;
 }
 
+/// A subtree's embedding row (ValueNetwork::row_layout()) and score, kept
+/// on its own rather than in a search's table.
+struct Embedding {
+  std::vector<float> row;
+  double score = 0;
+};
+
+/// ValueNetwork::QueryTerm of `query_feat`.
+inline nn::Vec QueryTermOf(const ValueNetwork& net, const nn::Vec& query_feat) {
+  nn::Vec term(static_cast<size_t>(net.query_term_dim()));
+  net.QueryTerm(query_feat.data(), term.data());
+  return term;
+}
+
 /// Embeds the subtree of `plan` rooted at `idx` (-1 = root) the way beam
 /// search does: bottom-up, each node scored by ValueNetwork::ScoreRoots from
 /// its own features plus its children's cached terms. The result carries its
 /// terms for both sides, so it can be any root job's child.
-inline SubtreeEmbedding EmbedSubtree(const ValueNetwork& net,
-                                     const Featurizer& featurizer,
-                                     const Query& query,
-                                     const nn::Vec& query_feat,
-                                     const Plan& plan, int idx = -1) {
+inline Embedding EmbedSubtree(const ValueNetwork& net,
+                              const Featurizer& featurizer,
+                              const Query& query, const nn::Vec& query_feat,
+                              const Plan& plan, int idx = -1) {
   const PlanNode& node = plan.node(idx < 0 ? plan.root() : idx);
-  nn::Vec feat = featurizer.NodeFeatures(query, node);
-  SubtreeEmbedding left, right;
-  RootJob job{&query_feat, &feat, nullptr, nullptr};
+  const nn::Vec term = QueryTermOf(net, query_feat);
+  const nn::Vec feat = featurizer.NodeFeatures(query, node);
+  Embedding out, left, right;
+  out.row.assign(static_cast<size_t>(net.row_layout().stride), 0.f);
+  RootJob job{term.data(), feat.data(), nullptr, nullptr, out.row.data(),
+              &out.score};
   if (node.is_join) {
     left = EmbedSubtree(net, featurizer, query, query_feat, plan, node.left);
     right = EmbedSubtree(net, featurizer, query, query_feat, plan, node.right);
-    job.left = &left;
-    job.right = &right;
+    job.left = left.row.data();
+    job.right = right.row.data();
   }
-  SubtreeEmbedding embedding = std::move(net.ScoreRoots({job})[0]);
-  net.ChildTerms({{&embedding, 0}, {&embedding, 1}});
-  return embedding;
+  net.ScoreRoots({job});
+  net.ChildTerms({{term.data(), feat.data(), out.row.data(), 0},
+                  {term.data(), feat.data(), out.row.data(), 1}});
+  return out;
 }
 
 /// True if two training points have equal query features, plan features,

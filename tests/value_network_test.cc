@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -170,10 +171,18 @@ class LayerOneRefreshTest : public ::testing::Test {
     const nn::Vec a = {1, 0, 0, 1, 0, 0};
     const nn::Vec b = {0, 1, 0, 0, 1, 0};
     const nn::Vec join = {0, 0, 1, 1, 1, 0};
-    SubtreeEmbedding left = net.ScoreRoots({{&q, &a, nullptr, nullptr}})[0];
-    SubtreeEmbedding right = net.ScoreRoots({{&q, &b, nullptr, nullptr}})[0];
-    net.ChildTerms({{&left, 0}, {&right, 1}});
-    const double joined = net.ScoreRoots({{&q, &join, &left, &right}})[0].score;
+    const nn::Vec term = testing::QueryTermOf(net, q);
+    const size_t stride = static_cast<size_t>(net.row_layout().stride);
+    std::vector<float> left(stride), right(stride), root(stride);
+    double left_score = 0, right_score = 0, joined = 0;
+    net.ScoreRoots({{term.data(), a.data(), nullptr, nullptr, left.data(),
+                     &left_score},
+                    {term.data(), b.data(), nullptr, nullptr, right.data(),
+                     &right_score}});
+    net.ChildTerms({{term.data(), a.data(), left.data(), 0},
+                    {term.data(), b.data(), right.data(), 1}});
+    net.ScoreRoots({{term.data(), join.data(), left.data(), right.data(),
+                     root.data(), &joined}});
 
     nn::TreeSample leaf_plan;
     leaf_plan.features = {a};
@@ -183,7 +192,7 @@ class LayerOneRefreshTest : public ::testing::Test {
     join_plan.features = {join, a, b};
     join_plan.left = {1, -1, -1};
     join_plan.right = {2, -1, -1};
-    EXPECT_EQ(Bits(left.score), Bits(net.Predict(q, leaf_plan)));
+    EXPECT_EQ(Bits(left_score), Bits(net.Predict(q, leaf_plan)));
     EXPECT_EQ(Bits(joined), Bits(net.Predict(q, join_plan)));
   }
 };
@@ -231,6 +240,76 @@ TEST_F(LayerOneRefreshTest, AfterInitWeights) {
   ExpectScoreRootsMatchesPredict(net);
 }
 
+// A failed Load or CopyWeightsFrom changes nothing: not the weights (as Save
+// writes them), nor the layer-1 transposes incremental scoring reads.
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+}
+
+TEST_F(LayerOneRefreshTest, AFailedLoadChangesNothing) {
+  const std::string dir = ::testing::TempDir();
+  ValueNetConfig donor_config = SmallConfig();
+  donor_config.init_seed = 55;
+  ValueNetwork donor(donor_config);
+  ASSERT_TRUE(donor.Save(dir + "/donor.bin").ok());
+  const std::string good = FileBytes(dir + "/donor.bin");
+  ASSERT_GT(good.size(), 16u);
+
+  // Every parameter but the last loads, then the file ends.
+  WriteBytes(dir + "/truncated.bin", good.substr(0, good.size() - 4));
+  // A whole extra parameter's worth of bytes.
+  WriteBytes(dir + "/trailing.bin", good + std::string(8, '\0'));
+  // The same layers with a wider last hidden layer: fc1's shape differs.
+  ValueNetConfig wide_config = SmallConfig();
+  wide_config.mlp_hidden = 12;
+  ValueNetwork wide(wide_config);
+  ASSERT_TRUE(wide.Save(dir + "/wrong_shape.bin").ok());
+  // A parameter count one too high.
+  std::string wrong_count = good;
+  uint64_t count = 0;
+  std::memcpy(&count, wrong_count.data(), sizeof(count));
+  ++count;
+  std::memcpy(wrong_count.data(), &count, sizeof(count));
+  WriteBytes(dir + "/wrong_count.bin", wrong_count);
+
+  ValueNetwork net(SmallConfig());
+  ASSERT_TRUE(net.Save(dir + "/before.bin").ok());
+  const std::string before = FileBytes(dir + "/before.bin");
+  for (const char* bad : {"truncated.bin", "trailing.bin", "wrong_shape.bin",
+                          "wrong_count.bin"}) {
+    EXPECT_FALSE(net.Load(dir + "/" + bad).ok()) << bad;
+    ASSERT_TRUE(net.Save(dir + "/after.bin").ok());
+    EXPECT_EQ(FileBytes(dir + "/after.bin"), before) << bad;
+    ExpectScoreRootsMatchesPredict(net);
+  }
+  // The good file still loads.
+  ASSERT_TRUE(net.Load(dir + "/donor.bin").ok());
+  ASSERT_TRUE(net.Save(dir + "/after.bin").ok());
+  EXPECT_EQ(FileBytes(dir + "/after.bin"), good);
+}
+
+TEST_F(LayerOneRefreshTest, AFailedCopyChangesNothing) {
+  const std::string dir = ::testing::TempDir();
+  // The tree-conv layers match in shape; fc1's does not.
+  ValueNetConfig wide_config = SmallConfig();
+  wide_config.mlp_hidden = 12;
+  wide_config.init_seed = 55;
+  const ValueNetwork wide(wide_config);
+  ValueNetwork net(SmallConfig());
+  ASSERT_TRUE(net.Save(dir + "/copy_before.bin").ok());
+  EXPECT_FALSE(net.CopyWeightsFrom(wide).ok());
+  ASSERT_TRUE(net.Save(dir + "/copy_after.bin").ok());
+  EXPECT_EQ(FileBytes(dir + "/copy_after.bin"),
+            FileBytes(dir + "/copy_before.bin"));
+  ExpectScoreRootsMatchesPredict(net);
+}
+
 TEST(ValueNetworkTest, RawLabelSpaceSupported) {
   ValueNetConfig cfg = SmallConfig();
   cfg.log_transform = false;
@@ -256,12 +335,6 @@ TEST(ValueNetworkTest, RawLabelSpaceSupported) {
 // one backward pass per (plan, node) sample, over per-node vectors, with the
 // same Rng layer init, shuffles, Adam and early stopping. Train stacks each
 // minibatch into matrices; the trained weights must not change by a bit.
-
-std::string FileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 class ReferenceTrainer {
  public:
