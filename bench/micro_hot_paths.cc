@@ -5,6 +5,8 @@
 // set the cost of a plan-cache hit.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "src/balsa/planner.h"
 #include "src/balsa/simulation.h"
 #include "src/model/value_network.h"
@@ -161,70 +163,94 @@ JobEnv& GlobalJobEnv() {
   return *env;
 }
 
-/// A plan joining relations [0, n - 1) left-deep, then relation n - 1 as
-/// the root's right child.
-Plan LeftDeepPlan(int n) {
+/// A plan joining n distinct relations of `query`, drawn at random,
+/// left-deep and then one more as the root's right child, with random scan
+/// and join operators: one of many distinct subtrees of that size.
+Plan RandomLeftDeepPlan(const Query& query, int n, Rng* rng) {
+  std::vector<int> rels(static_cast<size_t>(query.num_relations()));
+  std::iota(rels.begin(), rels.end(), 0);
+  rng->Shuffle(&rels);
   Plan plan;
-  int root = plan.AddScan(0, ScanOp::kSeqScan);
+  auto scan = [&](int rel) {
+    return plan.AddScan(rel, static_cast<ScanOp>(rng->Uniform(kNumScanOps)));
+  };
+  int root = scan(rels[0]);
   for (int r = 1; r < n; ++r) {
-    root = plan.AddJoin(root, plan.AddScan(r, ScanOp::kSeqScan),
-                        JoinOp::kHashJoin);
+    root = plan.AddJoin(root, scan(rels[static_cast<size_t>(r)]),
+                        static_cast<JoinOp>(rng->Uniform(kNumJoinOps)));
   }
   plan.set_root(root);
   return plan;
 }
 
-// `plan`'s root scored the way beam search scores it: only the root join,
-// from its children's cached rows and child terms, state.range(0) copies
-// per call.
+// Join roots of `relations` relations (left-deep, then one more relation as
+// the right child) scored the way beam search scores them: only the root,
+// from its children's cached rows and child terms, state.range(0) jobs per
+// call. Each job has its own children and root, drawn by RandomLeftDeepPlan,
+// so which child wins each pooled maximum varies from job to job as it does
+// across a frontier, instead of repeating one pattern that the branch
+// predictor learns.
 void ScoreRootsLoop(benchmark::State& state, const ValueNetwork& net,
                     const Featurizer& featurizer, const Query& query,
-                    const Plan& plan) {
+                    int relations) {
   nn::Vec qf = featurizer.QueryFeatures(query);
   nn::Vec term = testing::QueryTermOf(net, qf);
-  const PlanNode& node = plan.node(plan.root());
-  nn::Vec root = featurizer.NodeFeatures(query, node);
-  // EmbedSubtree fills both child terms of what it returns.
-  testing::Embedding left =
-      testing::EmbedSubtree(net, featurizer, query, qf, plan, node.left);
-  testing::Embedding right =
-      testing::EmbedSubtree(net, featurizer, query, qf, plan, node.right);
   const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(n);
+  std::vector<nn::Vec> roots;
+  // EmbedSubtree fills both child terms of what it returns.
+  std::vector<testing::Embedding> children;
+  for (size_t i = 0; i < n; ++i) {
+    const Plan plan = RandomLeftDeepPlan(query, relations, &rng);
+    const PlanNode& node = plan.node(plan.root());
+    roots.push_back(featurizer.NodeFeatures(query, node));
+    for (int child : {node.left, node.right}) {
+      children.push_back(
+          testing::EmbedSubtree(net, featurizer, query, qf, plan, child));
+    }
+  }
   const size_t stride = static_cast<size_t>(net.row_layout().stride);
   std::vector<float> rows(n * stride);
   std::vector<double> scores(n);
   std::vector<RootJob> batch;
   for (size_t i = 0; i < n; ++i) {
-    batch.push_back({term.data(), root.data(), left.row.data(),
-                     right.row.data(), &rows[i * stride], &scores[i]});
+    batch.push_back({term.data(), roots[i].data(), children[2 * i].row.data(),
+                     children[2 * i + 1].row.data(), &rows[i * stride],
+                     &scores[i]});
   }
   for (auto _ : state) {
     net.ScoreRoots(batch);
     benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 // The child terms a search computes before scoring a frontier, for
-// state.range(0) copies of `plan`'s root: half as left children, half as
-// right.
+// state.range(0) distinct subtrees of `relations` relations
+// (RandomLeftDeepPlan): half as left children, half as right.
 void ChildTermsLoop(benchmark::State& state, const ValueNetwork& net,
                     const Featurizer& featurizer, const Query& query,
-                    const Plan& plan) {
+                    int relations) {
   nn::Vec qf = featurizer.QueryFeatures(query);
   nn::Vec term = testing::QueryTermOf(net, qf);
-  nn::Vec feat = featurizer.NodeFeatures(query, plan.node(plan.root()));
-  std::vector<testing::Embedding> children(
-      static_cast<size_t>(state.range(0)),
-      testing::EmbedSubtree(net, featurizer, query, qf, plan));
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  std::vector<nn::Vec> feats;
+  std::vector<testing::Embedding> children;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    const Plan plan = RandomLeftDeepPlan(query, relations, &rng);
+    feats.push_back(featurizer.NodeFeatures(query, plan.node(plan.root())));
+    children.push_back(testing::EmbedSubtree(net, featurizer, query, qf, plan));
+  }
   std::vector<TermJob> jobs;
   for (size_t i = 0; i < children.size(); ++i) {
-    jobs.push_back({term.data(), feat.data(), children[i].row.data(),
+    jobs.push_back({term.data(), feats[i].data(), children[i].row.data(),
                     static_cast<int>(i % 2)});
   }
   for (auto _ : state) {
     net.ChildTerms(jobs);
     benchmark::DoNotOptimize(children.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -232,14 +258,13 @@ void ChildTermsLoop(benchmark::State& state, const ValueNetwork& net,
 // The star fixture (4 tables, 64/32 hidden units): layer 2 dominates.
 void BM_ValueNetworkScoreRoots(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();
-  ScoreRootsLoop(state, *env.net, env.featurizer, env.query,
-                 LeftDeepPlan(3));
+  ScoreRootsLoop(state, *env.net, env.featurizer, env.query, 3);
 }
 BENCHMARK(BM_ValueNetworkScoreRoots)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_ValueNetworkChildTerms(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();
-  ChildTermsLoop(state, *env.net, env.featurizer, env.query, LeftDeepPlan(2));
+  ChildTermsLoop(state, *env.net, env.featurizer, env.query, 2);
 }
 BENCHMARK(BM_ValueNetworkChildTerms)->Arg(8)->Arg(32);
 
@@ -247,15 +272,13 @@ BENCHMARK(BM_ValueNetworkChildTerms)->Arg(8)->Arg(32);
 // left-deep root, and 2-relation joins as children.
 void BM_ValueNetworkScoreRootsJob(benchmark::State& state) {
   JobEnv& env = GlobalJobEnv();
-  ScoreRootsLoop(state, *env.net, env.featurizer, *env.query,
-                 LeftDeepPlan(6));
+  ScoreRootsLoop(state, *env.net, env.featurizer, *env.query, 6);
 }
 BENCHMARK(BM_ValueNetworkScoreRootsJob)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_ValueNetworkChildTermsJob(benchmark::State& state) {
   JobEnv& env = GlobalJobEnv();
-  ChildTermsLoop(state, *env.net, env.featurizer, *env.query,
-                 LeftDeepPlan(2));
+  ChildTermsLoop(state, *env.net, env.featurizer, *env.query, 2);
 }
 BENCHMARK(BM_ValueNetworkChildTermsJob)->Arg(8)->Arg(32);
 

@@ -18,7 +18,8 @@ double SafeLog2(double x) { return std::log2(std::max(2.0, x)); }
 
 }  // namespace
 
-// Both walk the query's predicates in place: beam search asks them per
+// Both walk the query's predicates in place, as the executor's scans and
+// joins and the cardinality estimator do: beam search asks them per
 // frontier pair, and Query::JoinsBetween and FiltersOn return copies.
 bool IndexNLValid(const Schema& schema, const Query& query, TableSet outer,
                   int rel) {

@@ -169,16 +169,17 @@ StatusOr<Intermediate> Executor::Scan(const Query& query, int rel,
     return Status::FailedPrecondition("no data for table index " +
                                       std::to_string(table_idx));
   }
-  auto filters = query.FiltersOn(rel);
+  // The filters on `rel`, walked in place in the query's order.
+  const std::vector<FilterPredicate>& filters = query.filters();
 
   Intermediate out;
   out.rels = {rel};
   out.tuples.resize(1);
   auto& rows = out.tuples[0];
-  auto passes_all_but = [&](uint32_t r, int skip) {
-    for (size_t i = 0; i < filters.size(); ++i) {
-      if (static_cast<int>(i) == skip) continue;
-      if (!EvalFilter(query, filters[i], r)) return false;
+  auto passes_all_but = [&](uint32_t r, const FilterPredicate* skip) {
+    for (const FilterPredicate& f : filters) {
+      if (f.col.relation != rel || &f == skip) continue;
+      if (!EvalFilter(query, f, r)) return false;
     }
     return true;
   };
@@ -187,20 +188,19 @@ StatusOr<Intermediate> Executor::Scan(const Query& query, int rel,
   // the snapshot's hash index, in the same ascending row order a full scan
   // would produce (a kEq on NULL matches nothing either way — NULLs fail
   // every predicate and are not indexed).
-  int eq = -1;
+  const FilterPredicate* eq = nullptr;
   if (options_.use_index_for_eq) {
-    for (size_t i = 0; i < filters.size(); ++i) {
-      if (filters[i].op == PredOp::kEq) {
-        eq = static_cast<int>(i);
+    for (const FilterPredicate& f : filters) {
+      if (f.col.relation == rel && f.op == PredOp::kEq) {
+        eq = &f;
         break;
       }
     }
   }
-  if (eq >= 0) {
+  if (eq != nullptr) {
     if (profiled) prof->used_index = true;
-    const FilterPredicate& f = filters[static_cast<size_t>(eq)];
-    const HashIndex& index = snapshot_.index(table_idx, f.col.column);
-    for (uint32_t r : index.Lookup(f.value)) {
+    const HashIndex& index = snapshot_.index(table_idx, eq->col.column);
+    for (uint32_t r : index.Lookup(eq->value)) {
       if (!passes_all_but(r, eq)) continue;
       rows.push_back(r);
       if (static_cast<int64_t>(rows.size()) >= options_.row_cap) {
@@ -224,6 +224,7 @@ StatusOr<Intermediate> Executor::Scan(const Query& query, int rel,
   std::vector<VecFilter> vectorized;
   std::vector<const FilterPredicate*> per_row;
   for (const FilterPredicate& f : filters) {
+    if (f.col.relation != rel) continue;
     if (f.op == PredOp::kIn) {
       per_row.push_back(&f);
     } else {
@@ -289,17 +290,32 @@ StatusOr<Intermediate> Executor::Join(const Query& query,
   TableSet lset, rset;
   for (int r : left.rels) lset = lset.With(r);
   for (int r : right.rels) rset = rset.With(r);
-  auto preds = query.JoinsBetween(lset, rset);
-  if (preds.empty()) {
-    return Status::InvalidArgument("no join predicate between " +
-                                   lset.ToString() + " and " +
-                                   rset.ToString());
-  }
 
   // Build a hash table on the smaller input, keyed by the first predicate.
   const bool build_left = left.NumRows() <= right.NumRows();
   const Intermediate& build = build_left ? left : right;
   const Intermediate& probe = build_left ? right : left;
+
+  // The predicates crossing the cut, walked in place in the query's order
+  // (Query::JoinsBetween's, without its copy) and oriented so .left refers
+  // to the build side.
+  auto crosses = [&](const JoinPredicate& p) {
+    return lset.Contains(p.left.relation) && rset.Contains(p.right.relation);
+  };
+  std::vector<JoinPredicate> oriented;
+  for (JoinPredicate p : query.joins()) {
+    if (!crosses(p)) {
+      std::swap(p.left, p.right);
+      if (!crosses(p)) continue;
+    }
+    if (!build_left) std::swap(p.left, p.right);
+    oriented.push_back(p);
+  }
+  if (oriented.empty()) {
+    return Status::InvalidArgument("no join predicate between " +
+                                   lset.ToString() + " and " +
+                                   rset.ToString());
+  }
   auto finish = [&](Intermediate&& joined) -> Intermediate {
     if (profiled) {
       prof->build_rows = build.NumRows();
@@ -313,12 +329,6 @@ StatusOr<Intermediate> Executor::Join(const Query& query,
     return std::move(joined);
   };
 
-  // Orient predicates so .left refers to the build side.
-  std::vector<JoinPredicate> oriented;
-  for (auto p : preds) {
-    if (!build_left) std::swap(p.left, p.right);
-    oriented.push_back(p);
-  }
   const JoinPredicate& key = oriented[0];
   int build_slot = build.RelSlot(key.left.relation);
   int probe_slot = probe.RelSlot(key.right.relation);

@@ -15,11 +15,6 @@ struct ValueNetwork::Stacked {
 };
 
 ValueNetwork::ValueNetwork(ValueNetConfig config) : config_(config) {
-  layout_.pooled = config_.tree_hidden1;
-  layout_.term_dim = config_.tree_hidden1 + config_.tree_hidden2;
-  layout_.term[0] = layout_.pooled + config_.tree_hidden2;
-  layout_.term[1] = layout_.term[0] + layout_.term_dim;
-  layout_.stride = layout_.term[1] + layout_.term_dim;
   InitWeights(config_.init_seed);
 }
 
@@ -30,13 +25,11 @@ void ValueNetwork::InitWeights(uint64_t seed) {
   tc2_ = nn::TreeConvLayer(config_.tree_hidden1, config_.tree_hidden2, &rng);
   fc1_ = nn::Linear(config_.tree_hidden2, config_.mlp_hidden, &rng);
   fc2_ = nn::Linear(config_.mlp_hidden, 1, &rng);
-  TransposeLayer1();
+  TransposeWeights();
 }
 
-void ValueNetwork::TransposeLayer1() {
-  tc1_wt_[0] = nn::Transpose(tc1_.wp());
-  tc1_wt_[1] = nn::Transpose(tc1_.wl());
-  tc1_wt_[2] = nn::Transpose(tc1_.wr());
+void ValueNetwork::TransposeWeights() {
+  rows_ = nn::RowNet(tc1_, tc2_, fc1_, fc2_, config_.query_dim);
 }
 
 std::vector<nn::Param*> ValueNetwork::Params() {
@@ -172,141 +165,17 @@ std::vector<double> ValueNetwork::ForwardBatch(
   return ForwardBatch(queries, plans);
 }
 
-namespace {
-
-// ScoreRoots' and ChildTerms' batch matrices, reused across a thread's
-// calls. A call over more than kRetainedColumns columns frees them at its
-// end, so between calls a thread keeps at most that many columns of each,
-// however wide a batch once was.
-struct ScoringScratch {
-  static constexpr size_t kRetainedColumns = 512;
-
-  nn::Mat h1, pooled, m1, out, t2;
-  nn::TermColumns terms[2][2];  // [layer][side]
-  std::vector<size_t> side_jobs;  // ChildTerms: one side's jobs
-
-  void Trim(size_t columns) {
-    if (columns > kRetainedColumns) *this = ScoringScratch();
-  }
-};
-
-ScoringScratch& ThreadScratch() {
-  thread_local ScoringScratch scratch;
-  return scratch;
-}
-
-// Sizes `m` as rows x cols, keeping its capacity; the entries are left for
-// the caller to write.
-void Shape(nn::Mat* m, int rows, int cols) {
-  m->rows = rows;
-  m->cols = cols;
-  m->data.resize(static_cast<size_t>(rows) * cols);
-}
-
-}  // namespace
-
 void ValueNetwork::QueryTerm(const float* query, float* term) const {
-  const int h1_rows = config_.tree_hidden1;
-  std::fill(term, term + query_term_dim(), 0.f);
-  for (int k = 0; k < 3; ++k) {
-    nn::GatherAdd(tc1_wt_[k], 0, query, config_.query_dim,
-                  term + k * h1_rows);
-  }
+  nn::QueryTerm(rows_, query, term);
 }
 
 void ValueNetwork::ScoreRoots(const std::vector<RootJob>& jobs) const {
-  const int n = static_cast<int>(jobs.size());
-  if (n == 0) return;
-  ScoringScratch& s = ThreadScratch();
-
-  // Layer 1's Wp (query ++ node) per column: the query's term, continued
-  // over the node's nonzero inputs (GatherAdd) in the row's h1 slot, bitwise
-  // the AddMatMul that ForwardWithTerms would run.
-  const int qd = config_.query_dim;
-  const int h1_rows = config_.tree_hidden1;
-  Shape(&s.h1, h1_rows, n);
-  for (int j = 0; j < n; ++j) {
-    float* product = jobs[j].row;
-    std::copy(jobs[j].query_term, jobs[j].query_term + h1_rows, product);
-    nn::GatherAdd(tc1_wt_[0], qd, jobs[j].node, config_.node_dim, product);
-    for (int r = 0; r < h1_rows; ++r) s.h1.at(r, j) = product[r];
-  }
-  // Each side's cached terms for each layer: a child's term holds the tc1
-  // term, then the tc2 term from h1_rows on.
-  for (int layer : {0, 1}) {
-    for (int side : {0, 1}) {
-      nn::TermColumns& t = s.terms[layer][side];
-      t.cols.assign(static_cast<size_t>(n), nullptr);
-      const int offset = layout_.term[side] + layer * h1_rows;
-      for (int j = 0; j < n; ++j) {
-        const float* child = side == 0 ? jobs[j].left : jobs[j].right;
-        if (child != nullptr) t.cols[j] = child + offset;
-      }
-    }
-  }
-
-  tc1_.AddTermsAndBias(s.terms[0][0], s.terms[0][1], &s.h1);
-  nn::ReluMatForward(&s.h1);
-  tc2_.ForwardWithTerms(s.h1, s.terms[1][0], s.terms[1][1], &s.pooled);
-  nn::ReluMatForward(&s.pooled);
-  // pooled starts as each root's h2; fold in the children's pooled maxima.
-  nn::Mat& pooled = s.pooled;
-  for (int j = 0; j < n; ++j) {
-    for (const float* child : {jobs[j].left, jobs[j].right}) {
-      if (child == nullptr) continue;
-      const float* child_pooled = child + layout_.pooled;
-      for (int d = 0; d < pooled.rows; ++d) {
-        if (child_pooled[d] > pooled.at(d, j)) {
-          pooled.at(d, j) = child_pooled[d];
-        }
-      }
-    }
-  }
-  fc1_.ForwardBatch(pooled, &s.m1);
-  nn::ReluMatForward(&s.m1);
-  fc2_.ForwardBatch(s.m1, &s.out);
-  for (int j = 0; j < n; ++j) {
-    float* row = jobs[j].row;
-    for (int r = 0; r < h1_rows; ++r) row[r] = s.h1.at(r, j);
-    for (int d = 0; d < pooled.rows; ++d) {
-      row[layout_.pooled + d] = pooled.at(d, j);
-    }
-    *jobs[j].score = FromLabelSpace(s.out.at(0, j));
-  }
-  s.Trim(static_cast<size_t>(n));
+  nn::ScoreRoots(rows_, jobs.data(), jobs.size());
+  for (const RootJob& job : jobs) *job.score = FromLabelSpace(*job.score);
 }
 
 void ValueNetwork::ChildTerms(const std::vector<TermJob>& jobs) const {
-  ScoringScratch& s = ThreadScratch();
-  const int qd = config_.query_dim;
-  const int h1_rows = config_.tree_hidden1;
-  for (int side : {0, 1}) {
-    s.side_jobs.clear();
-    for (size_t k = 0; k < jobs.size(); ++k) {
-      if (jobs[k].side == side) s.side_jobs.push_back(k);
-    }
-    if (s.side_jobs.empty()) continue;
-    const int m = static_cast<int>(s.side_jobs.size());
-    // Layer 2's terms from the subtrees' h1 columns stacked into one batch;
-    // layer 1's (Wl or Wr) continued from the query term over the node's
-    // features, as ScoreRoots continues Wp's.
-    Shape(&s.h1, h1_rows, m);
-    for (int k = 0; k < m; ++k) {
-      const float* h1 = jobs[s.side_jobs[k]].row;
-      for (int r = 0; r < h1_rows; ++r) s.h1.at(r, k) = h1[r];
-    }
-    tc2_.ChildTerm(side, s.h1, &s.t2);
-    const nn::Mat& wt = tc1_wt_[1 + side];
-    for (int k = 0; k < m; ++k) {
-      const TermJob& job = jobs[s.side_jobs[k]];
-      const float* query_term = job.query_term + (1 + side) * h1_rows;
-      float* term = job.row + layout_.term[side];
-      std::copy(query_term, query_term + h1_rows, term);
-      nn::GatherAdd(wt, qd, job.node, config_.node_dim, term);
-      for (int r = 0; r < s.t2.rows; ++r) term[h1_rows + r] = s.t2.at(r, k);
-    }
-  }
-  s.Trim(jobs.size());
+  nn::ChildTerms(rows_, jobs.data(), jobs.size());
 }
 
 ValueNetwork::TrainResult ValueNetwork::Train(
@@ -413,7 +282,7 @@ ValueNetwork::TrainResult ValueNetwork::Train(
     }
   }
   if (!val.empty()) restore();
-  TransposeLayer1();
+  TransposeWeights();
   result.best_val_loss = val.empty() ? result.final_train_loss : best_val;
   return result;
 }
@@ -421,7 +290,7 @@ ValueNetwork::TrainResult ValueNetwork::Train(
 Status ValueNetwork::CopyWeightsFrom(const ValueNetwork& other) {
   auto* mutable_other = const_cast<ValueNetwork*>(&other);
   Status status = nn::CopyParams(mutable_other->Params(), Params());
-  if (status.ok()) TransposeLayer1();
+  if (status.ok()) TransposeWeights();
   return status;
 }
 
@@ -431,7 +300,7 @@ Status ValueNetwork::Save(const std::string& path) {
 
 Status ValueNetwork::Load(const std::string& path) {
   Status status = nn::LoadParams(Params(), path);
-  if (status.ok()) TransposeLayer1();
+  if (status.ok()) TransposeWeights();
   return status;
 }
 

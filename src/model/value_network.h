@@ -34,43 +34,12 @@ struct TrainingPoint {
   double label = 0;
 };
 
-/// Where incremental scoring keeps a scored subtree: one row of `stride`
-/// floats in a caller-owned flat table, beside the subtree's score:
-///   h1 | pooled | left term | right term
-///  - h1: the root's post-ReLU first tree-conv layer (tree_hidden1);
-///  - pooled: max of the second layer's output over the subtree
-///    (tree_hidden2);
-///  - the terms: what the subtree adds to a parent as its left or right
-///    child, Wl·input ++ Wl2·h1 of the two tree-conv layers (Wr, Wr2 on the
-///    right), term_dim floats each. ChildTerms fills them; ScoreRoots
-///    writes only h1 and pooled.
-struct EmbeddingRowLayout {
-  int pooled = 0;  // h1 starts the row
-  int term[2] = {0, 0};
-  int term_dim = 0;
-  int stride = 0;
-};
-
-/// One subtree root to score. A leaf has no children; a join's children
-/// are rows scored earlier, each with its term for its side filled. The
-/// pointers are borrowed for the call.
-struct RootJob {
-  const float* query_term = nullptr;  // ValueNetwork::QueryTerm of the query
-  const float* node = nullptr;  // Featurizer::NodeFeatures of the root
-  const float* left = nullptr;  // the children's rows
-  const float* right = nullptr;
-  float* row = nullptr;     // the root's row
-  double* score = nullptr;  // its predicted label (original units)
-};
-
-/// A scored subtree whose child term for `side` (0 = left, 1 = right) is to
-/// be filled in its row.
-struct TermJob {
-  const float* query_term = nullptr;  // ValueNetwork::QueryTerm of the query
-  const float* node = nullptr;  // Featurizer::NodeFeatures of its root
-  float* row = nullptr;
-  int side = 0;
-};
+/// Incremental scoring's row types (nn.h): a scored subtree's row, the
+/// roots to score, and the child terms to fill. A RootJob's score is the
+/// predicted label (original units) once ValueNetwork::ScoreRoots returns.
+using EmbeddingRowLayout = nn::EmbeddingRowLayout;
+using RootJob = nn::RootJob;
+using TermJob = nn::TermJob;
 
 class ValueNetwork {
  public:
@@ -99,38 +68,39 @@ class ValueNetwork {
       const std::vector<const nn::TreeSample*>& plans) const;
 
   /// The row layout incremental scoring uses for this architecture.
-  const EmbeddingRowLayout& row_layout() const { return layout_; }
+  const EmbeddingRowLayout& row_layout() const { return rows_.layout; }
 
   /// Floats in a query term: 3 * tree_hidden1.
   int query_term_dim() const { return 3 * config_.tree_hidden1; }
 
-  /// Layer 1's products of a query's part of the input columns,
-  /// Wp[:, :qd] q | Wl[:, :qd] q | Wr[:, :qd] q, each summed from +0 by
-  /// nn::GatherAdd (AddMatMul's sums over those columns). A search computes
-  /// it once; ScoreRoots and ChildTerms continue every column from it.
+  /// Layer 1's products of a query's part of the input columns (see
+  /// nn::QueryTerm). A search computes it once; ScoreRoots and ChildTerms
+  /// continue every root's columns from it.
   void QueryTerm(const float* query, float* term) const;
 
-  /// Incremental scoring: embeds each job's root from its query term, its
-  /// node features and its children's cached terms, in one batched pass
-  /// over the new roots only, writing the root's h1 and pooled into its row
-  /// and its score. Bitwise equal to ForwardBatch over the whole subtree:
+  /// Incremental scoring: scores each job's root from its query term, its
+  /// node features and its children's cached terms and pooled maxima, one
+  /// job at a time in its own row (nn::ScoreRoots over the transposed
+  /// weights), writing the root's h1 and pooled and its score. Bitwise
+  /// equal to ForwardBatch over the whole subtree:
   ///  - layer 1's Wp product is the query term continued over the node's
-  ///    nonzero (mostly one-hot) inputs by nn::GatherAdd, which sums as
+  ///    nonzero (mostly one-hot) inputs by nn::GatherAdd, and layer 2's
+  ///    and the head's products are nn::ColumnAccumulate, all summing as
   ///    AddMatMul does;
-  ///  - the rest of both tree-conv layers is TreeConvLayer's kernel
-  ///    (ForwardWithTerms) with terms that ChildTerms computed the same way;
+  ///  - the children's terms (ChildTerms) and the bias are added to each
+  ///    layer's product in the order TreeConvLayer::ForwardBatch adds them;
   ///  - pooled = max(root h2, children's pooled) is DynamicMaxPool's value:
   ///    post-ReLU values are never negative, -0 or NaN, so their max does
   ///    not depend on visiting order.
-  /// Only reads the children, so concurrent calls may share them. The
-  /// batch's matrices are per-thread and reused across calls.
+  /// Only reads the children, so concurrent calls may share them. Holds no
+  /// per-thread state.
   void ScoreRoots(const std::vector<RootJob>& jobs) const;
 
   /// Fills each job's term for its side: layer 1's Wl (or Wr) product,
   /// continued from the query term over the node's features as ScoreRoots
-  /// continues Wp's, then layer 2's TreeConvLayer::ChildTerm of the
-  /// subtrees' h1 columns, batched per side. A term is bitwise independent
-  /// of the rest of the batch.
+  /// continues Wp's, then layer 2's product over the subtree's h1
+  /// (nn::ChildTerms). A term is bitwise TreeConvLayer::ChildTerm's, and
+  /// independent of the rest of the batch.
   void ChildTerms(const std::vector<TermJob>& jobs) const;
 
   struct TrainOptions {
@@ -191,9 +161,9 @@ class ValueNetwork {
   std::vector<nn::Param*> Params();
   std::vector<const nn::Param*> Params() const;
 
-  /// Rebuilds tc1_wt_ from tc1_'s weights. Every write of the weights
+  /// Rebuilds rows_ from the layers' weights. Every write of the weights
   /// (InitWeights, Train, Load, CopyWeightsFrom) ends with it.
-  void TransposeLayer1();
+  void TransposeWeights();
 
   double ToLabelSpace(double y) const;
   double FromLabelSpace(double z) const;
@@ -201,10 +171,9 @@ class ValueNetwork {
   ValueNetConfig config_;
   nn::TreeConvLayer tc1_, tc2_;
   nn::Linear fc1_, fc2_;
-  /// Transposes of tc1_'s Wp, Wl and Wr, which QueryTerm, ScoreRoots and
-  /// ChildTerms gather weight columns from.
-  nn::Mat tc1_wt_[3];
-  EmbeddingRowLayout layout_;
+  /// Transposed copies of every layer's weights, and of the biases, that
+  /// QueryTerm, ScoreRoots and ChildTerms read.
+  nn::RowNet rows_;
 };
 
 }  // namespace balsa

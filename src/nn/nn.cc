@@ -1,7 +1,10 @@
 #include "src/nn/nn.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+
+#include "src/nn/kernels.h"
 
 namespace balsa::nn {
 
@@ -14,60 +17,6 @@ void MatVec(const Mat& w, const Vec& x, Vec* y) {
   }
 }
 
-namespace {
-
-// The per-column kernels of the batched backward, on one column's
-// contiguous (node-major) row. They skip zero dy entries, visiting only
-// the rows that NonZeroRows lists: ReLU makes about half of a gradient
-// zero, too irregularly for a branch per entry to predict.
-
-// Lists the r with dy[r] != 0 in ascending order; returns how many.
-int NonZeroRows(const float* dy, int n, int* rows) {
-  int count = 0;
-  for (int r = 0; r < n; ++r) {
-    rows[count] = r;
-    count += dy[r] != 0;
-  }
-  return count;
-}
-
-// dw += dy x^T.
-void OuterAcc(const float* dy, const int* rows, int count,
-              const float* __restrict__ x, Mat* dw) {
-  for (int k = 0; k < count; ++k) {
-    const float d = dy[rows[k]];
-    float* __restrict__ row =
-        &dw->data[static_cast<size_t>(rows[k]) * dw->cols];
-    for (int c = 0; c < dw->cols; ++c) row[c] += d * x[c];
-  }
-}
-
-// dx += w^T dy, summing over w's rows in ascending order.
-void MatTVec(const Mat& w, const float* dy, const int* rows, int count,
-             float* __restrict__ dx) {
-  for (int k = 0; k < count; ++k) {
-    const float d = dy[rows[k]];
-    const float* __restrict__ row =
-        &w.data[static_cast<size_t>(rows[k]) * w.cols];
-    for (int c = 0; c < w.cols; ++c) dx[c] += row[c] * d;
-  }
-}
-
-// bias += dy.
-void BiasAcc(const float* __restrict__ dy, Mat* bias) {
-  float* __restrict__ b = bias->data.data();
-  for (int r = 0; r < bias->rows; ++r) b[r] += dy[r];
-}
-
-const float* Row(const Mat& m, int j) {
-  return &m.data[static_cast<size_t>(j) * m.cols];
-}
-float* Row(Mat* m, int j) {
-  return &m->data[static_cast<size_t>(j) * m->cols];
-}
-
-}  // namespace
-
 Mat Transpose(const Mat& m) {
   Mat t(m.cols, m.rows);
   for (int r = 0; r < m.rows; ++r) {
@@ -77,51 +26,15 @@ Mat Transpose(const Mat& m) {
 }
 
 void AddMatMul(const Mat& w, const Mat& x, Mat* y) {
-  const int n = x.cols;
-  const int cols = w.cols;
-  // Four weight columns per pass, explicitly left-associated so every
-  // output element still accumulates its terms in ascending-c order —
-  // bitwise identical to MatVec — while y is loaded/stored once per pass.
-  // The j loops are independent elementwise updates over __restrict__
-  // arrays: they vectorize, which MatVec's serial reduction cannot.
-  for (int r = 0; r < w.rows; ++r) {
-    const float* wrow = &w.data[static_cast<size_t>(r) * cols];
-    float* __restrict__ yrow = &y->data[static_cast<size_t>(r) * n];
-    int c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const float w0 = wrow[c], w1 = wrow[c + 1];
-      const float w2 = wrow[c + 2], w3 = wrow[c + 3];
-      const float* __restrict__ x0 = &x.data[static_cast<size_t>(c) * n];
-      const float* __restrict__ x1 = x0 + n;
-      const float* __restrict__ x2 = x1 + n;
-      const float* __restrict__ x3 = x2 + n;
-      for (int j = 0; j < n; ++j) {
-        yrow[j] = (((yrow[j] + w0 * x0[j]) + w1 * x1[j]) + w2 * x2[j]) +
-                  w3 * x3[j];
-      }
-    }
-    for (; c < cols; ++c) {
-      const float wv = wrow[c];
-      const float* __restrict__ xrow = &x.data[static_cast<size_t>(c) * n];
-      for (int j = 0; j < n; ++j) yrow[j] += wv * xrow[j];
-    }
-  }
+  ActiveKernels().add_mat_mul(w, x, y);
 }
 
-void GatherAdd(const Mat& wt, int first, const float* x, int k,
-               float* __restrict__ y) {
-  // A nonzero input adds w * x, AddMatMul's exact term (a one-hot 1 adds w
-  // itself). A zero input's product is +-0 when w is finite, and adding
-  // +-0 to a sum never changes it: the sum is nonzero, or it is +0, since
-  // a sum started at +0 can reach zero again only as +0 in
-  // round-to-nearest. So skipping zeros relies on finite weights.
-  const int rows = wt.cols;
-  for (int c = 0; c < k; ++c) {
-    const float v = x[c];
-    if (v == 0) continue;
-    const float* __restrict__ w = Row(wt, first + c);
-    for (int r = 0; r < rows; ++r) y[r] += w[r] * v;
-  }
+void GatherAdd(const Mat& wt, int first, const float* x, int k, float* y) {
+  ActiveKernels().gather_add(wt, first, x, k, y);
+}
+
+void ColumnAccumulate(const Mat& wt, const float* x, float* y) {
+  ActiveKernels().column_accumulate(wt, x, y);
 }
 
 void ReluMatForward(Mat* x) {
@@ -165,14 +78,12 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
 
 void Linear::BackwardBatch(const Mat& xt, const Mat& dyt, Mat* dxt) {
   if (dxt) *dxt = Mat(dyt.rows, in_dim());
+  LayerGrads layer;
+  layer.w[0] = &w_.value;
+  layer.dw[0] = &w_.grad;
+  layer.db = &b_.grad;
   std::vector<int> rows(static_cast<size_t>(dyt.cols));
-  for (int j = 0; j < dyt.rows; ++j) {
-    const float* dy = Row(dyt, j);
-    const int nz = NonZeroRows(dy, dyt.cols, rows.data());
-    OuterAcc(dy, rows.data(), nz, Row(xt, j), &w_.grad);
-    BiasAcc(dy, &b_.grad);
-    if (dxt) MatTVec(w_.value, dy, rows.data(), nz, Row(dxt, j));
-  }
+  ActiveKernels().backward(layer, xt, dyt, dxt, rows.data());
 }
 
 TreeConvLayer::TreeConvLayer(int in, int out, Rng* rng)
@@ -201,30 +112,37 @@ void TreeConvLayer::Forward(const std::vector<Vec>& in,
 void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
                                  const std::vector<int>& right,
                                  Mat* out) const {
-  // One side's terms: multiply the gathered children compactly; column k
-  // of `*terms` belongs to the k-th output column with a child.
-  auto side_terms = [&](int side, const std::vector<int>& child,
-                        Mat* terms) {
-    std::vector<int> cols;
-    for (int i = 0; i < x.cols; ++i) {
-      if (child[i] >= 0) cols.push_back(i);
+  const int n = x.cols;
+  out->rows = wp_.value.rows;
+  out->cols = n;
+  out->data.assign(static_cast<size_t>(out->rows) * n, 0.f);
+  AddMatMul(wp_.value, x, out);
+  // Each side's terms: the gathered children multiplied compactly, then
+  // each term added whole, with a single add per element — the same
+  // "+= acc" grouping Forward uses, so outputs match the per-item path.
+  std::vector<int> cols;
+  Mat gathered, terms;
+  for (int side : {0, 1}) {
+    const std::vector<int>& child = side == 0 ? left : right;
+    cols.clear();
+    for (int j = 0; j < n; ++j) {
+      if (child[j] >= 0) cols.push_back(j);
     }
     const int m = static_cast<int>(cols.size());
-    TermColumns t;
-    t.cols.assign(static_cast<size_t>(x.cols), nullptr);
-    if (m == 0) return t;
-    Mat gathered(x.rows, m);
+    if (m == 0) continue;
+    gathered = Mat(x.rows, m);
     for (int r = 0; r < x.rows; ++r) {
       for (int k = 0; k < m; ++k) gathered.at(r, k) = x.at(r, child[cols[k]]);
     }
-    ChildTerm(side, gathered, terms);
-    t.stride = m;
-    for (int k = 0; k < m; ++k) t.cols[cols[k]] = &terms->data[k];
-    return t;
-  };
-  Mat left_terms, right_terms;
-  ForwardWithTerms(x, side_terms(0, left, &left_terms),
-                   side_terms(1, right, &right_terms), out);
+    ChildTerm(side, gathered, &terms);
+    for (int r = 0; r < out->rows; ++r) {
+      for (int k = 0; k < m; ++k) out->at(r, cols[k]) += terms.at(r, k);
+    }
+  }
+  for (int r = 0; r < out->rows; ++r) {
+    const float b = b_.value.at(r, 0);
+    for (int j = 0; j < n; ++j) out->at(r, j) += b;
+  }
 }
 
 void TreeConvLayer::ChildTerm(int side, const Mat& x, Mat* terms) const {
@@ -234,59 +152,21 @@ void TreeConvLayer::ChildTerm(int side, const Mat& x, Mat* terms) const {
   AddMatMul(side == 0 ? wl_.value : wr_.value, x, terms);
 }
 
-void TreeConvLayer::ForwardWithTerms(const Mat& x, const TermColumns& left,
-                                     const TermColumns& right,
-                                     Mat* out) const {
-  const int n = x.cols;
-  out->rows = wp_.value.rows;
-  out->cols = n;
-  out->data.assign(static_cast<size_t>(out->rows) * n, 0.f);
-  AddMatMul(wp_.value, x, out);
-  AddTermsAndBias(left, right, out);
-}
-
-void TreeConvLayer::AddTermsAndBias(const TermColumns& left,
-                                    const TermColumns& right,
-                                    Mat* out) const {
-  const int n = out->cols;
-  // Each term is added whole, with a single add per element — the same
-  // "+= acc" grouping Forward uses, so outputs match the per-item path.
-  for (const TermColumns* side : {&left, &right}) {
-    for (int j = 0; j < n; ++j) {
-      const float* term = side->cols[j];
-      if (term == nullptr) continue;
-      for (int r = 0; r < out->rows; ++r) {
-        out->data[static_cast<size_t>(r) * n + j] += term[r * side->stride];
-      }
-    }
-  }
-  for (int r = 0; r < out->rows; ++r) {
-    const float b = b_.value.at(r, 0);
-    for (int j = 0; j < n; ++j) out->at(r, j) += b;
-  }
-}
-
 void TreeConvLayer::BackwardBatch(const Mat& xt, const std::vector<int>& left,
                                   const std::vector<int>& right,
                                   const Mat& dyt, Mat* dxt) {
   if (dxt) *dxt = Mat(dyt.rows, in_dim());
-  std::vector<int> rows(static_cast<size_t>(dyt.cols));
-  for (int j = 0; j < dyt.rows; ++j) {
-    const float* dy = Row(dyt, j);
-    const int nz = NonZeroRows(dy, dyt.cols, rows.data());
-    const int* r = rows.data();
-    OuterAcc(dy, r, nz, Row(xt, j), &wp_.grad);
-    if (dxt) MatTVec(wp_.value, dy, r, nz, Row(dxt, j));
-    if (left[j] >= 0) {
-      OuterAcc(dy, r, nz, Row(xt, left[j]), &wl_.grad);
-      if (dxt) MatTVec(wl_.value, dy, r, nz, Row(dxt, left[j]));
-    }
-    if (right[j] >= 0) {
-      OuterAcc(dy, r, nz, Row(xt, right[j]), &wr_.grad);
-      if (dxt) MatTVec(wr_.value, dy, r, nz, Row(dxt, right[j]));
-    }
-    BiasAcc(dy, &b_.grad);
+  LayerGrads layer;
+  Param* weights[3] = {&wp_, &wl_, &wr_};
+  for (int k = 0; k < 3; ++k) {
+    layer.w[k] = &weights[k]->value;
+    layer.dw[k] = &weights[k]->grad;
   }
+  layer.db = &b_.grad;
+  layer.child[0] = left.data();
+  layer.child[1] = right.data();
+  std::vector<int> rows(static_cast<size_t>(dyt.cols));
+  ActiveKernels().backward(layer, xt, dyt, dxt, rows.data());
 }
 
 void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out) {
@@ -351,21 +231,57 @@ void Adam::Step(int batch_size) {
     double norm = std::sqrt(norm_sq);
     if (norm > options_.grad_clip) clip_scale = options_.grad_clip / norm;
   }
-  const double bc1 = 1.0 - std::pow(options_.beta1, t_);
-  const double bc2 = 1.0 - std::pow(options_.beta2, t_);
+  AdamStep step;
+  step.scale = scale;
+  step.clip_scale = clip_scale;
+  step.lr = options_.lr;
+  step.beta1 = options_.beta1;
+  step.beta2 = options_.beta2;
+  step.eps = options_.eps;
+  step.bc1 = 1.0 - std::pow(options_.beta1, t_);
+  step.bc2 = 1.0 - std::pow(options_.beta2, t_);
+  const Kernels& kernels = ActiveKernels();
   for (Param* p : params_) {
-    for (size_t i = 0; i < p->value.data.size(); ++i) {
-      double g = p->grad.data[i] * scale * clip_scale;
-      double m = options_.beta1 * p->m.data[i] + (1 - options_.beta1) * g;
-      double v = options_.beta2 * p->v.data[i] + (1 - options_.beta2) * g * g;
-      p->m.data[i] = static_cast<float>(m);
-      p->v.data[i] = static_cast<float>(v);
-      double mhat = m / bc1, vhat = v / bc2;
-      p->value.data[i] -= static_cast<float>(
-          options_.lr * mhat / (std::sqrt(vhat) + options_.eps));
-    }
+    kernels.adam_update(step, p);
     p->ZeroGrad();
   }
+}
+
+RowNet::RowNet(const TreeConvLayer& layer1, const TreeConvLayer& layer2,
+               const Linear& hidden, const Linear& out, int query_inputs)
+    : query_dim(query_inputs),
+      tc1{Transpose(layer1.wp()), Transpose(layer1.wl()),
+          Transpose(layer1.wr())},
+      tc2{Transpose(layer2.wp()), Transpose(layer2.wl()),
+          Transpose(layer2.wr())},
+      fc1(Transpose(hidden.w().value)),
+      fc2(Transpose(out.w().value)),
+      tc1_b(layer1.b()),
+      tc2_b(layer2.b()),
+      fc1_b(hidden.b().value),
+      fc2_b(out.b().value) {
+  const int h1 = layer1.out_dim(), h2 = layer2.out_dim();
+  layout.pooled = h1;
+  layout.term_dim = h1 + h2;
+  layout.term[0] = layout.pooled + h2;
+  layout.term[1] = layout.term[0] + layout.term_dim;
+  layout.stride = layout.term[1] + layout.term_dim;
+}
+
+void QueryTerm(const RowNet& net, const float* query, float* term) {
+  const int h1 = net.tc1[0].cols;
+  std::fill(term, term + 3 * h1, 0.f);
+  for (int k = 0; k < 3; ++k) {
+    GatherAdd(net.tc1[k], 0, query, net.query_dim, term + k * h1);
+  }
+}
+
+void ScoreRoots(const RowNet& net, const RootJob* jobs, size_t n) {
+  ActiveKernels().score_roots(net, jobs, n);
+}
+
+void ChildTerms(const RowNet& net, const TermJob* jobs, size_t n) {
+  ActiveKernels().child_terms(net, jobs, n);
 }
 
 Status SaveParams(const std::vector<Param*>& params, const std::string& path) {

@@ -2,8 +2,16 @@
 // network needs: fully-connected layers, ReLU, Neo-style tree convolution
 // with dynamic (max) pooling, L2 loss, and Adam — with manual backward
 // passes verified against finite differences in tests. No external deps.
+//
+// The kernels under AddMatMul, GatherAdd, ColumnAccumulate, the batched
+// backward passes, Adam::Step and the row scorers are compiled twice, for
+// baseline x86-64 and with AVX2 (never FMA), and each process runs the
+// variant its CPU supports (kernels.h). Every output element sees the same
+// sequence of IEEE multiplies, adds and maxima in both, so scores, plans
+// and trained weights are bitwise identical on every CPU.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -46,10 +54,18 @@ void AddMatMul(const Mat& w, const Mat& x, Mat* y);
 /// element adds its terms in ascending column order, as AddMatMul does,
 /// but zero inputs are skipped. Started from +0, that is AddMatMul from a
 /// zeroed y, bitwise; continued from such a partial sum, it is AddMatMul
-/// over the longer column range. Layer 1 scores a column this way: the
-/// query prefix once per distinct query, then each node's mostly one-hot
-/// tail from a copy of that term.
+/// over the longer column range. Layer 1 scores a row this way: the query
+/// prefix once per search, then each node's mostly one-hot tail from a copy
+/// of that term.
 void GatherAdd(const Mat& wt, int first, const float* x, int k, float* y);
+
+/// y += W x over W's transpose `wt` for one dense column x (wt.rows
+/// entries; y has wt.cols), every element adding its terms in ascending
+/// column order with none skipped: AddMatMul's sums, bitwise, without a
+/// branch per input. Blocks of outputs stay in registers across the whole
+/// column loop. Layer 2 and the head score a row this way, where post-ReLU
+/// zeros are too irregular to skip.
+void ColumnAccumulate(const Mat& wt, const float* x, float* y);
 
 /// In-place ReLU over a whole matrix (elementwise, same as ReluForward).
 void ReluMatForward(Mat* x);
@@ -98,6 +114,8 @@ class Linear {
   int out_dim() const { return w_.value.rows; }
   Param& w() { return w_; }
   Param& b() { return b_; }
+  const Param& w() const { return w_; }
+  const Param& b() const { return b_; }
 
  private:
   Param w_, b_;
@@ -113,15 +131,6 @@ struct TreeSample {
   std::vector<Vec> features;  // per node
   std::vector<int> left;      // per node, -1 if leaf
   std::vector<int> right;
-};
-
-/// One side's child terms for a column batch: column j's term has element r
-/// at cols[j][r * stride], and a null cols[j] means column j has no child on
-/// that side. Terms may live in a ChildTerm matrix (stride = its column
-/// count) or in per-subtree cached vectors (stride 1).
-struct TermColumns {
-  std::vector<const float*> cols;
-  int stride = 1;
 };
 
 /// Neo-style tree convolution: out[i] = Wp f[i] + Wl f[left] + Wr f[right] + b,
@@ -146,17 +155,6 @@ class TreeConvLayer {
   /// right (side 1) child: Wl x or Wr x, accumulated from zero into
   /// *terms, which keeps its capacity.
   void ChildTerm(int side, const Mat& x, Mat* terms) const;
-  /// The kernel under ForwardBatch: column j of `out` is Wp x[j], plus the
-  /// left term of j, plus the right term, plus b, one add per element each.
-  /// Incremental scoring passes cached child terms, so both paths run the
-  /// same operations in the same order and match bitwise.
-  void ForwardWithTerms(const Mat& x, const TermColumns& left,
-                        const TermColumns& right, Mat* out) const;
-  /// ForwardWithTerms after its Wp x product, for a caller that computed
-  /// that product bitwise as AddMatMul does (see GatherAdd) into *out:
-  /// adds each column's left term, right term and b, in that order.
-  void AddTermsAndBias(const TermColumns& left, const TermColumns& right,
-                       Mat* out) const;
   /// Backward of ForwardBatch over the same columns, node-major as in
   /// Linear::BackwardBatch. Visits the columns j in order; each adds the
   /// outer products of dy[j] with x[j], x[left[j]] and x[right[j]] to the
@@ -178,6 +176,7 @@ class TreeConvLayer {
   const Mat& wp() const { return wp_.value; }
   const Mat& wl() const { return wl_.value; }
   const Mat& wr() const { return wr_.value; }
+  const Mat& b() const { return b_.value; }
 
  private:
   Param wp_, wl_, wr_, b_;
@@ -227,6 +226,86 @@ class Adam {
   Options options_;
   int64_t t_ = 0;
 };
+
+/// Where incremental scoring keeps a scored subtree: one row of `stride`
+/// floats in a caller-owned flat table, beside the subtree's score:
+///   h1 | pooled | left term | right term
+///  - h1: the root's post-ReLU first tree-conv layer;
+///  - pooled: max of the second layer's output over the subtree;
+///  - the terms: what the subtree adds to a parent as its left or right
+///    child, Wl·input ++ Wl2·h1 of the two tree-conv layers (Wr, Wr2 on the
+///    right), term_dim floats each. ChildTerms fills them; ScoreRoots
+///    writes only h1 and pooled.
+struct EmbeddingRowLayout {
+  int pooled = 0;  // h1 starts the row
+  int term[2] = {0, 0};
+  int term_dim = 0;
+  int stride = 0;
+};
+
+/// One subtree root to score. A leaf has no children; a join's children
+/// are rows scored earlier, each with its term for its side filled. The
+/// pointers are borrowed for the call.
+struct RootJob {
+  const float* query_term = nullptr;  // QueryTerm of the query
+  const float* node = nullptr;  // the root's node features
+  const float* left = nullptr;  // the children's rows
+  const float* right = nullptr;
+  float* row = nullptr;     // the root's row
+  double* score = nullptr;  // the network's output for the subtree
+};
+
+/// A scored subtree whose child term for `side` (0 = left, 1 = right) is to
+/// be filled in its row.
+struct TermJob {
+  const float* query_term = nullptr;  // QueryTerm of the query
+  const float* node = nullptr;  // the node features of its root
+  float* row = nullptr;
+  int side = 0;
+};
+
+/// A tree-convolution value network — two TreeConvLayers over query ++ node
+/// inputs, max pooling, and a two-layer head with one output — laid out
+/// for scoring one subtree row at a time: a copy of every weight matrix,
+/// transposed (weight column c, what input c adds to every output, is one
+/// contiguous row), and of every bias. A copy does not follow later writes
+/// of the layers' weights; rebuild it after each.
+struct RowNet {
+  RowNet() = default;
+  RowNet(const TreeConvLayer& layer1, const TreeConvLayer& layer2,
+         const Linear& hidden, const Linear& out, int query_inputs);
+
+  int query_dim = 0;  // layer 1's inputs: query_dim, then the node's
+  Mat tc1[3], tc2[3];  // Wp, Wl, Wr of each tree-conv layer, transposed
+  Mat fc1, fc2;        // transposed
+  Mat tc1_b, tc2_b, fc1_b, fc2_b;
+  EmbeddingRowLayout layout;
+};
+
+/// Layer 1's products of a query's part of the input columns,
+/// Wp[:, :qd] q | Wl[:, :qd] q | Wr[:, :qd] q, each summed from +0 by
+/// GatherAdd (AddMatMul's sums over those columns): 3 * tc1 outputs floats.
+/// A search computes it once; ScoreRoots and ChildTerms continue every
+/// root's columns from it.
+void QueryTerm(const RowNet& net, const float* query, float* term);
+
+/// Scores each job in its own row, from start to finish in contiguous
+/// memory, writing h1, pooled and the network's output:
+///  - h1 = relu(query term + GatherAdd(node) + left term + right term + b);
+///  - layer 2 from +0 by ColumnAccumulate, then the children's terms and b;
+///  - pooled = max(root h2, children's pooled), branch-free;
+///  - the head, its hidden layer folded into the output's sum in blocks.
+/// Every element sees the adds, multiplies and maxima of the column-major
+/// batch (TreeConvLayer::ForwardBatch, then max pooling and Linear's),
+/// in the same order, so a score is bitwise the dense forward pass's and
+/// independent of the other jobs. Reads the children only.
+void ScoreRoots(const RowNet& net, const RootJob* jobs, size_t n);
+
+/// Fills each job's term for its side: layer 1's Wl (or Wr) product
+/// continued from the query term over the node's features, then layer 2's
+/// from +0 over the row's h1 by ColumnAccumulate — bitwise
+/// TreeConvLayer::ChildTerm of those columns.
+void ChildTerms(const RowNet& net, const TermJob* jobs, size_t n);
 
 /// Binary serialization of a parameter list (for checkpoints). A load is
 /// all-or-nothing: a file whose count, shapes or length do not match

@@ -3,8 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
+
+#include "src/nn/kernels.h"
 
 namespace balsa::nn {
 namespace {
@@ -100,6 +103,28 @@ TEST(GatherAddTest, SkippedZerosKeepACancelledSumPositive) {
   EXPECT_EQ(std::memcmp(got.data(), want.data.data(), sizeof(float)), 0);
 }
 
+// ColumnAccumulate over every block size (32, 16, 8 and single outputs)
+// against AddMatMul over the same column, from a zeroed y and from a
+// partial sum, with post-ReLU zeros among the inputs.
+TEST(ColumnAccumulateTest, MatchesAddMatMulBitwise) {
+  Rng rng(19);
+  for (int rows : {1, 7, 8, 16, 31, 32, 57, 64, 70}) {
+    for (int k : {1, 5, 16, 33}) {
+      const Mat w = RandomMat(rows, k, &rng);
+      Mat x = RandomMat(k, 1, &rng);
+      for (float& v : x.data) v = v > 0 ? v : 0;
+      Mat want = RandomMat(rows, 1, &rng);
+      Vec got = want.data;
+      AddMatMul(w, x, &want);
+      ColumnAccumulate(Transpose(w), x.data.data(), got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data.data(),
+                            sizeof(float) * static_cast<size_t>(rows)),
+                0)
+          << rows << " rows, " << k << " columns";
+    }
+  }
+}
+
 double SumSquares(const Mat& m) {
   double l = 0;
   for (float v : m.data) l += static_cast<double>(v) * v;
@@ -173,9 +198,8 @@ TEST(TreeConvTest, MissingChildrenContributeZero) {
 }
 
 TEST(TreeConvTest, ChildTermsReproduceForwardBitwise) {
-  // ForwardWithTerms over ChildTerm products, whether the terms sit in a
-  // ChildTerm matrix or in per-column vectors (stride 1), equals Forward
-  // bit for bit.
+  // ForwardBatch equals Forward bit for bit, and a ChildTerm product is the
+  // term Forward adds for that child: its MatVec from zero.
   Rng rng(4);
   TreeConvLayer layer(3, 5, &rng);
   TreeSample t = ThreeNodeTree(3);
@@ -188,26 +212,21 @@ TEST(TreeConvTest, ChildTermsReproduceForwardBitwise) {
   }
   Mat batched;
   layer.ForwardBatch(x, t.left, t.right, &batched);
-
-  // Column 0's children, one per side, as standalone stride-1 vectors.
-  std::vector<Vec> terms;
-  for (int side : {0, 1}) {
-    Mat child(3, 1);
-    const Vec& f = t.features[side == 0 ? t.left[0] : t.right[0]];
-    for (int r = 0; r < 3; ++r) child.at(r, 0) = f[r];
-    Mat term;
-    layer.ChildTerm(side, child, &term);
-    terms.push_back(term.data);
-  }
-  TermColumns left{{terms[0].data(), nullptr, nullptr}, 1};
-  TermColumns right{{terms[1].data(), nullptr, nullptr}, 1};
-  Mat cached;
-  layer.ForwardWithTerms(x, left, right, &cached);
   for (int c = 0; c < 3; ++c) {
     for (int r = 0; r < 5; ++r) {
       EXPECT_EQ(batched.at(r, c), want[c][r]) << r << "," << c;
-      EXPECT_EQ(cached.at(r, c), want[c][r]) << r << "," << c;
     }
+  }
+
+  for (int side : {0, 1}) {
+    const Vec& f = t.features[side == 0 ? t.left[0] : t.right[0]];
+    Mat child(3, 1);
+    child.data = f;
+    Mat term;
+    layer.ChildTerm(side, child, &term);
+    Vec want_term(5, 0.f);
+    MatVec(side == 0 ? layer.wl() : layer.wr(), f, &want_term);
+    EXPECT_EQ(term.data, want_term) << "side " << side;
   }
 }
 
@@ -498,6 +517,276 @@ TEST(ParamIoTest, LoadRejectsShapeMismatch) {
   std::string path = ::testing::TempDir() + "/params2.bin";
   ASSERT_TRUE(SaveParams(pa, path).ok());
   EXPECT_FALSE(LoadParams(pc, path).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Cross-ISA differential tests: each kernel's AVX2 variant against its
+// baseline variant on the same inputs, bit for bit. The inputs carry what
+// vector code could treat differently: +-0, subnormals, one-hot rows and
+// post-ReLU zeros.
+
+TEST(KernelDispatchTest, RunsAvx2WhenTheCpuHasIt) {
+  const Kernels* avx2 = Avx2Kernels();
+  EXPECT_EQ(&ActiveKernels(), avx2 != nullptr ? avx2 : &BaselineKernels());
+  std::printf("active kernels: %s\n", ActiveKernels().isa);
+}
+
+class CrossIsaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    avx2_ = Avx2Kernels();
+    if (avx2_ == nullptr) {
+      GTEST_SKIP() << "this CPU has no AVX2 (or the build is not x86-64): "
+                      "only the baseline kernels can run, so there is no "
+                      "second variant to compare";
+    }
+  }
+
+  // +-0, subnormals, exact ones (one-hot entries) and ordinary values.
+  static float EdgeValue(Rng* rng) {
+    switch (rng->Uniform(8)) {
+      case 0:
+        return 0.f;
+      case 1:
+        return -0.f;
+      case 2:
+        return std::numeric_limits<float>::denorm_min() *
+               static_cast<float>(1 + rng->Uniform(1000));
+      case 3:
+        return -std::numeric_limits<float>::min() / 8;
+      case 4:
+        return 1.f;
+      default:
+        return static_cast<float>(rng->UniformDouble() * 2 - 1);
+    }
+  }
+
+  static Mat EdgeMat(int rows, int cols, Rng* rng) {
+    Mat m(rows, cols);
+    for (float& v : m.data) v = EdgeValue(rng);
+    return m;
+  }
+
+  // A one-hot input row: zeros, one of them 1.
+  static void OneHot(float* x, int n, Rng* rng) {
+    std::fill(x, x + n, 0.f);
+    x[rng->Uniform(static_cast<uint64_t>(n))] = 1.f;
+  }
+
+  static void ReluZeros(Mat* m, Rng* rng) {
+    for (float& v : m->data) {
+      if (rng->Uniform(2) == 0) v = 0.f;
+    }
+  }
+
+  static bool SameBits(const std::vector<float>& a,
+                       const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+  }
+
+  const Kernels& base_ = BaselineKernels();
+  const Kernels* avx2_ = nullptr;
+};
+
+TEST_F(CrossIsaTest, AddMatMul) {
+  Rng rng(31);
+  const int shapes[][3] = {{1, 1, 1}, {5, 9, 7}, {32, 48, 33}, {16, 32, 64}};
+  for (const auto& shape : shapes) {
+    const Mat w = EdgeMat(shape[0], shape[1], &rng);
+    Mat x = EdgeMat(shape[1], shape[2], &rng);
+    Mat xt = Transpose(x);  // one-hot columns, as layer 1's node inputs
+    for (int j = 0; j < shape[2]; j += 2) {
+      OneHot(&xt.data[static_cast<size_t>(j) * shape[1]], shape[1], &rng);
+    }
+    x = Transpose(xt);
+    ReluZeros(&x, &rng);
+    Mat base = EdgeMat(shape[0], shape[2], &rng);
+    Mat avx2 = base;
+    base_.add_mat_mul(w, x, &base);
+    avx2_->add_mat_mul(w, x, &avx2);
+    EXPECT_TRUE(SameBits(base.data, avx2.data))
+        << shape[0] << "x" << shape[1] << " by " << shape[2];
+  }
+}
+
+TEST_F(CrossIsaTest, GatherAddAndColumnAccumulate) {
+  Rng rng(37);
+  for (int rows : {1, 7, 8, 16, 24, 32, 48, 64, 70}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const int qd = 5, nd = 9;
+      const Mat wt = EdgeMat(qd + nd, rows, &rng);
+      Vec x(static_cast<size_t>(qd + nd));
+      for (float& v : x) v = EdgeValue(&rng);
+      if (trial % 2 == 0) OneHot(x.data() + qd, nd, &rng);
+      Vec start(static_cast<size_t>(rows), 0.f);
+      if (trial % 4 == 3) {
+        for (float& v : start) v = EdgeValue(&rng);
+      }
+      Vec base = start, avx2 = start;
+      base_.gather_add(wt, 0, x.data(), qd, base.data());
+      avx2_->gather_add(wt, 0, x.data(), qd, avx2.data());
+      base_.gather_add(wt, qd, x.data() + qd, nd, base.data());
+      avx2_->gather_add(wt, qd, x.data() + qd, nd, avx2.data());
+      EXPECT_TRUE(SameBits(base, avx2)) << "gather, " << rows << " rows";
+
+      for (float& v : x) v = v > 0 ? v : 0;  // post-ReLU
+      base = start;
+      avx2 = start;
+      base_.column_accumulate(wt, x.data(), base.data());
+      avx2_->column_accumulate(wt, x.data(), avx2.data());
+      EXPECT_TRUE(SameBits(base, avx2)) << "dense, " << rows << " rows";
+    }
+  }
+}
+
+TEST_F(CrossIsaTest, Backward) {
+  Rng rng(41);
+  // Three trees in preorder: a leaf, (a b) c and (a b) (c d).
+  const std::vector<int> left = {-1, 2, 3, -1, -1, -1, 7, 8, -1, -1, 11, -1,
+                                 -1};
+  const std::vector<int> right = {-1, 5, 4, -1, -1, -1, 10, 9, -1, -1, 12,
+                                  -1, -1};
+  const int n = static_cast<int>(left.size()), in = 19, out = 37;
+  for (bool tree : {false, true}) {
+    Mat w[3], dw_base[3], dw_avx2[3];
+    for (int k = 0; k < 3; ++k) {
+      w[k] = EdgeMat(out, in, &rng);
+      dw_base[k] = dw_avx2[k] = EdgeMat(out, in, &rng);
+    }
+    Mat db_base = EdgeMat(out, 1, &rng), db_avx2 = db_base;
+    const Mat xt = EdgeMat(n, in, &rng);
+    Mat dyt = EdgeMat(n, out, &rng);
+    ReluZeros(&dyt, &rng);
+    Mat dxt_base(n, in), dxt_avx2(n, in);
+    std::vector<int> rows(static_cast<size_t>(out));
+    LayerGrads base, avx2;
+    for (int k = 0; k < (tree ? 3 : 1); ++k) {
+      base.w[k] = avx2.w[k] = &w[k];
+      base.dw[k] = &dw_base[k];
+      avx2.dw[k] = &dw_avx2[k];
+    }
+    base.db = &db_base;
+    avx2.db = &db_avx2;
+    if (tree) {
+      base.child[0] = avx2.child[0] = left.data();
+      base.child[1] = avx2.child[1] = right.data();
+    }
+    base_.backward(base, xt, dyt, &dxt_base, rows.data());
+    avx2_->backward(avx2, xt, dyt, &dxt_avx2, rows.data());
+    for (int k = 0; k < 3; ++k) {
+      EXPECT_TRUE(SameBits(dw_base[k].data, dw_avx2[k].data))
+          << "weight " << k << (tree ? ", tree conv" : ", linear");
+    }
+    EXPECT_TRUE(SameBits(db_base.data, db_avx2.data));
+    EXPECT_TRUE(SameBits(dxt_base.data, dxt_avx2.data));
+  }
+}
+
+TEST_F(CrossIsaTest, AdamUpdate) {
+  Rng rng(43);
+  Param base(37, 29);
+  base.value = EdgeMat(37, 29, &rng);
+  base.grad = EdgeMat(37, 29, &rng);
+  base.m = EdgeMat(37, 29, &rng);
+  base.v = EdgeMat(37, 29, &rng);
+  for (float& v : base.v.data) v = std::abs(v);
+  Param avx2 = base;
+  AdamStep step;
+  step.scale = 1.0 / 64;
+  step.clip_scale = 0.75;
+  step.lr = 1e-3;
+  step.beta1 = 0.9;
+  step.beta2 = 0.999;
+  step.eps = 1e-8;
+  step.bc1 = 1 - std::pow(0.9, 7);
+  step.bc2 = 1 - std::pow(0.999, 7);
+  base_.adam_update(step, &base);
+  avx2_->adam_update(step, &avx2);
+  EXPECT_TRUE(SameBits(base.value.data, avx2.value.data));
+  EXPECT_TRUE(SameBits(base.m.data, avx2.m.data));
+  EXPECT_TRUE(SameBits(base.v.data, avx2.v.data));
+}
+
+// Leaves, their child terms, then joins over them, each variant in its own
+// rows; then joins over children rows of edge values shared by both. Sizes
+// cover each block width and a head wider than one block.
+TEST_F(CrossIsaTest, ScoreRootsAndChildTerms) {
+  Rng rng(47);
+  const int dims[][3] = {{16, 8, 8}, {37, 13, 40}, {64, 32, 32}};
+  for (const auto& dim : dims) {
+    const int qd = 6, nd = 11;
+    TreeConvLayer tc1(qd + nd, dim[0], &rng), tc2(dim[0], dim[1], &rng);
+    Linear fc1(dim[1], dim[2], &rng), fc2(dim[2], 1, &rng);
+    std::vector<Param*> params;
+    tc1.CollectParams(&params);
+    tc2.CollectParams(&params);
+    fc1.CollectParams(&params);
+    fc2.CollectParams(&params);
+    for (Param* p : params) {
+      for (float& v : p->value.data) {
+        if (rng.Uniform(4) == 0) v = EdgeValue(&rng);
+      }
+    }
+    const RowNet net(tc1, tc2, fc1, fc2, qd);
+    const size_t stride = static_cast<size_t>(net.layout.stride);
+
+    Vec query(static_cast<size_t>(qd));
+    for (float& v : query) v = EdgeValue(&rng);
+    Vec term(static_cast<size_t>(3 * dim[0]));
+    QueryTerm(net, query.data(), term.data());
+    const int leaves = 6;
+    std::vector<Vec> nodes(2 * leaves, Vec(static_cast<size_t>(nd)));
+    for (Vec& node : nodes) {
+      OneHot(node.data(), nd, &rng);
+      node[rng.Uniform(static_cast<uint64_t>(nd))] = EdgeValue(&rng);
+    }
+    // Children of edge values (pooled and terms), read-only to both.
+    std::vector<Vec> edge_rows(2, Vec(stride));
+    for (Vec& row : edge_rows) {
+      for (float& v : row) v = EdgeValue(&rng);
+    }
+
+    std::vector<float> rows[2];
+    std::vector<double> scores[2];
+    const Kernels* variants[2] = {&base_, avx2_};
+    for (int v = 0; v < 2; ++v) {
+      rows[v].assign(stride * (2 * leaves + 2), 0.f);
+      scores[v].assign(2 * leaves + 2, 0);
+      float* row = rows[v].data();
+      std::vector<RootJob> jobs;
+      std::vector<TermJob> terms;
+      for (int i = 0; i < leaves; ++i) {
+        jobs.push_back({term.data(), nodes[i].data(), nullptr, nullptr,
+                        row + i * stride, &scores[v][i]});
+        for (int side : {0, 1}) {
+          terms.push_back({term.data(), nodes[i].data(), row + i * stride,
+                           side});
+        }
+      }
+      variants[v]->score_roots(net, jobs.data(), jobs.size());
+      variants[v]->child_terms(net, terms.data(), terms.size());
+      jobs.clear();
+      for (int i = leaves; i < 2 * leaves; ++i) {
+        const float* l = row + (i - leaves) * stride;
+        const float* r = row + ((i - leaves + 1) % leaves) * stride;
+        jobs.push_back({term.data(), nodes[i].data(), l, r, row + i * stride,
+                        &scores[v][i]});
+      }
+      for (int i = 0; i < 2; ++i) {
+        const int at = 2 * leaves + i;
+        jobs.push_back({term.data(), nodes[i].data(), edge_rows[i].data(),
+                        edge_rows[1 - i].data(), row + at * stride,
+                        &scores[v][at]});
+      }
+      variants[v]->score_roots(net, jobs.data(), jobs.size());
+    }
+    EXPECT_TRUE(SameBits(rows[0], rows[1])) << dim[0] << "/" << dim[1];
+    EXPECT_EQ(std::memcmp(scores[0].data(), scores[1].data(),
+                          sizeof(double) * scores[0].size()),
+              0)
+        << dim[0] << "/" << dim[1];
+  }
 }
 
 }  // namespace

@@ -154,10 +154,13 @@ TEST(ValueNetworkTest, SaveLoadRoundTrip) {
   EXPECT_EQ(a.Predict(q, plan), b.Predict(q, plan));
 }
 
-// ScoreRoots and ChildTerms read a transposed copy of layer 1's weights.
-// After each way the weights are written, incremental scoring of a fresh
-// leaf and of a join over two leaves equals the dense Predict bit for bit.
-class LayerOneRefreshTest : public ::testing::Test {
+// QueryTerm, ScoreRoots and ChildTerms read transposed copies of every
+// layer's weights and biases (nn::RowNet). After each way the weights are
+// written, incremental scoring of fresh leaves, of a join over two leaves
+// and of a join over that join and a leaf equals the dense Predict bit for
+// bit. Every copy feeds those scores: Wp of both layers and the head in
+// each, Wl and Wr of both layers through the joins' child terms.
+class TransposedWeightRefreshTest : public ::testing::Test {
  protected:
   static uint64_t Bits(double v) {
     uint64_t bits;
@@ -165,83 +168,102 @@ class LayerOneRefreshTest : public ::testing::Test {
     return bits;
   }
 
+  static nn::TreeSample Tree(std::vector<nn::Vec> features,
+                             std::vector<int> left, std::vector<int> right) {
+    nn::TreeSample t;
+    t.features = std::move(features);
+    t.left = std::move(left);
+    t.right = std::move(right);
+    return t;
+  }
+
   static void ExpectScoreRootsMatchesPredict(const ValueNetwork& net) {
     // One-hot node features; the query has a zero slot.
     const nn::Vec q = {0.25f, 0.f, 0.75f, 1e-6f};
     const nn::Vec a = {1, 0, 0, 1, 0, 0};
     const nn::Vec b = {0, 1, 0, 0, 1, 0};
+    const nn::Vec c = {0, 0, 0, 1, 0, 1};
     const nn::Vec join = {0, 0, 1, 1, 1, 0};
+    const nn::Vec top = {0, 0, 1, 0, 1, 1};
     const nn::Vec term = testing::QueryTermOf(net, q);
     const size_t stride = static_cast<size_t>(net.row_layout().stride);
-    std::vector<float> left(stride), right(stride), root(stride);
-    double left_score = 0, right_score = 0, joined = 0;
+    std::vector<float> left(stride), right(stride), leaf(stride),
+        joined_row(stride), root(stride);
+    double left_score = 0, right_score = 0, leaf_score = 0, joined = 0,
+           rooted = 0;
     net.ScoreRoots({{term.data(), a.data(), nullptr, nullptr, left.data(),
                      &left_score},
                     {term.data(), b.data(), nullptr, nullptr, right.data(),
-                     &right_score}});
+                     &right_score},
+                    {term.data(), c.data(), nullptr, nullptr, leaf.data(),
+                     &leaf_score}});
     net.ChildTerms({{term.data(), a.data(), left.data(), 0},
-                    {term.data(), b.data(), right.data(), 1}});
+                    {term.data(), b.data(), right.data(), 1},
+                    {term.data(), c.data(), leaf.data(), 0}});
     net.ScoreRoots({{term.data(), join.data(), left.data(), right.data(),
-                     root.data(), &joined}});
+                     joined_row.data(), &joined}});
+    net.ChildTerms({{term.data(), join.data(), joined_row.data(), 1}});
+    net.ScoreRoots({{term.data(), top.data(), leaf.data(), joined_row.data(),
+                     root.data(), &rooted}});
 
-    nn::TreeSample leaf_plan;
-    leaf_plan.features = {a};
-    leaf_plan.left = {-1};
-    leaf_plan.right = {-1};
-    nn::TreeSample join_plan;
-    join_plan.features = {join, a, b};
-    join_plan.left = {1, -1, -1};
-    join_plan.right = {2, -1, -1};
-    EXPECT_EQ(Bits(left_score), Bits(net.Predict(q, leaf_plan)));
-    EXPECT_EQ(Bits(joined), Bits(net.Predict(q, join_plan)));
+    EXPECT_EQ(Bits(left_score), Bits(net.Predict(q, Tree({a}, {-1}, {-1}))));
+    EXPECT_EQ(Bits(joined), Bits(net.Predict(q, Tree({join, a, b}, {1, -1, -1},
+                                                     {2, -1, -1}))));
+    EXPECT_EQ(Bits(rooted),
+              Bits(net.Predict(q, Tree({top, c, join, a, b}, {1, -1, 3, -1, -1},
+                                       {2, -1, 4, -1, -1}))));
   }
 };
 
-TEST_F(LayerOneRefreshTest, AfterTrain) {
-  ValueNetwork net(SmallConfig());
+// A network trained for a few epochs from `seed`: fresh networks start
+// with zero biases, so only trained ones tell a stale bias copy apart.
+ValueNetwork TrainedNet(uint64_t seed) {
+  ValueNetConfig config = SmallConfig();
+  config.init_seed = seed;
+  ValueNetwork net(config);
   std::vector<TrainingPoint> data;
   for (int i = 0; i < 20; ++i) {
     TrainingPoint pt;
     pt.query = nn::Vec(4, static_cast<float>(i) / 20.f);
     pt.plan = Join(6, static_cast<float>(i % 2), 1.f);
-    pt.label = 10.0 + 50.0 * i;
+    pt.label = 10.0 + 50.0 * i + static_cast<double>(seed);
     data.push_back(std::move(pt));
   }
   ValueNetwork::TrainOptions opts;
   opts.max_epochs = 5;
   opts.val_fraction = 0.2;  // ends with restoring the best weights
   net.Train(data, opts);
-  ExpectScoreRootsMatchesPredict(net);
+  return net;
 }
 
-TEST_F(LayerOneRefreshTest, AfterLoad) {
-  ValueNetwork a(SmallConfig());
-  ValueNetConfig cfg = SmallConfig();
-  cfg.init_seed = 55;
-  ValueNetwork b(cfg);
-  const std::string path = ::testing::TempDir() + "/layer_one_refresh.bin";
+TEST_F(TransposedWeightRefreshTest, AfterTrain) {
+  ExpectScoreRootsMatchesPredict(TrainedNet(7));
+}
+
+TEST_F(TransposedWeightRefreshTest, AfterLoad) {
+  ValueNetwork a = TrainedNet(7);
+  ValueNetwork b = TrainedNet(55);
+  const std::string path = ::testing::TempDir() + "/weight_refresh.bin";
   ASSERT_TRUE(a.Save(path).ok());
   ASSERT_TRUE(b.Load(path).ok());
   ExpectScoreRootsMatchesPredict(b);
 }
 
-TEST_F(LayerOneRefreshTest, AfterCopyWeightsFrom) {
-  ValueNetwork a(SmallConfig());
-  ValueNetConfig cfg = SmallConfig();
-  cfg.init_seed = 99;
-  ValueNetwork b(cfg);
+TEST_F(TransposedWeightRefreshTest, AfterCopyWeightsFrom) {
+  ValueNetwork a = TrainedNet(7);
+  ValueNetwork b = TrainedNet(99);
   ASSERT_TRUE(b.CopyWeightsFrom(a).ok());
   ExpectScoreRootsMatchesPredict(b);
 }
 
-TEST_F(LayerOneRefreshTest, AfterInitWeights) {
-  ValueNetwork net(SmallConfig());
+TEST_F(TransposedWeightRefreshTest, AfterInitWeights) {
+  ValueNetwork net = TrainedNet(7);
   net.InitWeights(12345);
   ExpectScoreRootsMatchesPredict(net);
 }
 
 // A failed Load or CopyWeightsFrom changes nothing: not the weights (as Save
-// writes them), nor the layer-1 transposes incremental scoring reads.
+// writes them), nor the transposed copies incremental scoring reads.
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
@@ -252,7 +274,7 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-TEST_F(LayerOneRefreshTest, AFailedLoadChangesNothing) {
+TEST_F(TransposedWeightRefreshTest, AFailedLoadChangesNothing) {
   const std::string dir = ::testing::TempDir();
   ValueNetConfig donor_config = SmallConfig();
   donor_config.init_seed = 55;
@@ -294,7 +316,7 @@ TEST_F(LayerOneRefreshTest, AFailedLoadChangesNothing) {
   EXPECT_EQ(FileBytes(dir + "/after.bin"), good);
 }
 
-TEST_F(LayerOneRefreshTest, AFailedCopyChangesNothing) {
+TEST_F(TransposedWeightRefreshTest, AFailedCopyChangesNothing) {
   const std::string dir = ::testing::TempDir();
   // The tree-conv layers match in shape; fc1's does not.
   ValueNetConfig wide_config = SmallConfig();
