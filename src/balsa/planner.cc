@@ -15,6 +15,14 @@ namespace {
 // the workspace past it frees the workspace when it ends.
 constexpr size_t kRetainedBytes = size_t{4} << 20;
 
+// Safety bound on state expansions per search.
+constexpr int kMaxExpansions = 20000;
+
+// The join operators tried for every joinable pair; index nested-loop is
+// added per pair, where the inner leaf has a usable index.
+constexpr JoinOp kJoinOps[] = {JoinOp::kHashJoin, JoinOp::kMergeJoin,
+                               JoinOp::kNLJoin};
+
 template <typename T>
 size_t Bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -249,11 +257,8 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
   network_->QueryTerm(query_feat.data(), ws->query_term.data());
   const float* query_term = ws->query_term.data();
 
-  // Scores every subtree in ws->pending not scored yet — in one batched
-  // root-only pass (batch_scoring) or one full Predict per plan. Both paths
-  // produce identical scores (the batched kernels accumulate in MatVec's
-  // exact order), so the search below is oblivious to the mode. Every
-  // child of a pending join must already be scored.
+  // Scores every subtree in ws->pending not scored yet, in one batched
+  // root-only pass. Every child of a pending join must already be scored.
   auto score_pending = [&] {
     result->scored_states += static_cast<int64_t>(ws->pending.size());
     std::vector<int>& need = ws->need;
@@ -265,51 +270,43 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
       need.push_back(id);
     }
     if (need.empty()) return;
-    if (options_.batch_scoring) {
-      // Fill the child terms the new roots read first, so scoring only
-      // reads children.
-      ws->terms.clear();
-      for (int id : need) {
-        const PlanNode& root = arena.node(id);
-        if (!root.is_join) continue;
-        for (int side : {0, 1}) {
-          const int child = side == 0 ? root.left : root.right;
-          Subtree& s = arena.at(child);
-          if (s.has_term[side]) continue;
-          s.has_term[side] = true;
-          ws->terms.push_back({query_term, arena.node_features(child),
-                               arena.row(child), side});
-        }
-      }
-      network_->ChildTerms(ws->terms);
-      result->child_terms += static_cast<int64_t>(ws->terms.size());
-
-      ws->jobs.clear();
-      for (int id : need) {
-        const PlanNode& root = arena.node(id);
-        float* features = arena.node_features(id);
-        featurizer_->NodeFeatures(query, root, features);
-        RootJob job{query_term, features, nullptr, nullptr, arena.row(id),
-                    &arena.at(id).score};
-        if (root.is_join) {
-          job.left = arena.row(root.left);
-          job.right = arena.row(root.right);
-        }
-        ws->jobs.push_back(job);
-      }
-      if (service_) {
-        service_->ScoreRoots(ws->jobs);
-      } else {
-        network_->ScoreRoots(ws->jobs);
-      }
-      result->batch_calls++;
-    } else {
-      for (int id : need) {
-        arena.at(id).score = network_->Predict(
-            query_feat, featurizer_->PlanFeatures(query, arena.ToPlan(id)));
-        result->batch_calls++;
+    // Fill the child terms the new roots read first, so scoring only reads
+    // children.
+    ws->terms.clear();
+    for (int id : need) {
+      const PlanNode& root = arena.node(id);
+      if (!root.is_join) continue;
+      for (int side : {0, 1}) {
+        const int child = side == 0 ? root.left : root.right;
+        Subtree& s = arena.at(child);
+        if (s.has_term[side]) continue;
+        s.has_term[side] = true;
+        ws->terms.push_back({query_term, arena.node_features(child),
+                             arena.row(child), side});
       }
     }
+    network_->ChildTerms(ws->terms);
+    result->child_terms += static_cast<int64_t>(ws->terms.size());
+
+    ws->jobs.clear();
+    for (int id : need) {
+      const PlanNode& root = arena.node(id);
+      float* features = arena.node_features(id);
+      featurizer_->NodeFeatures(query, root, features);
+      RootJob job{query_term, features, nullptr, nullptr, arena.row(id),
+                  &arena.at(id).score};
+      if (root.is_join) {
+        job.left = arena.row(root.left);
+        job.right = arena.row(root.right);
+      }
+      ws->jobs.push_back(job);
+    }
+    if (service_) {
+      service_->ScoreRoots(ws->jobs);
+    } else {
+      network_->ScoreRoots(ws->jobs);
+    }
+    result->batch_calls++;
     result->network_evals += static_cast<int64_t>(need.size());
   };
 
@@ -327,15 +324,13 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
     int* variants = leaf_variants[rel];
     num_variants[rel] = 0;
     variants[num_variants[rel]++] = arena.Leaf(rel, ScanOp::kSeqScan);
-    if (options_.enable_index_scan &&
-        IndexScanEffective(*schema_, query, rel)) {
+    if (IndexScanEffective(*schema_, query, rel)) {
       variants[num_variants[rel]++] = arena.Leaf(rel, ScanOp::kIndexScan);
     }
     ws->pending.insert(ws->pending.end(), variants,
                        variants + num_variants[rel]);
     index_inner[rel] = -1;
-    if (options_.enable_index_nl_join &&
-        IndexNLValid(*schema_, query, query.AllTables().Without(rel), rel)) {
+    if (IndexNLValid(*schema_, query, query.AllTables().Without(rel), rel)) {
       index_inner[rel] = arena.Leaf(rel, ScanOp::kIndexScan);
       if (num_variants[rel] == 1) ws->pending.push_back(index_inner[rel]);
     }
@@ -354,14 +349,6 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
     return Status::OK();
   }
 
-  JoinOp join_ops[3];  // index-NL is added per pair
-  int num_join_ops = 0;
-  if (options_.enable_hash_join) join_ops[num_join_ops++] = JoinOp::kHashJoin;
-  if (options_.enable_merge_join) {
-    join_ops[num_join_ops++] = JoinOp::kMergeJoin;
-  }
-  if (options_.enable_nl_join) join_ops[num_join_ops++] = JoinOp::kNLJoin;
-
   std::vector<State>& beam = ws->beam;
   beam.push_back(root);
   std::vector<Complete>& complete = ws->complete;
@@ -373,7 +360,7 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
 
   while (!beam.empty() &&
          static_cast<int>(complete.size()) < options_.top_k &&
-         expansions < options_.max_expansions) {
+         expansions < kMaxExpansions) {
     // Pop the best state.
     auto best_it = std::min_element(beam.begin(), beam.end(), by_score);
     const State state = *best_it;
@@ -427,19 +414,17 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
             }
           }
         };
-        for (int k = 0; k < num_join_ops; ++k) {
-          add_children(join_ops[k], rights, num_rights);
-        }
+        for (JoinOp op : kJoinOps) add_children(op, rights, num_rights);
         // Index-NL probes its inner leaf through an index; scan variants of
         // the inner are meaningless for it.
-        if (options_.enable_index_nl_join && right_is_leaf &&
+        if (right_is_leaf &&
             IndexNLValid(*schema_, query, left, right.First())) {
           add_children(JoinOp::kIndexNLJoin, &index_inner[right.First()], 1);
         }
       }
     }
 
-    // Score the frontier's new join roots (one ScoreRoots in batch mode).
+    // Score the frontier's new join roots in one ScoreRoots.
     ws->pending.clear();
     for (const Child& child : ws->children) {
       ws->pending.push_back(child.joined);

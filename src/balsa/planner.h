@@ -4,7 +4,13 @@
 // scan operators when a side is a base table). States are scored by
 // V(state) = max over the state's partial plans of V(query, plan); the beam
 // keeps the b best states and the search runs until k complete plans are
-// found, returned in ascending predicted latency.
+// found, returned in ascending predicted latency. The action space is the
+// whole physical one: hash, merge, nested-loop and index nested-loop joins,
+// and both scan kinds where an index helps.
+//
+// Each scoring round scores only the new join roots, in one batched call
+// (ValueNetwork::ScoreRoots) from their children's cached embedding rows;
+// a score equals a full Predict over the subtree, bit for bit.
 //
 // A search keeps all its state in one per-thread workspace that TopK clears
 // on entry, keeping its capacity: the hash-consed subtree arena, one
@@ -34,22 +40,9 @@ struct PlannerOptions {
   /// Allow bushy shapes. Engines whose hint interface is left-deep-only
   /// (CommDB, §8.2) plan with bushy = false.
   bool bushy = true;
-  bool enable_hash_join = true;
-  bool enable_merge_join = true;
-  bool enable_nl_join = true;
-  bool enable_index_nl_join = true;
-  bool enable_index_scan = true;
   /// epsilon-greedy beam search (§8.3.3 ablation): with this probability
   /// per expansion, the beam is collapsed to one random state.
   double epsilon_collapse = 0.0;
-  /// Safety bound on state expansions per query.
-  int max_expansions = 20000;
-  /// Score each expansion's frontier with one batched, incremental network
-  /// call over the new join roots only (ValueNetwork::ScoreRoots on the
-  /// children's cached terms, optionally via an InferenceService) instead
-  /// of one full Predict per plan. Scores — and therefore the plans
-  /// found — are identical either way; batching only changes throughput.
-  bool batch_scoring = true;
 };
 
 class BeamSearchPlanner {
@@ -76,12 +69,11 @@ class BeamSearchPlanner {
     /// Subtree-scoring requests the search issued, including table hits
     /// (network_evals counts only the misses).
     int64_t scored_states = 0;
-    /// Inference invocations that served the misses: one per batched call
-    /// with batch_scoring, one per Predict without (== network_evals then).
+    /// ScoreRoots calls that served the misses: one per scoring round that
+    /// had a miss (the root state's leaves, then each expansion's frontier).
     int64_t batch_calls = 0;
     /// Child terms computed (ValueNetwork::ChildTerms): one per distinct
-    /// (subtree, side) a scored join uses as a child. 0 without
-    /// batch_scoring.
+    /// (subtree, side) a scored join uses as a child.
     int64_t child_terms = 0;
   };
 

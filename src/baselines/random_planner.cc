@@ -15,8 +15,7 @@ StatusOr<Plan> RandomPlanner::Sample(const Query& query, Rng* rng) const {
   for (int rel = 0; rel < query.num_relations(); ++rel) {
     Piece p;
     ScanOp op = ScanOp::kSeqScan;
-    if (options_.enable_index_scan &&
-        IndexScanEffective(*schema_, query, rel) && rng->Bernoulli(0.5)) {
+    if (IndexScanEffective(*schema_, query, rel) && rng->Bernoulli(0.5)) {
       op = ScanOp::kIndexScan;
     }
     p.plan.set_root(p.plan.AddScan(rel, op));
@@ -27,17 +26,9 @@ StatusOr<Plan> RandomPlanner::Sample(const Query& query, Rng* rng) const {
   while (forest.size() > 1) {
     // Collect joinable ordered pairs.
     std::vector<std::pair<int, int>> pairs;
-    int multi_idx = -1;
-    if (!options_.bushy) {
-      for (size_t i = 0; i < forest.size(); ++i) {
-        if (forest[i].tables.size() > 1) multi_idx = static_cast<int>(i);
-      }
-    }
     for (size_t i = 0; i < forest.size(); ++i) {
-      if (multi_idx >= 0 && static_cast<int>(i) != multi_idx) continue;
       for (size_t j = 0; j < forest.size(); ++j) {
         if (i == j) continue;
-        if (!options_.bushy && forest[j].tables.size() > 1) continue;
         if (query.CanJoin(forest[i].tables, forest[j].tables)) {
           pairs.emplace_back(static_cast<int>(i), static_cast<int>(j));
         }
@@ -51,7 +42,7 @@ StatusOr<Plan> RandomPlanner::Sample(const Query& query, Rng* rng) const {
 
     std::vector<JoinOp> ops{JoinOp::kHashJoin, JoinOp::kMergeJoin,
                             JoinOp::kNLJoin};
-    if (options_.enable_index_nl && forest[j].tables.size() == 1 &&
+    if (forest[j].tables.size() == 1 &&
         IndexNLValid(*schema_, query, forest[i].tables,
                      forest[j].tables.First())) {
       ops.push_back(JoinOp::kIndexNLJoin);

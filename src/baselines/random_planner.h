@@ -1,7 +1,8 @@
 // QuickPick-style random plan sampling (Waas & Pellenkoft): uniformly pick
-// joinable pairs and physical operators until the plan is complete. Used by
-// the §3 motivating experiment, the epsilon-greedy comparisons, and tests
-// (random plans are a cheap source of search-space coverage).
+// joinable pairs and physical operators until the plan is complete, over
+// the whole bushy physical space. Used by the compare_optimizers and
+// noisy_estimates examples and by tests (random plans are a cheap source
+// of search-space coverage).
 #pragma once
 
 #include "src/catalog/schema.h"
@@ -11,23 +12,15 @@
 
 namespace balsa {
 
-struct RandomPlannerOptions {
-  bool bushy = true;
-  bool enable_index_nl = true;
-  bool enable_index_scan = true;
-};
-
 class RandomPlanner {
  public:
-  RandomPlanner(const Schema* schema, RandomPlannerOptions options = {})
-      : schema_(schema), options_(options) {}
+  explicit RandomPlanner(const Schema* schema) : schema_(schema) {}
 
   /// A uniformly random valid physical plan for `query`.
   StatusOr<Plan> Sample(const Query& query, Rng* rng) const;
 
  private:
   const Schema* schema_;
-  RandomPlannerOptions options_;
 };
 
 }  // namespace balsa

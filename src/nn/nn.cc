@@ -287,15 +287,19 @@ void ChildTerms(const RowNet& net, const TermJob* jobs, size_t n) {
 Status SaveParams(const std::vector<Param*>& params, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) return Status::Internal("cannot open " + path + " for writing");
+  // A write error may show only when the buffer is flushed at close.
+  auto write = [f](const void* data, size_t size, size_t n) {
+    return std::fwrite(data, size, n, f) == n;
+  };
   uint64_t count = params.size();
-  std::fwrite(&count, sizeof(count), 1, f);
+  bool ok = write(&count, sizeof(count), 1);
   for (const Param* p : params) {
     int32_t rows = p->value.rows, cols = p->value.cols;
-    std::fwrite(&rows, sizeof(rows), 1, f);
-    std::fwrite(&cols, sizeof(cols), 1, f);
-    std::fwrite(p->value.data.data(), sizeof(float), p->value.data.size(), f);
+    ok = ok && write(&rows, sizeof(rows), 1) && write(&cols, sizeof(cols), 1) &&
+         write(p->value.data.data(), sizeof(float), p->value.data.size());
   }
-  std::fclose(f);
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) return Status::Internal("cannot write " + path);
   return Status::OK();
 }
 

@@ -14,6 +14,17 @@ struct DpEntry {
   bool valid = false;
 };
 
+// The join operators `options` enables, in the order candidates are tried
+// (on equal cost the first one wins).
+std::vector<JoinOp> JoinOps(const DpOptimizerOptions& options) {
+  std::vector<JoinOp> ops;
+  if (options.enable_hash_join) ops.push_back(JoinOp::kHashJoin);
+  if (options.enable_merge_join) ops.push_back(JoinOp::kMergeJoin);
+  if (options.enable_index_nl) ops.push_back(JoinOp::kIndexNLJoin);
+  if (options.enable_nl_join) ops.push_back(JoinOp::kNLJoin);
+  return ops;
+}
+
 }  // namespace
 
 double DpOptimizer::CandidateCost(const Query& query, TableSet left,
@@ -95,11 +106,7 @@ Status DpOptimizer::RunDp(const Query& query, OptimizedPlan* best,
     return pa != pb ? pa < pb : a < b;
   });
 
-  std::vector<JoinOp> ops;
-  if (options_.enable_hash_join) ops.push_back(JoinOp::kHashJoin);
-  if (options_.enable_merge_join) ops.push_back(JoinOp::kMergeJoin);
-  if (options_.enable_index_nl) ops.push_back(JoinOp::kIndexNLJoin);
-  if (options_.enable_nl_join) ops.push_back(JoinOp::kNLJoin);
+  const std::vector<JoinOp> ops = JoinOps(options_);
 
   for (uint64_t m : masks) {
     TableSet s(m);
@@ -185,11 +192,7 @@ StatusOr<OptimizedPlan> DpOptimizer::GreedyPlan(const Query& query) const {
     forest.push_back(std::move(p));
   }
 
-  std::vector<JoinOp> ops;
-  if (options_.enable_hash_join) ops.push_back(JoinOp::kHashJoin);
-  if (options_.enable_merge_join) ops.push_back(JoinOp::kMergeJoin);
-  if (options_.enable_index_nl) ops.push_back(JoinOp::kIndexNLJoin);
-  if (options_.enable_nl_join) ops.push_back(JoinOp::kNLJoin);
+  const std::vector<JoinOp> ops = JoinOps(options_);
 
   while (forest.size() > 1) {
     double best_cost = std::numeric_limits<double>::infinity();

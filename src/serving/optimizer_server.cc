@@ -298,16 +298,6 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
   // a different order — the structure is shared, the indices are not.
   const std::vector<int> from_canonical =
       InversePermutation(canonical.canonical_rank);
-  // A shared entry is servable only if it covers exactly this query's
-  // relations (a cross-arity fingerprint collision would otherwise index
-  // past from_canonical in the remap) and, once remapped, every join still
-  // crosses a predicate-connected cut (a WL color tie that was not a true
-  // automorphism produces a miswired remap). Anything else is treated as a
-  // miss: a collision costs one beam search, never a bad plan.
-  auto servable = [&](const CachedPlan& entry) {
-    return entry.plan.RootTables() ==
-           TableSet::FirstN(static_cast<int>(from_canonical.size()));
-  };
   auto to_result = [&from_canonical, fingerprint](const CachedPlan& entry,
                                                   bool hit, bool coalesced) {
     OptimizeResult result;
@@ -319,6 +309,23 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
     result.fingerprint = fingerprint;
     return result;
   };
+  // A shared entry remapped onto this query, if it is servable: only if it
+  // covers exactly this query's relations (a cross-arity fingerprint
+  // collision would otherwise index past from_canonical in the remap) and,
+  // once remapped, every join still crosses a predicate-connected cut (a WL
+  // color tie that was not a true automorphism produces a miswired remap).
+  // Anything else is treated as a miss: a collision costs one beam search,
+  // never a bad plan.
+  auto serve_shared = [&](const CachedPlan& entry, bool hit,
+                          bool coalesced) -> std::optional<OptimizeResult> {
+    if (entry.plan.RootTables() !=
+        TableSet::FirstN(static_cast<int>(from_canonical.size()))) {
+      return std::nullopt;
+    }
+    OptimizeResult result = to_result(entry, hit, coalesced);
+    if (!PlanMatchesQuery(query, result.plan)) return std::nullopt;
+    return result;
+  };
 
   std::shared_ptr<const CachedPlan> cached;
   bool found = false;
@@ -327,13 +334,10 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
     found = cache_.Lookup(fingerprint, version, &cached);
   }
   if (found) {
-    if (servable(*cached)) {
-      OptimizeResult result = to_result(*cached, /*hit=*/true,
-                                        /*coalesced=*/false);
-      if (PlanMatchesQuery(query, result.plan)) {
-        hits_.Inc();
-        return result;
-      }
+    if (auto result = serve_shared(*cached, /*hit=*/true,
+                                   /*coalesced=*/false)) {
+      hits_.Inc();
+      return *std::move(result);
     }
     misses_.Inc();
     arm_flight();
@@ -363,13 +367,11 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
       // each replan a query that is already cached. (RecheckLookup: the
       // miss was already counted above.) A remap mismatch falls through to
       // leading a fresh planning call for this FROM-ordering.
-      if (cache_.RecheckLookup(fingerprint, version, &cached) &&
-          servable(*cached)) {
-        OptimizeResult result = to_result(*cached, /*hit=*/true,
-                                          /*coalesced=*/false);
-        if (PlanMatchesQuery(query, result.plan)) {
+      if (cache_.RecheckLookup(fingerprint, version, &cached)) {
+        if (auto result = serve_shared(*cached, /*hit=*/true,
+                                       /*coalesced=*/false)) {
           hits_.Inc();
-          return result;
+          return *std::move(result);
         }
       }
       flight = std::make_shared<InFlight>();
@@ -405,10 +407,9 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
     while (!flight->done) cv_.Wait(mu_);
   }
   BALSA_RETURN_IF_ERROR(flight->status);
-  if (servable(*flight->result)) {
-    OptimizeResult result = to_result(*flight->result, /*hit=*/false,
-                                      /*coalesced=*/true);
-    if (PlanMatchesQuery(query, result.plan)) return result;
+  if (auto result = serve_shared(*flight->result, /*hit=*/false,
+                                 /*coalesced=*/true)) {
+    return *std::move(result);
   }
   // Shared result can't be remapped onto this FROM-ordering; plan it
   // directly (still counted as coalesced: the wait happened).

@@ -36,20 +36,6 @@ TEST(RandomPlannerTest, CoversDiversePlans) {
   EXPECT_GT(fingerprints.size(), 30u);  // the space is explored broadly
 }
 
-TEST(RandomPlannerTest, LeftDeepModeHolds) {
-  auto fixture = testing::MakeStarFixture();
-  Query query = testing::MakeStarQuery(fixture.schema());
-  RandomPlannerOptions options;
-  options.bushy = false;
-  RandomPlanner planner(&fixture.schema(), options);
-  Rng rng(3);
-  for (int i = 0; i < 30; ++i) {
-    auto plan = planner.Sample(query, &rng);
-    ASSERT_TRUE(plan.ok());
-    EXPECT_TRUE(plan->IsLeftDeep());
-  }
-}
-
 class BaoTest : public ::testing::Test {
  protected:
   static Env& SharedEnv() {

@@ -7,9 +7,9 @@
 //  - every cached child term equals a fresh TreeConvLayer::ChildTerm of the
 //    child's columns, bit for bit, however the terms were batched;
 //  - TopK returns the plans (node for node, in ComposeJoin's layout) and
-//    predicted_ms of the per-plan Predict path (batch_scoring = false), for
-//    left-deep and bushy search, computing each (subtree, side) child term
-//    once;
+//    predicted_ms of a frozen search that scores every subtree with a full
+//    Predict (reference_beam_search.h), for left-deep and bushy search,
+//    computing each (subtree, side) child term once;
 //  - several planning threads sharing one read-only network (scoring
 //    through one InferenceService, as the server's misses do), each
 //    planning queries of very different sizes back to back in its own
@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_beam_search.h"
 #include "src/balsa/planner.h"
 #include "src/cost/cost_model.h"
 #include "src/harness/env.h"
@@ -61,12 +62,11 @@ class IncrementalScoringTest : public ::testing::TestWithParam<uint64_t> {
     }
   }
 
-  PlannerOptions Options(bool bushy, bool batch_scoring) const {
+  PlannerOptions Options(bool bushy) const {
     PlannerOptions options;
     options.beam_size = 10;
     options.top_k = 5;
     options.bushy = bushy;
-    options.batch_scoring = batch_scoring;
     return options;
   }
 
@@ -152,7 +152,7 @@ class IncrementalScoringTest : public ::testing::TestWithParam<uint64_t> {
 TEST_P(IncrementalScoringTest, EverySubtreeScoreMatchesForwardBatch) {
   for (const Query* query : queries_) {
     const nn::Vec query_feat = featurizer_->QueryFeatures(*query);
-    auto planned = Search(*query, Options(/*bushy=*/true, true));
+    auto planned = Search(*query, Options(/*bushy=*/true));
     std::vector<nn::TreeSample> trees;
     for (const auto& scored : planned.plans) {
       const Plan& plan = scored.plan;
@@ -193,7 +193,7 @@ TEST_P(IncrementalScoringTest, BatchedRootJobsMatchForwardBatch) {
   std::vector<Job> specs;
   for (size_t q = 0; q < queries_.size(); ++q) {
     const Query& query = *queries_[q];
-    auto planned = Search(query, Options(/*bushy=*/true, true));
+    auto planned = Search(query, Options(/*bushy=*/true));
     for (const auto& scored : planned.plans) {
       const Plan& plan = scored.plan;
       for (int idx = 0; idx < plan.num_nodes(); ++idx) {
@@ -282,7 +282,7 @@ TEST_P(IncrementalScoringTest, CachedChildTermsMatchFreshChildTerm) {
   for (const Query* query : queries_) {
     const nn::Vec query_feat = featurizer_->QueryFeatures(*query);
     query_terms.push_back(testing::QueryTermOf(*network_, query_feat));
-    auto planned = Search(*query, Options(/*bushy=*/true, true));
+    auto planned = Search(*query, Options(/*bushy=*/true));
     for (const auto& scored : planned.plans) {
       for (int node = 0; node < scored.plan.num_nodes(); ++node) {
         Subtree sub{testing::EmbedSubtree(*network_, *featurizer_, *query,
@@ -320,21 +320,23 @@ TEST_P(IncrementalScoringTest, CachedChildTermsMatchFreshChildTerm) {
 TEST_P(IncrementalScoringTest, TopKMatchesPerPlanPredict) {
   for (bool bushy : {false, true}) {
     for (const Query* query : queries_) {
-      auto incremental = Search(*query, Options(bushy, true));
-      auto reference = Search(*query, Options(bushy, false));
+      auto incremental = Search(*query, Options(bushy));
+      auto frozen =
+          reference::TopK(&env_->schema(), featurizer_.get(), network_.get(),
+                          Options(bushy), *query, nullptr);
       const std::string what =
           query->name() + (bushy ? " bushy" : " left-deep");
-      ExpectSamePlans(incremental, reference, what);
+      ASSERT_TRUE(frozen.ok()) << what << ": " << frozen.status().ToString();
+      ExpectSamePlans(incremental, *frozen, what);
       for (const auto& scored : incremental.plans) {
         ExpectSameNodes(scored.plan, Composed(scored.plan, scored.plan.root()),
                         what + " vs ComposeJoin");
       }
-      // Both modes score the same subtrees; only the call shape differs.
-      EXPECT_EQ(incremental.network_evals, reference.network_evals) << what;
-      EXPECT_EQ(incremental.scored_states, reference.scored_states) << what;
+      // Both searches score the same subtrees; only the call shape differs.
+      EXPECT_EQ(incremental.network_evals, frozen->network_evals) << what;
+      EXPECT_EQ(incremental.scored_states, frozen->scored_states) << what;
       // Each (subtree, side) term is computed once: every child a scored
       // join uses is itself scored, and has two sides at most.
-      EXPECT_EQ(reference.child_terms, 0) << what;
       EXPECT_LE(incremental.child_terms, 2 * incremental.network_evals)
           << what;
       EXPECT_GE(incremental.child_terms,
@@ -389,7 +391,7 @@ TEST(IncrementalScoringExactTest, ChildTermsCountDistinctSubtreeSides) {
 }
 
 TEST_P(IncrementalScoringTest, ConcurrentPlannersMatchSingleThreadedTopK) {
-  const PlannerOptions options = Options(/*bushy=*/true, true);
+  const PlannerOptions options = Options(/*bushy=*/true);
   const size_t n = queries_.size();
   std::vector<BeamSearchPlanner::PlanningResult> reference;
   for (const Query* query : queries_) {

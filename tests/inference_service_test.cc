@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_beam_search.h"
 #include "src/balsa/planner.h"
 #include "test_util.h"
 
@@ -171,19 +172,16 @@ TEST(InferenceServiceDeathTest, RejectsWorkerThreads) {
 }
 
 TEST_F(InferenceServiceTest, BatchScoredBeamSearchFindsIdenticalPlans) {
-  PlannerOptions batched;
-  batched.beam_size = 10;
-  batched.top_k = 5;
-  batched.batch_scoring = true;
-  PlannerOptions per_plan = batched;
-  per_plan.batch_scoring = false;
+  PlannerOptions options;
+  options.beam_size = 10;
+  options.top_k = 5;
 
-  BeamSearchPlanner batch_planner(&fixture_.schema(), &featurizer_,
-                                  network_.get(), batched);
-  BeamSearchPlanner per_plan_planner(&fixture_.schema(), &featurizer_,
-                                     network_.get(), per_plan);
-  auto a = batch_planner.TopK(query_);
-  auto b = per_plan_planner.TopK(query_);
+  BeamSearchPlanner planner(&fixture_.schema(), &featurizer_, network_.get(),
+                            options);
+  auto a = planner.TopK(query_);
+  // The frozen search that scores every subtree with a full Predict.
+  auto b = reference::TopK(&fixture_.schema(), &featurizer_, network_.get(),
+                           options, query_, nullptr);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
@@ -193,10 +191,9 @@ TEST_F(InferenceServiceTest, BatchScoredBeamSearchFindsIdenticalPlans) {
         << "diverged at plan " << i;
     EXPECT_EQ(a->plans[i].predicted_ms, b->plans[i].predicted_ms);
   }
-  // The two modes run the same forward passes; batching only fuses them.
+  // The two run the same forward passes; batching only fuses them.
   EXPECT_EQ(a->network_evals, b->network_evals);
   EXPECT_EQ(a->scored_states, b->scored_states);
-  EXPECT_EQ(b->batch_calls, b->network_evals);  // per-plan: one call each
   EXPECT_LT(a->batch_calls, a->network_evals);  // batched: fused frontiers
   EXPECT_GE(a->scored_states, a->network_evals);
 }

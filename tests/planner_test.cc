@@ -74,22 +74,6 @@ TEST_F(PlannerTest, LeftDeepModeProducesLeftDeepPlans) {
   }
 }
 
-TEST_F(PlannerTest, OperatorTogglesRespected) {
-  PlannerOptions options;
-  options.enable_merge_join = false;
-  options.enable_nl_join = false;
-  options.enable_index_nl_join = false;
-  auto result = MakePlanner(options).TopK(query_);
-  ASSERT_TRUE(result.ok());
-  for (const auto& scored : result->plans) {
-    std::vector<int> joins, scans;
-    scored.plan.CountOps(&joins, &scans);
-    EXPECT_EQ(joins[static_cast<int>(JoinOp::kMergeJoin)], 0);
-    EXPECT_EQ(joins[static_cast<int>(JoinOp::kNLJoin)], 0);
-    EXPECT_EQ(joins[static_cast<int>(JoinOp::kIndexNLJoin)], 0);
-  }
-}
-
 TEST_F(PlannerTest, SingleRelationQueryShortCircuits) {
   QueryBuilder b(&fixture_.schema(), "one");
   auto q = b.From("customer", "c").Filter("c.region", PredOp::kEq, 1).Build();

@@ -154,6 +154,18 @@ TEST(ValueNetworkTest, SaveLoadRoundTrip) {
   EXPECT_EQ(a.Predict(q, plan), b.Predict(q, plan));
 }
 
+TEST(ValueNetworkTest, SaveReportsAFailedWrite) {
+  // /dev/full opens and takes buffered writes; the error shows only when
+  // the buffer is flushed at close.
+  std::ofstream probe("/dev/full");
+  if (!probe.is_open()) GTEST_SKIP() << "no /dev/full on this system";
+  ValueNetwork net(SmallConfig());
+  const Status status = net.Save("/dev/full");
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("/dev/full"), std::string::npos)
+      << status.ToString();
+}
+
 // QueryTerm, ScoreRoots and ChildTerms read transposed copies of every
 // layer's weights and biases (nn::RowNet). After each way the weights are
 // written, incremental scoring of fresh leaves, of a join over two leaves
