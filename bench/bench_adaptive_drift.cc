@@ -98,7 +98,7 @@ Stack MakeStack(const DriftBenchConfig& config, bool rewarm) {
   scheduler_options.rewarm_top_k = rewarm ? config.rewarm_top_k : 0;
   stack.scheduler = std::make_unique<ReanalyzeScheduler>(
       stack.env->db.get(), stack.log.get(), stack.env->oracle.get(),
-      stack.estimator.get(), stack.server.get(), nullptr, scheduler_options);
+      stack.estimator.get(), stack.server.get(), scheduler_options);
 
   stack.queries = bench::QueriesUpTo(*stack.env, config.max_relations);
   return stack;

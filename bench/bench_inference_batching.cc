@@ -1,8 +1,11 @@
-// Micro-benchmark for the batched value-network inference path: evals/sec
-// of the legacy per-item Predict hot path (batch size 1 — how beam search
-// scored plans before the runtime subsystem) vs ValueNetwork::ForwardBatch
-// at micro-batch sizes {8, 32, 128}. The acceptance gate for the runtime is
-// >= 2x evals/sec at batch 32 (ForwardBatch vs Predict).
+// Micro-benchmark for the batched value-network forward pass: evals/sec of
+// the per-item Predict (batch size 1, dense MatVec per node — how beam
+// search scored plans before the runtime subsystem) vs
+// ValueNetwork::ForwardBatch at micro-batch sizes {8, 32, 128}.
+// ForwardBatch is training's forward pass: one query term per item, then
+// each node bottom-up through the row kernels beam search scores with
+// (nn::ChildTerms, nn::ScoreRoots). The gate is >= 2x evals/sec at batch
+// 32 (ForwardBatch vs Predict).
 //
 // Usage: bench_inference_batching [--full]
 #include <chrono>

@@ -14,14 +14,12 @@ ReanalyzeScheduler::ReanalyzeScheduler(Database* db, ChangeLog* log,
                                        CardOracle* oracle,
                                        SwappableEstimator* estimator,
                                        OptimizerServer* server,
-                                       ThreadPool* pool,
                                        ReanalyzeSchedulerOptions options)
     : db_(db),
       log_(log),
       oracle_(oracle),
       estimator_(estimator),
       server_(server),
-      pool_(pool),
       options_(options),
       detector_(options.thresholds),
       incremental_rounds_(static_cast<size_t>(log->num_tables()), 0) {}
@@ -192,12 +190,7 @@ void ReanalyzeScheduler::TimerLoop() {
       if (stop_) return;
     }
     // Per-table errors are counted inside the pass; the next tick retries.
-    auto run = [this] { RunPass(); };
-    if (pool_ != nullptr) {
-      pool_->Submit(run).get();
-    } else {
-      run();
-    }
+    RunPass();
   }
 }
 

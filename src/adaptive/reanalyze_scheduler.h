@@ -26,9 +26,7 @@
 // Drive it one of two ways:
 //   - RunOnce(): one synchronous check pass (tests, deterministic benches);
 //   - Start()/Stop(): a background timer thread that runs the pass every
-//     check_interval_ms, executing on the provided runtime ThreadPool when
-//     one is given (so re-ANALYZE work shares the serving pool) or inline
-//     on the timer thread otherwise.
+//     check_interval_ms, on the timer thread itself.
 #pragma once
 
 #include <atomic>
@@ -44,7 +42,6 @@
 #include "src/stats/swappable_estimator.h"
 #include "src/storage/change_log.h"
 #include "src/util/thread_annotations.h"
-#include "src/util/thread_pool.h"
 
 namespace balsa {
 
@@ -68,13 +65,13 @@ struct ReanalyzeSchedulerOptions {
 class ReanalyzeScheduler {
  public:
   /// All pointers are borrowed and must outlive the scheduler. `server`
-  /// and `pool` may be null (no re-warm / inline execution). The oracle's
-  /// memoized true cardinalities need no invalidation hook here: they are
-  /// tagged with storage publication epochs and expire on their own as
-  /// ingest publishes new versions.
+  /// may be null (no re-warm). The oracle's memoized true cardinalities
+  /// need no invalidation hook here: they are tagged with storage
+  /// publication epochs and expire on their own as ingest publishes new
+  /// versions.
   ReanalyzeScheduler(Database* db, ChangeLog* log, CardOracle* oracle,
                      SwappableEstimator* estimator, OptimizerServer* server,
-                     ThreadPool* pool, ReanalyzeSchedulerOptions options = {});
+                     ReanalyzeSchedulerOptions options = {});
   ~ReanalyzeScheduler();
 
   ReanalyzeScheduler(const ReanalyzeScheduler&) = delete;
@@ -144,7 +141,6 @@ class ReanalyzeScheduler {
   CardOracle* oracle_;
   SwappableEstimator* estimator_;
   OptimizerServer* server_;
-  ThreadPool* pool_;
   ReanalyzeSchedulerOptions options_;
   DriftDetector detector_;
 

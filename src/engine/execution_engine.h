@@ -73,7 +73,6 @@ class ExecutionEngine {
 
   const EngineOptions& options() const { return options_; }
   int64_t num_real_executions() const { return num_real_executions_; }
-  void ClearPlanCache() { plan_cache_.clear(); }
   size_t plan_cache_size() const { return plan_cache_.size(); }
 
  private:

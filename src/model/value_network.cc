@@ -5,13 +5,19 @@
 #include <numeric>
 #include <utility>
 
+#include "src/util/logging.h"
+
 namespace balsa {
 
+// Node-major: row j of x, h1 and h2 is node j, row i of pooled and m1 is
+// item i.
 struct ValueNetwork::Stacked {
-  std::vector<int> begin;        // item i owns columns [begin[i], begin[i+1])
-  std::vector<int> left, right;  // global child columns, -1 for none
-  nn::Mat x, h1, h2, pooled, m1, out;
-  std::vector<int> argmax;       // per (dim, item): h2's first maximal column
+  std::vector<int> begin;        // item i owns nodes [begin[i], begin[i+1])
+  std::vector<int> left, right;  // global child nodes, -1 for none
+  nn::Mat x, h1, h2, pooled, m1;  // x: query ++ node features
+  std::vector<double> out;
+  std::vector<int> argmax;  // per (dim, item): h2's first maximal node
+  std::vector<float> rows, query_term;  // the row kernels' scratch
 };
 
 ValueNetwork::ValueNetwork(ValueNetConfig config) : config_(config) {
@@ -65,7 +71,8 @@ double ValueNetwork::FromLabelSpace(double z) const {
 
 double ValueNetwork::Predict(const nn::Vec& query,
                              const nn::TreeSample& plan) const {
-  // The per-item MatVec path: the baseline bench_inference_batching holds
+  // The per-item MatVec path: the independent reference the row kernels
+  // are tested against, and the baseline bench_inference_batching holds
   // ForwardBatch against.
   const size_t n = plan.features.size();
   std::vector<nn::Vec> inputs(n), h1, h2;
@@ -91,7 +98,6 @@ void ValueNetwork::StackedForward(
     const std::vector<const nn::Vec*>& queries,
     const std::vector<const nn::TreeSample*>& plans, Stacked* s) const {
   const int items = static_cast<int>(plans.size());
-  // Child indices become global column indices.
   s->begin.assign(static_cast<size_t>(items) + 1, 0);
   for (int i = 0; i < items; ++i) {
     s->begin[i + 1] =
@@ -100,49 +106,91 @@ void ValueNetwork::StackedForward(
   const int total = s->begin[items];
   const int qd = config_.query_dim;
   const int nd = config_.node_dim;
-  s->x = nn::Mat(qd + nd, total);
+  const int h1 = config_.tree_hidden1;
+  const int h2 = config_.tree_hidden2;
+  const EmbeddingRowLayout& layout = rows_.layout;
+  const size_t stride = static_cast<size_t>(layout.stride);
+  s->x = nn::Mat(total, qd + nd);
+  s->h1 = nn::Mat(total, h1);
+  s->h2 = nn::Mat(total, h2);
+  s->pooled = nn::Mat(items, h2);
+  s->m1 = nn::Mat(items, config_.mlp_hidden);
+  s->out.resize(static_cast<size_t>(items));
+  s->argmax.resize(static_cast<size_t>(h2) * items);
   s->left.resize(static_cast<size_t>(total));
   s->right.resize(static_cast<size_t>(total));
+  s->rows.resize(stride * total);
+  s->query_term.resize(static_cast<size_t>(query_term_dim()));
+  float* term = s->query_term.data();
+  auto row = [&](int j) { return s->rows.data() + stride * j; };
+
   for (int i = 0; i < items; ++i) {
     const nn::TreeSample& tree = *plans[i];
     const nn::Vec& query = *queries[i];
     const int base = s->begin[i];
-    for (size_t node = 0; node < tree.features.size(); ++node) {
-      const int col = base + static_cast<int>(node);
-      for (int r = 0; r < qd; ++r) s->x.at(r, col) = query[r];
-      const nn::Vec& feat = tree.features[node];
-      for (int r = 0; r < nd; ++r) s->x.at(qd + r, col) = feat[r];
-      s->left[col] = tree.left[node] >= 0 ? base + tree.left[node] : -1;
-      s->right[col] = tree.right[node] >= 0 ? base + tree.right[node] : -1;
+    nn::QueryTerm(rows_, query.data(), term);
+    // Bottom-up: in preorder, a node's children come after it.
+    for (int node = s->begin[i + 1] - base - 1; node >= 0; --node) {
+      const int j = base + node;
+      float* x = &s->x.at(j, 0);
+      std::copy(query.begin(), query.end(), x);
+      std::copy(tree.features[node].begin(), tree.features[node].end(),
+                x + qd);
+      nn::RootJob job;
+      job.query_term = term;
+      job.node = x + qd;
+      job.row = row(j);
+      job.h2 = &s->h2.at(j, 0);
+      if (node == 0) {
+        job.score = &s->out[i];
+        job.hidden = &s->m1.at(i, 0);
+      }
+      nn::TermJob terms[2];
+      size_t num_terms = 0;
+      for (int side = 0; side < 2; ++side) {
+        const int child = (side == 0 ? tree.left : tree.right)[node];
+        (side == 0 ? s->left : s->right)[j] = child >= 0 ? base + child : -1;
+        if (child < 0) continue;
+        BALSA_CHECK(child > node, "a TreeSample must be in preorder");
+        (side == 0 ? job.left : job.right) = row(base + child);
+        terms[num_terms++] = {term, &s->x.at(base + child, 0) + qd,
+                              row(base + child), side};
+      }
+      nn::ChildTerms(rows_, terms, num_terms);
+      nn::ScoreRoots(rows_, &job, 1);
+      std::copy(job.row, job.row + h1, &s->h1.at(j, 0));
+    }
+    const float* pooled = row(base) + layout.pooled;
+    std::copy(pooled, pooled + h2, &s->pooled.at(i, 0));
+    // The first node in preorder holding each maximum takes its gradient
+    // (ReLU zeros tie often).
+    for (int d = 0; d < h2; ++d) {
+      float best = -1e30f;
+      int arg = base;
+      for (int j = base; j < s->begin[i + 1]; ++j) {
+        const float v = s->h2.at(j, d);
+        const bool greater = v > best;  // a select, not a branch
+        best = greater ? v : best;
+        arg = greater ? j : arg;
+      }
+      s->argmax[static_cast<size_t>(d) * items + i] = arg;
     }
   }
-
-  tc1_.ForwardBatch(s->x, s->left, s->right, &s->h1);
-  nn::ReluMatForward(&s->h1);
-  tc2_.ForwardBatch(s->h1, s->left, s->right, &s->h2);
-  nn::ReluMatForward(&s->h2);
-  nn::DynamicMaxPoolBatch(s->h2, s->begin, &s->pooled, &s->argmax);
-  fc1_.ForwardBatch(s->pooled, &s->m1);
-  nn::ReluMatForward(&s->m1);
-  fc2_.ForwardBatch(s->m1, &s->out);
 }
 
 void ValueNetwork::StackedBackward(const Stacked& s, const nn::Mat& dout) {
-  // Node-major throughout: row j of every matrix here is column j of the
-  // forward pass, and dout (one output per item) has the same layout.
-  const nn::Mat m1 = nn::Transpose(s.m1);
-  const nn::Mat h2 = nn::Transpose(s.h2);
-  const nn::Mat h1 = nn::Transpose(s.h1);
+  // Node-major throughout, as StackedForward wrote it; dout (one output
+  // per item) has the same layout.
   nn::Mat dm1, dpooled, dh1;
-  fc2_.BackwardBatch(m1, dout, &dm1);
-  nn::ReluMatBackward(m1, &dm1);
-  fc1_.BackwardBatch(nn::Transpose(s.pooled), dm1, &dpooled);
-  nn::Mat dh2(h2.rows, h2.cols);
+  fc2_.BackwardBatch(s.m1, dout, &dm1);
+  nn::ReluMatBackward(s.m1, &dm1);
+  fc1_.BackwardBatch(s.pooled, dm1, &dpooled);
+  nn::Mat dh2(s.h2.rows, s.h2.cols);
   nn::DynamicMaxPoolBatchBackward(dpooled, s.argmax, &dh2);
-  nn::ReluMatBackward(h2, &dh2);
-  tc2_.BackwardBatch(h1, s.left, s.right, dh2, &dh1);
-  nn::ReluMatBackward(h1, &dh1);
-  tc1_.BackwardBatch(nn::Transpose(s.x), s.left, s.right, dh1, nullptr);
+  nn::ReluMatBackward(s.h2, &dh2);
+  tc2_.BackwardBatch(s.h1, s.left, s.right, dh2, &dh1);
+  nn::ReluMatBackward(s.h1, &dh1);
+  tc1_.BackwardBatch(s.x, s.left, s.right, dh1, nullptr);
 }
 
 std::vector<double> ValueNetwork::ForwardBatch(
@@ -153,7 +201,7 @@ std::vector<double> ValueNetwork::ForwardBatch(
   Stacked s;
   StackedForward(queries, plans, &s);
   for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = FromLabelSpace(s.out.at(0, static_cast<int>(i)));
+    out[i] = FromLabelSpace(s.out[i]);
   }
   return out;
 }
@@ -171,7 +219,9 @@ void ValueNetwork::QueryTerm(const float* query, float* term) const {
 
 void ValueNetwork::ScoreRoots(const std::vector<RootJob>& jobs) const {
   nn::ScoreRoots(rows_, jobs.data(), jobs.size());
-  for (const RootJob& job : jobs) *job.score = FromLabelSpace(*job.score);
+  for (const RootJob& job : jobs) {
+    if (job.score != nullptr) *job.score = FromLabelSpace(*job.score);
+  }
 }
 
 void ValueNetwork::ChildTerms(const std::vector<TermJob>& jobs) const {
@@ -222,7 +272,7 @@ ValueNetwork::TrainResult ValueNetwork::Train(
       forward(idx, pos, end);
       for (size_t k = pos; k < end; ++k) {
         double z = ToLabelSpace(data[idx[k]].label);
-        double pred = stacked.out.at(0, static_cast<int>(k - pos));
+        double pred = stacked.out[k - pos];
         total += (pred - z) * (pred - z);
       }
     }
@@ -256,12 +306,13 @@ ValueNetwork::TrainResult ValueNetwork::Train(
       nn::Mat dout(batch, 1);
       for (int k = 0; k < batch; ++k) {
         double residual =
-            stacked.out.at(0, k) - ToLabelSpace(data[train[pos + k]].label);
+            stacked.out[k] - ToLabelSpace(data[train[pos + k]].label);
         epoch_loss += residual * residual;
         dout.at(k, 0) = static_cast<float>(2.0 * residual);
       }
       StackedBackward(stacked, dout);
       adam.Step(batch);
+      TransposeWeights();
       result.sgd_samples += batch;
       pos = batch_end;
     }

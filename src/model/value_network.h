@@ -52,12 +52,14 @@ class ValueNetwork {
   /// Predicted label (original units) for a featurized (query, plan).
   double Predict(const nn::Vec& query, const nn::TreeSample& plan) const;
 
-  /// Batched prediction: one forward pass over all (query, plan) items,
-  /// with every plan's nodes stacked into shared matrices (batched tree
-  /// convolution + dynamic pooling in nn::). An item's score is bitwise
-  /// independent of the rest of the batch — the batched kernels accumulate
-  /// in MatVec's exact summation order — so micro-batching concurrent
-  /// requests can never change a result. `queries[i]` pairs with `plans[i]`.
+  /// Batched prediction: training's forward pass over all (query, plan)
+  /// items. Each item gets one query term; its nodes are scored bottom-up
+  /// by the row kernels beam search scores with (nn::ChildTerms for each
+  /// child's side, then nn::ScoreRoots), so a score is bitwise Predict's
+  /// and independent of the rest of the batch. `queries[i]` pairs with
+  /// `plans[i]`; every plan is a tree in preorder, as
+  /// Featurizer::PlanFeatures emits it (node 0 the root, each child after
+  /// its parent).
   std::vector<double> ForwardBatch(
       const std::vector<const nn::Vec*>& queries,
       const std::vector<const nn::TreeSample*>& plans) const;
@@ -82,13 +84,13 @@ class ValueNetwork {
   /// node features and its children's cached terms and pooled maxima, one
   /// job at a time in its own row (nn::ScoreRoots over the transposed
   /// weights), writing the root's h1 and pooled and its score. Bitwise
-  /// equal to ForwardBatch over the whole subtree:
+  /// equal to Predict over the whole subtree:
   ///  - layer 1's Wp product is the query term continued over the node's
   ///    nonzero (mostly one-hot) inputs by nn::GatherAdd, and layer 2's
   ///    and the head's products are nn::ColumnAccumulate, all summing as
-  ///    AddMatMul does;
+  ///    MatVec does;
   ///  - the children's terms (ChildTerms) and the bias are added to each
-  ///    layer's product in the order TreeConvLayer::ForwardBatch adds them;
+  ///    layer's product in the order TreeConvLayer::Forward adds them;
   ///  - pooled = max(root h2, children's pooled) is DynamicMaxPool's value:
   ///    post-ReLU values are never negative, -0 or NaN, so their max does
   ///    not depend on visiting order.
@@ -99,7 +101,8 @@ class ValueNetwork {
   /// Fills each job's term for its side: layer 1's Wl (or Wr) product,
   /// continued from the query term over the node's features as ScoreRoots
   /// continues Wp's, then layer 2's product over the subtree's h1
-  /// (nn::ChildTerms). A term is bitwise TreeConvLayer::ChildTerm's, and
+  /// (nn::ChildTerms). A term is bitwise the MatVec products
+  /// TreeConvLayer::Forward adds for the subtree as that child, and
   /// independent of the rest of the batch.
   void ChildTerms(const std::vector<TermJob>& jobs) const;
 
@@ -146,14 +149,15 @@ class ValueNetwork {
  private:
   struct Stacked;
 
-  /// The batched forward pass in transformed label space: every plan's
-  /// nodes stacked into one column-per-node batch (each plan's nodes in
-  /// preorder), keeping what StackedBackward reads. out(0, i) is item i's
-  /// output, bitwise equal to Predict's before FromLabelSpace.
+  /// The batched forward pass in transformed label space (see
+  /// ForwardBatch), keeping what StackedBackward reads, node-major: every
+  /// plan's nodes stacked in preorder, one row per node or item. out[i] is
+  /// item i's output, bitwise equal to Predict's before FromLabelSpace.
+  /// Reads rows_, so the transposed weights must be current.
   void StackedForward(const std::vector<const nn::Vec*>& queries,
                       const std::vector<const nn::TreeSample*>& plans,
                       Stacked* s) const;
-  /// Accumulates the gradients of sum_i dout(i, 0) * out(0, i) over a
+  /// Accumulates the gradients of sum_i dout(i, 0) * out[i] over a
   /// StackedForward batch: each gradient element adds its per-sample,
   /// per-node terms in sample order, then node order.
   void StackedBackward(const Stacked& s, const nn::Mat& dout);
@@ -162,7 +166,8 @@ class ValueNetwork {
   std::vector<const nn::Param*> Params() const;
 
   /// Rebuilds rows_ from the layers' weights. Every write of the weights
-  /// (InitWeights, Train, Load, CopyWeightsFrom) ends with it.
+  /// (InitWeights, each of Train's steps, Load, CopyWeightsFrom) ends with
+  /// it.
   void TransposeWeights();
 
   double ToLabelSpace(double y) const;
@@ -172,7 +177,7 @@ class ValueNetwork {
   nn::TreeConvLayer tc1_, tc2_;
   nn::Linear fc1_, fc2_;
   /// Transposed copies of every layer's weights, and of the biases, that
-  /// QueryTerm, ScoreRoots and ChildTerms read.
+  /// QueryTerm, ScoreRoots, ChildTerms and the batched forward pass read.
   nn::RowNet rows_;
 };
 

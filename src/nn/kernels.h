@@ -31,8 +31,6 @@ struct AdamStep {
 
 struct Kernels {
   const char* isa;  // "baseline" or "avx2"
-  /// AddMatMul.
-  void (*add_mat_mul)(const Mat& w, const Mat& x, Mat* y);
   /// GatherAdd.
   void (*gather_add)(const Mat& wt, int first, const float* x, int k,
                      float* y);

@@ -25,20 +25,12 @@ Mat Transpose(const Mat& m) {
   return t;
 }
 
-void AddMatMul(const Mat& w, const Mat& x, Mat* y) {
-  ActiveKernels().add_mat_mul(w, x, y);
-}
-
 void GatherAdd(const Mat& wt, int first, const float* x, int k, float* y) {
   ActiveKernels().gather_add(wt, first, x, k, y);
 }
 
 void ColumnAccumulate(const Mat& wt, const float* x, float* y) {
   ActiveKernels().column_accumulate(wt, x, y);
-}
-
-void ReluMatForward(Mat* x) {
-  for (float& v : x->data) v = v > 0 ? v : 0;
 }
 
 void ReluMatBackward(const Mat& y, Mat* dy) {
@@ -63,17 +55,6 @@ void Linear::Forward(const Vec& x, Vec* y) const {
   y->assign(w_.value.rows, 0.f);
   MatVec(w_.value, x, y);
   for (int r = 0; r < b_.value.rows; ++r) (*y)[r] += b_.value.at(r, 0);
-}
-
-void Linear::ForwardBatch(const Mat& x, Mat* y) const {
-  y->rows = w_.value.rows;
-  y->cols = x.cols;
-  y->data.assign(static_cast<size_t>(y->rows) * y->cols, 0.f);
-  AddMatMul(w_.value, x, y);
-  for (int r = 0; r < y->rows; ++r) {
-    const float b = b_.value.at(r, 0);
-    for (int j = 0; j < y->cols; ++j) y->at(r, j) += b;
-  }
 }
 
 void Linear::BackwardBatch(const Mat& xt, const Mat& dyt, Mat* dxt) {
@@ -109,49 +90,6 @@ void TreeConvLayer::Forward(const std::vector<Vec>& in,
   }
 }
 
-void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
-                                 const std::vector<int>& right,
-                                 Mat* out) const {
-  const int n = x.cols;
-  out->rows = wp_.value.rows;
-  out->cols = n;
-  out->data.assign(static_cast<size_t>(out->rows) * n, 0.f);
-  AddMatMul(wp_.value, x, out);
-  // Each side's terms: the gathered children multiplied compactly, then
-  // each term added whole, with a single add per element — the same
-  // "+= acc" grouping Forward uses, so outputs match the per-item path.
-  std::vector<int> cols;
-  Mat gathered, terms;
-  for (int side : {0, 1}) {
-    const std::vector<int>& child = side == 0 ? left : right;
-    cols.clear();
-    for (int j = 0; j < n; ++j) {
-      if (child[j] >= 0) cols.push_back(j);
-    }
-    const int m = static_cast<int>(cols.size());
-    if (m == 0) continue;
-    gathered = Mat(x.rows, m);
-    for (int r = 0; r < x.rows; ++r) {
-      for (int k = 0; k < m; ++k) gathered.at(r, k) = x.at(r, child[cols[k]]);
-    }
-    ChildTerm(side, gathered, &terms);
-    for (int r = 0; r < out->rows; ++r) {
-      for (int k = 0; k < m; ++k) out->at(r, cols[k]) += terms.at(r, k);
-    }
-  }
-  for (int r = 0; r < out->rows; ++r) {
-    const float b = b_.value.at(r, 0);
-    for (int j = 0; j < n; ++j) out->at(r, j) += b;
-  }
-}
-
-void TreeConvLayer::ChildTerm(int side, const Mat& x, Mat* terms) const {
-  terms->rows = wp_.value.rows;
-  terms->cols = x.cols;
-  terms->data.assign(static_cast<size_t>(terms->rows) * x.cols, 0.f);
-  AddMatMul(side == 0 ? wl_.value : wr_.value, x, terms);
-}
-
 void TreeConvLayer::BackwardBatch(const Mat& xt, const std::vector<int>& left,
                                   const std::vector<int>& right,
                                   const Mat& dyt, Mat* dxt) {
@@ -175,30 +113,6 @@ void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out) {
   for (const Vec& node : nodes) {
     for (int d = 0; d < dim; ++d) {
       if (node[d] > (*out)[d]) (*out)[d] = node[d];
-    }
-  }
-}
-
-void DynamicMaxPoolBatch(const Mat& nodes, const std::vector<int>& item_begin,
-                         Mat* pooled, std::vector<int>* argmax) {
-  const int dim = nodes.rows;
-  const int items = static_cast<int>(item_begin.size()) - 1;
-  pooled->rows = dim;
-  pooled->cols = items;
-  pooled->data.resize(static_cast<size_t>(dim) * items);
-  argmax->resize(static_cast<size_t>(dim) * items);
-  for (int d = 0; d < dim; ++d) {
-    const float* row = &nodes.data[static_cast<size_t>(d) * nodes.cols];
-    for (int it = 0; it < items; ++it) {
-      float best = -1e30f;
-      int arg = item_begin[it];
-      for (int col = item_begin[it]; col < item_begin[it + 1]; ++col) {
-        const bool greater = row[col] > best;  // a select, not a branch
-        best = greater ? row[col] : best;
-        arg = greater ? col : arg;
-      }
-      pooled->at(d, it) = best;
-      (*argmax)[static_cast<size_t>(d) * items + it] = arg;
     }
   }
 }

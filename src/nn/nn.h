@@ -3,10 +3,11 @@
 // with dynamic (max) pooling, L2 loss, and Adam — with manual backward
 // passes verified against finite differences in tests. No external deps.
 //
-// The kernels under AddMatMul, GatherAdd, ColumnAccumulate, the batched
-// backward passes, Adam::Step and the row scorers are compiled twice, for
-// baseline x86-64 and with AVX2 (never FMA), and each process runs the
-// variant its CPU supports (kernels.h). Every output element sees the same
+// The kernels under GatherAdd, ColumnAccumulate, the row scorers (which
+// both score beam-search frontiers and run training's forward pass), the
+// batched backward passes and Adam::Step are compiled twice, for baseline
+// x86-64 and with AVX2 (never FMA), and each process runs the variant its
+// CPU supports (kernels.h). Every output element sees the same
 // sequence of IEEE multiplies, adds and maxima in both, so scores, plans
 // and trained weights are bitwise identical on every CPU.
 #pragma once
@@ -41,39 +42,29 @@ struct Mat {
 /// y += W x
 void MatVec(const Mat& w, const Vec& x, Vec* y);
 
-/// y += W x for a column batch x (y: W.rows x x.cols). Every output element
-/// accumulates over W's columns in ascending order — exactly MatVec's
-/// summation order — so an element's value is bitwise independent of which
-/// other columns share the batch, and batched results match per-item MatVec
-/// results exactly. Unlike MatVec's serial reduction, the inner loop runs
-/// across independent batch columns, which is what makes batching fast.
-void AddMatMul(const Mat& w, const Mat& x, Mat* y);
-
 /// y += W[:, first : first + k] x over W's transpose `wt` (W's column c is
 /// wt's row c, contiguous over W's rows; y has wt.cols entries). Each
-/// element adds its terms in ascending column order, as AddMatMul does,
-/// but zero inputs are skipped. Started from +0, that is AddMatMul from a
-/// zeroed y, bitwise; continued from such a partial sum, it is AddMatMul
-/// over the longer column range. Layer 1 scores a row this way: the query
-/// prefix once per search, then each node's mostly one-hot tail from a copy
-/// of that term.
+/// element adds its terms to itself in ascending column order, as the
+/// scalar loop `y[r] += W(r, c) * x[c]` does, but zero inputs are skipped.
+/// Started from +0, that is MatVec into a zeroed y, bitwise; continued from
+/// such a partial sum, it is MatVec over the longer column range. Layer 1
+/// scores a row this way: the query prefix once per query, then each node's
+/// mostly one-hot tail from a copy of that term.
 void GatherAdd(const Mat& wt, int first, const float* x, int k, float* y);
 
 /// y += W x over W's transpose `wt` for one dense column x (wt.rows
-/// entries; y has wt.cols), every element adding its terms in ascending
-/// column order with none skipped: AddMatMul's sums, bitwise, without a
-/// branch per input. Blocks of outputs stay in registers across the whole
-/// column loop. Layer 2 and the head score a row this way, where post-ReLU
-/// zeros are too irregular to skip.
+/// entries; y has wt.cols), every element adding its terms to itself in
+/// ascending column order with none skipped, as the scalar loop
+/// `y[r] += W(r, c) * x[c]` does, without a branch per input. Blocks of
+/// outputs stay in registers across the whole column loop. Layer 2 and the
+/// head score a row this way, where post-ReLU zeros are too irregular to
+/// skip.
 void ColumnAccumulate(const Mat& wt, const float* x, float* y);
 
-/// In-place ReLU over a whole matrix (elementwise, same as ReluForward).
-void ReluMatForward(Mat* x);
 /// dy *= 1[y > 0] elementwise, where y is the post-ReLU activation.
 void ReluMatBackward(const Mat& y, Mat* dy);
 
-/// The transpose of `m`. The batched backward passes are node-major: they
-/// take a column batch transposed, so each column is one contiguous row.
+/// The transpose of `m`.
 Mat Transpose(const Mat& m);
 
 /// A trainable parameter: value + gradient (+ Adam moments).
@@ -95,10 +86,7 @@ class Linear {
   Linear(int in, int out, Rng* rng);
 
   void Forward(const Vec& x, Vec* y) const;
-  /// Batched Forward over a column batch: y = W x + b per column. Bitwise
-  /// matches Forward on each column (see AddMatMul).
-  void ForwardBatch(const Mat& x, Mat* y) const;
-  /// Backward of ForwardBatch, node-major: row j of `xt` is input column
+  /// Backward of Forward over a batch, node-major: row j of `xt` is input
   /// j and row j of `dyt` is dL/dy for it. Visits the rows in order, adding
   /// dy x^T to dW and dy to db, and sets row j of *dxt (when non-null) to
   /// W^T dy, summed over W's rows in ascending order. Zero dy entries are
@@ -142,26 +130,16 @@ class TreeConvLayer {
 
   void Forward(const std::vector<Vec>& in, const std::vector<int>& left,
                const std::vector<int>& right, std::vector<Vec>* out) const;
-  /// Batched Forward over node-stacked columns: column i of `out` is
-  /// Wp x[i] + Wl x[left[i]] + Wr x[right[i]] + b (missing children
-  /// contribute nothing). `left`/`right` index columns of `x`; trees from
-  /// many batch items may be concatenated as long as indices are global.
-  /// Bitwise matches per-item Forward: each child's term is accumulated
-  /// apart and added as a single add per element, preserving Forward's
-  /// summation grouping.
-  void ForwardBatch(const Mat& x, const std::vector<int>& left,
-                    const std::vector<int>& right, Mat* out) const;
-  /// What each column of `x` adds to a parent as its left (side 0) or
-  /// right (side 1) child: Wl x or Wr x, accumulated from zero into
-  /// *terms, which keeps its capacity.
-  void ChildTerm(int side, const Mat& x, Mat* terms) const;
-  /// Backward of ForwardBatch over the same columns, node-major as in
-  /// Linear::BackwardBatch. Visits the columns j in order; each adds the
-  /// outer products of dy[j] with x[j], x[left[j]] and x[right[j]] to the
-  /// Wp, Wl and Wr gradients and dy[j] to b's, and, when `dxt` is non-null,
-  /// Wp^T dy[j] to dx[j] and Wl^T dy[j], Wr^T dy[j] to its children's rows.
-  /// A node's dx is thus one running sum in the order its terms arrive:
-  /// its parent's (an earlier column in preorder), then its own.
+  /// Backward of Forward over a batch of nodes, node-major as in
+  /// Linear::BackwardBatch: row j of `xt` and of `dyt` is node j, and
+  /// `left`/`right` index those rows, so trees from many batch items may be
+  /// stacked as long as indices are global. Visits the nodes j in order;
+  /// each adds the outer products of dy[j] with x[j], x[left[j]] and
+  /// x[right[j]] to the Wp, Wl and Wr gradients and dy[j] to b's, and, when
+  /// `dxt` is non-null, Wp^T dy[j] to dx[j] and Wl^T dy[j], Wr^T dy[j] to
+  /// its children's rows. A node's dx is thus one running sum in the order
+  /// its terms arrive: its parent's (an earlier node in preorder), then its
+  /// own.
   void BackwardBatch(const Mat& xt, const std::vector<int>& left,
                      const std::vector<int>& right, const Mat& dyt, Mat* dxt);
 
@@ -185,15 +163,10 @@ class TreeConvLayer {
 /// Max pooling over nodes.
 void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out);
 
-/// Batched dynamic max pooling over node-stacked columns: item i pools the
-/// columns [item_begin[i], item_begin[i+1]) of `nodes` into column i of
-/// `pooled` (dim x num_items). Matches DynamicMaxPool per item.
-/// argmax[d * num_items + i] is the first column holding item i's maximum
-/// in row d (ReLU zeros tie often; the first one gets the gradient).
-void DynamicMaxPoolBatch(const Mat& nodes, const std::vector<int>& item_begin,
-                         Mat* pooled, std::vector<int>* argmax);
-/// Node-major backward: dnodes_t(argmax[d * num_items + i], d) +=
-/// dpooled_t(i, d).
+/// Node-major backward of max pooling over a batch of items whose nodes are
+/// stacked: dnodes_t(argmax[d * num_items + i], d) += dpooled_t(i, d), where
+/// argmax[d * num_items + i] is the node holding item i's maximum in
+/// dimension d.
 void DynamicMaxPoolBatchBackward(const Mat& dpooled_t,
                                  const std::vector<int>& argmax,
                                  Mat* dnodes_t);
@@ -245,14 +218,17 @@ struct EmbeddingRowLayout {
 
 /// One subtree root to score. A leaf has no children; a join's children
 /// are rows scored earlier, each with its term for its side filled. The
-/// pointers are borrowed for the call.
+/// pointers are borrowed for the call. Training's forward pass also asks
+/// for what its backward reads; beam search leaves those outputs null.
 struct RootJob {
   const float* query_term = nullptr;  // QueryTerm of the query
   const float* node = nullptr;  // the root's node features
   const float* left = nullptr;  // the children's rows
   const float* right = nullptr;
   float* row = nullptr;     // the root's row
-  double* score = nullptr;  // the network's output for the subtree
+  double* score = nullptr;  // the network's output; null skips the head
+  float* h2 = nullptr;      // the root's own post-ReLU layer 2, if wanted
+  float* hidden = nullptr;  // the head's post-ReLU hidden layer, if wanted
 };
 
 /// A scored subtree whose child term for `side` (0 = left, 1 = right) is to
@@ -284,27 +260,32 @@ struct RowNet {
 
 /// Layer 1's products of a query's part of the input columns,
 /// Wp[:, :qd] q | Wl[:, :qd] q | Wr[:, :qd] q, each summed from +0 by
-/// GatherAdd (AddMatMul's sums over those columns): 3 * tc1 outputs floats.
-/// A search computes it once; ScoreRoots and ChildTerms continue every
-/// root's columns from it.
+/// GatherAdd: 3 * tc1 outputs floats. A search, or a training item,
+/// computes it once; ScoreRoots and ChildTerms continue every node's inputs
+/// from it.
 void QueryTerm(const RowNet& net, const float* query, float* term);
 
 /// Scores each job in its own row, from start to finish in contiguous
 /// memory, writing h1, pooled and the network's output:
 ///  - h1 = relu(query term + GatherAdd(node) + left term + right term + b);
-///  - layer 2 from +0 by ColumnAccumulate, then the children's terms and b;
+///  - layer 2 from +0 by ColumnAccumulate, then the children's terms and b,
+///    then ReLU: the root's own h2, stored to job.h2 when that is set;
 ///  - pooled = max(root h2, children's pooled), branch-free;
-///  - the head, its hidden layer folded into the output's sum in blocks.
-/// Every element sees the adds, multiplies and maxima of the column-major
-/// batch (TreeConvLayer::ForwardBatch, then max pooling and Linear's),
-/// in the same order, so a score is bitwise the dense forward pass's and
+///  - the head, its hidden layer (stored to job.hidden when that is set)
+///    folded into the output's sum in blocks; skipped when job.score is
+///    null.
+/// Every element sees the adds and multiplies of the per-item forward pass
+/// (TreeConvLayer::Forward, Linear::Forward) in the same order, bar
+/// GatherAdd's skipped zero products, which change no sum, and pools the
+/// values DynamicMaxPool does (post-ReLU, so their max is the same in any
+/// order). A score is thus bitwise the dense forward pass's and
 /// independent of the other jobs. Reads the children only.
 void ScoreRoots(const RowNet& net, const RootJob* jobs, size_t n);
 
 /// Fills each job's term for its side: layer 1's Wl (or Wr) product
 /// continued from the query term over the node's features, then layer 2's
-/// from +0 over the row's h1 by ColumnAccumulate — bitwise
-/// TreeConvLayer::ChildTerm of those columns.
+/// from +0 over the row's h1 by ColumnAccumulate — bitwise the MatVec that
+/// TreeConvLayer::Forward adds for the node as that child.
 void ChildTerms(const RowNet& net, const TermJob* jobs, size_t n);
 
 /// Binary serialization of a parameter list (for checkpoints). A load is

@@ -6,19 +6,6 @@
 
 namespace balsa {
 
-const char* PredOpName(PredOp op) {
-  switch (op) {
-    case PredOp::kEq: return "=";
-    case PredOp::kNe: return "<>";
-    case PredOp::kLt: return "<";
-    case PredOp::kLe: return "<=";
-    case PredOp::kGt: return ">";
-    case PredOp::kGe: return ">=";
-    case PredOp::kIn: return "IN";
-  }
-  return "?";
-}
-
 Query::Query(std::string name, std::vector<QueryRelation> relations,
              std::vector<JoinPredicate> joins,
              std::vector<FilterPredicate> filters)

@@ -24,8 +24,6 @@ struct ColumnRef {
 
 enum class PredOp { kEq, kNe, kLt, kLe, kGt, kGe, kIn };
 
-const char* PredOpName(PredOp op);
-
 /// A base-table predicate `col op value` (or `col IN (values)`).
 struct FilterPredicate {
   ColumnRef col;

@@ -8,9 +8,10 @@
 //
 // Scoring runs on the calling thread: a miss's beam search and its forward
 // passes stay on one thread, with no queue and no hand-off. Concurrent
-// planners share one read-only network; the batched nn kernels make every
-// root's embedding bitwise independent of the rest of its batch (see
-// nn::AddMatMul), so a score never depends on who else is planning.
+// planners share one read-only network; the row kernels score each root
+// job in its own row, reading only its children (see nn::ScoreRoots), so a
+// root's embedding is bitwise independent of the rest of its batch and a
+// score never depends on who else is planning.
 //
 // The service is the span and counter site: each call opens a kInference
 // span on a traced thread and counts requests and root jobs.

@@ -254,7 +254,7 @@ StatusOr<std::shared_ptr<const CachedPlan>> OptimizerServer::PlanAndAdmit(
   planned.exemplar = std::make_shared<const Query>(query);
   planned.canonical_rank = canonical_rank;
   auto shared = std::make_shared<const CachedPlan>(std::move(planned));
-  cache_.Insert(fingerprint, *shared);
+  cache_.Insert(fingerprint, shared);
   return shared;
 }
 
@@ -459,7 +459,8 @@ OptimizerServer::RewarmReport OptimizerServer::Rewarm(int top_k) {
     entry.plan = RemapPlanRelations(entry.plan, h.entry->canonical_rank);
     entry.exemplar = h.entry->exemplar;
     entry.canonical_rank = h.entry->canonical_rank;
-    cache_.Insert(h.fingerprint, std::move(entry));
+    cache_.Insert(h.fingerprint,
+                  std::make_shared<const CachedPlan>(std::move(entry)));
     report.replanned++;
     rewarmed_.Inc();
   }

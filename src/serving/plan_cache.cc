@@ -77,17 +77,17 @@ bool PlanCache::LookupImpl(uint64_t fingerprint, int64_t stats_version,
   return true;
 }
 
-void PlanCache::Insert(uint64_t fingerprint, CachedPlan entry) {
+void PlanCache::Insert(uint64_t fingerprint,
+                       std::shared_ptr<const CachedPlan> entry) {
   if (options_.shard_capacity == 0) return;
-  auto shared = std::make_shared<const CachedPlan>(std::move(entry));
   Shard& shard = shards_[static_cast<size_t>(ShardOf(fingerprint))];
   MutexLock lock(shard.mu);
   auto it = shard.map.find(fingerprint);
   if (it != shard.map.end()) {
     // A laggard request that planned under an already-bumped generation
     // must not clobber the newer plan.
-    if (shared->stats_version < it->second.entry->stats_version) return;
-    it->second.entry = std::move(shared);
+    if (entry->stats_version < it->second.entry->stats_version) return;
+    it->second.entry = std::move(entry);
     // The replacing plan starts its popularity from zero: inherited hit
     // counts would let a fresh-generation plan ride the stale plan's fame
     // through HottestEntries/Rewarm ranking.
@@ -104,7 +104,7 @@ void PlanCache::Insert(uint64_t fingerprint, CachedPlan entry) {
   }
   shard.lru.push_front(fingerprint);
   shard.map.emplace(fingerprint,
-                    Shard::Slot{std::move(shared), shard.lru.begin(), 0});
+                    Shard::Slot{std::move(entry), shard.lru.begin(), 0});
   shard.stats.insertions.Inc();
 }
 

@@ -77,10 +77,12 @@ class PlanCache {
                      std::shared_ptr<const CachedPlan>* out);
 
   /// Inserts (or replaces) the entry for `fingerprint`, evicting the
-  /// shard's least-recently-used entry when it is full. An insert carrying
-  /// an older stats_version than the cached entry is dropped — a laggard
-  /// planner never downgrades the cache.
-  void Insert(uint64_t fingerprint, CachedPlan entry);
+  /// shard's least-recently-used entry when it is full. The cache shares
+  /// the (non-null) entry rather than copying it, so the planner that made
+  /// it and the requests waiting on it hold the very plan lookups return.
+  /// An insert carrying an older stats_version than the cached entry is
+  /// dropped — a laggard planner never downgrades the cache.
+  void Insert(uint64_t fingerprint, std::shared_ptr<const CachedPlan> entry);
 
   /// Attaches every shard's counters under "serving.plan_cache.hits" etc.
   /// — all shards share the names, and the registry snapshot merges them

@@ -104,7 +104,7 @@ TEST_F(AdaptiveTest, PassClosesTheLoopIntoServing) {
   ReanalyzeSchedulerOptions options;
   options.rewarm_top_k = 2;
   ReanalyzeScheduler scheduler(fixture_.db.get(), &log_, fixture_.oracle.get(),
-                               &swappable_, server.get(), nullptr, options);
+                               &swappable_, server.get(), options);
 
   // Warm the cache: two queries, one clearly hotter.
   Query star = testing::MakeStarQuery(fixture_.schema(), 0);
@@ -154,7 +154,7 @@ TEST_F(AdaptiveTest, StalenessBoundForcesFullReanalyze) {
   options.max_incremental_rounds = 0;  // every re-ANALYZE is a full rescan
   options.rewarm_top_k = 0;
   ReanalyzeScheduler scheduler(fixture_.db.get(), &log_, fixture_.oracle.get(),
-                               &swappable_, nullptr, nullptr, options);
+                               &swappable_, nullptr, options);
   Drift(SalesDrift());
   ReanalyzeScheduler::PassReport pass = scheduler.RunOnce();
   EXPECT_EQ(pass.full_reanalyzes, 1);
@@ -178,7 +178,7 @@ TEST_F(AdaptiveTest, ChangeFractionForcesFullReanalyze) {
   options.full_reanalyze_fraction = 0.2;  // 60% change blows through this
   options.rewarm_top_k = 0;
   ReanalyzeScheduler scheduler(fixture_.db.get(), &log_, fixture_.oracle.get(),
-                               &swappable_, nullptr, nullptr, options);
+                               &swappable_, nullptr, options);
   Drift(SalesDrift());
   ReanalyzeScheduler::PassReport pass = scheduler.RunOnce();
   EXPECT_EQ(pass.full_reanalyzes, 1);
@@ -199,7 +199,7 @@ TEST_F(AdaptiveTest, BackgroundLoopDetectsDriftByItself) {
   options.check_interval_ms = 5;
   options.rewarm_top_k = 0;
   ReanalyzeScheduler scheduler(fixture_.db.get(), &log_, fixture_.oracle.get(),
-                               &swappable_, nullptr, nullptr, options);
+                               &swappable_, nullptr, options);
   scheduler.Start();
   scheduler.Start();  // idempotent
   Drift(SalesDrift());
@@ -237,9 +237,9 @@ TEST_F(AdaptiveTest, LoopIsWriterCountInvariant) {
   ReanalyzeSchedulerOptions options;
   options.rewarm_top_k = 0;
   ReanalyzeScheduler ours(fixture_.db.get(), &log_, fixture_.oracle.get(),
-                          &swappable_, nullptr, nullptr, options);
+                          &swappable_, nullptr, options);
   ReanalyzeScheduler theirs(twin.db.get(), &twin_log, twin.oracle.get(),
-                            &twin_swappable, nullptr, nullptr, options);
+                            &twin_swappable, nullptr, options);
   ReanalyzeScheduler::PassReport a = ours.RunOnce();
   ReanalyzeScheduler::PassReport b = theirs.RunOnce();
   EXPECT_EQ(a.tables_drifted, b.tables_drifted);

@@ -2,10 +2,11 @@
 // each new join root from its children's cached embeddings
 // (ValueNetwork::ScoreRoots over a per-search subtree arena) instead of
 // re-running the network over the whole plan. That must be a pure speedup:
-//  - every incrementally scored subtree equals ForwardBatch over its full
-//    PlanFeatures encoding, bit for bit;
-//  - every cached child term equals a fresh TreeConvLayer::ChildTerm of the
-//    child's columns, bit for bit, however the terms were batched;
+//  - every incrementally scored subtree equals the per-item Predict over
+//    its full PlanFeatures encoding, bit for bit;
+//  - every cached child term equals fresh MatVec products of the child's
+//    inputs with the layers' Wl (or Wr), bit for bit, however the terms
+//    were batched;
 //  - TopK returns the plans (node for node, in ComposeJoin's layout) and
 //    predicted_ms of a frozen search that scores every subtree with a full
 //    Predict (reference_beam_search.h), for left-deep and bushy search,
@@ -149,7 +150,7 @@ class IncrementalScoringTest : public ::testing::TestWithParam<uint64_t> {
   std::vector<const Query*> queries_;
 };
 
-TEST_P(IncrementalScoringTest, EverySubtreeScoreMatchesForwardBatch) {
+TEST_P(IncrementalScoringTest, EverySubtreeScoreMatchesPredict) {
   for (const Query* query : queries_) {
     const nn::Vec query_feat = featurizer_->QueryFeatures(*query);
     auto planned = Search(*query, Options(/*bushy=*/true));
@@ -159,24 +160,24 @@ TEST_P(IncrementalScoringTest, EverySubtreeScoreMatchesForwardBatch) {
       trees.push_back(featurizer_->PlanFeatures(*query, plan));
       // The planner's own incremental score of the whole plan.
       EXPECT_EQ(scored.predicted_ms,
-                network_->ForwardBatch(query_feat, {&trees.back()})[0])
+                network_->Predict(query_feat, trees.back()))
           << query->name();
       for (int node = 0; node < plan.num_nodes(); ++node) {
         nn::TreeSample sub = featurizer_->PlanFeatures(*query, plan, node);
         EXPECT_EQ(testing::EmbedSubtree(*network_, *featurizer_, *query,
                                         query_feat, plan, node)
                       .score,
-                  network_->ForwardBatch(query_feat, {&sub})[0])
+                  network_->Predict(query_feat, sub))
             << query->name() << " node " << node;
       }
     }
   }
 }
 
-TEST_P(IncrementalScoringTest, BatchedRootJobsMatchForwardBatch) {
+TEST_P(IncrementalScoringTest, BatchedRootJobsMatchPredict) {
   // One ScoreRoots call mixing leaves and joins of several queries, each
-  // job with its own query term: every score must equal ForwardBatch over
-  // that job's whole subtree.
+  // job with its own query term: every score must equal Predict over that
+  // job's whole subtree.
   std::vector<nn::Vec> query_feats, query_terms;
   for (const Query* query : queries_) {
     query_feats.push_back(featurizer_->QueryFeatures(*query));
@@ -219,7 +220,6 @@ TEST_P(IncrementalScoringTest, BatchedRootJobsMatchForwardBatch) {
   ASSERT_FALSE(specs.empty());
   std::vector<testing::Embedding> roots(specs.size());
   std::vector<RootJob> jobs;
-  std::vector<const nn::TreeSample*> tree_ptrs;
   for (size_t i = 0; i < specs.size(); ++i) {
     const Job& s = specs[i];
     roots[i].row.resize(static_cast<size_t>(network_->row_layout().stride));
@@ -228,17 +228,16 @@ TEST_P(IncrementalScoringTest, BatchedRootJobsMatchForwardBatch) {
         s.left == npos ? nullptr : children[s.left].row.data(),
         s.right == npos ? nullptr : children[s.right].row.data(),
         roots[i].row.data(), &roots[i].score});
-    tree_ptrs.push_back(&want_trees[i]);
   }
   network_->ScoreRoots(jobs);
-  std::vector<double> want = network_->ForwardBatch(want_queries, tree_ptrs);
-  ASSERT_EQ(roots.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(roots[i].score, want[i]) << "job " << i;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(roots[i].score,
+              network_->Predict(*want_queries[i], want_trees[i]))
+        << "job " << i;
   }
 }
 
-TEST_P(IncrementalScoringTest, CachedChildTermsMatchFreshChildTerm) {
+TEST_P(IncrementalScoringTest, CachedChildTermsMatchFreshMatVec) {
   // The network's tree-conv layers, rebuilt from its init seed:
   // ValueNetwork::InitWeights draws tc1 and then tc2 first.
   const ValueNetConfig& config = network_->config();
@@ -255,17 +254,15 @@ TEST_P(IncrementalScoringTest, CachedChildTermsMatchFreshChildTerm) {
     nn::Vec node, input;
     const nn::Vec* query_term;
   };
-  auto column = [](const float* v, int rows) {
-    nn::Mat m(rows, 1);
-    m.data.assign(v, v + rows);
-    return m;
-  };
+  // What TreeConvLayer::Forward adds for the subtree as a `side` child.
   auto fresh = [&](const Subtree& sub, int side) {
-    nn::Mat t1, t2;
-    tc1.ChildTerm(side, column(sub.input.data(), tc1.in_dim()), &t1);
-    tc2.ChildTerm(side, column(sub.embedding.row.data(), tc2.in_dim()), &t2);
-    nn::Vec term = t1.data;
-    term.insert(term.end(), t2.data.begin(), t2.data.end());
+    nn::Vec term(static_cast<size_t>(tc1.out_dim()), 0.f);
+    nn::Vec t2(static_cast<size_t>(tc2.out_dim()), 0.f);
+    const float* h1 = sub.embedding.row.data();
+    nn::MatVec(side == 0 ? tc1.wl() : tc1.wr(), sub.input, &term);
+    nn::MatVec(side == 0 ? tc2.wl() : tc2.wr(),
+               nn::Vec(h1, h1 + tc2.in_dim()), &t2);
+    term.insert(term.end(), t2.begin(), t2.end());
     return term;
   };
   auto cached = [&](const testing::Embedding& e, int side) {

@@ -1,10 +1,10 @@
 // Batched inference correctness: ValueNetwork::ForwardBatch must agree with
 // per-item Predict, an item's score must be bitwise independent of its
-// batch, the InferenceService must score root jobs with the scores
-// ForwardBatch gives the whole plans (reading, never writing, the
-// children), and service-driven beam search must produce exactly the plans
-// the per-plan path produces. Concurrent planners sharing one network are
-// tested in incremental_scoring_test.cc.
+// batch, the InferenceService must score root jobs with the scores Predict
+// gives the whole plans (reading, never writing, the children), and
+// service-driven beam search must produce exactly the plans the per-plan
+// path produces. Concurrent planners sharing one network are tested in
+// incremental_scoring_test.cc.
 #include "src/runtime/inference_service.h"
 
 #include <deque>
@@ -138,16 +138,15 @@ TEST_F(InferenceServiceTest, MixedQueryBatchMatchesPerItem) {
   }
 }
 
-TEST_F(InferenceServiceTest, ServiceMatchesDirectForwardBatch) {
-  std::vector<double> direct = network_->ForwardBatch(query_feat_,
-                                                      TreePtrs());
+TEST_F(InferenceServiceTest, ServiceMatchesPredict) {
   InferenceService service(network_.get());
   // Scoring only reads the children's embeddings and terms.
   const std::deque<testing::Embedding> children_before = child_embeddings_;
   service.ScoreRoots(root_jobs_);
-  ASSERT_EQ(roots_.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(roots_[i].score, direct[i]) << "plan " << i;
+  ASSERT_EQ(roots_.size(), trees_.size());
+  for (size_t i = 0; i < trees_.size(); ++i) {
+    EXPECT_EQ(roots_[i].score, network_->Predict(query_feat_, trees_[i]))
+        << "plan " << i;
   }
   for (size_t i = 0; i < child_embeddings_.size(); ++i) {
     const testing::Embedding& now = child_embeddings_[i];

@@ -51,83 +51,87 @@ Mat RandomMat(int rows, int cols, Rng* rng) {
 }
 
 // GatherAdd from +0 over a query prefix, then continued over a node tail,
-// against AddMatMul from a zeroed y over the same columns. memcmp, since
+// against MatVec into a zeroed y over the same columns. memcmp, since
 // EXPECT_EQ would equate -0 with +0.
-TEST(GatherAddTest, MatchesAddMatMulFromZeroBitwise) {
+TEST(GatherAddTest, MatchesMatVecFromZeroBitwise) {
   Rng rng(17);
   const int qd = 21, nd = 27;
   const float tail[] = {0.f, 1.f, -0.f, 0.5f};
   for (int rows : {1, 7, 32, 37}) {
     for (int trial = 0; trial < 20; ++trial) {
       Mat w = RandomMat(rows, qd + nd, &rng);
-      Mat x(qd + nd, 1);
+      Vec x(static_cast<size_t>(qd + nd));
       for (int c = 0; c < qd; ++c) {
-        x.at(c, 0) =
+        x[c] =
             rng.Uniform(3) == 0 ? 0.f : static_cast<float>(rng.UniformDouble());
       }
-      for (int c = qd; c < qd + nd; ++c) x.at(c, 0) = tail[rng.Uniform(4)];
-      Mat wq(rows, qd), xq(qd, 1);
+      for (int c = qd; c < qd + nd; ++c) x[c] = tail[rng.Uniform(4)];
+      Mat wq(rows, qd);
       for (int r = 0; r < rows; ++r) {
         for (int c = 0; c < qd; ++c) wq.at(r, c) = w.at(r, c);
       }
-      for (int c = 0; c < qd; ++c) xq.at(c, 0) = x.at(c, 0);
-      Mat want_query(rows, 1), want(rows, 1);
-      AddMatMul(wq, xq, &want_query);
-      AddMatMul(w, x, &want);
+      Vec want_query(static_cast<size_t>(rows), 0.f), want = want_query;
+      MatVec(wq, Vec(x.begin(), x.begin() + qd), &want_query);
+      MatVec(w, x, &want);
 
       const Mat wt = Transpose(w);
       const size_t bytes = sizeof(float) * static_cast<size_t>(rows);
       Vec got(static_cast<size_t>(rows), 0.f);
-      GatherAdd(wt, 0, x.data.data(), qd, got.data());
-      EXPECT_EQ(std::memcmp(got.data(), want_query.data.data(), bytes), 0)
+      GatherAdd(wt, 0, x.data(), qd, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want_query.data(), bytes), 0)
           << rows << " rows, trial " << trial;
-      GatherAdd(wt, qd, x.data.data() + qd, nd, got.data());
-      EXPECT_EQ(std::memcmp(got.data(), want.data.data(), bytes), 0)
+      GatherAdd(wt, qd, x.data() + qd, nd, got.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
           << rows << " rows, trial " << trial;
     }
   }
 }
 
 // A sum that cancels to zero is +0, so the -0 products GatherAdd skips
-// (0.25 * -0 and -0.25 * 0) leave it +0, as adding them does in AddMatMul.
+// (0.25 * -0 and -0.25 * 0) leave it +0, as adding them does in MatVec.
 TEST(GatherAddTest, SkippedZerosKeepACancelledSumPositive) {
   Mat w(1, 4);
   w.data = {0.5f, -0.5f, 0.25f, -0.25f};
-  Mat x(4, 1);
-  x.data = {1.f, 1.f, -0.f, 0.f};
-  Mat want(1, 1);
-  AddMatMul(w, x, &want);
+  const Vec x = {1.f, 1.f, -0.f, 0.f};
+  Vec want(1, 0.f);
+  MatVec(w, x, &want);
   Vec got(1, 0.f);
-  GatherAdd(Transpose(w), 0, x.data.data(), 4, got.data());
-  EXPECT_FALSE(std::signbit(want.data[0]));
-  EXPECT_EQ(std::memcmp(got.data(), want.data.data(), sizeof(float)), 0);
+  GatherAdd(Transpose(w), 0, x.data(), 4, got.data());
+  EXPECT_FALSE(std::signbit(want[0]));
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float)), 0);
 }
 
 // ColumnAccumulate over every block size (32, 16, 8 and single outputs)
-// against AddMatMul over the same column, from a zeroed y and from a
-// partial sum, with post-ReLU zeros among the inputs.
-TEST(ColumnAccumulateTest, MatchesAddMatMulBitwise) {
+// against a scalar loop adding each term to y in ascending order, from a
+// zeroed y and from a partial sum, with post-ReLU zeros among the inputs.
+TEST(ColumnAccumulateTest, MatchesScalarLoopBitwise) {
   Rng rng(19);
   for (int rows : {1, 7, 8, 16, 31, 32, 57, 64, 70}) {
     for (int k : {1, 5, 16, 33}) {
-      const Mat w = RandomMat(rows, k, &rng);
-      Mat x = RandomMat(k, 1, &rng);
-      for (float& v : x.data) v = v > 0 ? v : 0;
-      Mat want = RandomMat(rows, 1, &rng);
-      Vec got = want.data;
-      AddMatMul(w, x, &want);
-      ColumnAccumulate(Transpose(w), x.data.data(), got.data());
-      EXPECT_EQ(std::memcmp(got.data(), want.data.data(),
-                            sizeof(float) * static_cast<size_t>(rows)),
-                0)
-          << rows << " rows, " << k << " columns";
+      for (bool from_zero : {true, false}) {
+        const Mat w = RandomMat(rows, k, &rng);
+        Vec x = RandomMat(k, 1, &rng).data;
+        for (float& v : x) v = v > 0 ? v : 0;
+        Vec want(static_cast<size_t>(rows), 0.f);
+        if (!from_zero) want = RandomMat(rows, 1, &rng).data;
+        Vec got = want;
+        for (int r = 0; r < rows; ++r) {
+          for (int c = 0; c < k; ++c) want[r] += w.at(r, c) * x[c];
+        }
+        ColumnAccumulate(Transpose(w), x.data(), got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) * static_cast<size_t>(rows)),
+                  0)
+            << rows << " rows, " << k << " columns"
+            << (from_zero ? "" : ", from a partial sum");
+      }
     }
   }
 }
 
-double SumSquares(const Mat& m) {
+double SumSquares(const Vec& y) {
   double l = 0;
-  for (float v : m.data) l += static_cast<double>(v) * v;
+  for (float v : y) l += static_cast<double>(v) * v;
   return l;
 }
 
@@ -143,31 +147,42 @@ void ExpectGradsMatch(std::vector<float>* values,
   }
 }
 
+Vec RowOf(const Mat& m, int j) {
+  const float* row = &m.data[static_cast<size_t>(j) * m.cols];
+  return Vec(row, row + m.cols);
+}
+
 TEST(LinearTest, GradCheck) {
   Rng rng(1);
   Linear layer(4, 3, &rng);
-  Mat x = RandomMat(4, 3, &rng);  // three columns
+  Mat xt = RandomMat(3, 4, &rng);  // three inputs, one per row
 
   auto loss = [&] {
-    Mat y;
-    layer.ForwardBatch(x, &y);
-    return SumSquares(y);
+    double l = 0;
+    Vec y;
+    for (int j = 0; j < xt.rows; ++j) {
+      layer.Forward(RowOf(xt, j), &y);
+      l += SumSquares(y);
+    }
+    return l;
   };
 
-  Mat y;
-  layer.ForwardBatch(x, &y);
-  Mat dy = y;
-  for (float& v : dy.data) v *= 2;
+  Mat dyt(3, 3);
+  for (int j = 0; j < xt.rows; ++j) {
+    Vec y;
+    layer.Forward(RowOf(xt, j), &y);
+    for (int r = 0; r < 3; ++r) dyt.at(j, r) = 2 * y[r];
+  }
   Mat dxt;
   layer.w().ZeroGrad();
   layer.b().ZeroGrad();
-  layer.BackwardBatch(Transpose(x), Transpose(dy), &dxt);
+  layer.BackwardBatch(xt, dyt, &dxt);
   ASSERT_EQ(dxt.rows, 3);
   ASSERT_EQ(dxt.cols, 4);
 
   ExpectGradsMatch(&layer.w().value.data, layer.w().grad.data, loss, "w");
   ExpectGradsMatch(&layer.b().value.data, layer.b().grad.data, loss, "b");
-  ExpectGradsMatch(&x.data, Transpose(dxt).data, loss, "x");
+  ExpectGradsMatch(&xt.data, dxt.data, loss, "x");
 }
 
 TreeSample ThreeNodeTree(int dim) {
@@ -197,66 +212,39 @@ TEST(TreeConvTest, MissingChildrenContributeZero) {
   }
 }
 
-TEST(TreeConvTest, ChildTermsReproduceForwardBitwise) {
-  // ForwardBatch equals Forward bit for bit, and a ChildTerm product is the
-  // term Forward adds for that child: its MatVec from zero.
-  Rng rng(4);
-  TreeConvLayer layer(3, 5, &rng);
-  TreeSample t = ThreeNodeTree(3);
-  std::vector<Vec> want;
-  layer.Forward(t.features, t.left, t.right, &want);
-
-  Mat x(3, 3);
-  for (int c = 0; c < 3; ++c) {
-    for (int r = 0; r < 3; ++r) x.at(r, c) = t.features[c][r];
-  }
-  Mat batched;
-  layer.ForwardBatch(x, t.left, t.right, &batched);
-  for (int c = 0; c < 3; ++c) {
-    for (int r = 0; r < 5; ++r) {
-      EXPECT_EQ(batched.at(r, c), want[c][r]) << r << "," << c;
-    }
-  }
-
-  for (int side : {0, 1}) {
-    const Vec& f = t.features[side == 0 ? t.left[0] : t.right[0]];
-    Mat child(3, 1);
-    child.data = f;
-    Mat term;
-    layer.ChildTerm(side, child, &term);
-    Vec want_term(5, 0.f);
-    MatVec(side == 0 ? layer.wl() : layer.wr(), f, &want_term);
-    EXPECT_EQ(term.data, want_term) << "side " << side;
-  }
-}
-
 TEST(TreeConvTest, GradCheck) {
   Rng rng(3);
   TreeConvLayer layer(3, 2, &rng);
-  // Two trees stacked as one column batch, each in preorder: (a b) (c d),
-  // whose root has join children on both sides, and a leaf.
+  // Two trees stacked as one batch, each in preorder: (a b) (c d), whose
+  // root has join children on both sides, and a leaf.
   struct {
     std::vector<int> left{1, 2, -1, -1, 5, -1, -1, -1};
     std::vector<int> right{4, 3, -1, -1, 6, -1, -1, -1};
   } t;
-  Mat x = RandomMat(3, 8, &rng);
-
+  Mat xt = RandomMat(8, 3, &rng);  // one node per row
+  auto forward = [&] {
+    std::vector<Vec> in, out;
+    for (int j = 0; j < xt.rows; ++j) in.push_back(RowOf(xt, j));
+    layer.Forward(in, t.left, t.right, &out);
+    return out;
+  };
   auto loss = [&] {
-    Mat out;
-    layer.ForwardBatch(x, t.left, t.right, &out);
-    return SumSquares(out);
+    double l = 0;
+    for (const Vec& y : forward()) l += SumSquares(y);
+    return l;
   };
 
   std::vector<Param*> params;
   layer.CollectParams(&params);
   for (Param* p : params) p->ZeroGrad();
 
-  Mat out;
-  layer.ForwardBatch(x, t.left, t.right, &out);
-  Mat dout = out;
-  for (float& v : dout.data) v *= 2;
+  const std::vector<Vec> out = forward();
+  Mat doutt(8, 2);
+  for (int j = 0; j < 8; ++j) {
+    for (int r = 0; r < 2; ++r) doutt.at(j, r) = 2 * out[j][r];
+  }
   Mat dxt;
-  layer.BackwardBatch(Transpose(x), t.left, t.right, Transpose(dout), &dxt);
+  layer.BackwardBatch(xt, t.left, t.right, doutt, &dxt);
 
   const char* names[] = {"wp", "wl", "wr", "b"};
   for (size_t i = 0; i < params.size(); ++i) {
@@ -264,7 +252,86 @@ TEST(TreeConvTest, GradCheck) {
                      names[i]);
   }
   // A child's input gradient has its parent's term and its own.
-  ExpectGradsMatch(&x.data, Transpose(dxt).data, loss, "x");
+  ExpectGradsMatch(&xt.data, dxt.data, loss, "x");
+}
+
+// The row kernels against the per-item forward pass (Forward, ReLU,
+// DynamicMaxPool, the head) over a three-node join, bit for bit: every
+// row output (h1, pooled), the root's own h2 and head hidden layer, the
+// score, and each child's terms against the MatVec products Forward adds
+// for it. A job without a score leaves the head alone.
+TEST(RowKernelTest, ReproduceForwardBitwise) {
+  Rng rng(4);
+  const int qd = 3, nd = 4;
+  TreeConvLayer tc1(qd + nd, 9, &rng), tc2(9, 5, &rng);
+  Linear fc1(5, 6, &rng), fc2(6, 1, &rng);
+  std::vector<Param*> params;
+  tc1.CollectParams(&params);
+  tc2.CollectParams(&params);
+  fc1.CollectParams(&params);
+  fc2.CollectParams(&params);
+  for (Param* p : params) {
+    for (float& v : p->value.data) v += 0.1f;  // nonzero biases
+  }
+  const RowNet net(tc1, tc2, fc1, fc2, qd);
+  const Vec query = {0.5f, 0.f, -0.25f};
+  const TreeSample t = ThreeNodeTree(nd);
+
+  // The per-item reference.
+  std::vector<Vec> in, h1, h2;
+  for (const Vec& f : t.features) {
+    in.push_back(query);
+    in.back().insert(in.back().end(), f.begin(), f.end());
+  }
+  tc1.Forward(in, t.left, t.right, &h1);
+  for (Vec& v : h1) ReluForward(&v);
+  tc2.Forward(h1, t.left, t.right, &h2);
+  for (Vec& v : h2) ReluForward(&v);
+  Vec pooled, m1, out;
+  DynamicMaxPool(h2, &pooled);
+  fc1.Forward(pooled, &m1);
+  ReluForward(&m1);
+  fc2.Forward(m1, &out);
+
+  // Leaves, their terms, then the root over them.
+  const EmbeddingRowLayout& layout = net.layout;
+  Vec term(static_cast<size_t>(3 * 9));
+  QueryTerm(net, query.data(), term.data());
+  std::vector<Vec> rows(3, Vec(static_cast<size_t>(layout.stride)));
+  std::vector<Vec> own(3, Vec(5, -1.f));
+  Vec hidden(6, -1.f), leaf_hidden(6, -1.f);
+  double score = -1;
+  for (int node : {2, 1}) {
+    RootJob job{term.data(), t.features[node].data(), nullptr, nullptr,
+                rows[node].data(), nullptr, own[node].data(),
+                leaf_hidden.data()};
+    ScoreRoots(net, &job, 1);
+    const int side = node == 1 ? 0 : 1;
+    TermJob term_job{term.data(), t.features[node].data(), rows[node].data(),
+                     side};
+    ChildTerms(net, &term_job, 1);
+    Vec want(9, 0.f), want2(5, 0.f);
+    MatVec(side == 0 ? tc1.wl() : tc1.wr(), in[node], &want);
+    MatVec(side == 0 ? tc2.wl() : tc2.wr(), h1[node], &want2);
+    want.insert(want.end(), want2.begin(), want2.end());
+    const float* got = rows[node].data() + layout.term[side];
+    EXPECT_EQ(Vec(got, got + layout.term_dim), want) << "side " << side;
+  }
+  EXPECT_EQ(leaf_hidden, Vec(6, -1.f)) << "a scoreless job ran the head";
+  RootJob job{term.data(), t.features[0].data(), rows[1].data(),
+              rows[2].data(), rows[0].data(), &score, own[0].data(),
+              hidden.data()};
+  ScoreRoots(net, &job, 1);
+
+  for (int node = 0; node < 3; ++node) {
+    EXPECT_EQ(Vec(rows[node].begin(), rows[node].begin() + 9), h1[node])
+        << "h1 of node " << node;
+    EXPECT_EQ(own[node], h2[node]) << "h2 of node " << node;
+  }
+  const float* got_pooled = rows[0].data() + layout.pooled;
+  EXPECT_EQ(Vec(got_pooled, got_pooled + 5), pooled);
+  EXPECT_EQ(hidden, m1);
+  EXPECT_EQ(score, static_cast<double>(out[0]));
 }
 
 // Frozen per-vector kernels: the per-sample backward that the batched
@@ -404,41 +471,26 @@ TEST(LinearTest, BatchedBackwardMatchesSequentialLoopBitwise) {
 }
 
 TEST(PoolTest, MaxPoolAndBackward) {
-  // Two items stacked: columns 0-2 and 3-4. Item 1 ties in both rows; the
-  // first maximal column takes the gradient.
-  Mat nodes(2, 5);
-  const float values[2][5] = {{1.f, 0.f, 3.f, 2.f, 2.f},
-                              {-5.f, 2.f, 0.f, 0.f, 0.f}};
-  for (int d = 0; d < 2; ++d) {
-    for (int c = 0; c < 5; ++c) nodes.at(d, c) = values[d][c];
-  }
-  Mat pooled;
-  std::vector<int> argmax;
-  DynamicMaxPoolBatch(nodes, {0, 3, 5}, &pooled, &argmax);
-  EXPECT_EQ(pooled.at(0, 0), 3.f);
-  EXPECT_EQ(pooled.at(1, 0), 2.f);
-  EXPECT_EQ(pooled.at(0, 1), 2.f);
-  EXPECT_EQ(pooled.at(1, 1), 0.f);
-  EXPECT_EQ(argmax, (std::vector<int>{2, 3, 1, 3}));
-
   Vec per_item;
   DynamicMaxPool({{1.f, -5.f}, {0.f, 2.f}, {3.f, 0.f}}, &per_item);
   EXPECT_EQ(per_item, (Vec{3.f, 2.f}));
 
-  Mat dpooled(2, 2);
-  dpooled.at(0, 0) = 1.f;
-  dpooled.at(1, 0) = 10.f;
-  dpooled.at(0, 1) = 4.f;
-  dpooled.at(1, 1) = 7.f;
+  // Two items stacked: nodes 0-2 and 3-4. Each item's gradient in each
+  // dimension goes to the node its argmax names.
+  const std::vector<int> argmax = {2, 3, 1, 3};  // per (dim, item)
+  Mat dpooled_t(2, 2);  // per (item, dim)
+  dpooled_t.at(0, 0) = 1.f;
+  dpooled_t.at(0, 1) = 10.f;
+  dpooled_t.at(1, 0) = 4.f;
+  dpooled_t.at(1, 1) = 7.f;
   Mat dnodes_t(5, 2);
-  DynamicMaxPoolBatchBackward(Transpose(dpooled), argmax, &dnodes_t);
-  const Mat dnodes = Transpose(dnodes_t);
-  EXPECT_EQ(dnodes.at(0, 2), 1.f);
-  EXPECT_EQ(dnodes.at(1, 1), 10.f);
-  EXPECT_EQ(dnodes.at(0, 3), 4.f);
-  EXPECT_EQ(dnodes.at(1, 3), 7.f);
-  EXPECT_EQ(dnodes.at(0, 4), 0.f);
-  EXPECT_EQ(dnodes.at(0, 0), 0.f);
+  DynamicMaxPoolBatchBackward(dpooled_t, argmax, &dnodes_t);
+  EXPECT_EQ(dnodes_t.at(2, 0), 1.f);
+  EXPECT_EQ(dnodes_t.at(1, 1), 10.f);
+  EXPECT_EQ(dnodes_t.at(3, 0), 4.f);
+  EXPECT_EQ(dnodes_t.at(3, 1), 7.f);
+  EXPECT_EQ(dnodes_t.at(4, 0), 0.f);
+  EXPECT_EQ(dnodes_t.at(0, 0), 0.f);
 }
 
 TEST(ReluTest, ForwardBackward) {
@@ -589,27 +641,6 @@ class CrossIsaTest : public ::testing::Test {
   const Kernels* avx2_ = nullptr;
 };
 
-TEST_F(CrossIsaTest, AddMatMul) {
-  Rng rng(31);
-  const int shapes[][3] = {{1, 1, 1}, {5, 9, 7}, {32, 48, 33}, {16, 32, 64}};
-  for (const auto& shape : shapes) {
-    const Mat w = EdgeMat(shape[0], shape[1], &rng);
-    Mat x = EdgeMat(shape[1], shape[2], &rng);
-    Mat xt = Transpose(x);  // one-hot columns, as layer 1's node inputs
-    for (int j = 0; j < shape[2]; j += 2) {
-      OneHot(&xt.data[static_cast<size_t>(j) * shape[1]], shape[1], &rng);
-    }
-    x = Transpose(xt);
-    ReluZeros(&x, &rng);
-    Mat base = EdgeMat(shape[0], shape[2], &rng);
-    Mat avx2 = base;
-    base_.add_mat_mul(w, x, &base);
-    avx2_->add_mat_mul(w, x, &avx2);
-    EXPECT_TRUE(SameBits(base.data, avx2.data))
-        << shape[0] << "x" << shape[1] << " by " << shape[2];
-  }
-}
-
 TEST_F(CrossIsaTest, GatherAddAndColumnAccumulate) {
   Rng rng(37);
   for (int rows : {1, 7, 8, 16, 24, 32, 48, 64, 70}) {
@@ -710,7 +741,10 @@ TEST_F(CrossIsaTest, AdamUpdate) {
 
 // Leaves, their child terms, then joins over them, each variant in its own
 // rows; then joins over children rows of edge values shared by both. Sizes
-// cover each block width and a head wider than one block.
+// cover each block width and a head wider than one block. Every job also
+// writes its own h2 and head hidden layer, as training's forward pass asks,
+// except every third, which has no score: it skips the head, leaving its
+// hidden layer as it was.
 TEST_F(CrossIsaTest, ScoreRootsAndChildTerms) {
   Rng rng(47);
   const int dims[][3] = {{16, 8, 8}, {37, 13, 40}, {64, 32, 32}};
@@ -736,6 +770,7 @@ TEST_F(CrossIsaTest, ScoreRootsAndChildTerms) {
     Vec term(static_cast<size_t>(3 * dim[0]));
     QueryTerm(net, query.data(), term.data());
     const int leaves = 6;
+    const int jobs_total = 2 * leaves + 2;
     std::vector<Vec> nodes(2 * leaves, Vec(static_cast<size_t>(nd)));
     for (Vec& node : nodes) {
       OneHot(node.data(), nd, &rng);
@@ -747,18 +782,34 @@ TEST_F(CrossIsaTest, ScoreRootsAndChildTerms) {
       for (float& v : row) v = EdgeValue(&rng);
     }
 
-    std::vector<float> rows[2];
+    const size_t h2_dim = static_cast<size_t>(dim[1]);
+    const size_t hidden_dim = static_cast<size_t>(dim[2]);
+    const float unset = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> rows[2], h2[2], hidden[2];
     std::vector<double> scores[2];
     const Kernels* variants[2] = {&base_, avx2_};
     for (int v = 0; v < 2; ++v) {
-      rows[v].assign(stride * (2 * leaves + 2), 0.f);
-      scores[v].assign(2 * leaves + 2, 0);
+      rows[v].assign(stride * jobs_total, 0.f);
+      h2[v].assign(h2_dim * jobs_total, unset);
+      hidden[v].assign(hidden_dim * jobs_total, unset);
+      scores[v].assign(jobs_total, -1);
       float* row = rows[v].data();
+      // Job i's outputs; every third job has no score.
+      auto job = [&](int i, const float* node, const float* l,
+                     const float* r) {
+        return RootJob{term.data(),
+                       node,
+                       l,
+                       r,
+                       row + i * stride,
+                       i % 3 == 2 ? nullptr : &scores[v][i],
+                       h2[v].data() + i * h2_dim,
+                       hidden[v].data() + i * hidden_dim};
+      };
       std::vector<RootJob> jobs;
       std::vector<TermJob> terms;
       for (int i = 0; i < leaves; ++i) {
-        jobs.push_back({term.data(), nodes[i].data(), nullptr, nullptr,
-                        row + i * stride, &scores[v][i]});
+        jobs.push_back(job(i, nodes[i].data(), nullptr, nullptr));
         for (int side : {0, 1}) {
           terms.push_back({term.data(), nodes[i].data(), row + i * stride,
                            side});
@@ -770,22 +821,29 @@ TEST_F(CrossIsaTest, ScoreRootsAndChildTerms) {
       for (int i = leaves; i < 2 * leaves; ++i) {
         const float* l = row + (i - leaves) * stride;
         const float* r = row + ((i - leaves + 1) % leaves) * stride;
-        jobs.push_back({term.data(), nodes[i].data(), l, r, row + i * stride,
-                        &scores[v][i]});
+        jobs.push_back(job(i, nodes[i].data(), l, r));
       }
       for (int i = 0; i < 2; ++i) {
-        const int at = 2 * leaves + i;
-        jobs.push_back({term.data(), nodes[i].data(), edge_rows[i].data(),
-                        edge_rows[1 - i].data(), row + at * stride,
-                        &scores[v][at]});
+        jobs.push_back(job(2 * leaves + i, nodes[i].data(),
+                           edge_rows[i].data(), edge_rows[1 - i].data()));
       }
       variants[v]->score_roots(net, jobs.data(), jobs.size());
     }
-    EXPECT_TRUE(SameBits(rows[0], rows[1])) << dim[0] << "/" << dim[1];
+    const std::string what =
+        std::to_string(dim[0]) + "/" + std::to_string(dim[1]);
+    EXPECT_TRUE(SameBits(rows[0], rows[1])) << what;
+    EXPECT_TRUE(SameBits(h2[0], h2[1])) << what;
+    EXPECT_TRUE(SameBits(hidden[0], hidden[1])) << what;
     EXPECT_EQ(std::memcmp(scores[0].data(), scores[1].data(),
                           sizeof(double) * scores[0].size()),
               0)
-        << dim[0] << "/" << dim[1];
+        << what;
+    for (int i = 0; i < jobs_total; ++i) {
+      const float* h = hidden[0].data() + i * hidden_dim;
+      EXPECT_EQ(std::isnan(h[0]), i % 3 == 2) << what << " job " << i;
+      EXPECT_EQ(scores[0][i] == -1, i % 3 == 2) << what << " job " << i;
+      EXPECT_FALSE(std::isnan(h2[0][i * h2_dim])) << what << " job " << i;
+    }
   }
 }
 

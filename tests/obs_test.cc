@@ -709,7 +709,7 @@ TEST(MetricNamesTest, FullyArmedStackExportsExactNameSet) {
   fixture.db->AttachMetrics(&registry);
   log.AttachMetrics(&registry);
   ReanalyzeScheduler scheduler(fixture.db.get(), &log, fixture.oracle.get(),
-                               &swappable, &server, /*pool=*/nullptr);
+                               &swappable, &server);
   scheduler.AttachMetrics(&registry);
   scheduler.AttachMetrics(&registry);  // a second call replaces the first
   scheduler.RunOnce();

@@ -12,12 +12,12 @@
 namespace balsa {
 namespace {
 
-CachedPlan MakeEntry(int relation, int64_t version = 0) {
-  CachedPlan entry;
-  entry.plan.AddScan(relation, ScanOp::kSeqScan);
-  entry.plan.set_root(0);
-  entry.predicted_ms = relation * 10.0;
-  entry.stats_version = version;
+std::shared_ptr<CachedPlan> MakeEntry(int relation, int64_t version = 0) {
+  auto entry = std::make_shared<CachedPlan>();
+  entry->plan.AddScan(relation, ScanOp::kSeqScan);
+  entry->plan.set_root(0);
+  entry->predicted_ms = relation * 10.0;
+  entry->stats_version = version;
   return entry;
 }
 
@@ -247,12 +247,12 @@ TEST(PlanCacheTest, ApproxBytesCountsSharedExemplarsOnce) {
   PlanCache with_shared;
   EXPECT_EQ(with_shared.ApproxBytes(), 0u);
   auto shared = make_exemplar();
-  CachedPlan a = MakeEntry(1);
-  a.exemplar = shared;
-  a.canonical_rank = {0, 1, 2};
-  CachedPlan b = MakeEntry(2);
-  b.exemplar = shared;
-  b.canonical_rank = {0, 1, 2};
+  auto a = MakeEntry(1);
+  a->exemplar = shared;
+  a->canonical_rank = {0, 1, 2};
+  auto b = MakeEntry(2);
+  b->exemplar = shared;
+  b->canonical_rank = {0, 1, 2};
   with_shared.Insert(1, std::move(a));
   const size_t one_entry = with_shared.ApproxBytes();
   EXPECT_GT(one_entry, 0u);
@@ -260,12 +260,12 @@ TEST(PlanCacheTest, ApproxBytesCountsSharedExemplarsOnce) {
   const size_t shared_bytes = with_shared.ApproxBytes();
 
   PlanCache with_distinct;
-  CachedPlan c = MakeEntry(1);
-  c.exemplar = make_exemplar();
-  c.canonical_rank = {0, 1, 2};
-  CachedPlan d = MakeEntry(2);
-  d.exemplar = make_exemplar();
-  d.canonical_rank = {0, 1, 2};
+  auto c = MakeEntry(1);
+  c->exemplar = make_exemplar();
+  c->canonical_rank = {0, 1, 2};
+  auto d = MakeEntry(2);
+  d->exemplar = make_exemplar();
+  d->canonical_rank = {0, 1, 2};
   with_distinct.Insert(1, std::move(c));
   with_distinct.Insert(2, std::move(d));
   const size_t distinct_bytes = with_distinct.ApproxBytes();

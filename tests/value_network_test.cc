@@ -344,6 +344,69 @@ TEST_F(TransposedWeightRefreshTest, AFailedCopyChangesNothing) {
   ExpectScoreRootsMatchesPredict(net);
 }
 
+// ForwardBatch against the per-item Predict over ragged batches (1, 2, 3,
+// ... items) of mixed sizes, each item with its own query, on a trained
+// network: leaves, joins of two leaves, left-deep ((a b) c) d and
+// (a b) (c d), whose root has join children on both sides.
+TEST(ValueNetworkTest, ForwardBatchMatchesPredictOnRaggedBatches) {
+  const ValueNetwork net = TrainedNet(11);
+  const ValueNetConfig& config = net.config();
+  Rng rng(5);
+  auto features = [&] {
+    nn::Vec v(static_cast<size_t>(config.node_dim), 0.f);
+    v[rng.Uniform(v.size())] = 1.f;
+    v[rng.Uniform(v.size())] = static_cast<float>(rng.UniformDouble());
+    return v;
+  };
+  std::vector<nn::Vec> queries;
+  std::vector<nn::TreeSample> plans;
+  for (int i = 0; i < 30; ++i) {
+    nn::Vec query(static_cast<size_t>(config.query_dim));
+    for (float& v : query) {
+      v = rng.Uniform(3) == 0 ? 0.f : static_cast<float>(rng.UniformDouble());
+    }
+    queries.push_back(query);
+    nn::TreeSample t;
+    switch (i % 4) {
+      case 0:
+        t.left = {-1};
+        t.right = {-1};
+        break;
+      case 1:
+        t.left = {1, -1, -1};
+        t.right = {2, -1, -1};
+        break;
+      case 2:  // preorder: root, abc, ab, a, b, c, d
+        t.left = {1, 2, 3, -1, -1, -1, -1};
+        t.right = {6, 5, 4, -1, -1, -1, -1};
+        break;
+      default:  // preorder: root, ab, a, b, cd, c, d
+        t.left = {1, 2, -1, -1, 5, -1, -1};
+        t.right = {4, 3, -1, -1, 6, -1, -1};
+    }
+    for (size_t n = 0; n < t.left.size(); ++n) t.features.push_back(features());
+    plans.push_back(std::move(t));
+  }
+  size_t pos = 0;
+  for (size_t size = 1; pos < plans.size(); ++size) {
+    const size_t end = std::min(pos + size, plans.size());
+    std::vector<const nn::Vec*> batch_queries;
+    std::vector<const nn::TreeSample*> batch_plans;
+    for (size_t i = pos; i < end; ++i) {
+      batch_queries.push_back(&queries[i]);
+      batch_plans.push_back(&plans[i]);
+    }
+    const std::vector<double> got = net.ForwardBatch(batch_queries,
+                                                     batch_plans);
+    ASSERT_EQ(got.size(), end - pos);
+    for (size_t i = pos; i < end; ++i) {
+      EXPECT_EQ(got[i - pos], net.Predict(queries[i], plans[i]))
+          << "item " << i << " in a batch of " << end - pos;
+    }
+    pos = end;
+  }
+}
+
 TEST(ValueNetworkTest, RawLabelSpaceSupported) {
   ValueNetConfig cfg = SmallConfig();
   cfg.log_transform = false;
@@ -723,6 +786,30 @@ TEST_F(TrainBitwiseTest, EarlyStoppingRestoresBestWeights) {
   opts.batch_size = 16;
   ValueNetwork probe(Config(true));
   ASSERT_LT(probe.Train(data, opts).epochs_run, opts.max_epochs);
+  ExpectSameTraining(Config(true), {{data, opts}});
+}
+
+TEST_F(TrainBitwiseTest, TiedMaximaGoToTheFirstNode) {
+  // Joins of twin leaves: the leaves' layer-2 outputs are equal, so where
+  // they beat the root, the pooled maximum is a positive tie and only the
+  // rule that the first node in preorder takes its gradient matches the
+  // reference (zero ties do not show: ReLU gates their gradient anyway).
+  const int qd = featurizer_.query_dim();
+  const int nd = featurizer_.node_dim();
+  Rng rng(23);
+  std::vector<TrainingPoint> data;
+  for (int i = 0; i < 60; ++i) {
+    TrainingPoint pt;
+    pt.query = nn::Vec(static_cast<size_t>(qd),
+                       static_cast<float>(rng.UniformDouble()));
+    const float leaf = static_cast<float>(rng.UniformDouble());
+    pt.plan = Join(nd, leaf, leaf);
+    pt.label = rng.UniformDouble() * 1000;
+    data.push_back(std::move(pt));
+  }
+  ValueNetwork::TrainOptions opts;
+  opts.max_epochs = 3;
+  opts.batch_size = 16;
   ExpectSameTraining(Config(true), {{data, opts}});
 }
 
