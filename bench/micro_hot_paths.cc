@@ -362,6 +362,7 @@ BENCHMARK(BM_FeaturizePlan);
 /// relations).
 const Query& JobServingQuery() { return *GlobalJobEnv().query; }
 
+/// A repeated literal form: after the first iteration, a memo hit.
 void BM_CanonicalizeQuery(benchmark::State& state) {
   const Query& query = JobServingQuery();
   for (auto _ : state) {
@@ -371,6 +372,32 @@ void BM_CanonicalizeQuery(benchmark::State& state) {
                  std::to_string(query.joins().size()) + " joins");
 }
 BENCHMARK(BM_CanonicalizeQuery);
+
+/// A literal form the thread has not seen recently, as perfbench
+/// serve_miss sends: the query plus one `<>` filter whose constant differs
+/// per variant. The 512 variants overrun the memo's 192 entries, so each
+/// comes back evicted and every call runs the refinement, plus the memo's
+/// hash, probe and store.
+void BM_CanonicalizeQueryCold(benchmark::State& state) {
+  const Query& query = JobServingQuery();
+  std::vector<Query> variants;
+  for (int64_t value = 0; value < 512; ++value) {
+    std::vector<FilterPredicate> filters = query.filters();
+    FilterPredicate extra;
+    extra.col = {0, 0};
+    extra.op = PredOp::kNe;
+    extra.value = value;
+    filters.push_back(extra);
+    variants.emplace_back(query.name(), query.relations(), query.joins(),
+                          std::move(filters));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CanonicalizeQuery(variants[next]));
+    next = (next + 1) % variants.size();
+  }
+}
+BENCHMARK(BM_CanonicalizeQueryCold);
 
 /// A cached plan (left-deep, canonical numbering) back to the query's
 /// FROM numbering, as a cache hit does.

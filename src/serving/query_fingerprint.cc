@@ -1,8 +1,11 @@
 #include "src/serving/query_fingerprint.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
+
+#include "src/serving/literal_memo.h"
 
 namespace balsa {
 
@@ -66,14 +69,47 @@ struct Scratch {
   }
 };
 
-}  // namespace
+/// The literal form CanonicalizeQuery reads, one 64-bit word at a time, in
+/// the order it reads it: the relation count and the predicate counts, each
+/// relation's table in FROM order, each join's (relation, column) pairs and
+/// each filter's (relation, column), operator, IN-list length, constant and
+/// IN values. Aliases and the query name are never read, so they are not
+/// here. The counts make the stream parse one way only, so two queries
+/// with the same stream are the same input to refinement, and no stream
+/// is a proper prefix of another: comparing a query's words with the start
+/// of a stored entry needs no length check. Counts are packed 16 bits
+/// apiece, which is exact for every query whose stream fits a LiteralMemo
+/// entry.
+template <typename Sink>
+void ForEachLiteralWord(const Query& query, Sink&& sink) {
+  auto column = [](ColumnRef c) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(c.relation)) << 32 |
+           static_cast<uint32_t>(c.column);
+  };
+  sink(static_cast<uint64_t>(query.num_relations()) |
+       static_cast<uint64_t>(query.joins().size()) << 16 |
+       static_cast<uint64_t>(query.filters().size()) << 32);
+  for (const QueryRelation& r : query.relations()) {
+    sink(static_cast<uint64_t>(static_cast<uint32_t>(r.table_idx)));
+  }
+  for (const JoinPredicate& j : query.joins()) {
+    sink(column(j.left));
+    sink(column(j.right));
+  }
+  for (const FilterPredicate& f : query.filters()) {
+    sink(column(f.col));
+    sink(static_cast<uint64_t>(f.op) |
+         static_cast<uint64_t>(f.in_values.size()) << 16);
+    sink(static_cast<uint64_t>(f.value));
+    for (int64_t v : f.in_values) sink(static_cast<uint64_t>(v));
+  }
+}
 
 // Arrays indexed by relation live on the stack (a Query has at most
 // TableSet::kCapacity relations); arrays indexed by predicate reuse the
 // thread's Scratch.
-CanonicalQuery CanonicalizeQuery(const Query& query) {
+CanonicalQuery Refine(const Query& query) {
   const int n = query.num_relations();
-  if (n == 0) return {};
   thread_local Scratch scratch;
 
   // Initial color: what the relation *is* (schema table) plus what its
@@ -188,6 +224,72 @@ CanonicalQuery CanonicalizeQuery(const Query& query) {
   canonical.fingerprint =
       Mix(h, FoldSorted(scratch.values.data(), scratch.values.size(), 0x5E));
   scratch.Trim();
+  return canonical;
+}
+
+}  // namespace
+
+namespace internal {
+
+LiteralMemo::Key LiteralMemo::KeyOf(const Query& query) {
+  Key key{0x11EAULL, 0};
+  ForEachLiteralWord(query, [&key](uint64_t word) {
+    key.hash = Mix(key.hash, word);
+    ++key.words;
+  });
+  return key;
+}
+
+bool LiteralMemo::Find(const Query& query, const Key& key,
+                       CanonicalQuery* out) const {
+  const size_t set = SetOf(key.hash);
+  const uint32_t tag = TagOf(key.hash);
+  for (size_t way = 0; way < kWays; ++way) {
+    if (tags_[set][way] != tag) continue;
+    const uint64_t* entry = entries_[set][way];
+    uint64_t diff = 0;
+    const uint64_t* stored = entry;
+    ForEachLiteralWord(query, [&](uint64_t word) { diff |= word ^ *stored++; });
+    if (diff != 0) continue;
+    out->fingerprint = entry[key.words];
+    const auto* rank = reinterpret_cast<const uint8_t*>(entry + 1 + key.words);
+    out->canonical_rank.assign(rank, rank + query.num_relations());
+    return true;
+  }
+  return false;
+}
+
+void LiteralMemo::Store(const Query& query, const Key& key,
+                        const CanonicalQuery& canonical) {
+  const size_t set = SetOf(key.hash);
+  const size_t way = next_[set];
+  next_[set] = static_cast<uint8_t>((way + 1) % kWays);
+  tags_[set][way] = TagOf(key.hash);
+  uint64_t* entry = entries_[set][way];
+  uint64_t* word = entry;
+  ForEachLiteralWord(query, [&word](uint64_t w) { *word++ = w; });
+  entry[key.words] = canonical.fingerprint;
+  auto* rank = reinterpret_cast<uint8_t*>(entry + 1 + key.words);
+  for (size_t r = 0; r < canonical.canonical_rank.size(); ++r) {
+    rank[r] = static_cast<uint8_t>(canonical.canonical_rank[r]);
+  }
+}
+
+static_assert(sizeof(LiteralMemo) <= 128 * 1024, "a thread's memo is bounded");
+
+}  // namespace internal
+
+CanonicalQuery CanonicalizeQuery(const Query& query) {
+  using internal::LiteralMemo;
+  if (query.num_relations() == 0) return {};
+  const LiteralMemo::Key key = LiteralMemo::KeyOf(query);
+  if (!LiteralMemo::Fits(query, key)) return Refine(query);
+  thread_local std::unique_ptr<LiteralMemo> memo;
+  if (memo == nullptr) memo = std::make_unique<LiteralMemo>();
+  CanonicalQuery canonical;
+  if (memo->Find(query, key, &canonical)) return canonical;
+  canonical = Refine(query);
+  memo->Store(query, key, canonical);
   return canonical;
 }
 

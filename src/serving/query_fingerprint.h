@@ -48,7 +48,12 @@ struct CanonicalQuery {
 
 /// Fingerprint plus the canonical relation ordering for `query`. Runs on
 /// every request, so it heap-allocates only the returned canonical_rank
-/// (plus per-thread scratch, the first time a thread sees a query this big).
+/// (plus, once per thread, its fixed 121 KB memo, and per-thread scratch
+/// the first time a thread refines a query this big). A literal form the
+/// calling thread canonicalized recently (same tables in FROM order, same
+/// predicates in order; aliases and the name do not count) is answered from
+/// that thread's memo without refinement, after an exact compare, so the
+/// result is identical either way.
 CanonicalQuery CanonicalizeQuery(const Query& query);
 
 /// Fingerprint only (convenience for callers that never exchange plans).

@@ -6,11 +6,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/serving/literal_memo.h"
 #include "src/sql/parser.h"
 #include "src/util/rng.h"
 #include "src/workloads/imdb_like.h"
@@ -219,6 +223,56 @@ Query Oversized() {
   lt.value = -7;
   return Query("oversized", std::move(relations), std::move(joins),
                {in, lt});
+}
+
+/// Every query of every workload MakeEnv builds: JOB, Ext-JOB, and TPC-H
+/// at MakeEnv's default workload seed.
+std::vector<Query> AllWorkloadQueries() {
+  std::vector<Query> queries;
+  auto add_all = [&](const StatusOr<Workload>& w) {
+    BALSA_CHECK(w.ok(), w.status().ToString());
+    for (const Query& q : w->queries()) queries.push_back(q);
+  };
+  JobWorkloadOptions job;
+  StatusOr<Schema> imdb = BuildImdbLikeSchema();
+  BALSA_CHECK(imdb.ok(), imdb.status().ToString());
+  add_all(GenerateJobWorkload(*imdb, job));
+  add_all(GenerateExtJobWorkload(*imdb, job));
+  TpchLikeOptions tpch;
+  tpch.seed = job.seed;
+  StatusOr<Schema> tpch_schema = BuildTpchLikeSchema(tpch);
+  BALSA_CHECK(tpch_schema.ok(), tpch_schema.status().ToString());
+  add_all(GenerateTpchWorkload(*tpch_schema, tpch));
+  return queries;
+}
+
+/// `q` with one more filter, `relation 0 column 0 <> value`: a literal form
+/// no earlier call has seen when `value` is fresh, as a client that inlines
+/// a new constant per request sends.
+Query WithExtraConstant(const Query& q, int64_t value) {
+  std::vector<FilterPredicate> filters = q.filters();
+  FilterPredicate extra;
+  extra.col = {0, 0};
+  extra.op = PredOp::kNe;
+  extra.value = value;
+  filters.push_back(extra);
+  return Query(q.name() + "#" + std::to_string(value), q.relations(),
+               q.joins(), std::move(filters));
+}
+
+bool SameResult(const CanonicalQuery& a, const CanonicalQuery& b) {
+  return a.fingerprint == b.fingerprint && a.canonical_rank == b.canonical_rank;
+}
+
+/// Whether this thread canonicalizes `q` from its literal-form memo, without
+/// refinement. Canonicalizing Oversized() first frees the thread's value
+/// buffer (its IN list is longer than any buffer a thread keeps), so a call
+/// that refines a query with a join regrows that buffer, while a memo hit
+/// allocates only the returned canonical_rank.
+bool FromTheMemo(const Query& q, const Query& oversized) {
+  BALSA_CHECK(!q.joins().empty(), "a query without joins never regrows");
+  CanonicalizeQuery(oversized);
+  return AllocationsOf([&] { CanonicalizeQuery(q); }) == 1;
 }
 
 class FingerprintTest : public ::testing::Test {
@@ -442,25 +496,12 @@ TEST_F(FingerprintTest, DistinctAcrossAWholeWorkloadScale) {
 }
 
 TEST(FingerprintDifferentialTest, MatchesTheReferenceBitForBit) {
-  // Every query of every workload MakeEnv builds (JOB, Ext-JOB, TPC-H at
-  // MakeEnv's default workload seed), each respelled eight ways, then one
-  // query larger than everything before it.
-  std::vector<Query> queries;
-  auto add_all = [&](const StatusOr<Workload>& w) {
-    ASSERT_TRUE(w.ok()) << w.status().ToString();
-    for (const Query& q : w->queries()) queries.push_back(q);
-  };
-  JobWorkloadOptions job;
-  StatusOr<Schema> imdb = BuildImdbLikeSchema();
-  ASSERT_TRUE(imdb.ok());
-  add_all(GenerateJobWorkload(*imdb, job));
-  add_all(GenerateExtJobWorkload(*imdb, job));
-  TpchLikeOptions tpch;
-  tpch.seed = job.seed;
-  StatusOr<Schema> tpch_schema = BuildTpchLikeSchema(tpch);
-  ASSERT_TRUE(tpch_schema.ok());
-  add_all(GenerateTpchWorkload(*tpch_schema, tpch));
+  // Every query of every workload MakeEnv builds, each respelled eight
+  // ways, then one query larger than everything before it. Each literal
+  // form is canonicalized twice: cold, then from this thread's memo.
+  std::vector<Query> queries = AllWorkloadQueries();
   ASSERT_GT(queries.size(), 113u);
+  Query big = Oversized();
 
   Rng rng(19);
   int mismatches = 0;
@@ -474,17 +515,239 @@ TEST(FingerprintDifferentialTest, MatchesTheReferenceBitForBit) {
     }
     return got.fingerprint;
   };
+  auto check_twice = [&](const Query& q) {
+    uint64_t cold = check(q);
+    EXPECT_TRUE(FromTheMemo(q, big)) << q.name();
+    EXPECT_EQ(check(q), cold) << q.name();
+    return cold;
+  };
   for (const Query& q : queries) {
-    uint64_t fingerprint = check(q);
+    uint64_t fingerprint = check_twice(q);
     for (int v = 0; v < 8; ++v) {
-      EXPECT_EQ(check(Respell(q, &rng)), fingerprint) << q.name();
+      EXPECT_EQ(check_twice(Respell(q, &rng)), fingerprint) << q.name();
     }
   }
-  Query big = Oversized();
   ASSERT_GT(big.joins().size(), 64u);
   uint64_t big_fingerprint = check(big);
   EXPECT_EQ(check(Respell(big, &rng)), big_fingerprint);
+  EXPECT_EQ(check(big), big_fingerprint);
   EXPECT_EQ(mismatches, 0);
+}
+
+TEST(FingerprintDifferentialTest, NearMissLiteralFormsNeverGetTheirNeighbours) {
+  // Each near miss is canonicalized right after its neighbour, which the
+  // memo holds. It must get the reference's result, never the neighbour's.
+  std::vector<Query> queries = AllWorkloadQueries();
+  Query big = Oversized();
+  Rng rng(23);
+  int constants = 0, in_values = 0, join_columns = 0, from_swaps = 0,
+      renumberings = 0;
+  auto near_miss = [&](const Query& neighbour, const Query& variant) {
+    CanonicalizeQuery(neighbour);
+    ASSERT_TRUE(FromTheMemo(neighbour, big)) << neighbour.name();
+    CanonicalQuery got = CanonicalizeQuery(variant);
+    CanonicalQuery want = reference::CanonicalizeQuery(variant);
+    EXPECT_TRUE(SameResult(got, want)) << variant.name();
+    // And the variant is now memoized with its own result.
+    EXPECT_TRUE(SameResult(CanonicalizeQuery(variant), want))
+        << variant.name();
+  };
+  auto rebuilt = [](const Query& q, const char* what,
+                    std::vector<QueryRelation> relations,
+                    std::vector<JoinPredicate> joins,
+                    std::vector<FilterPredicate> filters) {
+    return Query(q.name() + what, std::move(relations), std::move(joins),
+                 std::move(filters));
+  };
+  for (const Query& base : queries) {
+    for (const Query& q : {base, Respell(base, &rng)}) {
+      const int n = q.num_relations();
+      if (!q.filters().empty()) {
+        std::vector<FilterPredicate> filters = q.filters();
+        filters[rng.Uniform(filters.size())].value += 1;
+        near_miss(q, rebuilt(q, "+1", q.relations(), q.joins(), filters));
+        ++constants;
+      }
+      for (size_t f = 0; f < q.filters().size(); ++f) {
+        if (q.filters()[f].in_values.empty()) continue;
+        std::vector<FilterPredicate> filters = q.filters();
+        std::vector<int64_t>& values = filters[f].in_values;
+        values[rng.Uniform(values.size())] += 1;
+        near_miss(q, rebuilt(q, "-in", q.relations(), q.joins(), filters));
+        ++in_values;
+        break;
+      }
+      if (!q.joins().empty()) {
+        std::vector<JoinPredicate> joins = q.joins();
+        JoinPredicate& j = joins[rng.Uniform(joins.size())];
+        std::swap(j.left.column, j.right.column);
+        near_miss(q, rebuilt(q, "-cols", q.relations(), joins, q.filters()));
+        ++join_columns;
+      }
+      if (n < 2) continue;
+      int a = static_cast<int>(rng.Uniform(static_cast<uint64_t>(n)));
+      int b = (a + 1 + static_cast<int>(rng.Uniform(
+                           static_cast<uint64_t>(n - 1)))) % n;
+      // Two FROM entries swapped and the predicates left alone: another
+      // query, unless the two relations read one table.
+      std::vector<QueryRelation> relations = q.relations();
+      std::swap(relations[static_cast<size_t>(a)],
+                relations[static_cast<size_t>(b)]);
+      near_miss(q, rebuilt(q, "-from", relations, q.joins(), q.filters()));
+      ++from_swaps;
+      // The same swap with the predicates renumbered: the same planning
+      // problem, so the same fingerprint, but the two ranks trade places.
+      auto moved = [a, b](ColumnRef c) {
+        if (c.relation == a) {
+          c.relation = b;
+        } else if (c.relation == b) {
+          c.relation = a;
+        }
+        return c;
+      };
+      std::vector<JoinPredicate> joins = q.joins();
+      for (JoinPredicate& j : joins) j = {moved(j.left), moved(j.right)};
+      std::vector<FilterPredicate> filters = q.filters();
+      for (FilterPredicate& f : filters) f.col = moved(f.col);
+      near_miss(q, rebuilt(q, "-renumbered", relations, joins, filters));
+      ++renumberings;
+    }
+  }
+  EXPECT_GT(constants, 0);
+  EXPECT_GT(in_values, 0);
+  EXPECT_GT(join_columns, 0);
+  EXPECT_GT(from_swaps, 0);
+  EXPECT_GT(renumberings, 0);
+}
+
+TEST(FingerprintDifferentialTest, ConcurrentThreadsEachMatchTheReference) {
+  // Four threads canonicalize the workload's queries and respellings in
+  // interleaved orders, more literal forms than one thread's memo holds,
+  // so each thread's memo both hits and evicts while the others run.
+  std::vector<Query> forms;
+  Rng rng(29);
+  for (const Query& q : AllWorkloadQueries()) {
+    forms.push_back(q);
+    forms.push_back(Respell(q, &rng));
+    forms.push_back(Respell(q, &rng));
+  }
+  std::vector<CanonicalQuery> want;
+  for (const Query& q : forms) want.push_back(reference::CanonicalizeQuery(q));
+
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t size = forms.size();
+      for (size_t round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < size; ++i) {
+          // Thread t walks from its own offset; every few steps it goes
+          // back to a form it saw recently, which its memo still holds.
+          size_t k = (i * (2 * static_cast<size_t>(t) + 1) + 97 * t) % size;
+          if (i % 4 == 3) k = (k + size - 2) % size;
+          if (!SameResult(CanonicalizeQuery(forms[k]), want[k])) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// The memo's own checks, driven with keys the test chooses: two literal
+// forms under one key collide on every hash bit, which no workload input
+// does, so only the stored form's word-for-word compare tells them apart.
+TEST(LiteralMemoTest, AKeyMatchAloneIsNotAHit) {
+  using internal::LiteralMemo;
+  StatusOr<Schema> imdb = BuildImdbLikeSchema();
+  ASSERT_TRUE(imdb.ok());
+  StatusOr<Workload> job = GenerateJobWorkload(*imdb);
+  ASSERT_TRUE(job.ok());
+  const Query& a = job->queries().front();
+  ASSERT_GE(a.filters().size(), 2u);
+  const LiteralMemo::Key key = LiteralMemo::KeyOf(a);
+  ASSERT_TRUE(LiteralMemo::Fits(a, key));
+  // The last filter's constant is the third word from the end of the form
+  // (no IN values follow it), well past the first eight words.
+  ASSERT_TRUE(a.filters().back().in_values.empty());
+  ASSERT_GT(key.words, 8u + 3u);
+
+  auto memo = std::make_unique<LiteralMemo>();
+  CanonicalQuery got;
+  EXPECT_FALSE(memo->Find(a, {0, key.words}, &got)) << "an unused way";
+  EXPECT_FALSE(memo->Find(a, key, &got));
+  const CanonicalQuery want = reference::CanonicalizeQuery(a);
+  memo->Store(a, key, want);
+  ASSERT_TRUE(memo->Find(a, key, &got));
+  EXPECT_TRUE(SameResult(got, want));
+
+  // One word differs, early or late; same length, same key: a miss.
+  std::vector<QueryRelation> relations = a.relations();
+  relations.front().table_idx += 1;
+  Query early("early", relations, a.joins(), a.filters());
+  std::vector<FilterPredicate> filters = a.filters();
+  filters.back().value += 1;
+  Query late("late", a.relations(), a.joins(), filters);
+  for (const Query* b : {&early, &late}) {
+    ASSERT_EQ(LiteralMemo::KeyOf(*b).words, key.words) << b->name();
+    EXPECT_FALSE(memo->Find(*b, key, &got)) << b->name();
+  }
+  // A longer form (one filter more) under the stored form's hash: a miss.
+  Query longer = WithExtraConstant(a, 7);
+  ASSERT_TRUE(LiteralMemo::Fits(longer, LiteralMemo::KeyOf(longer)));
+  EXPECT_FALSE(
+      memo->Find(longer, {key.hash, LiteralMemo::KeyOf(longer).words}, &got));
+  // The name is not part of the literal form.
+  Query renamed("renamed", a.relations(), a.joins(), a.filters());
+  ASSERT_TRUE(memo->Find(renamed, key, &got));
+  EXPECT_TRUE(SameResult(got, want));
+}
+
+TEST(LiteralMemoTest, OneKeyKeepsItsSixteenNewestForms) {
+  using internal::LiteralMemo;
+  StatusOr<Schema> imdb = BuildImdbLikeSchema();
+  ASSERT_TRUE(imdb.ok());
+  StatusOr<Workload> job = GenerateJobWorkload(*imdb);
+  ASSERT_TRUE(job.ok());
+  const Query& base = job->queries().front();
+  const size_t n = static_cast<size_t>(base.num_relations());
+
+  // 17 forms that differ in one constant, all stored under one key, so
+  // they share a set and a tag: each newer one replaces the set's oldest
+  // way, and only the compare tells the live ones apart. Each gets a
+  // result of its own (a fingerprint and a rotated ranking) to tell which
+  // entry answered.
+  constexpr int kForms = 17;
+  std::vector<Query> forms;
+  std::vector<CanonicalQuery> stored;
+  for (int v = 0; v < kForms; ++v) {
+    forms.push_back(WithExtraConstant(base, v));
+    CanonicalQuery result;
+    result.fingerprint = 1000 + static_cast<uint64_t>(v);
+    for (size_t r = 0; r < n; ++r) {
+      result.canonical_rank.push_back(static_cast<int>((r + v) % n));
+    }
+    stored.push_back(result);
+  }
+  const LiteralMemo::Key key = LiteralMemo::KeyOf(forms.front());
+  ASSERT_TRUE(LiteralMemo::Fits(forms.front(), key));
+
+  auto memo = std::make_unique<LiteralMemo>();
+  for (int v = 0; v < kForms; ++v) memo->Store(forms[v], key, stored[v]);
+  CanonicalQuery got;
+  EXPECT_FALSE(memo->Find(forms[0], key, &got)) << "the oldest was replaced";
+  for (int v = 1; v < kForms; ++v) {
+    ASSERT_TRUE(memo->Find(forms[v], key, &got)) << v;
+    EXPECT_TRUE(SameResult(got, stored[v])) << v;
+  }
+  // Storing the first again replaces the next oldest, the second.
+  memo->Store(forms[0], key, stored[0]);
+  EXPECT_FALSE(memo->Find(forms[1], key, &got));
+  ASSERT_TRUE(memo->Find(forms[0], key, &got));
+  EXPECT_TRUE(SameResult(got, stored[0]));
 }
 
 TEST(FingerprintAllocationTest, HitPathCallsAllocateOnlyTheirResult) {
@@ -529,10 +792,53 @@ TEST(FingerprintAllocationTest, AnOversizedQueryDoesNotPinItsScratch) {
   ASSERT_EQ(AllocationsOf([&] { CanonicalizeQuery(q); }), 1);
 
   // The 2000-value IN list grows the thread's value buffer past what it
-  // keeps, so that call frees it and the next JOB query regrows it once.
+  // keeps, so that call frees it and the next refined query regrows it
+  // once. `q` itself would now come from the memo without refinement, so
+  // the next two calls send literal forms this thread has never seen.
+  // Both are built before counting, so only canonicalization is counted.
+  Query first = WithExtraConstant(q, 1);
+  Query fresh = WithExtraConstant(q, 2);
   CanonicalizeQuery(Oversized());
-  EXPECT_GT(AllocationsOf([&] { CanonicalizeQuery(q); }), 1);
-  EXPECT_EQ(AllocationsOf([&] { CanonicalizeQuery(q); }), 1);
+  EXPECT_GT(AllocationsOf([&] { CanonicalizeQuery(first); }), 1);
+  EXPECT_EQ(AllocationsOf([&] { CanonicalizeQuery(fresh); }), 1);
+}
+
+TEST(FingerprintAllocationTest, AFloodOfLiteralFormsDoesNotGrowTheMemo) {
+  StatusOr<Schema> imdb = BuildImdbLikeSchema();
+  ASSERT_TRUE(imdb.ok());
+  StatusOr<Workload> job = GenerateJobWorkload(*imdb);
+  ASSERT_TRUE(job.ok());
+  const std::vector<Query>& queries = job->queries();
+  for (const Query& q : queries) CanonicalizeQuery(q);
+
+  // 10,000 literal forms no thread has seen, each a miss that the memo
+  // stores. The first lap over the workload may still grow the refinement
+  // scratch (each form has one filter more than its base); after that no
+  // cold call allocates more than its result, so nothing keeps growing.
+  constexpr int kForms = 10000;
+  const int lap = static_cast<int>(queries.size());
+  for (int i = 0; i < kForms; ++i) {
+    Query form = WithExtraConstant(queries[static_cast<size_t>(i % lap)],
+                                   1000 + i);
+    CanonicalQuery got;
+    int64_t allocations = AllocationsOf([&] { got = CanonicalizeQuery(form); });
+    if (i >= lap) {
+      EXPECT_EQ(allocations, 1) << form.name();
+    }
+    if (i % 97 == 0) {
+      EXPECT_TRUE(SameResult(got, reference::CanonicalizeQuery(form)))
+          << form.name();
+    }
+  }
+
+  // The flood evicted the workload; one pass memoizes it again, and every
+  // re-warmed hit allocates only its result.
+  for (const Query& q : queries) CanonicalizeQuery(q);
+  Query big = Oversized();
+  for (const Query& q : queries) {
+    EXPECT_EQ(AllocationsOf([&] { CanonicalizeQuery(q); }), 1) << q.name();
+    EXPECT_TRUE(FromTheMemo(q, big)) << q.name();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 // thread counts, and a stats bump means stale plans are never served again.
 #include "src/serving/optimizer_server.h"
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +19,25 @@
 #include "src/serving/replay_driver.h"
 #include "src/sql/parser.h"
 #include "test_util.h"
+
+// Every heap allocation in this binary is counted, so a test can pin how
+// many a served hit makes. The replacements stay out of line: inlined, gcc
+// would pair a caller's `new` with the `free` inside `delete` and warn.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace balsa {
 namespace {
@@ -437,6 +460,24 @@ TEST_F(OptimizerServerTest, LatencyHistogramsSplitByOutcome) {
   EXPECT_EQ(server->latency(OptimizerServer::Outcome::kMiss).Count(), 1);
   EXPECT_EQ(server->latency(OptimizerServer::Outcome::kHit).Count(), 2);
   EXPECT_EQ(server->latency(OptimizerServer::Outcome::kCoalesced).Count(), 0);
+}
+
+// A warm hit with the flight recorder off allocates three things: the
+// request's canonical_rank, its inverse permutation, and the remapped
+// plan's arena.
+TEST_F(OptimizerServerTest, AWarmHitMakesThreeAllocations) {
+  OptimizerServerOptions options = SmallOptions();
+  ASSERT_FALSE(options.flight_recorder.enabled);
+  auto server = MakeServer(options);
+  ASSERT_TRUE(server->Optimize(query_).ok());  // miss
+  ASSERT_TRUE(server->Optimize(query_).ok());  // first hit warms the thread
+  std::optional<StatusOr<OptimizerServer::OptimizeResult>> hit;
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  hit.emplace(server->Optimize(query_));
+  int64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(hit->ok());
+  EXPECT_TRUE((*hit)->cache_hit);
+  EXPECT_EQ(allocations, 3);
 }
 
 }  // namespace
