@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <memory>
 #include <utility>
 
 #include "src/cost/cost_model.h"
@@ -81,6 +83,34 @@ class FingerprintTable {
   size_t size_ = 0;
 };
 
+// A float array that grows without writing what it adds. The arena's rows
+// need no zero fill: every part of a row is written before it is read.
+class RawFloats {
+ public:
+  void clear() { size_ = 0; }
+
+  // Adds `n` unwritten floats at the end.
+  void Extend(size_t n) {
+    if (size_ + n > capacity_) Reserve(std::max(size_ + n, 2 * capacity_));
+    size_ += n;
+  }
+
+  float* data() { return data_.get(); }
+  size_t Bytes() const { return capacity_ * sizeof(float); }
+
+ private:
+  void Reserve(size_t capacity) {
+    std::unique_ptr<float[]> grown(new float[capacity]);
+    if (size_ > 0) std::memcpy(grown.get(), data_.get(), size_ * sizeof(float));
+    data_ = std::move(grown);
+    capacity_ = capacity;
+  }
+
+  std::unique_ptr<float[]> data_;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+};
+
 // What a search keeps of one subtree besides its root node, its embedding
 // row and its node features.
 struct Subtree {
@@ -96,6 +126,12 @@ struct Subtree {
 // whose join nodes point at their children's ids, and its row in the
 // embedding table. Ids stay valid as the arena grows; references from at()
 // and pointers from row() and node_features() do not.
+//
+// Rows and node features start unwritten, and each part is written before
+// anything reads it: scoring writes a subtree's node features (NodeFeatures
+// fills all node_dim floats) and its h1 and pooled (ScoreRoots); a parent
+// reads a child's term for its side only after ChildTerms has filled it,
+// and ChildTerms reads only node features and h1 of a scored child.
 class SubtreeArena {
  public:
   // Empties the arena for a search with `stride`-float embedding rows and
@@ -112,7 +148,7 @@ class SubtreeArena {
 
   size_t Bytes() const {
     return balsa::Bytes(forest_.nodes()) + balsa::Bytes(subtrees_) +
-           balsa::Bytes(rows_) + balsa::Bytes(node_features_) + ids_.Bytes();
+           rows_.Bytes() + node_features_.Bytes() + ids_.Bytes();
   }
 
   int Leaf(int relation, ScanOp op) {
@@ -138,8 +174,10 @@ class SubtreeArena {
 
   const PlanNode& node(int id) const { return forest_.node(id); }
   Subtree& at(int id) { return subtrees_[id]; }
-  float* row(int id) { return &rows_[id * stride_]; }
-  float* node_features(int id) { return &node_features_[id * node_dim_]; }
+  float* row(int id) { return rows_.data() + id * stride_; }
+  float* node_features(int id) {
+    return node_features_.data() + id * node_dim_;
+  }
 
   // The subtree as a standalone plan, copied in postorder: ComposeJoin's
   // node layout.
@@ -149,8 +187,8 @@ class SubtreeArena {
   // The entries of the forest node just added.
   void Add(uint64_t fingerprint) {
     subtrees_.push_back({fingerprint});
-    rows_.resize(rows_.size() + stride_);
-    node_features_.resize(node_features_.size() + node_dim_);
+    rows_.Extend(stride_);
+    node_features_.Extend(node_dim_);
   }
 
   size_t stride_ = 0;
@@ -158,17 +196,22 @@ class SubtreeArena {
   Plan forest_;
   // By id:
   std::vector<Subtree> subtrees_;
-  std::vector<float> rows_;           // embedding rows, stride_ floats each
-  std::vector<float> node_features_;  // written when queued for scoring
-  FingerprintTable ids_;              // fingerprint -> id
+  RawFloats rows_;           // embedding rows, stride_ floats each
+  RawFloats node_features_;  // written when queued for scoring
+  FingerprintTable ids_;     // fingerprint -> id
 };
 
-// A search state: `length` arena ids at `offset` of the workspace's id
-// pool (its partial plans), and the max of their scores (a state runs at
-// least this long).
+// A search state: `length` arena ids (its partial plans) and the max of
+// their scores (a state runs at least this long). A built state's ids are
+// at `offset` of the workspace's id pool. A child of the state being
+// expanded is built only if it survives the beam cut: until then `offset`
+// and `length` + 1 are its parent's, and its ids are the parent's other
+// entries in order, then `joined`.
 struct State {
   size_t offset = 0;
   int length = 0;
+  int i = -1, j = -1;  // the parent entries joined
+  int joined = -1;     // -1: built
   double score = 0;
 };
 
@@ -183,15 +226,14 @@ struct Complete {
   double score;
 };
 
-// Order-insensitive identity of a state from its subtree fingerprints;
-// sorts `fps`.
-uint64_t Signature(std::vector<uint64_t>* fps) {
-  std::sort(fps->begin(), fps->end());
-  uint64_t h = 0x9E3779B97F4A7C15ULL;
-  for (uint64_t fp : *fps) {
-    h ^= fp + 0xBF58476D1CE4E5B9ULL + (h << 6) + (h >> 2);
-  }
-  return h;
+// A subtree's share of a state's signature, the sum of its entries'
+// shares: order-insensitive, and a child's signature follows from its
+// parent's in O(1).
+uint64_t SignatureShare(uint64_t fingerprint) {
+  uint64_t x = fingerprint + 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -201,11 +243,10 @@ struct BeamSearchPlanner::Workspace {
   FingerprintTable visited;  // state signatures
   FingerprintTable emitted;  // complete-plan fingerprints
   std::vector<float> query_term;
-  std::vector<int> pool, next_pool;  // the beam's ids; next_pool compacts
+  std::vector<int> pool;  // the beam's ids
   std::vector<State> beam;
   std::vector<Child> children;
   std::vector<Complete> complete;
-  std::vector<uint64_t> fps;  // signature scratch
   // One scoring call's subtrees, and the jobs for them.
   std::vector<int> pending, need;
   std::vector<TermJob> terms;
@@ -224,9 +265,9 @@ struct BeamSearchPlanner::Workspace {
   size_t Bytes() const {
     return arena.Bytes() + visited.Bytes() + emitted.Bytes() +
            balsa::Bytes(query_term) + balsa::Bytes(pool) +
-           balsa::Bytes(next_pool) + balsa::Bytes(beam) +
+           balsa::Bytes(beam) +
            balsa::Bytes(children) + balsa::Bytes(complete) +
-           balsa::Bytes(fps) + balsa::Bytes(pending) + balsa::Bytes(need) +
+           balsa::Bytes(pending) + balsa::Bytes(need) +
            balsa::Bytes(terms) + balsa::Bytes(jobs);
   }
 };
@@ -314,13 +355,16 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
   // scan an index nested-loop join probes its inner leaf with (ComposeJoin's
   // rewrite) when some join column of the relation is indexed. All are
   // interned and embedded up front, in one call. A Query has at most
-  // TableSet::kCapacity relations.
+  // TableSet::kCapacity relations. An outer side joins a relation by
+  // index nested loop when it holds one of the relation's partners.
   const int num_rels = query.num_relations();
   int leaf_variants[TableSet::kCapacity][2];
   int num_variants[TableSet::kCapacity];
   int index_inner[TableSet::kCapacity];
+  TableSet index_partners[TableSet::kCapacity];
   ws->pending.clear();
   for (int rel = 0; rel < num_rels; ++rel) {
+    index_partners[rel] = IndexNLPartners(*schema_, query, rel);
     int* variants = leaf_variants[rel];
     num_variants[rel] = 0;
     variants[num_variants[rel]++] = arena.Leaf(rel, ScanOp::kSeqScan);
@@ -330,7 +374,7 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
     ws->pending.insert(ws->pending.end(), variants,
                        variants + num_variants[rel]);
     index_inner[rel] = -1;
-    if (IndexNLValid(*schema_, query, query.AllTables().Without(rel), rel)) {
+    if (index_partners[rel].Intersects(query.AllTables().Without(rel))) {
       index_inner[rel] = arena.Leaf(rel, ScanOp::kIndexScan);
       if (num_variants[rel] == 1) ws->pending.push_back(index_inner[rel]);
     }
@@ -338,7 +382,8 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
   score_pending();
 
   // Root state: every relation as an unjoined sequential scan.
-  State root{0, num_rels, 0};
+  State root;
+  root.length = num_rels;
   for (int rel = 0; rel < num_rels; ++rel) {
     ws->pool.push_back(leaf_variants[rel][0]);
     root.score = std::max(root.score, arena.at(ws->pool.back()).score);
@@ -367,7 +412,30 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
     beam.erase(best_it);
     expansions++;
     const int n = state.length;
-    auto id_at = [&](int x) { return pool[state.offset + x]; };
+    const int* ids = pool.data() + state.offset;
+
+    // Per entry: its tables, score and signature share; the state's
+    // signature is the sum of the shares. `max_score` is the max of the
+    // scores folded in order from 0, as a child's score is, and `argmax`
+    // the entry it came from (-1: none exceeds 0). A child that keeps
+    // that entry has the same max over its other entries.
+    TableSet tables[TableSet::kCapacity];
+    double scores[TableSet::kCapacity];
+    uint64_t shares[TableSet::kCapacity];
+    uint64_t signature = 0;
+    double max_score = 0;
+    int argmax = -1;
+    for (int x = 0; x < n; ++x) {
+      const Subtree& s = arena.at(ids[x]);
+      tables[x] = arena.node(ids[x]).tables;
+      scores[x] = s.score;
+      shares[x] = SignatureShare(s.fingerprint);
+      signature += shares[x];
+      if (max_score < scores[x]) {
+        max_score = scores[x];
+        argmax = x;
+      }
+    }
 
     // Build the expansion frontier structurally: each child state replaces
     // entries i and j of `state` with their new join, scored below in one
@@ -379,29 +447,30 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
     int forced_left = -1;
     if (!options_.bushy) {
       for (int i = 0; i < n; ++i) {
-        if (arena.node(id_at(i)).tables.size() > 1) forced_left = i;
+        if (tables[i].size() > 1) forced_left = i;
       }
     }
 
     for (int i = 0; i < n; ++i) {
       if (forced_left >= 0 && i != forced_left) continue;
+      const TableSet left = tables[i];
+      const TableSet neighbors = query.NeighborsOf(left);
+      // A base relation joins as any of its scan variants (a state holds
+      // it as its sequential scan); a joined subtree as itself. The pool
+      // does not change while the frontier is built.
+      const bool left_is_leaf = left.size() == 1;
+      const int* lefts = left_is_leaf ? leaf_variants[left.First()] : &ids[i];
+      const int num_lefts = left_is_leaf ? num_variants[left.First()] : 1;
       for (int j = 0; j < n; ++j) {
         if (i == j) continue;
-        const TableSet left = arena.node(id_at(i)).tables;
-        const TableSet right = arena.node(id_at(j)).tables;
+        const TableSet right = tables[j];
         if (!options_.bushy && right.size() > 1) continue;
-        if (!query.CanJoin(left, right)) continue;
+        // Query::CanJoin(left, right), with the neighbors hoisted.
+        if (left.Intersects(right) || !neighbors.Intersects(right)) continue;
 
-        // A base relation joins as any of its scan variants (a state holds
-        // it as its sequential scan); a joined subtree as itself. The pool
-        // does not change while the frontier is built.
-        const bool left_is_leaf = left.size() == 1;
         const bool right_is_leaf = right.size() == 1;
-        const int* lefts = left_is_leaf ? leaf_variants[left.First()]
-                                        : &pool[state.offset + i];
-        const int num_lefts = left_is_leaf ? num_variants[left.First()] : 1;
-        const int* rights = right_is_leaf ? leaf_variants[right.First()]
-                                          : &pool[state.offset + j];
+        const int* rights =
+            right_is_leaf ? leaf_variants[right.First()] : &ids[j];
         const int num_rights =
             right_is_leaf ? num_variants[right.First()] : 1;
 
@@ -418,7 +487,7 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
         // Index-NL probes its inner leaf through an index; scan variants of
         // the inner are meaningless for it.
         if (right_is_leaf &&
-            IndexNLValid(*schema_, query, left, right.First())) {
+            left.Intersects(index_partners[right.First()])) {
           add_children(JoinOp::kIndexNLJoin, &index_inner[right.First()], 1);
         }
       }
@@ -432,7 +501,8 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
     score_pending();
 
     // A child state holds the state's other entries, then the new join.
-    // Only unseen incomplete ones are built.
+    // Only unseen incomplete ones join the beam, unbuilt: the compaction
+    // below builds those that survive the cut.
     for (const Child& child : ws->children) {
       const Subtree& joined = arena.at(child.joined);
       if (n == 2) {
@@ -441,25 +511,20 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
         }
         continue;
       }
-      ws->fps.clear();
-      for (int x = 0; x < n; ++x) {
-        if (x != child.i && x != child.j) {
-          ws->fps.push_back(arena.at(id_at(x)).fingerprint);
+      const uint64_t child_signature = signature - shares[child.i] -
+                                       shares[child.j] +
+                                       SignatureShare(joined.fingerprint);
+      if (!ws->visited.Insert(child_signature, 0).second) continue;
+      double score = max_score;
+      if (child.i == argmax || child.j == argmax) {
+        score = 0;
+        for (int x = 0; x < n; ++x) {
+          if (x != child.i && x != child.j) score = std::max(score, scores[x]);
         }
       }
-      ws->fps.push_back(joined.fingerprint);
-      if (!ws->visited.Insert(Signature(&ws->fps), 0).second) continue;
-      State next{pool.size(), n - 1, 0};
-      for (int x = 0; x < n; ++x) {
-        if (x != child.i && x != child.j) {
-          const int id = id_at(x);
-          pool.push_back(id);
-          next.score = std::max(next.score, arena.at(id).score);
-        }
-      }
-      pool.push_back(child.joined);
-      next.score = std::max(next.score, joined.score);
-      beam.push_back(next);
+      score = std::max(score, joined.score);
+      beam.push_back(
+          {state.offset, n - 1, child.i, child.j, child.joined, score});
     }
 
     // epsilon-greedy beam collapse (ablation arm, §8.3.3).
@@ -477,15 +542,27 @@ Status BeamSearchPlanner::Search(const Query& query, Rng* rng, Workspace* ws,
       beam.resize(options_.beam_size);
     }
 
-    // Compact the pool to the surviving states' ids.
-    ws->next_pool.clear();
+    // Compact the pool to the surviving states' ids, building the children:
+    // append each state's ids, then drop what was there before.
+    const size_t old_size = pool.size();
     for (State& s : beam) {
-      const size_t offset = ws->next_pool.size();
-      ws->next_pool.insert(ws->next_pool.end(), pool.begin() + s.offset,
-                           pool.begin() + s.offset + s.length);
+      const size_t offset = pool.size() - old_size;
+      if (s.joined < 0) {
+        for (int x = 0; x < s.length; ++x) {
+          const int id = pool[s.offset + x];
+          pool.push_back(id);
+        }
+      } else {
+        for (int x = 0; x <= s.length; ++x) {
+          const int id = pool[s.offset + x];
+          if (x != s.i && x != s.j) pool.push_back(id);
+        }
+        pool.push_back(s.joined);
+        s.joined = -1;
+      }
       s.offset = offset;
     }
-    pool.swap(ws->next_pool);
+    pool.erase(pool.begin(), pool.begin() + static_cast<ptrdiff_t>(old_size));
   }
 
   if (complete.empty()) {

@@ -17,7 +17,9 @@
 // embedding row per subtree (ValueNetwork's h1 | pooled | left term | right
 // term layout) beside its score and node features, open-addressing tables
 // for the fingerprint -> id map and the visited and emitted sets, and the
-// beam as slices of one id pool. After a thread's first searches, TopK
+// beam as slices of one id pool. A child state stays a reference to its
+// parent until it survives the beam cut; only then are its ids written.
+// After a thread's first searches, TopK
 // allocates only its result. A search that grew the workspace past its
 // retained size (4 MB; JOB searches stay under 1 MB) frees it when it ends.
 #pragma once

@@ -38,6 +38,23 @@ bool IndexNLValid(const Schema& schema, const Query& query, TableSet outer,
   return false;
 }
 
+TableSet IndexNLPartners(const Schema& schema, const Query& query, int rel) {
+  // IndexNLValid's two cases, in its order: a predicate whose right side
+  // is on `rel` decides on that side alone, even when both are.
+  TableSet partners;
+  for (const JoinPredicate& j : query.joins()) {
+    if (j.right.relation == rel) {
+      if (IsIndexedColumn(schema, query, j.right)) {
+        partners = partners.With(j.left.relation);
+      }
+    } else if (j.left.relation == rel &&
+               IsIndexedColumn(schema, query, j.left)) {
+      partners = partners.With(j.right.relation);
+    }
+  }
+  return partners;
+}
+
 bool IndexScanEffective(const Schema& schema, const Query& query, int rel) {
   for (const FilterPredicate& f : query.filters()) {
     if (f.col.relation == rel &&

@@ -64,6 +64,11 @@ double OperatorCost(const EngineCostParams& params,
 bool IndexNLValid(const Schema& schema, const Query& query, TableSet outer,
                   int rel);
 
+/// The relations an outer side needs one of for `rel` to be a valid
+/// index nested-loop inner: IndexNLValid(schema, query, outer, rel) ==
+/// outer.Intersects(IndexNLPartners(schema, query, rel)) for every outer.
+TableSet IndexNLPartners(const Schema& schema, const Query& query, int rel);
+
 /// True if relation `rel` has an equality/IN filter on an indexed column,
 /// making an index scan effective.
 bool IndexScanEffective(const Schema& schema, const Query& query, int rel);

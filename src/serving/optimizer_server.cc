@@ -295,9 +295,12 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
   // Cache and in-flight entries hold plans in canonical relation space;
   // translate back to this request's FROM numbering when serving. Another
   // client may have planned the "same" query with its relations listed in
-  // a different order — the structure is shared, the indices are not.
-  const std::vector<int> from_canonical =
-      InversePermutation(canonical.canonical_rank);
+  // a different order — the structure is shared, the indices are not. A
+  // query has at most TableSet::kCapacity relations, so the inverse
+  // permutation fits on the stack.
+  const int num_relations = static_cast<int>(canonical.canonical_rank.size());
+  int from_canonical[TableSet::kCapacity];
+  InversePermutation(canonical.canonical_rank, from_canonical);
   auto to_result = [&from_canonical, fingerprint](const CachedPlan& entry,
                                                   bool hit, bool coalesced) {
     OptimizeResult result;
@@ -319,7 +322,7 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
   auto serve_shared = [&](const CachedPlan& entry, bool hit,
                           bool coalesced) -> std::optional<OptimizeResult> {
     if (entry.plan.RootTables() !=
-        TableSet::FirstN(static_cast<int>(from_canonical.size()))) {
+        TableSet::FirstN(num_relations)) {
       return std::nullopt;
     }
     OptimizeResult result = to_result(entry, hit, coalesced);

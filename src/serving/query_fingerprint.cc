@@ -299,6 +299,10 @@ uint64_t QueryFingerprint(const Query& query) {
 
 Plan RemapPlanRelations(const Plan& plan,
                         const std::vector<int>& relation_map) {
+  return RemapPlanRelations(plan, relation_map.data());
+}
+
+Plan RemapPlanRelations(const Plan& plan, const int* relation_map) {
   // Rebuild node-by-node in arena order: indices (and hence child links)
   // are preserved, and AddScan/AddJoin recompute the table sets under the
   // new numbering.
@@ -309,8 +313,7 @@ Plan RemapPlanRelations(const Plan& plan,
     if (node.is_join) {
       out.AddJoin(node.left, node.right, node.join_op);
     } else {
-      out.AddScan(relation_map[static_cast<size_t>(node.relation)],
-                  node.scan_op);
+      out.AddScan(relation_map[node.relation], node.scan_op);
     }
   }
   out.set_root(plan.root());
@@ -319,10 +322,14 @@ Plan RemapPlanRelations(const Plan& plan,
 
 std::vector<int> InversePermutation(const std::vector<int>& relation_map) {
   std::vector<int> inverse(relation_map.size());
-  for (size_t i = 0; i < relation_map.size(); ++i) {
-    inverse[static_cast<size_t>(relation_map[i])] = static_cast<int>(i);
-  }
+  InversePermutation(relation_map, inverse.data());
   return inverse;
+}
+
+void InversePermutation(const std::vector<int>& relation_map, int* inverse) {
+  for (size_t i = 0; i < relation_map.size(); ++i) {
+    inverse[relation_map[i]] = static_cast<int>(i);
+  }
 }
 
 }  // namespace balsa

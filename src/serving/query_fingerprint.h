@@ -65,8 +65,11 @@ uint64_t QueryFingerprint(const Query& query);
 /// Precondition: every leaf relation indexes into relation_map — the server
 /// gates cross-arity fingerprint collisions before remapping.
 Plan RemapPlanRelations(const Plan& plan, const std::vector<int>& relation_map);
+Plan RemapPlanRelations(const Plan& plan, const int* relation_map);
 
 /// The inverse permutation of `relation_map`.
 std::vector<int> InversePermutation(const std::vector<int>& relation_map);
+/// The same, written to relation_map.size() ints at `inverse`.
+void InversePermutation(const std::vector<int>& relation_map, int* inverse);
 
 }  // namespace balsa

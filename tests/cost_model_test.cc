@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/workloads/imdb_like.h"
+#include "src/workloads/job_workload.h"
 #include "test_util.h"
 
 namespace balsa {
@@ -127,6 +129,36 @@ TEST_F(CostModelTest, IndexNLValidRequiresIndexedKeyJoin) {
   // The outer side must actually join with the inner relation.
   EXPECT_FALSE(
       IndexNLValid(fixture_.schema(), query_, TableSet::Single(1), 2));
+}
+
+// Beam search asks IndexNLValid through partner masks built once per
+// search; the two must agree on every outer side a query can have.
+TEST(IndexNLPartnersTest, AgreesWithIndexNLValidOnEveryOuterSubset) {
+  StatusOr<Schema> schema = BuildImdbLikeSchema();
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  StatusOr<Workload> workload = GenerateJobWorkload(*schema);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  int queries = 0;
+  int64_t valid = 0, invalid = 0;
+  for (const Query& query : workload->queries()) {
+    const int n = query.num_relations();
+    if (n > 10) continue;
+    ++queries;
+    for (int rel = 0; rel < n; ++rel) {
+      const TableSet partners = IndexNLPartners(*schema, query, rel);
+      for (uint64_t bits = 0; bits < (uint64_t{1} << n); ++bits) {
+        const TableSet outer(bits);
+        const bool want = IndexNLValid(*schema, query, outer, rel);
+        ASSERT_EQ(outer.Intersects(partners), want)
+            << query.name() << " rel " << rel << " outer "
+            << outer.ToString();
+        ++(want ? valid : invalid);
+      }
+    }
+  }
+  EXPECT_GT(queries, 50);
+  EXPECT_GT(valid, 0);
+  EXPECT_GT(invalid, 0);
 }
 
 TEST_F(CostModelTest, IndexScanEffectiveOnlyWithIndexableFilter) {

@@ -10,7 +10,9 @@
 //    result: one arena per returned plan, the plan vector and the query's
 //    feature vector;
 //  - a search far larger than JOB frees what it grew past the retained
-//    size, so it does not pin memory on its thread.
+//    size, so it does not pin memory on its thread;
+//  - fresh memory reads as NaN (see operator new below), so the
+//    differential test also shows a row read before it is written.
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -28,15 +30,21 @@
 #include "test_util.h"
 
 // Every heap allocation in this binary is counted, so a test can pin how
-// many a call makes. The replacements stay out of line: inlined, gcc would
-// pair a caller's `new` with the `free` inside `delete` and warn.
+// many a call makes, and filled with 0xFF bytes, which read as NaN floats:
+// the search's embedding rows and node features start unwritten, so a part
+// of one read before it is written turns a score into NaN and shows up in
+// the differential test. The replacements stay out of line: inlined, gcc
+// would pair a caller's `new` with the `free` inside `delete` and warn.
 namespace {
 std::atomic<int64_t> g_allocations{0};
 }  // namespace
 
 __attribute__((noinline)) void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    std::memset(p, 0xFF, size);
+    return p;
+  }
   throw std::bad_alloc();
 }
 __attribute__((noinline)) void operator delete(void* p) noexcept {
@@ -222,19 +230,20 @@ TEST_F(WorkspaceAllocationTest, AWarmSearchAllocatesOnlyItsResult) {
 }
 
 TEST_F(WorkspaceAllocationTest, AnOversizedSearchDoesNotPinItsWorkspace) {
-  // 30 aliases of one table, each joined to the next six: a search that
-  // interns several times the subtrees of any JOB query's.
+  // 36 aliases of one table, each joined to the next eight: a search that
+  // interns several times the subtrees of any JOB query's and grows the
+  // workspace to about twice the retained size.
   const int table = env_->workload.query(0).relations()[0].table_idx;
   ASSERT_GE(env_->schema().table(table).columns.size(), 2u);
   std::vector<QueryRelation> relations;
   std::vector<JoinPredicate> joins;
-  for (int r = 0; r < 30; ++r) {
+  for (int r = 0; r < 36; ++r) {
     relations.push_back({table, "r" + std::to_string(r)});
-    for (int d = 1; d <= 6 && d <= r; ++d) {
+    for (int d = 1; d <= 8 && d <= r; ++d) {
       joins.push_back({{r - d, 0}, {r, 1}});
     }
   }
-  const Query wide("wide30", std::move(relations), std::move(joins), {});
+  const Query wide("wide36", std::move(relations), std::move(joins), {});
 
   BeamSearchPlanner planner = Planner();
   for (const Query* query : queries_) ASSERT_TRUE(planner.TopK(*query).ok());
