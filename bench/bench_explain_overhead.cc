@@ -85,26 +85,23 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
   bool ok = true;
 
   // --- Gate 1: ExecuteProfiled vs Execute --------------------------------
-  // A handful of expert plans over small-to-mid queries; both executors pin
-  // the same snapshot so the measured work is identical.
+  // A handful of expert plans over small-to-mid queries; both calls read
+  // the executor's one pinned snapshot, so the measured work is identical.
   std::vector<std::pair<const Query*, Plan>> work;
   for (size_t i = 0; i < queries.size() && work.size() < 6; i += 5) {
     auto planned = env.pg_expert->Optimize(*queries[i]);
     BALSA_CHECK(planned.ok(), planned.status().ToString());
     work.emplace_back(queries[i], planned->plan);
   }
-  Executor unprofiled(env.db.get());
-  ExecutorOptions profiled_options;
-  profiled_options.profile = true;
-  Executor profiled(unprofiled.snapshot(), profiled_options);
+  Executor executor(env.db.get());
 
   const double exec_threshold = kTsanBuild ? 0.75 : 0.90;
-  ExecRps(unprofiled, work, 2, false);  // warm both paths
-  ExecRps(profiled, work, 2, true);
+  ExecRps(executor, work, 2, false);  // warm both paths
+  ExecRps(executor, work, 2, true);
   const bench::PairedRatio exec = bench::MeasurePairedRatio(
       "exec", config.rounds, exec_threshold,
-      [&] { return ExecRps(unprofiled, work, config.exec_iters, false); },
-      [&] { return ExecRps(profiled, work, config.exec_iters, true); });
+      [&] { return ExecRps(executor, work, config.exec_iters, false); },
+      [&] { return ExecRps(executor, work, config.exec_iters, true); });
 
   TablePrinter table({"gate", "baseline/s", "candidate/s", "median ratio",
                       "threshold"});
@@ -143,7 +140,7 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
   BALSA_CHECK(ext_planned.ok(), ext_planned.status().ToString());
   const Plan& ext_plan = ext_planned->plan;
 
-  auto explain = introspect::ExplainAnalyze(unprofiled, *ext_query, ext_plan,
+  auto explain = introspect::ExplainAnalyze(executor, *ext_query, ext_plan,
                                             env.estimator.get());
   BALSA_CHECK(explain.ok(), explain.status().ToString());
 
@@ -151,7 +148,7 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
   CollectNodes(ext_plan, ext_plan.root(), &node_indices);
   int checked = 0;
   for (int idx : node_indices) {
-    auto sub = unprofiled.Execute(*ext_query, ext_plan, idx);
+    auto sub = executor.Execute(*ext_query, ext_plan, idx);
     BALSA_CHECK(sub.ok(), sub.status().ToString());
     const introspect::ExplainNode* node = explain->node(idx);
     if (node == nullptr || !node->analyzed) {
@@ -170,9 +167,9 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
 
   // Profiling must not perturb results: the profiled root intermediate is
   // bitwise identical to the unprofiled one.
-  auto plain_root = unprofiled.Execute(*ext_query, ext_plan);
+  auto plain_root = executor.Execute(*ext_query, ext_plan);
   ExecutionProfile root_profile;
-  auto prof_root = profiled.ExecuteProfiled(*ext_query, ext_plan,
+  auto prof_root = executor.ExecuteProfiled(*ext_query, ext_plan,
                                             &root_profile);
   BALSA_CHECK(plain_root.ok() && prof_root.ok(), "root execution failed");
   if (plain_root->rels != prof_root->rels ||

@@ -133,7 +133,6 @@ int Run(const FlightConfig& config, const BenchFlags& flags,
   // a hundred misses, and retaining all of them keeps every p99-bucket
   // exemplar resolvable (no top-K churn can evict the tagged trace).
   func_options.flight_recorder.top_k = 128;
-  func_options.flight_recorder.reservoir_size = 32;
   OptimizerServer func(&env.schema(), &featurizer, &network, env.oracle.get(),
                        func_options);
 
@@ -224,7 +223,6 @@ int Run(const FlightConfig& config, const BenchFlags& flags,
   BALSA_CHECK(served.ok(), served.status().ToString());
   BALSA_CHECK(served->trace != nullptr, "armed server must hand out a trace");
   ExecutorOptions exec_options;
-  exec_options.profile = true;
   exec_options.row_cap = 8;  // far below any multi-join's intermediates
   Executor executor(env.db.get(), exec_options);
   ExecutionProfile profile;

@@ -134,7 +134,7 @@ int Run(const ServingConfig& config, const BenchFlags& flags) {
       static_cast<long long>(cached->server.coalesced),
       static_cast<long long>(totals.lru_evictions),
       static_cast<long long>(totals.stale_evictions),
-      server->cache().num_shards());
+      PlanCache::kNumShards);
 
   double speedup = scratch->requests_per_sec > 0
                        ? cached->requests_per_sec / scratch->requests_per_sec

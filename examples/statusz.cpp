@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   options.trace.sample_every = 0;
   options.flight_recorder.enabled = true;
   options.flight_recorder.top_k = 8;
-  options.flight_recorder.reservoir_size = 16;
   OptimizerServer server(&env.schema(), &featurizer, &network,
                          env.oracle.get(), options);
 

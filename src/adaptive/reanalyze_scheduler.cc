@@ -10,6 +10,19 @@
 
 namespace balsa {
 
+namespace {
+
+/// Incremental merge is used while the accumulated change fraction
+/// (changed rows / anchor base rows) stays at or below this; past it, the
+/// sketch approximations are no longer trusted and the table is fully
+/// rescanned.
+constexpr double kFullReanalyzeFraction = 1.0;
+/// Staleness bound: after this many consecutive incremental merges of one
+/// table, the next re-ANALYZE is a full rescan regardless.
+constexpr int kMaxIncrementalRounds = 4;
+
+}  // namespace
+
 ReanalyzeScheduler::ReanalyzeScheduler(Database* db, ChangeLog* log,
                                        CardOracle* oracle,
                                        SwappableEstimator* estimator,
@@ -100,8 +113,8 @@ ReanalyzeScheduler::PassReport ReanalyzeScheduler::RunPass() {
                                     locked_delta.rows_updated);
             const double base = static_cast<double>(
                 std::max<int64_t>(1, anchor.base_row_count));
-            full = rounds >= options_.max_incremental_rounds ||
-                   changed / base > options_.full_reanalyze_fraction;
+            full = rounds >= kMaxIncrementalRounds ||
+                   changed / base > kFullReanalyzeFraction;
             if (full) {
               BALSA_ASSIGN_OR_RETURN(merged,
                                      AnalyzeTable(snapshot, t, new_version));

@@ -49,14 +49,6 @@ struct ReanalyzeSchedulerOptions {
   DriftThresholds thresholds;
   /// Background check period (Start()).
   double check_interval_ms = 50;
-  /// Incremental merge is used while the accumulated change fraction
-  /// (changed rows / anchor base rows) stays below this; past it, the
-  /// sketch approximations are no longer trusted and the table is fully
-  /// rescanned.
-  double full_reanalyze_fraction = 1.0;
-  /// Staleness bound: after this many consecutive incremental merges of
-  /// one table, the next re-ANALYZE is a full rescan regardless.
-  int max_incremental_rounds = 4;
   /// Hottest fingerprints to replan after each bump (0 disables re-warm,
   /// or pass server == nullptr).
   int rewarm_top_k = 8;

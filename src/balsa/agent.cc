@@ -41,9 +41,9 @@ BalsaAgent::BalsaAgent(const Schema* schema, ExecutionEngine* engine,
   if (!engine_->options().accepts_bushy) {
     options_.planner.bushy = false;
   }
-  if (options_.exploration == ExplorationMode::kEpsilonGreedy) {
-    options_.planner.epsilon_collapse = options_.epsilon;
-  }
+  const bool epsilon_greedy =
+      options_.exploration == ExplorationMode::kEpsilonGreedy;
+  options_.planner.epsilon_collapse = epsilon_greedy ? kEpsilon : 0.0;
   options_.net.query_dim = featurizer_.query_dim();
   options_.net.node_dim = featurizer_.node_dim();
   options_.net.init_seed = options_.seed + 1;
@@ -193,7 +193,8 @@ Status BalsaAgent::RunIteration() {
     e.plan = *chosen;
     e.iteration = iteration_;
     e.timed_out = result.timed_out;
-    e.label_ms = result.timed_out ? timeout_.relabel_ms() : result.latency_ms;
+    e.label_ms =
+        result.timed_out ? TimeoutPolicy::kRelabelMs : result.latency_ms;
     experience_.Add(std::move(e));
 
     latencies.push_back(result.latency_ms);
@@ -232,7 +233,7 @@ Status BalsaAgent::RunIteration() {
   // --- Virtual clock: pool makespan + update time (§7) ------------------
   virtual_seconds_ += pool_.Makespan(latencies) / 1000.0;
   virtual_seconds_ += static_cast<double>(train_result.sgd_samples) *
-                      options_.update_seconds_per_sample;
+                      kUpdateSecondsPerSample;
   stats.virtual_seconds = virtual_seconds_;
   stats.unique_plans = static_cast<int64_t>(experience_.NumUniquePlans());
 

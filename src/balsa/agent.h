@@ -42,7 +42,7 @@ enum class TrainScheme {
 enum class ExplorationMode {
   kNone,           // always execute the predicted-best plan
   kCountBased,     // best unseen plan of the top-k (Balsa's default)
-  kEpsilonGreedy,  // epsilon beam collapse inside the search
+  kEpsilonGreedy,  // epsilon = 0.1 beam collapse inside the search
 };
 
 struct BalsaAgentOptions {
@@ -50,7 +50,9 @@ struct BalsaAgentOptions {
   TrainScheme train_scheme = TrainScheme::kOnPolicy;
   ExplorationMode exploration = ExplorationMode::kCountBased;
 
-  PlannerOptions planner;       // b = 20, k = 10 (§4.2)
+  /// b = 20, k = 10 (§4.2). The agent sets epsilon_collapse from
+  /// `exploration`: 0.1 under kEpsilonGreedy, else 0.
+  PlannerOptions planner;
   SimulationOptions sim;
   TimeoutPolicy::Options timeout;
 
@@ -70,14 +72,9 @@ struct BalsaAgentOptions {
   int num_threads = 0;
   /// The scoring shell's options (num_workers must stay 0).
   InferenceServiceOptions inference;
-  /// Virtual seconds charged per SGD sample processed during updates; this
-  /// is what makes the retrain scheme progressively slower (§8.3.4).
-  double update_seconds_per_sample = 2e-4;
   /// Evaluate the held-out test set every this many iterations (0 = never;
   /// evaluations are noiseless and do not advance the virtual clock).
   int eval_test_every = 5;
-  /// epsilon for ExplorationMode::kEpsilonGreedy.
-  double epsilon = 0.1;
 
   uint64_t seed = 0;
 };
@@ -152,6 +149,12 @@ class BalsaAgent {
   const BalsaAgentOptions& options() const { return options_; }
 
  private:
+  /// Beam-collapse probability of ExplorationMode::kEpsilonGreedy (§8.3.3).
+  static constexpr double kEpsilon = 0.1;
+  /// Virtual seconds charged per SGD sample processed during updates; this
+  /// is what makes the retrain scheme progressively slower (§8.3.4).
+  static constexpr double kUpdateSecondsPerSample = 2e-4;
+
   /// Plans one training query; `rng_seed` derives the per-query planning
   /// rng (epsilon-greedy only), making parallel planning deterministic.
   StatusOr<BeamSearchPlanner::PlanningResult> PlanForTraining(

@@ -30,7 +30,7 @@ StatusOr<std::vector<TrainingPoint>> CollectSimulationData(
 
   std::vector<const Query*> used;
   for (const Query* query : queries) {
-    if (query->num_relations() >= options.skip_queries_with_relations_ge) {
+    if (query->num_relations() >= kSimulationSkipRelations) {
       s.num_queries_skipped++;
       continue;
     }

@@ -14,10 +14,11 @@
 
 namespace balsa {
 
+/// Queries joining at least this many relations are skipped (DP cost grows
+/// too fast; the paper sets n = 12).
+inline constexpr int kSimulationSkipRelations = 12;
+
 struct SimulationOptions {
-  /// Queries joining at least this many relations are skipped (DP cost
-  /// grows too fast; the paper sets n = 12).
-  int skip_queries_with_relations_ge = 12;
   /// Reservoir cap on augmented data points per query (0 = unlimited).
   /// Bounds dataset size like the paper's ~5.5K points per JOB query.
   size_t max_points_per_query = 6000;

@@ -12,11 +12,12 @@ class TimeoutPolicy {
  public:
   struct Options {
     bool enabled = true;
-    /// Slack factor S over the best known max per-query runtime.
-    double slack = 2.0;
-    /// Label assigned to timed-out plans (the paper uses 4096 seconds).
-    double relabel_ms = 4096.0 * 1000.0;
   };
+
+  /// Slack factor S over the best known max per-query runtime.
+  static constexpr double kSlack = 2.0;
+  /// Label assigned to timed-out plans: 4096 seconds, as in the paper.
+  static constexpr double kRelabelMs = 4096.0 * 1000.0;
 
   TimeoutPolicy() = default;
   explicit TimeoutPolicy(Options options) : options_(options) {}
@@ -25,7 +26,7 @@ class TimeoutPolicy {
   /// (iteration 0, or the mechanism disabled).
   double CurrentTimeoutMs() const {
     if (!options_.enabled || max_runtime_ms_ <= 0) return -1;
-    return options_.slack * max_runtime_ms_;
+    return kSlack * max_runtime_ms_;
   }
 
   /// Reports an iteration's maximum per-query runtime (timed-out plans
@@ -39,7 +40,6 @@ class TimeoutPolicy {
     }
   }
 
-  double relabel_ms() const { return options_.relabel_ms; }
   bool enabled() const { return options_.enabled; }
   double observed_max_runtime_ms() const { return max_runtime_ms_; }
 

@@ -5,6 +5,13 @@
 
 namespace balsa {
 
+namespace {
+
+/// Lognormal sigma of per-execution latency noise.
+constexpr double kNoiseSigma = 0.08;
+
+}  // namespace
+
 EngineOptions PostgresLikeEngineOptions() {
   EngineOptions opts;
   opts.name = "PostgresLike";
@@ -84,7 +91,7 @@ StatusOr<double> ExecutionEngine::ComputeLatency(const Query& query,
     total += OperatorCost(options_.params, in);
   }
   if (*disastrous) {
-    total = std::max(total, options_.disaster_min_latency_ms);
+    total = std::max(total, kDisasterMinLatencyMs);
   }
   return total;
 }
@@ -115,7 +122,7 @@ StatusOr<ExecutionResult> ExecutionEngine::Execute(const Query& query,
     bool disastrous = false;
     BALSA_ASSIGN_OR_RETURN(latency, ComputeLatency(query, plan, &disastrous));
     // Per-execution measurement noise.
-    latency *= noise_rng_.LogNormal(0.0, options_.noise_sigma);
+    latency *= noise_rng_.LogNormal(0.0, kNoiseSigma);
     num_real_executions_++;
     plan_cache_[key] = latency;
   }

@@ -10,7 +10,7 @@
 // *estimated* cardinalities and no physical operators).
 //
 // Disastrous plans exist: any plan whose intermediates hit the executor's
-// row cap is assigned at least `disaster_min_latency_ms`.
+// row cap is assigned at least `kDisasterMinLatencyMs`.
 #pragma once
 
 #include <string>
@@ -22,17 +22,17 @@
 
 namespace balsa {
 
+/// Minimum latency assigned to plans whose intermediates overflow the
+/// executor row cap (a "disastrous" plan).
+inline constexpr double kDisasterMinLatencyMs = 300'000.0;
+
 struct EngineOptions {
   std::string name = "PostgresLike";
   EngineCostParams params;
-  /// Lognormal sigma of per-execution latency noise.
-  double noise_sigma = 0.08;
   /// Engines whose hint interface cannot express bushy joins (CommDB, §8.2)
   /// reject bushy plans.
   bool accepts_bushy = true;
-  /// Minimum latency assigned to plans whose intermediates overflow the
-  /// executor row cap (a "disastrous" plan).
-  double disaster_min_latency_ms = 300'000.0;
+  /// Seeds the per-execution lognormal latency noise (sigma 0.08).
   uint64_t noise_seed = 1234;
 };
 

@@ -141,10 +141,9 @@ StatusOr<Intermediate> Executor::Scan(const Query& query, int rel,
   // One span per relation scanned; inert unless the calling thread carries
   // a sampled request's trace context (obs::ScopedTraceContext).
   obs::SpanTimer span(obs::TraceStage::kExecScan);
-  // Profiling observes only: with the option off (or no sink) no clock is
-  // read and no counter is kept — the scan below is byte-for-byte the
-  // unprofiled one.
-  const bool profiled = options_.profile && prof != nullptr;
+  // Profiling observes only: with no sink no clock is read and no counter
+  // is kept — the scan below is byte-for-byte the unprofiled one.
+  const bool profiled = prof != nullptr;
   std::chrono::steady_clock::time_point prof_start;
   if (profiled) {
     *prof = NodeProfile{};
@@ -278,7 +277,7 @@ StatusOr<Intermediate> Executor::Join(const Query& query,
                                       const Intermediate& right,
                                       NodeProfile* prof) const {
   obs::SpanTimer span(obs::TraceStage::kExecJoin);
-  const bool profiled = options_.profile && prof != nullptr;
+  const bool profiled = prof != nullptr;
   std::chrono::steady_clock::time_point prof_start;
   if (profiled) {
     *prof = NodeProfile{};
@@ -413,10 +412,7 @@ StatusOr<Intermediate> Executor::ExecuteProfiled(
     const Query& query, const Plan& plan, ExecutionProfile* profile) const {
   const int root = plan.root();
   if (root < 0) return Status::InvalidArgument("empty plan");
-  if (!options_.profile || profile == nullptr) {
-    if (profile != nullptr) *profile = ExecutionProfile{};
-    return ExecuteNode(query, plan, root, nullptr);
-  }
+  if (profile == nullptr) return ExecuteNode(query, plan, root, nullptr);
   *profile = ExecutionProfile{};
   profile->nodes.resize(static_cast<size_t>(plan.num_nodes()));
   const auto start = std::chrono::steady_clock::now();

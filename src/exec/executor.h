@@ -54,11 +54,6 @@ struct ExecutorOptions {
   /// of a full pass. Results are identical either way (the index returns
   /// ascending row ids); off only for testing the scan path itself.
   bool use_index_for_eq = true;
-  /// Collect per-node measurements (src/exec/profile.h) into the sinks
-  /// passed to Scan/Join/ExecuteProfiled. Off (the default) costs nothing:
-  /// no clock reads, no extra allocations, and results are bitwise
-  /// identical either way — profiling only observes.
-  bool profile = false;
 };
 
 /// Evaluates scans and joins of a query against a pinned snapshot. All
@@ -77,17 +72,16 @@ class Executor {
   /// The snapshot all reads go through (its epoch tags derived results).
   const Snapshot& snapshot() const { return snapshot_; }
 
-  const ExecutorOptions& options() const { return options_; }
-
   /// Scans relation `rel` of `query`, applying all its filters
-  /// chunk-at-a-time over the table's chunks. With options.profile on and
-  /// `prof` non-null, fills `prof` with the scan's measurements.
+  /// chunk-at-a-time over the table's chunks. A non-null `prof` receives
+  /// the scan's measurements (src/exec/profile.h); a null one costs
+  /// nothing: no clock reads, no extra allocations.
   StatusOr<Intermediate> Scan(const Query& query, int rel,
                               NodeProfile* prof = nullptr) const;
 
   /// Equi-joins two intermediates on all join predicates crossing them.
   /// Fails if no predicate connects them (no cross products in SPJ plans).
-  /// With options.profile on and `prof` non-null, fills `prof`.
+  /// A non-null `prof` receives the join's measurements.
   StatusOr<Intermediate> Join(const Query& query, const Intermediate& left,
                               const Intermediate& right,
                               NodeProfile* prof = nullptr) const;
@@ -98,8 +92,8 @@ class Executor {
 
   /// Execute with a per-node profile tree: `profile` is resized to the
   /// plan's arena and each executed node's measurements land at its arena
-  /// index. Results are bitwise identical to Execute. When options.profile
-  /// is off this IS Execute — the profile comes back empty.
+  /// index. Results are bitwise identical to Execute — profiling only
+  /// observes. A null `profile` makes this Execute.
   StatusOr<Intermediate> ExecuteProfiled(const Query& query, const Plan& plan,
                                          ExecutionProfile* profile) const;
 

@@ -1,12 +1,13 @@
 // Per-plan-node execution measurements: what EXPLAIN ANALYZE reports and
 // what the online-learning loop attributes executed-plan latency to.
 //
-// Profiles are opt-in (ExecutorOptions::profile) and collected into a
-// caller-owned ExecutionProfile by Executor::ExecuteProfiled, or per node
-// by passing a NodeProfile sink to Scan/Join directly. With the option off
-// the executor takes no clocks and allocates nothing extra — the profiled
-// and unprofiled paths produce bitwise-identical Intermediates either way
-// (tests/introspect_test.cc pins both properties).
+// Profiles are opt-in: a non-null sink is the only switch. They are
+// collected into a caller-owned ExecutionProfile by
+// Executor::ExecuteProfiled, or per node by passing a NodeProfile sink to
+// Scan/Join directly. Without a sink the executor takes no clocks and
+// allocates nothing extra — the profiled and unprofiled paths produce
+// bitwise-identical Intermediates either way (tests/introspect_test.cc
+// pins the results).
 #pragma once
 
 #include <cstddef>

@@ -163,14 +163,9 @@ StatusOr<PlanExplain> ExplainAnalyze(
   if (plan.root() < 0) return Status::InvalidArgument("empty plan");
   PlanExplain out = ExplainPlan(query, plan, estimator);
 
-  // Re-run against the same pinned snapshot with profiling forced on; the
-  // caller's executor (and its options) stay untouched.
-  ExecutorOptions options = executor.options();
-  options.profile = true;
-  Executor profiled(executor.snapshot(), options);
   ExecutionProfile profile;
   BALSA_RETURN_IF_ERROR(
-      profiled.ExecuteProfiled(query, plan, &profile).status());
+      executor.ExecuteProfiled(query, plan, &profile).status());
 
   out.analyzed = true;
   out.total_micros = profile.total_micros;

@@ -97,11 +97,9 @@ double QError(double est_rows, double actual_rows);
 PlanExplain ExplainPlan(const Query& query, const Plan& plan,
                         const CardinalityEstimatorInterface* estimator);
 
-/// Executes `plan` with profiling on and annotates every node with its
-/// actuals. Runs against `executor`'s pinned snapshot and options (the
-/// profile flag is forced on for the internal run; `executor` itself is
-/// untouched). `estimator` may be null — actuals and timings still fill
-/// in, Q-errors stay 0.
+/// Executes `plan` through `executor.ExecuteProfiled` (its pinned snapshot
+/// and options) and annotates every node with its actuals. `estimator` may
+/// be null — actuals and timings still fill in, Q-errors stay 0.
 StatusOr<PlanExplain> ExplainAnalyze(
     const Executor& executor, const Query& query, const Plan& plan,
     const CardinalityEstimatorInterface* estimator);

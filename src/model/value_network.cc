@@ -9,6 +9,18 @@
 
 namespace balsa {
 
+namespace {
+
+// The network learns log1p(label): latencies span orders of magnitude.
+double ToLabelSpace(double y) { return std::log1p(std::max(0.0, y)); }
+
+double FromLabelSpace(double z) {
+  // Clamp to avoid overflow on wild early-training outputs.
+  return std::expm1(std::min(z, 40.0));
+}
+
+}  // namespace
+
 // Node-major: row j of x, h1 and h2 is node j, row i of pooled and m1 is
 // item i.
 struct ValueNetwork::Stacked {
@@ -57,16 +69,6 @@ size_t ValueNetwork::NumWeights() const {
   size_t total = 0;
   for (const nn::Param* p : Params()) total += p->NumWeights();
   return total;
-}
-
-double ValueNetwork::ToLabelSpace(double y) const {
-  return config_.log_transform ? std::log1p(std::max(0.0, y)) : y;
-}
-
-double ValueNetwork::FromLabelSpace(double z) const {
-  if (!config_.log_transform) return z;
-  // Clamp to avoid overflow on wild early-training outputs.
-  return std::expm1(std::min(z, 40.0));
 }
 
 double ValueNetwork::Predict(const nn::Vec& query,
@@ -245,9 +247,7 @@ ValueNetwork::TrainResult ValueNetwork::Train(
   std::vector<int> val(order.begin(), order.begin() + num_val);
   std::vector<int> train(order.begin() + num_val, order.end());
 
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = options.lr;
-  nn::Adam adam(Params(), adam_opts);
+  nn::Adam adam(Params(), options.lr);
 
   // One StackedForward over data[idx[pos..end)], reusing `stacked`.
   Stacked stacked;

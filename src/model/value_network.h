@@ -21,8 +21,6 @@ struct ValueNetConfig {
   int tree_hidden1 = 64;
   int tree_hidden2 = 32;
   int mlp_hidden = 32;
-  /// Train on log1p(label) rather than raw values.
-  bool log_transform = true;
   uint64_t init_seed = 1;
 };
 
@@ -169,9 +167,6 @@ class ValueNetwork {
   /// (InitWeights, each of Train's steps, Load, CopyWeightsFrom) ends with
   /// it.
   void TransposeWeights();
-
-  double ToLabelSpace(double y) const;
-  double FromLabelSpace(double z) const;
 
   ValueNetConfig config_;
   nn::TreeConvLayer tc1_, tc2_;

@@ -130,30 +130,27 @@ void DynamicMaxPoolBatchBackward(const Mat& dpooled_t,
 }
 
 void Adam::Step(int batch_size) {
+  constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
   t_++;
   const double scale = 1.0 / std::max(1, batch_size);
   // Global-norm gradient clipping.
-  double clip_scale = 1.0;
-  if (options_.grad_clip > 0) {
-    double norm_sq = 0;
-    for (Param* p : params_) {
-      for (float g : p->grad.data) {
-        double gs = g * scale;
-        norm_sq += gs * gs;
-      }
+  double norm_sq = 0;
+  for (Param* p : params_) {
+    for (float g : p->grad.data) {
+      double gs = g * scale;
+      norm_sq += gs * gs;
     }
-    double norm = std::sqrt(norm_sq);
-    if (norm > options_.grad_clip) clip_scale = options_.grad_clip / norm;
   }
+  const double norm = std::sqrt(norm_sq);
   AdamStep step;
   step.scale = scale;
-  step.clip_scale = clip_scale;
-  step.lr = options_.lr;
-  step.beta1 = options_.beta1;
-  step.beta2 = options_.beta2;
-  step.eps = options_.eps;
-  step.bc1 = 1.0 - std::pow(options_.beta1, t_);
-  step.bc2 = 1.0 - std::pow(options_.beta2, t_);
+  step.clip_scale = norm > kAdamGradClip ? kAdamGradClip / norm : 1.0;
+  step.lr = lr_;
+  step.beta1 = kBeta1;
+  step.beta2 = kBeta2;
+  step.eps = kEps;
+  step.bc1 = 1.0 - std::pow(kBeta1, t_);
+  step.bc2 = 1.0 - std::pow(kBeta2, t_);
   const Kernels& kernels = ActiveKernels();
   for (Param* p : params_) {
     kernels.adam_update(step, p);

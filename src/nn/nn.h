@@ -171,32 +171,25 @@ void DynamicMaxPoolBatchBackward(const Mat& dpooled_t,
                                  const std::vector<int>& argmax,
                                  Mat* dnodes_t);
 
-/// Adam optimizer over a set of parameters.
+/// The global L2 norm Adam::Step clips a batch's mean gradients to.
+inline constexpr double kAdamGradClip = 5.0;
+
+/// Adam optimizer over a set of parameters: beta1 = 0.9, beta2 = 0.999,
+/// eps = 1e-8, gradients clipped to kAdamGradClip.
 class Adam {
  public:
-  struct Options {
-    double lr = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double eps = 1e-8;
-    double grad_clip = 5.0;  // global-norm clip; <= 0 disables
-  };
-
-  explicit Adam(std::vector<Param*> params)
-      : params_(std::move(params)) {}
-  Adam(std::vector<Param*> params, Options options)
-      : params_(std::move(params)), options_(options) {}
+  Adam(std::vector<Param*> params, double lr)
+      : params_(std::move(params)), lr_(lr) {}
 
   /// Applies one update from the accumulated gradients (divided by
   /// `batch_size`), then zeroes them.
   void Step(int batch_size);
 
-  void set_lr(double lr) { options_.lr = lr; }
   int64_t num_steps() const { return t_; }
 
  private:
   std::vector<Param*> params_;
-  Options options_;
+  double lr_;
   int64_t t_ = 0;
 };
 

@@ -13,6 +13,9 @@ namespace {
 /// collide with RequestTracer ids (arrival * kThreadStripes + stripe).
 constexpr uint64_t kFlightIdBit = uint64_t{1} << 63;
 
+/// Seeds the deterministic reservoir coin flips.
+constexpr uint64_t kReservoirSeed = 1;
+
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -39,10 +42,8 @@ const char* RetainReasonName(RetainReason reason) {
 
 TraceStore::TraceStore(TraceStoreOptions options) : options_(options) {
   if (options_.top_k < 1) options_.top_k = 1;
-  if (options_.reservoir_size < 0) options_.reservoir_size = 0;
-  if (options_.max_outcomes < 0) options_.max_outcomes = 0;
   top_k_.reserve(static_cast<size_t>(options_.top_k));
-  reservoir_.reserve(static_cast<size_t>(options_.reservoir_size));
+  reservoir_.reserve(kReservoirSize);
 }
 
 std::shared_ptr<Trace> TraceStore::StartTrace() {
@@ -67,7 +68,7 @@ uint64_t TraceStore::Admit(const std::shared_ptr<Trace>& trace,
   switch (reason) {
     case RetainReason::kOutcome:
       outcomes_.push_back(std::move(entry));
-      while (outcomes_.size() > static_cast<size_t>(options_.max_outcomes)) {
+      while (outcomes_.size() > kMaxOutcomes) {
         outcomes_.pop_front();
         evicted_.Inc();
       }
@@ -91,13 +92,12 @@ uint64_t TraceStore::Admit(const std::shared_ptr<Trace>& trace,
       break;
     }
     case RetainReason::kReservoir: {
-      if (options_.reservoir_size == 0) return 0;
-      if (reservoir_.size() < static_cast<size_t>(options_.reservoir_size)) {
+      if (reservoir_.size() < kReservoirSize) {
         reservoir_.push_back(std::move(entry));
       } else {
         const size_t slot = static_cast<size_t>(
-            SplitMix64(options_.seed ^ (index * 0x9E3779B97F4A7C15ULL)) %
-            static_cast<uint64_t>(options_.reservoir_size));
+            SplitMix64(kReservoirSeed ^ (index * 0x9E3779B97F4A7C15ULL)) %
+            kReservoirSize);
         reservoir_[slot] = std::move(entry);
         evicted_.Inc();
       }
@@ -124,13 +124,11 @@ uint64_t TraceStore::OnComplete(const std::shared_ptr<Trace>& trace,
     if (id != 0) return id;
   }
   // Ordinary completion: uniform reservoir. After n normal completions the
-  // admission probability is reservoir_size/n — the textbook scheme, with
-  // the coin flip a pure function of (seed, n) so replays are
-  // reproducible.
+  // admission probability is kReservoirSize/n — the textbook scheme, with
+  // the coin flip a pure function of n so replays are reproducible.
   const uint64_t n = normal_seen_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t cap = static_cast<uint64_t>(options_.reservoir_size);
-  if (cap == 0) return 0;
-  if (n <= cap || SplitMix64(options_.seed ^ n) % n < cap) {
+  const uint64_t cap = kReservoirSize;
+  if (n <= cap || SplitMix64(kReservoirSeed ^ n) % n < cap) {
     return Admit(trace, completion, RetainReason::kReservoir, index);
   }
   return 0;

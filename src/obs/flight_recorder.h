@@ -33,6 +33,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -52,12 +53,6 @@ struct TraceStoreOptions {
   bool enabled = false;
   /// Slowest-ever completions retained (min-heap by latency).
   int top_k = 16;
-  /// Uniform reservoir of ordinary (non-tail, non-error) completions.
-  int reservoir_size = 32;
-  /// Error / row-capped completions retained (ring, oldest evicted).
-  int max_outcomes = 64;
-  /// Seeds the deterministic reservoir coin flips.
-  uint64_t seed = 1;
 };
 
 /// Why a completion was retained.
@@ -100,16 +95,20 @@ struct RetainedTrace : TraceCompletion {
 
 class TraceStore {
  public:
+  /// Uniform reservoir of ordinary (non-tail, non-error) completions.
+  static constexpr size_t kReservoirSize = 32;
+  /// Error / row-capped completions retained (ring, oldest evicted).
+  static constexpr size_t kMaxOutcomes = 64;
+
   explicit TraceStore(TraceStoreOptions options = {});
 
   TraceStore(const TraceStore&) = delete;
   TraceStore& operator=(const TraceStore&) = delete;
 
-  const TraceStoreOptions& options() const { return options_; }
   bool enabled() const { return options_.enabled; }
 
   /// A fresh trace shell for one request — the miss path calls this before
-  /// handing work to the planning pool so spans accumulate. Ids come from a
+  /// it plans, on the request thread, so spans accumulate. Ids come from a
   /// dedicated counter with the top bit set, so they never collide with the
   /// RequestTracer's (arrival, stripe) ids.
   std::shared_ptr<Trace> StartTrace();

@@ -25,8 +25,30 @@ HistogramData DeltaHistogram(const HistogramData& cur,
 HealthMonitorOptions Clamped(HealthMonitorOptions options) {
   options.interval_ms = std::max(1, options.interval_ms);
   options.ring_capacity = std::max(2, options.ring_capacity);
-  options.max_events = std::max(0, options.max_events);
   return options;
+}
+
+/// The rule's value this tick, given the previous and current snapshots.
+double Evaluate(const HealthRule& rule, const RegistrySnapshot& prev,
+                const RegistrySnapshot& cur) {
+  const MetricValue* now = cur.Find(rule.metric);
+  if (now == nullptr) return 0;
+  const MetricValue* before = prev.Find(rule.metric);
+  switch (rule.kind) {
+    case RuleKind::kWindowP99Above: {
+      const HistogramData delta =
+          before != nullptr ? DeltaHistogram(now->histogram, before->histogram)
+                            : HistogramData{};
+      return delta.Percentile(99);
+    }
+    case RuleKind::kWindowRateAbove:
+      return before != nullptr
+                 ? static_cast<double>(now->value - before->value)
+                 : 0;
+    case RuleKind::kGaugeAbove:
+      return static_cast<double>(now->value);
+  }
+  return 0;
 }
 
 }  // namespace
@@ -42,8 +64,6 @@ const char* RuleKindName(RuleKind kind) {
   switch (kind) {
     case RuleKind::kWindowP99Above: return "window_p99_above";
     case RuleKind::kWindowRateAbove: return "window_rate_above";
-    case RuleKind::kRatioAbove: return "ratio_above";
-    case RuleKind::kBurnRateAbove: return "burn_rate_above";
     case RuleKind::kGaugeAbove: return "gauge_above";
   }
   return "unknown";
@@ -64,49 +84,6 @@ void HealthMonitor::AddRule(HealthRule rule) {
   RuleStatus status;
   status.rule = std::move(rule);
   rules_.push_back(std::move(status));
-}
-
-double HealthMonitor::Evaluate(const HealthRule& rule,
-                               const RegistrySnapshot& prev,
-                               const RegistrySnapshot& cur) const {
-  const MetricValue* now = cur.Find(rule.metric);
-  if (now == nullptr) return 0;
-  const MetricValue* before = prev.Find(rule.metric);
-  switch (rule.kind) {
-    case RuleKind::kWindowP99Above: {
-      const HistogramData delta =
-          before != nullptr ? DeltaHistogram(now->histogram, before->histogram)
-                            : HistogramData{};
-      return delta.Percentile(99);
-    }
-    case RuleKind::kWindowRateAbove:
-      return before != nullptr
-                 ? static_cast<double>(now->value - before->value)
-                 : 0;
-    case RuleKind::kRatioAbove: {
-      const MetricValue* den_now = cur.Find(rule.denominator);
-      const MetricValue* den_before = prev.Find(rule.denominator);
-      if (before == nullptr || den_now == nullptr || den_before == nullptr) {
-        return 0;
-      }
-      const double num = static_cast<double>(now->value - before->value);
-      const double den =
-          static_cast<double>(den_now->value - den_before->value);
-      return den <= 0 ? 0 : num / den;
-    }
-    case RuleKind::kBurnRateAbove: {
-      const double den = RateLocked(rule.denominator);
-      return den <= 0 ? 0 : RateLocked(rule.metric) / den;
-    }
-    case RuleKind::kGaugeAbove:
-      return static_cast<double>(now->value);
-  }
-  return 0;
-}
-
-double HealthMonitor::RateLocked(const std::string& name) const {
-  auto it = series_.find(name);
-  return it == series_.end() ? 0 : it->second.RatePerSec();
 }
 
 void HealthMonitor::EvaluateOnce() {
@@ -162,7 +139,7 @@ void HealthMonitor::EvaluateOnce() {
     }
     if (slot.state == AlertState::kFiring) firing += 1;
   }
-  while (events_.size() > static_cast<size_t>(options_.max_events)) {
+  while (events_.size() > kMaxAlertEvents) {
     events_.pop_front();
   }
   alerts_firing_.Set(firing);
@@ -239,7 +216,8 @@ SeriesWindow HealthMonitor::GetSeries(const std::string& name) const {
 
 double HealthMonitor::RatePerSec(const std::string& name) const {
   MutexLock lock(mu_);
-  return RateLocked(name);
+  auto it = series_.find(name);
+  return it == series_.end() ? 0 : it->second.RatePerSec();
 }
 
 size_t HealthMonitor::series_count() const {

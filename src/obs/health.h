@@ -15,15 +15,13 @@
 // Rule kinds:
 //   - kWindowP99Above:  p99 of the histogram's delta buckets this tick
 //   - kWindowRateAbove: counter increase this tick
-//   - kRatioAbove:      delta(metric) / delta(denominator) this tick
-//   - kBurnRateAbove:   RatePerSec(metric) / RatePerSec(denominator) over
-//                       the retained ring (0 until it holds two ticks)
 //   - kGaugeAbove:      the gauge's instantaneous value
 //
 // Transitions have hysteresis: a rule fires only after `for_ticks`
 // consecutive breached evaluations and resolves only after `clear_ticks`
-// consecutive healthy ones. Every transition lands in a bounded event log
-// (oldest evicted) that statusz renders as the `alerts` section.
+// consecutive healthy ones. Every transition lands in an event log of the
+// last kMaxAlertEvents transitions (oldest evicted) that statusz renders as
+// the `alerts` section.
 //
 // EvaluateOnce() is public and the background thread calls exactly it, so
 // tests and benches drive deterministic ticks without a thread or a clock.
@@ -31,6 +29,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -46,8 +45,6 @@ namespace balsa::obs {
 enum class RuleKind : int {
   kWindowP99Above = 0,
   kWindowRateAbove,
-  kRatioAbove,
-  kBurnRateAbove,
   kGaugeAbove,
 };
 const char* RuleKindName(RuleKind kind);
@@ -58,8 +55,6 @@ struct HealthRule {
   RuleKind kind = RuleKind::kGaugeAbove;
   /// The metric the rule watches (exact registry name, labels included).
   std::string metric;
-  /// kRatioAbove / kBurnRateAbove only: the denominator metric.
-  std::string denominator;
   /// Fire when the evaluated value exceeds this.
   double threshold = 0;
   /// Consecutive breached ticks before the rule fires.
@@ -116,15 +111,16 @@ struct SeriesWindow {
   double RatePerSec() const;
 };
 
+/// Transition events a HealthMonitor retains (ring, oldest evicted).
+inline constexpr size_t kMaxAlertEvents = 128;
+
 /// Out-of-range values are clamped once, at construction: interval_ms and
-/// ring_capacity to their minimums (1 and 2), max_events to >= 0.
+/// ring_capacity to their minimums (1 and 2).
 struct HealthMonitorOptions {
   /// Background tick period (thread started explicitly by Start()).
   int interval_ms = 1000;
   /// Ticks retained per series; at the default interval, one minute.
   int ring_capacity = 60;
-  /// Transition events retained (ring, oldest evicted).
-  int max_events = 128;
 };
 
 class HealthMonitor {
@@ -169,12 +165,6 @@ class HealthMonitor {
   size_t series_count() const;
 
  private:
-  /// The rule's value this tick, given the previous and current snapshots
-  /// (and, for burn-rate rules, the rings).
-  double Evaluate(const HealthRule& rule, const RegistrySnapshot& prev,
-                  const RegistrySnapshot& cur) const REQUIRES(mu_);
-  double RateLocked(const std::string& name) const REQUIRES(mu_);
-
   const MetricsRegistry* registry_;
   const HealthMonitorOptions options_;
   const std::chrono::steady_clock::time_point start_;

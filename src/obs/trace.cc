@@ -102,10 +102,9 @@ std::shared_ptr<Trace> RequestTracer::MaybeStartTrace() {
   const uint64_t local =
       arrivals_[stripe].n.fetch_add(1, std::memory_order_relaxed);
   if (!Enabled()) return nullptr;
-  const uint64_t phase = local + options_.seed;
   const bool sampled =
-      sample_pow2_ ? (phase & sample_mask_) == 0
-                   : phase % static_cast<uint64_t>(options_.sample_every) == 0;
+      sample_pow2_ ? (local & sample_mask_) == 0
+                   : local % static_cast<uint64_t>(options_.sample_every) == 0;
   if (!sampled) return nullptr;
   traces_started_.Inc();
   return std::make_shared<Trace>(

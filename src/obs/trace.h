@@ -70,9 +70,11 @@ struct TraceSpan {
   double duration_us = 0;
 };
 
-/// One sampled request's spans. Thread-safe append (spans arrive from the
-/// request thread and planning-pool threads); only sampled requests ever
-/// allocate one, so the mutex is off the common path.
+/// One sampled request's spans. A served request's spans, a miss's planning
+/// included, land on the request thread; OptimizerServer::Rewarm's replan
+/// threads are the only other writers, appending under the caller's context
+/// in parallel, which is why appends take a mutex. Only sampled requests
+/// ever allocate one, so the mutex is off the common path.
 class Trace {
  public:
   explicit Trace(uint64_t id);
@@ -102,10 +104,8 @@ class Trace {
 
 struct RequestTracerOptions {
   /// Sample one request in this many (1 = every request, 0 = never).
+  /// Sampling is a pure function of each thread stripe's arrival index.
   int sample_every = 64;
-  /// Offsets which request indices are sampled; sampling is a pure
-  /// function of (arrival index, seed).
-  uint64_t seed = 0;
 };
 
 /// Owns the sampling decision and the per-stage span-duration histograms.

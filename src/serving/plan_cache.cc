@@ -6,9 +6,7 @@
 
 namespace balsa {
 
-PlanCache::PlanCache(PlanCacheOptions options)
-    : options_(options),
-      shards_(static_cast<size_t>(std::max(1, options.num_shards))) {}
+PlanCache::PlanCache(PlanCacheOptions options) : options_(options) {}
 
 void PlanCache::AttachMetrics(obs::MetricsRegistry* registry) {
   registrations_.clear();

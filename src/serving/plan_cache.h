@@ -6,7 +6,7 @@
 // version, and capacity eviction reclaims the rest — so a stats bump costs
 // no stop-the-world sweep.
 //
-// Sharding: the fingerprint picks one of num_shards independent shards,
+// Sharding: the fingerprint picks one of kNumShards independent shards,
 // each with its own mutex, map, LRU list, capacity, and counters.
 // Concurrent lookups of different fingerprints contend only when they map
 // to the same shard; there is no global lock anywhere in the cache.
@@ -18,6 +18,7 @@
 // the slot.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -32,8 +33,7 @@
 namespace balsa {
 
 struct PlanCacheOptions {
-  int num_shards = 8;
-  /// Max entries per shard (total capacity = num_shards * shard_capacity).
+  /// Max entries per shard (total capacity = kNumShards * shard_capacity).
   /// 0 disables the cache: every Lookup misses and Insert is a no-op.
   size_t shard_capacity = 512;
 };
@@ -54,6 +54,8 @@ struct CachedPlan {
 
 class PlanCache {
  public:
+  static constexpr int kNumShards = 8;
+
   explicit PlanCache(PlanCacheOptions options = {});
 
   PlanCache(const PlanCache&) = delete;
@@ -129,11 +131,10 @@ class PlanCache {
   size_t ApproxBytes() const;
 
   size_t size() const;
-  int num_shards() const { return static_cast<int>(shards_.size()); }
   /// Which shard `fingerprint` lives in (exposed for shard-level tests).
-  int ShardOf(uint64_t fingerprint) const {
+  static int ShardOf(uint64_t fingerprint) {
     return static_cast<int>((fingerprint ^ (fingerprint >> 32)) %
-                            shards_.size());
+                            kNumShards);
   }
 
  private:
@@ -164,7 +165,7 @@ class PlanCache {
                   std::shared_ptr<const CachedPlan>* out, bool count_miss);
 
   PlanCacheOptions options_;
-  std::vector<Shard> shards_;
+  std::array<Shard, kNumShards> shards_;
   /// Registry attachments (empty until AttachMetrics). Last member:
   /// detaches before the shards' counters die.
   std::vector<obs::Registration> registrations_;

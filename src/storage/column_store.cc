@@ -415,11 +415,6 @@ Status Database::RemoveRows(int table_idx, std::vector<int64_t> row_ids) {
   return Status::OK();
 }
 
-Status Database::SetValue(int table_idx, int column_idx, int64_t row,
-                          int64_t value) {
-  return SetValues(table_idx, column_idx, {{row, value}});
-}
-
 Status Database::SetValues(
     int table_idx, int column_idx,
     const std::vector<std::pair<int64_t, int64_t>>& updates) {

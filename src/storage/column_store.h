@@ -194,9 +194,6 @@ class Database {
   /// swap-removes touch (the freed slots' chunks and the shrinking tail).
   Status RemoveRows(int table_idx, std::vector<int64_t> row_ids);
 
-  /// Overwrites one cell, copying exactly one chunk of one column.
-  Status SetValue(int table_idx, int column_idx, int64_t row, int64_t value);
-
   /// Overwrites a batch of (row, value) cells in one column: validates the
   /// whole batch first, then publishes one new version copying only the
   /// touched chunks of that column (the other columns — and their built

@@ -150,11 +150,18 @@ TEST_F(AdaptiveTest, PassClosesTheLoopIntoServing) {
 }
 
 TEST_F(AdaptiveTest, StalenessBoundForcesFullReanalyze) {
+  // Four consecutive incremental merges of one table; the fifth
+  // re-ANALYZE is a full rescan although its change fraction is the same.
   ReanalyzeSchedulerOptions options;
-  options.max_incremental_rounds = 0;  // every re-ANALYZE is a full rescan
   options.rewarm_top_k = 0;
   ReanalyzeScheduler scheduler(fixture_.db.get(), &log_, fixture_.oracle.get(),
                                &swappable_, nullptr, options);
+  for (int round = 0; round < 4; ++round) {
+    Drift(SalesDrift());
+    ReanalyzeScheduler::PassReport pass = scheduler.RunOnce();
+    EXPECT_EQ(pass.incremental_merges, 1) << "pass " << round;
+    EXPECT_EQ(pass.full_reanalyzes, 0) << "pass " << round;
+  }
   Drift(SalesDrift());
   ReanalyzeScheduler::PassReport pass = scheduler.RunOnce();
   EXPECT_EQ(pass.full_reanalyzes, 1);
@@ -174,14 +181,18 @@ TEST_F(AdaptiveTest, StalenessBoundForcesFullReanalyze) {
 }
 
 TEST_F(AdaptiveTest, ChangeFractionForcesFullReanalyze) {
+  // 110% growth plus 5% deletes and 5% updates: more changed rows than the
+  // anchor's base, so the first re-ANALYZE is already a full rescan.
   ReanalyzeSchedulerOptions options;
-  options.full_reanalyze_fraction = 0.2;  // 60% change blows through this
   options.rewarm_top_k = 0;
   ReanalyzeScheduler scheduler(fixture_.db.get(), &log_, fixture_.oracle.get(),
                                &swappable_, nullptr, options);
-  Drift(SalesDrift());
+  DriftScenarioOptions drift = SalesDrift();
+  drift.growth = 1.1;
+  Drift(drift);
   ReanalyzeScheduler::PassReport pass = scheduler.RunOnce();
   EXPECT_EQ(pass.full_reanalyzes, 1);
+  EXPECT_EQ(pass.incremental_merges, 0);
 }
 
 TEST_F(AdaptiveTest, IngestInvalidatesOracleMemo) {

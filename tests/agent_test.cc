@@ -69,7 +69,26 @@ TEST_F(AgentTest, IterationZeroHasNoTimeoutThenTimeoutsApply) {
   // Timeout = slack x observed max runtime.
   EXPECT_DOUBLE_EQ(
       agent.curve()[1].timeout_ms,
-      agent.options().timeout.slack * agent.curve()[0].max_query_runtime_ms);
+      TimeoutPolicy::kSlack * agent.curve()[0].max_query_runtime_ms);
+}
+
+// The agent derives the search's epsilon collapse from the exploration
+// mode alone: a caller-set value never survives under another mode.
+TEST_F(AgentTest, EpsilonCollapseFollowsExplorationMode) {
+  Env& env = SharedEnv();
+  BalsaAgentOptions options = FastOptions();
+  options.exploration = ExplorationMode::kCountBased;
+  options.planner.epsilon_collapse = 0.5;
+  BalsaAgent count_based(&env.schema(), env.pg_engine.get(),
+                         env.cout_model.get(), env.estimator.get(),
+                         &env.workload, options);
+  EXPECT_EQ(count_based.options().planner.epsilon_collapse, 0.0);
+
+  options.exploration = ExplorationMode::kEpsilonGreedy;
+  BalsaAgent epsilon_greedy(&env.schema(), env.pg_engine.get(),
+                            env.cout_model.get(), env.estimator.get(),
+                            &env.workload, options);
+  EXPECT_EQ(epsilon_greedy.options().planner.epsilon_collapse, 0.1);
 }
 
 TEST_F(AgentTest, PlanBestProducesValidEngineAcceptedPlans) {

@@ -51,7 +51,7 @@ TEST(DatabaseMutationTest, AppendRemoveAndSetValue) {
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<int64_t>{1, 3, 4, 5, 6, 7}));
 
-  ASSERT_TRUE(db->SetValue(0, 1, 0, 99).ok());
+  ASSERT_TRUE(db->SetValues(0, 1, {{0, 99}}).ok());
   EXPECT_EQ(db->GetTableVersion(0)->column(1)[0], 99);
 
   EXPECT_FALSE(db->RemoveRows(0, {100}).ok());
@@ -115,7 +115,7 @@ TEST(DatabaseMutationTest, PinnedSnapshotSurvivesMutations) {
   EXPECT_EQ(index_before.Lookup(70).size(), 0u);
 
   ASSERT_TRUE(db->AppendRows(0, {{6, 70}}).ok());
-  ASSERT_TRUE(db->SetValue(0, 1, 0, 99).ok());
+  ASSERT_TRUE(db->SetValues(0, 1, {{0, 99}}).ok());
 
   // The pinned snapshot still reads (and indexes) the pre-mutation data.
   EXPECT_EQ(before.row_count(0), 6);

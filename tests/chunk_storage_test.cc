@@ -167,7 +167,7 @@ TEST(ChunkStorageTest, SingleCellUpdateCopiesExactlyOneChunk) {
 
   // Touch one cell in the middle chunk of column 1.
   const int64_t row = kChunkRows + 7;
-  ASSERT_TRUE(db.SetValue(0, 1, row, 123456).ok());
+  ASSERT_TRUE(db.SetValues(0, 1, {{row, 123456}}).ok());
   Snapshot after = db.GetSnapshot();
   const TableVersion& v2 = after.table(0);
 

@@ -134,7 +134,7 @@ TEST_F(EngineTest, DisasterFloorAppliesToCappedPlans) {
   ExecutionEngine engine(fixture_.db.get(), &capped_oracle, options);
   auto latency = engine.NoiselessLatency(query_, LeftDeepAll());
   ASSERT_TRUE(latency.ok());
-  EXPECT_GE(*latency, options.disaster_min_latency_ms);
+  EXPECT_GE(*latency, kDisasterMinLatencyMs);
 }
 
 TEST(PoolModelTest, MakespanBalancesLoad) {

@@ -171,7 +171,7 @@ TEST_F(ExecutorTest, NegativeValuesAreRealValuesNotNulls) {
   int region = fixture_.schema().table(cust).ColumnIndex("region");
   int cust_id = fixture_.schema().table(sales).ColumnIndex("customer_id");
   ASSERT_TRUE(fixture_.db->SetValues(sales, amount, {{3, -7}, {8, -7}}).ok());
-  ASSERT_TRUE(fixture_.db->SetValue(cust, region, 0, -7).ok());
+  ASSERT_TRUE(fixture_.db->SetValues(cust, region, {{0, -7}}).ok());
 
   // The executor pins a snapshot at construction: build a fresh one.
   Executor executor(fixture_.db.get());

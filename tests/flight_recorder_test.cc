@@ -27,14 +27,10 @@ namespace {
 
 constexpr uint64_t kFlightIdBit = uint64_t{1} << 63;
 
-TraceStoreOptions Opts(int top_k, int reservoir, int max_outcomes,
-                       uint64_t seed = 1) {
+TraceStoreOptions Opts(int top_k) {
   TraceStoreOptions options;
   options.enabled = true;
   options.top_k = top_k;
-  options.reservoir_size = reservoir;
-  options.max_outcomes = max_outcomes;
-  options.seed = seed;
   return options;
 }
 
@@ -81,7 +77,7 @@ TEST(TraceStoreTest, DisabledStoreIgnoresCompletions) {
 }
 
 TEST(TraceStoreTest, TopKRetainsTheSlowestByConstruction) {
-  TraceStore store(Opts(/*top_k=*/4, /*reservoir=*/0, /*max_outcomes=*/0));
+  TraceStore store(Opts(/*top_k=*/4));
   // 1..100 in a scrambled (but deterministic) order: the heap must end up
   // holding exactly {97, 98, 99, 100} regardless of arrival order.
   for (int i = 0; i < 100; ++i) {
@@ -90,8 +86,7 @@ TEST(TraceStoreTest, TopKRetainsTheSlowestByConstruction) {
   }
   std::multiset<double> kept;
   for (const RetainedTrace& entry : store.Retained()) {
-    EXPECT_EQ(entry.reason, RetainReason::kTopK);
-    kept.insert(entry.latency_us);
+    if (entry.reason == RetainReason::kTopK) kept.insert(entry.latency_us);
   }
   EXPECT_EQ(kept, (std::multiset<double>{97, 98, 99, 100}));
 
@@ -106,7 +101,7 @@ TEST(TraceStoreTest, TopKRetainsTheSlowestByConstruction) {
 }
 
 TEST(TraceStoreTest, LazyShellMaterializedOnlyWhenRetained) {
-  TraceStore store(Opts(/*top_k=*/2, /*reservoir=*/0, /*max_outcomes=*/0));
+  TraceStore store(Opts(/*top_k=*/2));
   // A null-trace (hit-path) completion that wins a top-K slot gets a
   // span-less shell materialized at admission.
   const uint64_t id = store.OnComplete(nullptr, Comp(100));
@@ -117,17 +112,26 @@ TEST(TraceStoreTest, LazyShellMaterializedOnlyWhenRetained) {
   EXPECT_EQ(entry.trace->id(), id);
   EXPECT_TRUE(entry.trace->spans().empty());
 
-  // Fill the heap past it; a sub-floor completion is let go without ever
-  // allocating (id 0 is the "no shell, no retention" signal).
+  // Fill the heap past it. Sub-floor completions then fill the reservoir;
+  // once it is full, most are let go without ever allocating (id 0 is the
+  // "no shell, no retention" signal).
   store.OnComplete(nullptr, Comp(200));
   store.OnComplete(nullptr, Comp(300));
-  EXPECT_EQ(store.OnComplete(nullptr, Comp(50)), 0u);
-  EXPECT_EQ(store.Retained().size(), 2u);
   EXPECT_FALSE(store.FindTrace(id, &entry));  // evicted by 200/300
+  int let_go = 0;
+  for (size_t i = 0; i < 10 * TraceStore::kReservoirSize; ++i) {
+    const uint64_t sub_floor = store.OnComplete(nullptr, Comp(50));
+    if (i < TraceStore::kReservoirSize) {
+      EXPECT_NE(sub_floor, 0u) << "completion " << i;
+    }
+    if (sub_floor == 0) ++let_go;
+  }
+  EXPECT_GT(let_go, 0);
+  EXPECT_EQ(store.Retained().size(), 2 + TraceStore::kReservoirSize);
 }
 
 TEST(TraceStoreTest, FlightIdsNeverCollideWithTracerIds) {
-  TraceStore store(Opts(4, 0, 0));
+  TraceStore store(Opts(4));
   EXPECT_NE(store.StartTrace()->id() & kFlightIdBit, 0u);
   const uint64_t materialized = store.OnComplete(nullptr, Comp(10));
   EXPECT_NE(materialized & kFlightIdBit, 0u);
@@ -141,8 +145,9 @@ TEST(TraceStoreTest, FlightIdsNeverCollideWithTracerIds) {
 }
 
 TEST(TraceStoreTest, OutcomeRingIsBoundedOldestEvicted) {
-  TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/3));
-  for (int i = 0; i < 5; ++i) {
+  TraceStore store(Opts(/*top_k=*/1));
+  const uint64_t total = TraceStore::kMaxOutcomes + 6;
+  for (uint64_t i = 0; i < total; ++i) {
     TraceCompletion completion = Comp(1.0, "error");
     completion.error = true;
     EXPECT_NE(store.OnComplete(nullptr, completion), 0u);
@@ -153,17 +158,18 @@ TEST(TraceStoreTest, OutcomeRingIsBoundedOldestEvicted) {
     EXPECT_TRUE(entry.error);
     indices.insert(entry.completion_index);
   }
-  // The three newest completions survive; 1 and 2 were pushed out.
-  EXPECT_EQ(indices, (std::multiset<uint64_t>{3, 4, 5}));
-  EXPECT_GE(store.stats().evicted, 2);
+  // The 64 newest completions survive; 1..6 were pushed out.
+  std::multiset<uint64_t> newest;
+  for (uint64_t index = 7; index <= total; ++index) newest.insert(index);
+  EXPECT_EQ(indices, newest);
+  EXPECT_EQ(store.stats().evicted, 6);
 }
 
-TEST(TraceStoreTest, ReservoirIsDeterministicInSeedAndIndex) {
+TEST(TraceStoreTest, ReservoirIsDeterministicInIndex) {
   // Two stores fed the identical completion stream retain the identical
-  // reservoir — the coin flip is a pure function of (seed, normal index).
-  auto run = [](uint64_t seed) {
-    TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/4, /*max_outcomes=*/0,
-                          seed));
+  // reservoir — the coin flip is a pure function of the normal index.
+  auto run = [] {
+    TraceStore store(Opts(/*top_k=*/1));
     store.OnComplete(nullptr, Comp(1000, "miss"));  // fills the heap
     for (int i = 0; i < 200; ++i) store.OnComplete(nullptr, Comp(1.0));
     std::multiset<uint64_t> indices;
@@ -174,14 +180,15 @@ TEST(TraceStoreTest, ReservoirIsDeterministicInSeedAndIndex) {
     }
     return indices;
   };
-  const std::multiset<uint64_t> first = run(7);
-  EXPECT_EQ(first.size(), 4u);
-  EXPECT_EQ(first, run(7));
-  EXPECT_NE(first, run(8));
+  const std::multiset<uint64_t> first = run();
+  EXPECT_EQ(first.size(), TraceStore::kReservoirSize);
+  EXPECT_EQ(first, run());
+  // Later completions replaced some of the first 32 (indices 2..33).
+  EXPECT_GT(*first.rbegin(), 33u);
 }
 
 TEST(TraceStoreTest, PromoteCappedMarksRetainedEntryInPlace) {
-  TraceStore store(Opts(/*top_k=*/2, /*reservoir=*/0, /*max_outcomes=*/4));
+  TraceStore store(Opts(/*top_k=*/2));
   std::shared_ptr<Trace> trace = store.StartTrace();
   const TraceCompletion completion = Comp(500, "miss");
   ASSERT_EQ(store.OnComplete(trace, completion), trace->id());
@@ -205,10 +212,15 @@ TEST(TraceStoreTest, PromoteCappedMarksRetainedEntryInPlace) {
 }
 
 TEST(TraceStoreTest, PromoteCappedMaterializesShellForUnretainedHit) {
-  TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/4));
+  TraceStore store(Opts(/*top_k=*/1));
   store.OnComplete(nullptr, Comp(1000, "miss"));  // raises the floor
+  // Sub-floor hits until the reservoir, once full, lets one go.
   const TraceCompletion hit = Comp(5);
-  ASSERT_EQ(store.OnComplete(nullptr, hit), 0u);  // let go at completion
+  bool let_go = false;
+  for (size_t i = 0; i < 10 * TraceStore::kReservoirSize && !let_go; ++i) {
+    let_go = store.OnComplete(nullptr, hit) == 0;
+  }
+  ASSERT_TRUE(let_go);  // dropped at completion
 
   // The row-cap signal arrives later, from plan execution: the request must
   // end up retained even though the serve-time decision dropped it.
@@ -233,8 +245,7 @@ TEST(TraceStoreTest, ConcurrentCompletionsGetDistinctIndices) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
   constexpr int kTotal = kThreads * kPerThread;
-  TraceStore store(Opts(/*top_k=*/kTotal, /*reservoir=*/0,
-                        /*max_outcomes=*/0));
+  TraceStore store(Opts(/*top_k=*/kTotal));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, t] {
@@ -260,7 +271,7 @@ TEST(TraceStoreTest, ConcurrentCompletionsGetDistinctIndices) {
 }
 
 TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
-  TraceStore store(Opts(/*top_k=*/4, /*reservoir=*/4, /*max_outcomes=*/4));
+  TraceStore store(Opts(/*top_k=*/4));
   std::shared_ptr<Trace> with_spans = store.StartTrace();
   with_spans->AddSpan(TraceStage::kBeamSearch, 1.0, 250.0);
   TraceCompletion miss = Comp(300, "miss");
@@ -300,7 +311,7 @@ TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
 }
 
 TEST(TraceStoreTest, ExemplarDanglesGracefullyAfterEviction) {
-  TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/0));
+  TraceStore store(Opts(/*top_k=*/1));
   Log2Histogram histogram;
   const uint64_t id = store.OnComplete(nullptr, Comp(100, "miss"));
   ASSERT_NE(id, 0u);
@@ -354,7 +365,7 @@ TEST(TraceContextTest, PoolThreadSpansRaceCompletionAndSerialization) {
   // internally synchronized, so every span must land and every JSONL
   // render must stay well-formed. TSan is the real assertion here.
   constexpr int kSpans = 200;
-  TraceStore store(Opts(/*top_k=*/4, /*reservoir=*/0, /*max_outcomes=*/0));
+  TraceStore store(Opts(/*top_k=*/4));
   RequestTracer tracer;
   std::shared_ptr<Trace> trace = store.StartTrace();
   const TraceContext context{&tracer, trace};

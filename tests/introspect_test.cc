@@ -106,11 +106,8 @@ TEST_F(IntrospectTest, ProfiledExecutionIsBitwiseIdenticalToUnprofiled) {
   auto plain = executor_.Execute(query_, plan);
   ASSERT_TRUE(plain.ok());
 
-  ExecutorOptions options;
-  options.profile = true;
-  Executor profiled(executor_.snapshot(), options);
   ExecutionProfile profile;
-  auto prof = profiled.ExecuteProfiled(query_, plan, &profile);
+  auto prof = executor_.ExecuteProfiled(query_, plan, &profile);
   ASSERT_TRUE(prof.ok());
 
   EXPECT_EQ(plain->rels, prof->rels);
@@ -118,35 +115,17 @@ TEST_F(IntrospectTest, ProfiledExecutionIsBitwiseIdenticalToUnprofiled) {
   EXPECT_EQ(plain->capped, prof->capped);
 }
 
-TEST_F(IntrospectTest, ProfileOffYieldsEmptyProfileAndSameResult) {
-  const Plan plan = StarPlan();
-  ExecutionProfile profile;
-  profile.total_micros = 123;  // must be cleared even on the off path
-  auto result = executor_.ExecuteProfiled(query_, plan, &profile);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(profile.nodes.empty());
-  EXPECT_EQ(profile.total_micros, 0);
-
-  auto plain = executor_.Execute(query_, plan);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->tuples, result->tuples);
-}
-
 TEST_F(IntrospectTest, ScanProfilesReportPathTaken) {
-  ExecutorOptions options;
-  options.profile = true;
-  Executor profiled(executor_.snapshot(), options);
-
   // sales has no filters: full chunked scan, no index.
   NodeProfile full;
-  ASSERT_TRUE(profiled.Scan(query_, 0, &full).ok());
+  ASSERT_TRUE(executor_.Scan(query_, 0, &full).ok());
   EXPECT_FALSE(full.used_index);
   EXPECT_GT(full.chunks_total, 0);
   EXPECT_GT(full.rows_out, 0);
 
   // customer has an equality filter: served from the hash index.
   NodeProfile indexed;
-  ASSERT_TRUE(profiled.Scan(query_, 1, &indexed).ok());
+  ASSERT_TRUE(executor_.Scan(query_, 1, &indexed).ok());
   EXPECT_TRUE(indexed.used_index);
   EXPECT_EQ(indexed.chunks_total, 0);
 }
@@ -154,7 +133,6 @@ TEST_F(IntrospectTest, ScanProfilesReportPathTaken) {
 TEST_F(IntrospectTest, RowCapMarksNodeAndPlanCapped) {
   const Plan plan = StarPlan();
   ExecutorOptions options;
-  options.profile = true;
   options.row_cap = 8;  // far below the star join's intermediates
   Executor tiny(executor_.snapshot(), options);
   ExecutionProfile profile;
@@ -268,7 +246,6 @@ class RetentionTest : public ::testing::Test {
     ASSERT_TRUE(served.ok());
     ASSERT_NE(served->trace, nullptr);
     ExecutorOptions exec_options;
-    exec_options.profile = true;
     exec_options.row_cap = 8;
     Executor executor(fixture_.db.get(), exec_options);
     ExecutionProfile profile;

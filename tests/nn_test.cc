@@ -511,9 +511,7 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   // Minimize (w - 3)^2 with Adam.
   Param w(1, 1);
   w.value.data[0] = 0.f;
-  Adam::Options opts;
-  opts.lr = 0.1;
-  Adam adam({&w}, opts);
+  Adam adam({&w}, /*lr=*/0.1);
   for (int step = 0; step < 300; ++step) {
     w.grad.data[0] = 2 * (w.value.data[0] - 3.f);
     adam.Step(1);
@@ -522,16 +520,25 @@ TEST(AdamTest, ConvergesOnQuadratic) {
   EXPECT_EQ(adam.num_steps(), 300);
 }
 
-TEST(AdamTest, GradClipBoundsUpdates) {
-  Param w(1, 1);
-  Adam::Options opts;
-  opts.lr = 0.001;
-  opts.grad_clip = 1.0;
-  Adam adam({&w}, opts);
-  w.grad.data[0] = 1e6f;  // absurd gradient
-  adam.Step(1);
-  // Clipped: the first Adam step is bounded by lr regardless of magnitude.
-  EXPECT_LT(std::abs(w.value.data[0]), 0.01f);
+TEST(AdamTest, ClipsTheGlobalGradientNormToFive) {
+  // A gradient of global norm 5e6 is scaled to norm kAdamGradClip = 5, so
+  // `clipped` follows `reference`, whose first gradient (3, 4) has norm 5
+  // exactly and is not scaled. Adam's first step is scale-invariant; the
+  // moments the first gradient leaves tell the two apart on the second.
+  Param clipped(1, 2), reference(1, 2);
+  Adam adam_clipped({&clipped}, /*lr=*/0.1);
+  Adam adam_reference({&reference}, /*lr=*/0.1);
+  clipped.grad.data = {3e6f, 4e6f};
+  reference.grad.data = {3.f, 4.f};
+  adam_clipped.Step(1);
+  adam_reference.Step(1);
+  for (Param* p : {&clipped, &reference}) p->grad.data = {1.f, 1.f};
+  adam_clipped.Step(1);
+  adam_reference.Step(1);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_NEAR(clipped.m.data[i], reference.m.data[i], 1e-5) << i;
+    EXPECT_NEAR(clipped.value.data[i], reference.value.data[i], 1e-5) << i;
+  }
 }
 
 TEST(ParamIoTest, SaveLoadRoundTrip) {

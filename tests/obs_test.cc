@@ -290,14 +290,13 @@ TEST(KillSwitchTest, DisablesHistogramRecordingAndTraceSampling) {
   EXPECT_NE(tracer.MaybeStartTrace(), nullptr);
 }
 
-TEST(RequestTracerTest, SamplingIsDeterministicUnderFixedSeed) {
+TEST(RequestTracerTest, SamplingIsDeterministicInArrivalIndex) {
   RequestTracerOptions options;
   options.sample_every = 4;
-  options.seed = 2;
 
   // Two tracers with identical options sample exactly the same request
-  // indices: on one thread, sampling is a pure function of (arrival index,
-  // seed). Trace ids encode (arrival k, stripe) as k * kThreadStripes +
+  // indices: on one thread, sampling is a pure function of the arrival
+  // index. Trace ids encode (arrival k, stripe) as k * kThreadStripes +
   // stripe; id / kThreadStripes recovers the arrival index.
   RequestTracer a(options), b(options);
   std::vector<uint64_t> sampled_a, sampled_b;
@@ -308,7 +307,7 @@ TEST(RequestTracerTest, SamplingIsDeterministicUnderFixedSeed) {
   EXPECT_EQ(sampled_a, sampled_b);
   ASSERT_EQ(sampled_a.size(), 16u);
   for (uint64_t id : sampled_a) {
-    EXPECT_EQ((id / kThreadStripes + options.seed) % 4, 0u) << id;
+    EXPECT_EQ((id / kThreadStripes) % 4, 0u) << id;
   }
   EXPECT_EQ(a.requests_seen(), 64);
   EXPECT_EQ(a.traces_started(), 16);

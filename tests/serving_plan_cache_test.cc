@@ -51,40 +51,41 @@ TEST(PlanCacheTest, InsertThenLookupRoundTrips) {
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsedFirst) {
   PlanCacheOptions options;
-  options.num_shards = 1;
   options.shard_capacity = 2;
   PlanCache cache(options);
-  cache.Insert(1, MakeEntry(1));
-  cache.Insert(2, MakeEntry(2));
+  // Three keys of one shard, so they compete for its two slots.
+  const std::vector<uint64_t> k = KeysInShard(cache, 0, 3);
+  cache.Insert(k[0], MakeEntry(1));
+  cache.Insert(k[1], MakeEntry(2));
   std::shared_ptr<const CachedPlan> out;
-  // Touch 1 so 2 becomes the LRU victim.
-  ASSERT_TRUE(cache.Lookup(1, 0, &out));
-  cache.Insert(3, MakeEntry(3));
-  EXPECT_TRUE(cache.Lookup(1, 0, &out));
-  EXPECT_FALSE(cache.Lookup(2, 0, &out));  // evicted
-  EXPECT_TRUE(cache.Lookup(3, 0, &out));
+  // Touch k[0] so k[1] becomes the LRU victim.
+  ASSERT_TRUE(cache.Lookup(k[0], 0, &out));
+  cache.Insert(k[2], MakeEntry(3));
+  EXPECT_TRUE(cache.Lookup(k[0], 0, &out));
+  EXPECT_FALSE(cache.Lookup(k[1], 0, &out));  // evicted
+  EXPECT_TRUE(cache.Lookup(k[2], 0, &out));
   EXPECT_EQ(cache.Totals().lru_evictions, 1);
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(PlanCacheTest, ReinsertFreshensInsteadOfEvicting) {
   PlanCacheOptions options;
-  options.num_shards = 1;
   options.shard_capacity = 2;
   PlanCache cache(options);
-  cache.Insert(1, MakeEntry(1));
-  cache.Insert(2, MakeEntry(2));
-  cache.Insert(1, MakeEntry(4));  // replace: 2 stays, 1 moves to front
+  const std::vector<uint64_t> k = KeysInShard(cache, 0, 2);
+  cache.Insert(k[0], MakeEntry(1));
+  cache.Insert(k[1], MakeEntry(2));
+  // Replace: k[1] stays, k[0] moves to the front.
+  cache.Insert(k[0], MakeEntry(4));
   std::shared_ptr<const CachedPlan> out;
-  ASSERT_TRUE(cache.Lookup(1, 0, &out));
+  ASSERT_TRUE(cache.Lookup(k[0], 0, &out));
   EXPECT_EQ(out->plan.node(0).relation, 4);
-  EXPECT_TRUE(cache.Lookup(2, 0, &out));
+  EXPECT_TRUE(cache.Lookup(k[1], 0, &out));
   EXPECT_EQ(cache.Totals().lru_evictions, 0);
 }
 
 TEST(PlanCacheTest, ShardsEvictIndependently) {
   PlanCacheOptions options;
-  options.num_shards = 4;
   options.shard_capacity = 1;
   PlanCache cache(options);
   std::vector<uint64_t> shard0 = KeysInShard(cache, 0, 2);
@@ -162,9 +163,7 @@ TEST(PlanCacheTest, ZeroCapacityDisablesTheCache) {
 }
 
 TEST(PlanCacheTest, CountersAddUpAcrossShards) {
-  PlanCacheOptions options;
-  options.num_shards = 8;
-  PlanCache cache(options);
+  PlanCache cache;
   for (uint64_t k = 0; k < 100; ++k) cache.Insert(k, MakeEntry(1));
   std::shared_ptr<const CachedPlan> out;
   int hits = 0;
@@ -286,13 +285,12 @@ TEST(PlanCacheTest, ApproxBytesCountsSharedExemplarsOnce) {
 // so an interleaved read can only land between the two fences.
 TEST(PlanCacheTest, TotalsStayMonotoneAndBoundedUnderConcurrency) {
   PlanCacheOptions options;
-  options.num_shards = 4;
   options.shard_capacity = 16;  // small: force LRU evictions too
   PlanCache cache(options);
 
   auto sum_shards = [&] {
     PlanCache::Metrics sum;
-    for (int s = 0; s < cache.num_shards(); ++s) {
+    for (int s = 0; s < PlanCache::kNumShards; ++s) {
       PlanCache::Metrics m = cache.shard_metrics(s);
       sum.hits += m.hits;
       sum.misses += m.misses;

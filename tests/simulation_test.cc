@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/optimizer/dp_optimizer.h"
 #include "test_util.h"
 
@@ -92,15 +94,42 @@ TEST_F(SimulationTest, ReservoirCapsPerQuery) {
   EXPECT_EQ(data->size(), 50u);
 }
 
-TEST_F(SimulationTest, SkipsLargeQueries) {
+// A chain of `n` aliases of customer, each joined to the next on id.
+Query CustomerChain(const Schema& schema, int n) {
+  QueryBuilder builder(&schema, "chain" + std::to_string(n));
+  for (int r = 0; r < n; ++r) builder.From("customer", "c" + std::to_string(r));
+  for (int r = 1; r < n; ++r) {
+    builder.JoinEq("c" + std::to_string(r - 1) + ".id",
+                   "c" + std::to_string(r) + ".id");
+  }
+  auto query = builder.Build();
+  BALSA_CHECK(query.ok(), "chain query");
+  return std::move(query).value();
+}
+
+TEST_F(SimulationTest, SkipsQueriesOfTwelveOrMoreRelations) {
+  const Query chain11 = CustomerChain(fixture_.schema(), 11);
+  const Query chain12 = CustomerChain(fixture_.schema(), 12);
   SimulationOptions options;
-  options.skip_queries_with_relations_ge = 4;  // the star query has 4
+  options.max_points_per_query = 0;
   SimulationStats stats;
-  auto data = CollectSimulationData({&query_}, fixture_.schema(), cout_,
-                                    featurizer_, options, &stats);
+  auto data = CollectSimulationData({&chain12, &query_}, fixture_.schema(),
+                                    cout_, featurizer_, options, &stats);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(stats.num_queries_skipped, 1);
-  EXPECT_TRUE(data->empty());
+  EXPECT_EQ(stats.num_queries_used, 1);
+  auto star_only = CollectSimulationData({&query_}, fixture_.schema(), cout_,
+                                         featurizer_, options);
+  ASSERT_TRUE(star_only.ok());
+  EXPECT_EQ(data->size(), star_only->size());
+
+  // Eleven relations are planned.
+  auto eleven = CollectSimulationData({&chain11}, fixture_.schema(), cout_,
+                                      featurizer_, options, &stats);
+  ASSERT_TRUE(eleven.ok());
+  EXPECT_EQ(stats.num_queries_skipped, 0);
+  EXPECT_EQ(stats.num_queries_used, 1);
+  EXPECT_FALSE(eleven->empty());
 }
 
 TEST_F(SimulationTest, CanonicalOperatorsReduceEnumeration) {

@@ -11,17 +11,13 @@ TEST(TimeoutPolicyTest, NoTimeoutBeforeFirstIteration) {
 }
 
 TEST(TimeoutPolicyTest, SlackAppliedAfterFirstObservation) {
-  TimeoutPolicy::Options options;
-  options.slack = 2.0;
-  TimeoutPolicy policy(options);
+  TimeoutPolicy policy;
   policy.ObserveIteration(1000);
   EXPECT_DOUBLE_EQ(policy.CurrentTimeoutMs(), 2000);
 }
 
 TEST(TimeoutPolicyTest, TimeoutTightensMonotonically) {
-  TimeoutPolicy::Options options;
-  options.slack = 2.0;
-  TimeoutPolicy policy(options);
+  TimeoutPolicy policy;
   policy.ObserveIteration(1000);
   policy.ObserveIteration(400);  // better iteration -> tighten
   EXPECT_DOUBLE_EQ(policy.CurrentTimeoutMs(), 800);
@@ -38,8 +34,7 @@ TEST(TimeoutPolicyTest, DisabledNeverTimesOut) {
 }
 
 TEST(TimeoutPolicyTest, RelabelValueIsPaperDefault) {
-  TimeoutPolicy policy;
-  EXPECT_DOUBLE_EQ(policy.relabel_ms(), 4096.0 * 1000.0);
+  EXPECT_DOUBLE_EQ(TimeoutPolicy::kRelabelMs, 4096.0 * 1000.0);
 }
 
 TEST(TimeoutPolicyTest, IgnoresNonPositiveObservations) {

@@ -407,25 +407,6 @@ TEST(ValueNetworkTest, ForwardBatchMatchesPredictOnRaggedBatches) {
   }
 }
 
-TEST(ValueNetworkTest, RawLabelSpaceSupported) {
-  ValueNetConfig cfg = SmallConfig();
-  cfg.log_transform = false;
-  ValueNetwork net(cfg);
-  std::vector<TrainingPoint> data(12);
-  for (auto& pt : data) {
-    pt.query = nn::Vec(4, 0.1f);
-    pt.plan = Leaf(6, 0.2f);
-    pt.label = 7.0;
-  }
-  ValueNetwork::TrainOptions opts;
-  opts.max_epochs = 200;
-  opts.val_fraction = 0;
-  opts.lr = 5e-3;
-  net.Train(data, opts);
-  EXPECT_NEAR(net.Predict(data[0].query, data[0].plan), 7.0, 1.0);
-}
-
-
 // ---------------------------------------------------------------------------
 // Bitwise training equivalence. ReferenceTrainer is a frozen copy of the
 // per-sample trainer that ValueNetwork::Train replaced: one forward pass and
@@ -468,9 +449,7 @@ class ReferenceTrainer {
     std::vector<int> val(order.begin(), order.begin() + num_val);
     std::vector<int> train(order.begin() + num_val, order.end());
 
-    nn::Adam::Options adam_opts;
-    adam_opts.lr = options.lr;
-    nn::Adam adam(params_, adam_opts);
+    nn::Adam adam(params_, options.lr);
     auto eval_loss = [&](const std::vector<int>& idx) {
       if (idx.empty()) return 0.0;
       double total = 0;
@@ -599,7 +578,7 @@ class ReferenceTrainer {
   }
 
   double ToLabelSpace(double y) const {
-    return config_.log_transform ? std::log1p(std::max(0.0, y)) : y;
+    return std::log1p(std::max(0.0, y));
   }
 
   double Forward(const nn::Vec& query, const nn::TreeSample& plan,
@@ -664,11 +643,10 @@ class TrainBitwiseTest : public ::testing::Test {
         featurizer_(&fixture_.schema(), fixture_.estimator.get()),
         cout_(fixture_.estimator, &fixture_.schema()) {}
 
-  ValueNetConfig Config(bool log_transform) const {
+  ValueNetConfig Config() const {
     ValueNetConfig config;
     config.query_dim = featurizer_.query_dim();
     config.node_dim = featurizer_.node_dim();
-    config.log_transform = log_transform;
     config.init_seed = 17;
     return config;
   }
@@ -742,16 +720,7 @@ TEST_F(TrainBitwiseTest, SimulationBootstrapThenFineTune) {
   tune.val_fraction = 0;
   tune.batch_size = 48;
   tune.shuffle_seed = 9;
-  ExpectSameTraining(Config(true), {{sim, boot}, {slice, tune}});
-}
-
-TEST_F(TrainBitwiseTest, RawLabelSpace) {
-  std::vector<TrainingPoint> sim = SimulationData(200);
-  // Raw costs are large; scale them so raw-space training stays finite.
-  for (TrainingPoint& pt : sim) pt.label = std::log1p(pt.label);
-  ValueNetwork::TrainOptions opts;
-  opts.max_epochs = 4;
-  ExpectSameTraining(Config(false), {{sim, opts}});
+  ExpectSameTraining(Config(), {{sim, boot}, {slice, tune}});
 }
 
 TEST_F(TrainBitwiseTest, EarlyStoppingRestoresBestWeights) {
@@ -784,9 +753,9 @@ TEST_F(TrainBitwiseTest, EarlyStoppingRestoresBestWeights) {
   opts.patience = 2;
   opts.val_fraction = 0.2;
   opts.batch_size = 16;
-  ValueNetwork probe(Config(true));
+  ValueNetwork probe(Config());
   ASSERT_LT(probe.Train(data, opts).epochs_run, opts.max_epochs);
-  ExpectSameTraining(Config(true), {{data, opts}});
+  ExpectSameTraining(Config(), {{data, opts}});
 }
 
 TEST_F(TrainBitwiseTest, TiedMaximaGoToTheFirstNode) {
@@ -810,7 +779,7 @@ TEST_F(TrainBitwiseTest, TiedMaximaGoToTheFirstNode) {
   ValueNetwork::TrainOptions opts;
   opts.max_epochs = 3;
   opts.batch_size = 16;
-  ExpectSameTraining(Config(true), {{data, opts}});
+  ExpectSameTraining(Config(), {{data, opts}});
 }
 
 }  // namespace
